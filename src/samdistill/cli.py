@@ -16,7 +16,7 @@ from pathlib import Path
 from . import blobio, nn, probe, report, train
 from .errors import SamDistillError
 from .scene import generate_dataset, read_scene_dir, write_scene_dir
-from .tokenizer import knn_tokenize, purity, sam_tokenize
+from .tokenizer import MODE_KNN, MODE_SAM, purity, tokenize
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokenize", help="tokenize stored scenes and audit purity")
     p.add_argument("--scenes", type=Path, required=True)
-    p.add_argument("--mode", choices=("sam", "knn"), default="sam")
+    p.add_argument("--mode", choices=(MODE_SAM, MODE_KNN), default=MODE_SAM)
     p.add_argument("--min-points", type=int, default=8)
     p.add_argument("--n", type=int, default=0, help="knn token count (0: region count)")
     p.add_argument("--k", type=int, default=0, help="knn neighbors (0: n_points / n)")
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-groups", type=int, default=None)
     p.add_argument("--scale-mode", choices=("mean-one", "paper-literal"), default=None)
     p.add_argument("--no-reweight", action="store_true", help="ablation: uniform loss")
-    p.add_argument("--tokenizer", choices=("sam", "knn"), default=None)
+    p.add_argument("--tokenizer", choices=(MODE_SAM, MODE_KNN), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--wd", type=float, default=None)
@@ -120,12 +120,7 @@ def _cmd_tokenize(args, cfg: report.PipelineConfig) -> int:
     bundles = read_scene_dir(args.scenes)
     rows = []
     for i, bundle in enumerate(bundles):
-        if args.mode == "sam":
-            tokens = sam_tokenize(bundle, min_points=args.min_points)
-        else:
-            n = args.n if args.n > 0 else bundle.region_count
-            k = args.k if args.k > 0 else -(-bundle.n_points // n)
-            tokens = knn_tokenize(bundle.points, n=n, k=k)
+        tokens = tokenize(bundle, args.mode, args.min_points, args.n, args.k)
         rows.append(
             {
                 "scene_id": i,

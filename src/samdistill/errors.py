@@ -66,11 +66,17 @@ class DegeneratePlanError(SamDistillError):
 
 
 class DivergedRunError(SamDistillError):
-    """Training produced a non-finite gradient; the last good checkpoint is retained."""
+    """Training produced a non-finite gradient or value; the last good checkpoint is retained.
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite gradient at step {step}")
+    ``step`` counts optimizer steps from 1; ``op`` names the engine op that
+    produced a non-finite value, or is None for a non-finite gradient.
+    """
+
+    def __init__(self, step: int, op: str | None = None):
+        what = "gradient" if op is None else f"value from {op}"
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
+        self.op = op
 
 
 class BadSplitError(SamDistillError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -46,17 +46,7 @@ class Arch:
             raise InvalidInputError("bad arch layer/point counts")
 
     def to_json(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "n_heads": self.n_heads,
-            "n_enc_layers": self.n_enc_layers,
-            "n_dec_layers": self.n_dec_layers,
-            "pointnet_hidden": self.pointnet_hidden,
-            "max_points_per_token": self.max_points_per_token,
-            "mlp_ratio": self.mlp_ratio,
-            "proj_dim": self.proj_dim,
-            "ln_eps": self.ln_eps,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "Arch":
@@ -261,6 +251,12 @@ def decode(features: T.Tensor, params: ModelParams) -> T.Tensor:
         x = _block(x, params, f"dec{i}")
     p = params.tensors
     return T.layer_norm(x, p["dec.ln_f.g"], p["dec.ln_f.b"], eps=params.arch.ln_eps)
+
+
+def forward_tokens(bundle, tokens: TokenSet, params: ModelParams) -> T.Tensor:
+    """Encoder features of every token: token plus positional embedding, then the encoder."""
+    h = T.add(embed_tokens(bundle, tokens, params), pos_embed(centroids_of(tokens), params))
+    return encode(h, params)
 
 
 # ---------------------------------------------------------------------------

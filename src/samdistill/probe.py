@@ -16,8 +16,8 @@ from . import nn
 from . import tensor as T
 from .errors import BadSplitError, InvalidInputError
 from .scene import SceneBundle
-from .tokenizer import TokenSet, point_regions, sam_tokenize
-from .train import TrainConfig, _forward_tokens, adamw_step, init_opt_state, lr_at, majority_regions
+from .tokenizer import TokenSet, majority_regions, point_regions, sam_tokenize
+from .train import TrainConfig, adamw_step, init_opt_state, lr_at
 
 ENCODER_SCRATCH = "scratch"
 ENCODER_STAGE1 = "stage1"
@@ -54,7 +54,7 @@ def extract_features(
     with T.no_grad():
         for bundle in bundles:
             tokens = sam_tokenize(bundle, min_points=min_points)
-            feats.append(_forward_tokens(bundle, tokens, params).data)
+            feats.append(nn.forward_tokens(bundle, tokens, params).data)
             labels.append(token_type_labels(bundle, tokens))
     return np.concatenate(feats), np.concatenate(labels)
 

@@ -17,6 +17,7 @@ from . import blobio, nn, probe
 from . import train as train_mod
 from .errors import InvalidInputError
 from .scene import SceneSpec, generate_dataset
+from .tokenizer import MODE_KNN, MODE_SAM
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class PipelineConfig:
 def matrix_cells() -> list[tuple[str, bool, bool]]:
     return [
         (tok, rw, s2)
-        for tok in (train_mod.TOKENIZER_SAM, train_mod.TOKENIZER_KNN)
+        for tok in (MODE_SAM, MODE_KNN)
         for rw in (True, False)
         for s2 in (True, False)
     ]

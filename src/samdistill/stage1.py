@@ -17,22 +17,12 @@ from . import blobio
 from . import tensor as T
 from .errors import InconsistencyError, InvalidCountError, InvalidInputError
 from .nn import ModelParams
-from .tokenizer import TokenSet
 
 MEAN_POOLING = "mean"
 MAX_POOLING = "max"
 
 SCALE_MEAN_ONE = "mean-one"
 SCALE_PAPER_LITERAL = "paper-literal"
-
-
-@dataclass
-class RegionFeatures2D:
-    """Pooled 2D features aligned with a token set's region ordering."""
-
-    features: np.ndarray  # M x L2 float64
-    pooling: str
-    region_ids: np.ndarray  # M int64
 
 
 def pool_features_by_region(
@@ -50,18 +40,6 @@ def pool_features_by_region(
         pixels = feat[ys, xs]
         rows.append(pixels.mean(axis=0) if pooling == MEAN_POOLING else pixels.max(axis=0))
     return np.stack(rows)
-
-
-def pool_region_features(
-    feat2d: np.ndarray, mask: np.ndarray, tokens: TokenSet, pooling: str
-) -> RegionFeatures2D:
-    """Pool raster features over each surviving region's pixels."""
-    region_ids = tokens.region_ids()
-    return RegionFeatures2D(
-        features=pool_features_by_region(feat2d, mask, region_ids, pooling),
-        pooling=pooling,
-        region_ids=region_ids.astype(np.int64),
-    )
 
 
 def project_3d(h: T.Tensor, params: ModelParams) -> T.Tensor:

@@ -9,6 +9,7 @@ quantifies the difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +17,9 @@ import numpy as np
 from .errors import EmptyTokenizationError, InvalidCountError, InvalidInputError
 from .scene import SceneBundle, pixel_round, project
 
-SAM_GUIDED = "sam_guided"
-KNN_BASELINE = "knn_baseline"
+# Tokenizer modes, as stored in TokenSet.mode, configs and run metrics.
+MODE_SAM = "sam"
+MODE_KNN = "knn"
 
 
 @dataclass
@@ -111,7 +113,7 @@ def knn_tokenize(
             Token(point_indices=members, centroid=pts[members].mean(axis=0), region_id=-1)
         )
     dropped = np.nonzero(~covered)[0].astype(np.int64)
-    return TokenSet(tokens=tokens, mode=KNN_BASELINE, dropped_points=dropped)
+    return TokenSet(tokens=tokens, mode=MODE_KNN, dropped_points=dropped)
 
 
 def point_regions(bundle: SceneBundle) -> np.ndarray:
@@ -164,7 +166,37 @@ def sam_tokenize(bundle: SceneBundle, min_points: int = 8) -> TokenSet:
     if not tokens:
         raise EmptyTokenizationError("no region produced a token; skip this scene")
     dropped_arr = np.array(sorted(int(i) for i in dropped), dtype=np.int64)
-    return TokenSet(tokens=tokens, mode=SAM_GUIDED, dropped_points=dropped_arr)
+    return TokenSet(tokens=tokens, mode=MODE_SAM, dropped_points=dropped_arr)
+
+
+def tokenize(
+    bundle: SceneBundle, mode: str, min_points: int = 8, knn_tokens: int = 0, knn_k: int = 0
+) -> TokenSet:
+    """Tokenize one scene with the named tokenizer.
+
+    For the baseline, ``knn_tokens`` 0 means one token per mask region
+    and ``knn_k`` 0 means ceil(n_points / n_tokens) neighbors.
+    """
+    if mode == MODE_SAM:
+        return sam_tokenize(bundle, min_points=min_points)
+    if mode == MODE_KNN:
+        n = knn_tokens if knn_tokens > 0 else bundle.region_count
+        k = knn_k if knn_k > 0 else math.ceil(bundle.n_points / n)
+        return knn_tokenize(bundle.points, n=n, k=k)
+    raise InvalidInputError(f"unknown tokenizer mode {mode!r}")
+
+
+def majority_regions(tokens: TokenSet, regions_of_points: np.ndarray) -> np.ndarray:
+    """Per-token majority mask region among members; ties take the lowest id."""
+    out = np.empty(len(tokens), dtype=np.int64)
+    for i, tok in enumerate(tokens.tokens):
+        labels = regions_of_points[tok.point_indices]
+        labels = labels[labels >= 0]
+        if len(labels) == 0:
+            raise InvalidInputError("token has no members on masked pixels")
+        ids, counts = np.unique(labels, return_counts=True)
+        out[i] = ids[np.argmax(counts)]
+    return out
 
 
 def purity(tokens: TokenSet, gt_region: np.ndarray) -> float:

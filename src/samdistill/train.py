@@ -1,4 +1,4 @@
-"""Optimization shared by both stages: AdamW, warmup+cosine schedule, run loops.
+"""Optimization shared by both stages: AdamW, warmup+cosine schedule, one run loop.
 
 Runs are deterministic given (dataset, seed): initialization, epoch
 shuffles, and mask plans all derive from the seed, never from global
@@ -13,17 +13,23 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import blobio, nn, stage1, stage2
 from . import tensor as T
-from .errors import DivergedRunError, InvalidInputError
+from .errors import DivergedRunError, InvalidInputError, NonFiniteError
 from .scene import SceneBundle
-from .tokenizer import SAM_GUIDED, TokenSet, knn_tokenize, point_regions, purity, sam_tokenize
-
-TOKENIZER_SAM = "sam"
-TOKENIZER_KNN = "knn"
+from .tokenizer import (
+    MODE_SAM,
+    TokenSet,
+    majority_regions,
+    point_regions,
+    purity,
+    sam_tokenize,
+    tokenize,
+)
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,9 @@ _METRIC_COLUMNS = [
     "wall_ms",
 ]
 
+# Step-0 dataset metrics, measured once so a resumed run reports the same ones.
+_INITIAL_METRICS = "initial_metrics.json"
+
 
 class _MetricsWriter:
     def __init__(self, path: Path, append: bool):
@@ -185,6 +194,89 @@ def _mean_loss(losses: list[T.Tensor]) -> T.Tensor:
     return T.mul(total, 1.0 / len(losses))
 
 
+def _fit(
+    train_cfg: TrainConfig,
+    out_dir: Path,
+    n_scenes: int,
+    fresh_params: Callable[[], nn.ModelParams],
+    batch_loss: Callable[[nn.ModelParams, np.ndarray, int], tuple[T.Tensor, dict]],
+    dataset_metrics: Callable[[nn.ModelParams], dict],
+    resume: bool,
+    stop_after_epochs: int | None,
+) -> tuple[Path, nn.ModelParams, int, dict, dict]:
+    """The run loop both stages share.
+
+    ``batch_loss(params, batch, epoch)`` returns the loss to minimize and
+    the float ``metrics.csv`` fields of one batch of scene indices;
+    ``dataset_metrics(params)`` is measured at step 0 and after the last
+    step. Returns the checkpoint directory, the trained parameters, the
+    step count and the initial and final dataset metrics. A non-finite
+    gradient or value inside a step saves the state from the start of
+    the epoch and raises DivergedRunError.
+    """
+    train_cfg.validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_dir = out_dir / "checkpoint"
+    steps_per_epoch = math.ceil(n_scenes / train_cfg.batch_size)
+    total_steps = train_cfg.epochs * steps_per_epoch
+
+    if resume:
+        ckpt = nn.load_checkpoint(ckpt_dir)
+        params, opt_state = ckpt.params, ckpt.opt_state
+        start_epoch = ckpt.step // steps_per_epoch
+        initial = blobio.load_manifest(out_dir / _INITIAL_METRICS)
+    else:
+        params = fresh_params()
+        opt_state = init_opt_state(params)
+        start_epoch = 0
+        initial = dataset_metrics(params)
+        blobio.dump_manifest(out_dir / _INITIAL_METRICS, initial)
+
+    end_epoch = train_cfg.epochs
+    if stop_after_epochs is not None:
+        end_epoch = min(end_epoch, start_epoch + stop_after_epochs)
+    step = start_epoch * steps_per_epoch
+    writer = _MetricsWriter(out_dir / "metrics.csv", append=resume)
+    try:
+        for epoch in range(start_epoch, end_epoch):
+            last_good = (params.copy(), _copy_opt_state(opt_state), step)
+            order = _epoch_order(n_scenes, train_cfg.seed, epoch)
+            for batch in _batches(order, train_cfg.batch_size):
+                t0 = time.perf_counter()
+                params.zero_grad()
+                loss, fields = batch_loss(params, batch, epoch)
+                loss.backward()
+                lr = lr_at(step, total_steps, train_cfg)
+                adamw_step(
+                    params,
+                    opt_state,
+                    lr,
+                    train_cfg.weight_decay,
+                    (train_cfg.beta1, train_cfg.beta2),
+                    train_cfg.eps,
+                )
+                writer.row(
+                    epoch=epoch,
+                    step=step,
+                    lr=f"{lr:.10g}",
+                    **{name: f"{value:.10g}" for name, value in fields.items()},
+                    grad_norm=f"{grad_norm(params):.10g}",
+                    wall_ms=f"{(time.perf_counter() - t0) * 1e3:.3f}",
+                )
+                step += 1
+    except (DivergedRunError, NonFiniteError) as exc:
+        good_params, good_state, good_step = last_good
+        nn.save_checkpoint(ckpt_dir, good_params, good_step, good_state)
+        if isinstance(exc, DivergedRunError):
+            raise
+        raise DivergedRunError(step + 1, exc.op) from exc
+    finally:
+        writer.close()
+
+    nn.save_checkpoint(ckpt_dir, params, step, opt_state)
+    return ckpt_dir, params, step, initial, dataset_metrics(params)
+
+
 # ---------------------------------------------------------------------------
 # Stage 1
 
@@ -194,7 +286,7 @@ class Stage1Config:
     k_groups: int = 16
     scale_mode: str = stage1.SCALE_MEAN_ONE
     reweight: bool = True
-    tokenizer_mode: str = TOKENIZER_SAM
+    tokenizer_mode: str = MODE_SAM
     min_points: int = 8
     knn_tokens: int = 0  # 0: one token per scene region
     knn_k: int = 0  # 0: ceil(n_points / n_tokens)
@@ -209,30 +301,11 @@ class _PreparedScene:
     groups: np.ndarray | None = None
 
 
-def majority_regions(tokens: TokenSet, regions_of_points: np.ndarray) -> np.ndarray:
-    """Per-token majority mask region among members; ties take the lowest id."""
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens.tokens):
-        labels = regions_of_points[tok.point_indices]
-        labels = labels[labels >= 0]
-        if len(labels) == 0:
-            raise InvalidInputError("token has no members on masked pixels")
-        ids, counts = np.unique(labels, return_counts=True)
-        out[i] = ids[np.argmax(counts)]
-    return out
-
-
-def _prepare_scene(bundle: SceneBundle, cfg: Stage1Config) -> _PreparedScene:
-    if cfg.tokenizer_mode == TOKENIZER_SAM:
-        tokens = sam_tokenize(bundle, min_points=cfg.min_points)
+def _prepare_scene(bundle: SceneBundle, tokens: TokenSet) -> _PreparedScene:
+    if tokens.mode == MODE_SAM:
         token_regions = tokens.region_ids()
-    elif cfg.tokenizer_mode == TOKENIZER_KNN:
-        n = cfg.knn_tokens if cfg.knn_tokens > 0 else bundle.region_count
-        k = cfg.knn_k if cfg.knn_k > 0 else math.ceil(bundle.n_points / n)
-        tokens = knn_tokenize(bundle.points, n=n, k=k)
-        token_regions = majority_regions(tokens, point_regions(bundle))
     else:
-        raise InvalidInputError(f"unknown tokenizer mode {cfg.tokenizer_mode!r}")
+        token_regions = majority_regions(tokens, point_regions(bundle))
     targets = stage1.pool_features_by_region(
         bundle.feat2d, bundle.mask, token_regions, stage1.MEAN_POOLING
     )
@@ -251,35 +324,12 @@ def _scene_region_features(bundles: list[SceneBundle], pooling: str) -> np.ndarr
     return np.concatenate(rows)
 
 
-def _forward_tokens(bundle: SceneBundle, tokens: TokenSet, params: nn.ModelParams) -> T.Tensor:
-    h = T.add(
-        nn.embed_tokens(bundle, tokens, params),
-        nn.pos_embed(nn.centroids_of(tokens), params),
-    )
-    return nn.encode(h, params)
-
-
 @dataclass
 class Stage1Result:
     checkpoint_dir: Path
     metrics: dict
     table: stage1.WeightTable
     centroids: np.ndarray
-
-
-def _stage1_dataset_loss(
-    prepared: list[_PreparedScene],
-    bundles: list[SceneBundle],
-    params: nn.ModelParams,
-    table: stage1.WeightTable,
-    cfg: Stage1Config,
-) -> float:
-    with T.no_grad():
-        losses = [
-            _stage1_scene_loss(bundles[i], prepared[i], params, table, cfg).item()
-            for i in range(len(bundles))
-        ]
-    return float(np.mean(losses))
 
 
 def _stage1_scene_loss(
@@ -289,7 +339,7 @@ def _stage1_scene_loss(
     table: stage1.WeightTable,
     cfg: Stage1Config,
 ) -> T.Tensor:
-    f3d = stage1.project_3d(_forward_tokens(bundle, prep.tokens, params), params)
+    f3d = stage1.project_3d(nn.forward_tokens(bundle, prep.tokens, params), params)
     if cfg.reweight:
         return stage1.stage1_loss(
             prep.targets, f3d, table, prep.groups, cfg.scale_mode, beta=cfg.beta
@@ -304,21 +354,19 @@ def _stage1_eval(
     centroids: np.ndarray,
     cfg: Stage1Config,
 ) -> dict:
-    """Held-out per-region cosine between projected 3D features and 2D targets."""
+    """Held-out per-region cosine between projected 3D features and 2D targets.
+
+    Held-out scenes always use mask-guided tokens, whatever the training
+    tokenizer, so every run is scored on the same regions.
+    """
     cosines: list[np.ndarray] = []
     groups: list[np.ndarray] = []
     with T.no_grad():
         for bundle in bundles:
-            tokens = sam_tokenize(bundle, min_points=cfg.min_points)
-            targets = stage1.pool_region_features(
-                bundle.feat2d, bundle.mask, tokens, stage1.MEAN_POOLING
-            ).features
-            max_feats = stage1.pool_region_features(
-                bundle.feat2d, bundle.mask, tokens, stage1.MAX_POOLING
-            ).features
-            f3d = stage1.project_3d(_forward_tokens(bundle, tokens, params), params)
-            cosines.append(stage1.region_cosines(targets, f3d.data))
-            groups.append(stage1.assign_groups(max_feats, centroids))
+            prep = _prepare_scene(bundle, sam_tokenize(bundle, min_points=cfg.min_points))
+            f3d = stage1.project_3d(nn.forward_tokens(bundle, prep.tokens, params), params)
+            cosines.append(stage1.region_cosines(prep.targets, f3d.data))
+            groups.append(stage1.assign_groups(prep.group_features, centroids))
     cos = np.concatenate(cosines)
     grp = np.concatenate(groups)
     per_group = [
@@ -353,12 +401,13 @@ def run_stage1(
     (the schedule still spans the configured total); rerun with
     ``resume=True`` to continue bit-exactly.
     """
-    train_cfg.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = out_dir / "checkpoint"
-
-    prepared = [_prepare_scene(b, cfg) for b in train_bundles]
+    prepared = [
+        _prepare_scene(
+            b, tokenize(b, cfg.tokenizer_mode, cfg.min_points, cfg.knn_tokens, cfg.knn_k)
+        )
+        for b in train_bundles
+    ]
     table, centroids = stage1.build_weight_table(
         _scene_region_features(train_bundles, stage1.MAX_POOLING),
         cfg.k_groups,
@@ -368,66 +417,30 @@ def run_stage1(
     for prep in prepared:
         prep.groups = stage1.assign_groups(prep.group_features, centroids)
 
-    start_epoch = 0
-    if resume:
-        ckpt = nn.load_checkpoint(ckpt_dir)
-        params, opt_state = ckpt.params, ckpt.opt_state
-        steps_per_epoch = math.ceil(len(train_bundles) / train_cfg.batch_size)
-        start_epoch = ckpt.step // steps_per_epoch
-    else:
-        params = nn.init_params(arch, train_cfg.seed)
-        opt_state = init_opt_state(params)
+    def batch_loss(params: nn.ModelParams, batch: np.ndarray, epoch: int):
+        loss = _mean_loss(
+            [_stage1_scene_loss(train_bundles[i], prepared[i], params, table, cfg) for i in batch]
+        )
+        return loss, {"loss": loss.item()}
 
-    initial_loss = _stage1_dataset_loss(prepared, train_bundles, params, table, cfg)
+    def dataset_metrics(params: nn.ModelParams) -> dict:
+        with T.no_grad():
+            losses = [
+                _stage1_scene_loss(b, p, params, table, cfg).item()
+                for b, p in zip(train_bundles, prepared)
+            ]
+        return {"loss": float(np.mean(losses))}
 
-    steps_per_epoch = math.ceil(len(train_bundles) / train_cfg.batch_size)
-    total_steps = train_cfg.epochs * steps_per_epoch
-    step = start_epoch * steps_per_epoch
-    writer = _MetricsWriter(out_dir / "metrics.csv", append=resume)
-    last_good = (params.copy(), _copy_opt_state(opt_state), step)
-
-    try:
-        for epoch in range(start_epoch, train_cfg.epochs):
-            if stop_after_epochs is not None and epoch >= start_epoch + stop_after_epochs:
-                break
-            last_good = (params.copy(), _copy_opt_state(opt_state), step)
-            order = _epoch_order(len(train_bundles), train_cfg.seed, epoch)
-            for batch in _batches(order, train_cfg.batch_size):
-                t0 = time.perf_counter()
-                params.zero_grad()
-                losses = [
-                    _stage1_scene_loss(train_bundles[i], prepared[i], params, table, cfg)
-                    for i in batch
-                ]
-                loss = _mean_loss(losses)
-                loss.backward()
-                lr = lr_at(step, total_steps, train_cfg)
-                adamw_step(
-                    params,
-                    opt_state,
-                    lr,
-                    train_cfg.weight_decay,
-                    (train_cfg.beta1, train_cfg.beta2),
-                    train_cfg.eps,
-                )
-                writer.row(
-                    epoch=epoch,
-                    step=step,
-                    lr=f"{lr:.10g}",
-                    loss=f"{loss.item():.10g}",
-                    grad_norm=f"{grad_norm(params):.10g}",
-                    wall_ms=f"{(time.perf_counter() - t0) * 1e3:.3f}",
-                )
-                step += 1
-    except DivergedRunError:
-        good_params, good_state, good_step = last_good
-        nn.save_checkpoint(ckpt_dir, good_params, good_step, good_state)
-        writer.close()
-        raise
-    writer.close()
-
-    nn.save_checkpoint(ckpt_dir, params, step, opt_state)
-    final_loss = _stage1_dataset_loss(prepared, train_bundles, params, table, cfg)
+    ckpt_dir, params, step, initial, final = _fit(
+        train_cfg,
+        out_dir,
+        len(train_bundles),
+        lambda: nn.init_params(arch, train_cfg.seed),
+        batch_loss,
+        dataset_metrics,
+        resume,
+        stop_after_epochs,
+    )
     train_purity = float(
         np.mean([purity(p.tokens, b.gt_region) for p, b in zip(prepared, train_bundles)])
     )
@@ -435,8 +448,8 @@ def run_stage1(
         "stage": 1,
         "tokenizer": cfg.tokenizer_mode,
         "reweight": cfg.reweight,
-        "initial_loss": initial_loss,
-        "final_loss": final_loss,
+        "initial_loss": initial["loss"],
+        "final_loss": final["loss"],
         "train_token_purity": train_purity,
         "epochs": train_cfg.epochs,
         "steps": step,
@@ -468,18 +481,6 @@ class Stage2Result:
     metrics: dict
 
 
-def _stage2_scene_losses(
-    bundle: SceneBundle,
-    tokens: TokenSet,
-    plan: nn.MaskPlan,
-    teacher: nn.ModelParams,
-    student: nn.ModelParams,
-    cfg: Stage2Config,
-) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    scene_rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-    return stage2.stage2_loss(scene_rec, student, normalize_targets=cfg.normalize_targets)
-
-
 def _stage2_dataset_eval(
     bundles: list[SceneBundle],
     token_sets: list[TokenSet],
@@ -487,15 +488,18 @@ def _stage2_dataset_eval(
     student: nn.ModelParams,
     cfg: Stage2Config,
     seed: int,
-    epoch: int,
     scene_offset: int = 0,
 ) -> dict:
-    """Loss components plus pooled-feature cosine at fixed (seed, epoch) plans."""
+    """Loss components plus pooled-feature cosine at the fixed epoch-0 mask plans."""
     l_ins, l_token, l_final, raw_cos, ins_cos = [], [], [], [], []
     with T.no_grad():
         for i, (bundle, tokens) in enumerate(zip(bundles, token_sets)):
-            plan = nn.make_mask_plan(len(tokens), cfg.mask_ratio, seed, scene_offset + i, epoch)
-            a, b, c = _stage2_scene_losses(bundle, tokens, plan, teacher, student, cfg)
+            plan = nn.make_mask_plan(len(tokens), cfg.mask_ratio, seed, scene_offset + i, 0)
+            a, b, c = stage2.stage2_loss(
+                stage2.build_stage2_scene(bundle, tokens, plan, teacher, student),
+                student,
+                normalize_targets=cfg.normalize_targets,
+            )
             l_ins.append(a.item())
             l_token.append(b.item())
             l_final.append(c.item())
@@ -524,11 +528,7 @@ def run_stage2(
     stop_after_epochs: int | None = None,
 ) -> Stage2Result:
     """Masked token prediction against a frozen stage-1 teacher."""
-    train_cfg.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = out_dir / "checkpoint"
-
     teacher = nn.load_checkpoint(teacher_ckpt).params
     teacher.freeze_all()
     teacher_hash_before = teacher.byte_hash()
@@ -536,82 +536,41 @@ def run_stage2(
     token_sets = [sam_tokenize(b, min_points=cfg.min_points) for b in train_bundles]
     eval_tokens = [sam_tokenize(b, min_points=cfg.min_points) for b in eval_bundles]
 
-    start_epoch = 0
-    steps_per_epoch = math.ceil(len(train_bundles) / train_cfg.batch_size)
-    if resume:
-        ckpt = nn.load_checkpoint(ckpt_dir)
-        student, opt_state = ckpt.params, ckpt.opt_state
-        start_epoch = ckpt.step // steps_per_epoch
-    elif cfg.init_from_teacher:
+    def fresh_student() -> nn.ModelParams:
+        if not cfg.init_from_teacher:
+            return nn.init_params(teacher.arch, train_cfg.seed)
         student = teacher.copy()
         for name, t in student.tensors.items():
             student.frozen[name] = False
             t.requires_grad = True
-        opt_state = init_opt_state(student)
-    else:
-        student = nn.init_params(teacher.arch, train_cfg.seed)
-        opt_state = init_opt_state(student)
+        return student
 
-    initial = _stage2_dataset_eval(
-        train_bundles, token_sets, teacher, student, cfg, train_cfg.seed, epoch=0
-    )
+    def batch_loss(student: nn.ModelParams, batch: np.ndarray, epoch: int):
+        parts = []
+        for i in batch:
+            plan = nn.make_mask_plan(
+                len(token_sets[i]), cfg.mask_ratio, train_cfg.seed, int(i), epoch
+            )
+            rec = stage2.build_stage2_scene(train_bundles[i], token_sets[i], plan, teacher, student)
+            parts.append(stage2.stage2_loss(rec, student, cfg.normalize_targets))
+        l_final = _mean_loss([p[2] for p in parts])
+        return l_final, {
+            "l_ins": np.mean([p[0].item() for p in parts]),
+            "l_token": np.mean([p[1].item() for p in parts]),
+            "l_final": l_final.item(),
+        }
 
-    total_steps = train_cfg.epochs * steps_per_epoch
-    step = start_epoch * steps_per_epoch
-    writer = _MetricsWriter(out_dir / "metrics.csv", append=resume)
-    last_good = (student.copy(), _copy_opt_state(opt_state), step)
-
-    try:
-        for epoch in range(start_epoch, train_cfg.epochs):
-            if stop_after_epochs is not None and epoch >= start_epoch + stop_after_epochs:
-                break
-            last_good = (student.copy(), _copy_opt_state(opt_state), step)
-            order = _epoch_order(len(train_bundles), train_cfg.seed, epoch)
-            for batch in _batches(order, train_cfg.batch_size):
-                t0 = time.perf_counter()
-                student.zero_grad()
-                parts = []
-                for i in batch:
-                    plan = nn.make_mask_plan(
-                        len(token_sets[i]), cfg.mask_ratio, train_cfg.seed, int(i), epoch
-                    )
-                    parts.append(
-                        _stage2_scene_losses(
-                            train_bundles[i], token_sets[i], plan, teacher, student, cfg
-                        )
-                    )
-                l_final = _mean_loss([p[2] for p in parts])
-                l_final.backward()
-                lr = lr_at(step, total_steps, train_cfg)
-                adamw_step(
-                    student,
-                    opt_state,
-                    lr,
-                    train_cfg.weight_decay,
-                    (train_cfg.beta1, train_cfg.beta2),
-                    train_cfg.eps,
-                )
-                writer.row(
-                    epoch=epoch,
-                    step=step,
-                    lr=f"{lr:.10g}",
-                    l_ins=f"{np.mean([p[0].item() for p in parts]):.10g}",
-                    l_token=f"{np.mean([p[1].item() for p in parts]):.10g}",
-                    l_final=f"{l_final.item():.10g}",
-                    grad_norm=f"{grad_norm(student):.10g}",
-                    wall_ms=f"{(time.perf_counter() - t0) * 1e3:.3f}",
-                )
-                step += 1
-    except DivergedRunError:
-        good_student, good_state, good_step = last_good
-        nn.save_checkpoint(ckpt_dir, good_student, good_step, good_state)
-        writer.close()
-        raise
-    writer.close()
-
-    nn.save_checkpoint(ckpt_dir, student, step, opt_state)
-    final = _stage2_dataset_eval(
-        train_bundles, token_sets, teacher, student, cfg, train_cfg.seed, epoch=0
+    ckpt_dir, student, step, initial, final = _fit(
+        train_cfg,
+        out_dir,
+        len(train_bundles),
+        fresh_student,
+        batch_loss,
+        lambda student: _stage2_dataset_eval(
+            train_bundles, token_sets, teacher, student, cfg, train_cfg.seed
+        ),
+        resume,
+        stop_after_epochs,
     )
     metrics = {
         "stage": 2,
@@ -636,7 +595,6 @@ def run_stage2(
             student,
             cfg,
             train_cfg.seed,
-            epoch=0,
             scene_offset=len(train_bundles),
         )
         metrics["heldout_pooled_cosine"] = heldout["pooled_cosine"]

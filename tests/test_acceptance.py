@@ -199,9 +199,9 @@ def test_c4_gradient_checks_stage1():
     for seed in range(20):
         bundle, tokens = _grad_seed_setup(seed)
         params = nn.init_params(GRAD_ARCH, seed=seed + 100)
-        targets = stage1.pool_region_features(
-            bundle.feat2d, bundle.mask, tokens, stage1.MEAN_POOLING
-        ).features
+        targets = stage1.pool_features_by_region(
+            bundle.feat2d, bundle.mask, tokens.region_ids(), stage1.MEAN_POOLING
+        )
         counts = np.array([5, 2])
         k, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(
@@ -324,7 +324,7 @@ def test_c8_component_ablation_ordering(tmp_path_factory):
         )
         knn = train.run_stage1(
             train_b, eval_b, arch, cfg,
-            train.Stage1Config(k_groups=6, tokenizer_mode=train.TOKENIZER_KNN),
+            train.Stage1Config(k_groups=6, tokenizer_mode=tokenizer.MODE_KNN),
             out / f"{seed}_knn",
         )
         s2 = train.run_stage2(

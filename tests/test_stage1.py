@@ -56,8 +56,9 @@ class TestPooling:
     def test_noise_free_mean_recovers_prototype(self):
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=6, noise_sigma=0.0))
         tokens = tokenizer.sam_tokenize(bundle)
-        pooled = stage1.pool_region_features(bundle.feat2d, bundle.mask, tokens, "mean")
-        for row, rid in zip(pooled.features, pooled.region_ids):
+        region_ids = tokens.region_ids()
+        pooled = stage1.pool_features_by_region(bundle.feat2d, bundle.mask, region_ids, "mean")
+        for row, rid in zip(pooled, region_ids):
             np.testing.assert_allclose(
                 row, bundle.field.prototypes[rid], atol=1e-6
             )
@@ -272,7 +273,9 @@ class TestStage1Loss:
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_region_features(bundle.feat2d, bundle.mask, tokens, "mean").features
+        f2d = stage1.pool_features_by_region(
+            bundle.feat2d, bundle.mask, tokens.region_ids(), "mean"
+        )
         counts = np.array([4, 2])
         kk, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(

@@ -108,7 +108,7 @@ class TestKnnTokenize:
 
     def test_mode_and_region_ids(self, rng):
         ts = tokenizer.knn_tokenize(rng.normal(0, 1, (6, 3)), n=2, k=3)
-        assert ts.mode == tokenizer.KNN_BASELINE
+        assert ts.mode == tokenizer.MODE_KNN
         assert all(t.region_id == -1 for t in ts.tokens)
 
     def test_k_too_large(self):
@@ -119,7 +119,7 @@ class TestKnnTokenize:
 class TestSamTokenize:
     def test_perfect_purity_on_synthetic(self, small_bundle):
         ts = tokenizer.sam_tokenize(small_bundle)
-        assert ts.mode == tokenizer.SAM_GUIDED
+        assert ts.mode == tokenizer.MODE_SAM
         assert tokenizer.purity(ts, small_bundle.gt_region) == 1.0
 
     def test_small_region_dropped(self, small_bundle):
@@ -186,7 +186,7 @@ class TestPurity:
         tok = tokenizer.Token(
             point_indices=np.array([0, 1, 2]), centroid=np.zeros(3), region_id=0
         )
-        ts = tokenizer.TokenSet(tokens=[tok], mode=tokenizer.KNN_BASELINE)
+        ts = tokenizer.TokenSet(tokens=[tok], mode=tokenizer.MODE_KNN)
         assert tokenizer.purity(ts, np.array([7, 7, 8])) == pytest.approx(2 / 3)
 
     def test_all_single_label(self):
@@ -194,11 +194,11 @@ class TestPurity:
             tokenizer.Token(np.array([0, 1]), np.zeros(3), 0),
             tokenizer.Token(np.array([2]), np.zeros(3), 1),
         ]
-        ts = tokenizer.TokenSet(tokens=toks, mode=tokenizer.SAM_GUIDED)
+        ts = tokenizer.TokenSet(tokens=toks, mode=tokenizer.MODE_SAM)
         assert tokenizer.purity(ts, np.array([4, 4, 9])) == 1.0
 
     def test_empty_token_set_rejected(self):
-        ts = tokenizer.TokenSet(tokens=[], mode=tokenizer.KNN_BASELINE)
+        ts = tokenizer.TokenSet(tokens=[], mode=tokenizer.MODE_KNN)
         with pytest.raises(InvalidInputError):
             tokenizer.purity(ts, np.array([0]))
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samdistill import nn, scene, train
+from samdistill import nn, scene, tokenizer, train
 from samdistill import tensor as T
-from samdistill.errors import DivergedRunError, InvalidInputError
+from samdistill.errors import DivergedRunError, InvalidInputError, NonFiniteError
 
 
 def _one_param(value, name="w") -> nn.ModelParams:
@@ -178,6 +178,28 @@ class TestRunStage1:
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.opt_state["m"][name], b.opt_state["m"][name])
             np.testing.assert_array_equal(a.opt_state["v"][name], b.opt_state["v"][name])
+        # Bytes, not dicts: heldout_group_cosines may hold NaN.
+        assert (tmp_path / "full" / "metrics.json").read_bytes() == (
+            tmp_path / "part" / "metrics.json"
+        ).read_bytes()
+
+    def test_non_finite_value_in_a_step_keeps_last_good_checkpoint(
+        self, tiny_dataset, tiny_arch, tmp_path
+    ):
+        tb, eb = tiny_dataset
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedRunError) as err:
+            train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(base_lr=1e200), train.Stage1Config(k_groups=3),
+                tmp_path / "div",
+            )
+        assert isinstance(err.value.__cause__, NonFiniteError)
+        assert err.value.op == err.value.__cause__.op
+        assert err.value.op in str(err.value)
+        ckpt = nn.load_checkpoint(tmp_path / "div" / "checkpoint")
+        # The first step of epoch 1 overflows; the last good state opens that epoch.
+        assert ckpt.step == err.value.step - 1 == 2
+        assert ckpt.opt_state["t"] == ckpt.step
+        assert all(np.all(np.isfinite(t.data)) for t in ckpt.params.tensors.values())
 
     def test_metrics_csv_schema_and_finite_grad_norms(self, tiny_dataset, tiny_arch, tmp_path):
         import csv
@@ -208,7 +230,7 @@ class TestRunStage1:
         tb, eb = tiny_dataset
         result = train.run_stage1(
             tb, eb, tiny_arch, _quick_cfg(),
-            train.Stage1Config(k_groups=3, tokenizer_mode=train.TOKENIZER_KNN),
+            train.Stage1Config(k_groups=3, tokenizer_mode=tokenizer.MODE_KNN),
             tmp_path / "knn",
         )
         assert result.metrics["tokenizer"] == "knn"
@@ -265,6 +287,9 @@ class TestRunStage2:
             nn.load_checkpoint(full.checkpoint_dir).params.byte_hash()
             == nn.load_checkpoint(resumed.checkpoint_dir).params.byte_hash()
         )
+        assert (tmp_path / "f" / "metrics.json").read_bytes() == (
+            tmp_path / "p" / "metrics.json"
+        ).read_bytes()
 
     def test_stage2_metrics_columns(self, tiny_dataset, teacher_ckpt, tmp_path):
         import csv

@@ -1,16 +1,21 @@
-"""Raw binary blob and JSON manifest I/O.
+"""Raw binary blob and JSON manifest I/O, and the one artifact directory format.
 
 Blobs are little-endian arrays prefixed by 8 magic bytes and a 4-byte
 version, so corrupt or foreign files fail loudly instead of decoding
-into garbage. Used by scene bundles, mask stacks, weight tables, and
-model checkpoints.
+into garbage. Scene bundles, mask stacks, weight tables and model
+checkpoints are all directories written by :func:`save_arrays` and read
+by :func:`load_arrays`: a ``manifest.json`` naming the format plus one
+``<name>.bin`` blob per array.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .errors import (
 
 MAGIC = b"S3DBLOB\x00"
 BLOB_VERSION = 1
+FORMAT_VERSION = 1
 
 _HEADER_LEN = len(MAGIC) + 4
 
@@ -63,9 +69,17 @@ def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarra
 
 
 def dump_manifest(path: str | Path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``manifest`` as JSON, replacing ``path`` atomically."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_manifest(path: str | Path, required_keys: tuple[str, ...] = ()) -> dict:
@@ -83,3 +97,63 @@ def load_manifest(path: str | Path, required_keys: tuple[str, ...] = ()) -> dict
     if missing:
         raise MalformedManifestError(f"{path}: missing keys {missing}")
     return manifest
+
+
+def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as ``<name>.bin`` blobs plus ``manifest.json``, replacing ``path``.
+
+    A ``/`` in a name makes a subdirectory. The directory is built under a
+    dot-prefixed sibling name and renamed into place; an existing one is
+    moved aside first and deleted afterwards.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    old = tmp.with_suffix(".old")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(tmp, ignore_errors=True)  # left behind by a killed process with this pid
+    tmp.mkdir()
+    try:
+        for sub in {Path(name).parent for name in arrays} - {Path(".")}:
+            (tmp / sub).mkdir(parents=True)
+        blobs = {}
+        for name, arr in arrays.items():
+            write_blob(tmp / f"{name}.bin", arr)
+            blobs[name] = {"dtype": arr.dtype.newbyteorder("<").str, "shape": list(arr.shape)}
+        meta = {**meta, "format": fmt, "version": FORMAT_VERSION, "blobs": blobs}
+        dump_manifest(tmp / "manifest.json", meta)
+        if path.exists():
+            os.rename(path, old)
+        os.rename(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def load_arrays(
+    path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a directory written by :func:`save_arrays`; returns (manifest, arrays).
+
+    ``expect(manifest)`` maps every blob the format holds to its shape, or
+    to None for any shape; it runs before any blob is read.
+    """
+    path = Path(path)
+    manifest = load_manifest(path / "manifest.json", ("format", "version", "blobs", *required_keys))
+    if manifest["format"] != fmt or manifest["version"] != FORMAT_VERSION:
+        raise MalformedManifestError(f"{path}: not a {fmt} version {FORMAT_VERSION} manifest")
+    blobs, expected = manifest["blobs"], expect(manifest)
+    for name, meta in blobs.items():
+        if name not in expected:
+            raise MalformedManifestError(f"{path}: unknown blob {name!r}")
+        if expected[name] is not None and list(meta["shape"]) != expected[name]:
+            raise DimensionMismatchError(
+                f"{path}: blob {name!r} shape {meta['shape']} != expected {expected[name]}"
+            )
+    missing = [name for name in expected if name not in blobs]
+    if missing:
+        raise MalformedManifestError(f"{path}: missing blob entries {missing}")
+    return manifest, {
+        name: read_blob(path / f"{name}.bin", meta["dtype"], tuple(meta["shape"]))
+        for name, meta in blobs.items()
+    }

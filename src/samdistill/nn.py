@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import blobio, tensor as T
-from .errors import InvalidInputError, MalformedManifestError
+from .errors import InvalidInputError
 from .tokenizer import Token, TokenSet
 
 _MASK_STREAM = 0x3A5C
@@ -323,55 +323,39 @@ class Checkpoint:
 def save_checkpoint(
     path: str | Path, params: ModelParams, step: int, opt_state: dict | None = None
 ) -> None:
-    path = Path(path)
-    (path / "params").mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": "model-checkpoint",
-        "version": 1,
+    arrays = {f"params/{name}": t.data for name, t in params.tensors.items()}
+    if opt_state is not None:
+        arrays |= {f"opt/{name}.{k}": opt_state[k][name] for name in params.tensors for k in "mv"}
+    meta = {
         "arch": params.arch.to_json(),
         "step": int(step),
-        "params": [
-            {
-                "name": name,
-                "shape": list(params.tensors[name].shape),
-                "frozen": bool(params.frozen[name]),
-            }
-            for name in params.tensors
-        ],
+        "params": [{"name": name, "frozen": bool(params.frozen[name])} for name in params.tensors],
         "optimizer": None if opt_state is None else {"t": int(opt_state["t"])},
     }
-    for name, t in params.tensors.items():
-        blobio.write_blob(path / "params" / f"{name}.bin", t.data.astype("<f8"))
-    if opt_state is not None:
-        (path / "opt").mkdir(parents=True, exist_ok=True)
-        for name in params.tensors:
-            blobio.write_blob(path / "opt" / f"{name}.m.bin", opt_state["m"][name].astype("<f8"))
-            blobio.write_blob(path / "opt" / f"{name}.v.bin", opt_state["v"][name].astype("<f8"))
-    blobio.dump_manifest(path / "manifest.json", manifest)
+    blobio.save_arrays(path, "model-checkpoint", meta, arrays)
+
+
+def _checkpoint_blobs(manifest: dict) -> dict[str, None]:
+    names = [rec["name"] for rec in manifest["params"]]
+    blobs = dict.fromkeys(f"params/{name}" for name in names)
+    if manifest["optimizer"] is not None:
+        blobs |= dict.fromkeys(f"opt/{name}.{k}" for name in names for k in "mv")
+    return blobs
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    manifest = blobio.load_manifest(
-        path / "manifest.json", ("format", "arch", "step", "params", "optimizer")
+    manifest, arrays = blobio.load_arrays(
+        path, "model-checkpoint", ("arch", "step", "params", "optimizer"), _checkpoint_blobs
     )
-    if manifest["format"] != "model-checkpoint":
-        raise MalformedManifestError(f"{path}: not a model checkpoint")
-    arch = Arch.from_json(manifest["arch"])
-    tensors: dict[str, T.Tensor] = {}
-    frozen: dict[str, bool] = {}
-    for rec in manifest["params"]:
-        name, shape = rec["name"], tuple(rec["shape"])
-        data = blobio.read_blob(path / "params" / f"{name}.bin", "f8", shape)
-        tensors[name] = T.Tensor(data, requires_grad=not rec["frozen"])
-        frozen[name] = bool(rec["frozen"])
-    params = ModelParams(arch=arch, tensors=tensors, frozen=frozen)
+    frozen = {rec["name"]: bool(rec["frozen"]) for rec in manifest["params"]}
+    tensors = {
+        name: T.Tensor(arrays[f"params/{name}"], requires_grad=not is_frozen)
+        for name, is_frozen in frozen.items()
+    }
+    params = ModelParams(arch=Arch.from_json(manifest["arch"]), tensors=tensors, frozen=frozen)
 
     opt_state = None
     if manifest["optimizer"] is not None:
-        opt_state = {"t": int(manifest["optimizer"]["t"]), "m": {}, "v": {}}
-        for rec in manifest["params"]:
-            name, shape = rec["name"], tuple(rec["shape"])
-            opt_state["m"][name] = blobio.read_blob(path / "opt" / f"{name}.m.bin", "f8", shape)
-            opt_state["v"][name] = blobio.read_blob(path / "opt" / f"{name}.v.bin", "f8", shape)
+        opt_state = {k: {name: arrays[f"opt/{name}.{k}"] for name in tensors} for k in "mv"}
+        opt_state["t"] = int(manifest["optimizer"]["t"])
     return Checkpoint(params=params, step=int(manifest["step"]), opt_state=opt_state)

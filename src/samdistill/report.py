@@ -9,7 +9,6 @@ persisted artifacts alone.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -187,10 +186,7 @@ def _link_run(result: train_mod.Stage1Result, dest: Path) -> None:
 
 
 def _read_json(path: Path) -> dict | None:
-    if not path.exists():
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return blobio.load_manifest(path) if path.exists() else None
 
 
 def report_ablation(out_dir: str | Path) -> list[dict]:

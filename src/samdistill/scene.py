@@ -23,6 +23,7 @@ from .errors import (
     InconsistencyError,
     InvalidInputError,
     InvalidSpecError,
+    MalformedManifestError,
 )
 
 # Distinct entropy stream tags so different draws never alias.
@@ -499,7 +500,7 @@ def _camera_from_json(obj: dict) -> Camera:
             translation=np.array(obj["translation"], dtype=np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise blobio.MalformedManifestError(f"bad camera record: {exc}") from exc
+        raise MalformedManifestError(f"bad camera record: {exc}") from exc
     camera.validate()
     return camera
 
@@ -507,22 +508,16 @@ def _camera_from_json(obj: dict) -> Camera:
 def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
     """Persist a bundle losslessly: reading it back compares bit-exact."""
     bundle.validate()
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-
-    blobs = {
-        "points": ("<f4", bundle.points),
-        "gt_region": ("<i4", bundle.gt_region),
-        "mask": ("<i4", bundle.mask),
-        "feat2d": ("<f4", bundle.feat2d),
-        "prototypes": ("<f8", bundle.field.prototypes),
+    arrays = {
+        "points": np.asarray(bundle.points, np.float32),
+        "gt_region": np.asarray(bundle.gt_region, np.int32),
+        "mask": np.asarray(bundle.mask, np.int32),
+        "feat2d": np.asarray(bundle.feat2d, np.float32),
+        "prototypes": np.asarray(bundle.field.prototypes, np.float64),
     }
     if bundle.colors is not None:
-        blobs["colors"] = ("<f4", bundle.colors)
-
-    manifest = {
-        "format": "scene-bundle",
-        "version": 1,
+        arrays["colors"] = np.asarray(bundle.colors, np.float32)
+    meta = {
         "n_points": bundle.n_points,
         "width": bundle.camera.width,
         "height": bundle.camera.height,
@@ -531,78 +526,46 @@ def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
         "noise_sigma": bundle.field.noise_sigma,
         "region_types": [int(t) for t in bundle.region_types],
         "camera": _camera_to_json(bundle.camera),
-        "blobs": {
-            name: {"dtype": dtype, "shape": list(arr.shape)}
-            for name, (dtype, arr) in blobs.items()
-        },
     }
-    for name, (dtype, arr) in blobs.items():
-        blobio.write_blob(path / f"{name}.bin", arr.astype(dtype))
-    blobio.dump_manifest(path / "manifest.json", manifest)
+    blobio.save_arrays(path, "scene-bundle", meta, arrays)
 
 
-_REQUIRED_BUNDLE_KEYS = (
-    "format",
-    "version",
-    "n_points",
-    "width",
-    "height",
-    "feature_dim",
-    "region_count",
-    "noise_sigma",
-    "region_types",
-    "camera",
-    "blobs",
+_BUNDLE_KEYS = (
+    "n_points", "width", "height", "feature_dim",
+    "region_count", "noise_sigma", "region_types", "camera",
 )
 
 
-def read_bundle(path: str | Path) -> SceneBundle:
-    """Load a bundle directory, validating manifest and blob consistency."""
-    path = Path(path)
-    manifest = blobio.load_manifest(path / "manifest.json", _REQUIRED_BUNDLE_KEYS)
-    if manifest["format"] != "scene-bundle":
-        raise blobio.MalformedManifestError(f"{path}: not a scene-bundle manifest")
-
+def _bundle_blob_shapes(manifest: dict) -> dict[str, list[int]]:
     n = int(manifest["n_points"])
     width, height = int(manifest["width"]), int(manifest["height"])
     dim = int(manifest["feature_dim"])
-    region_count = int(manifest["region_count"])
-    blobs = manifest["blobs"]
-
-    expected_shapes = {
+    shapes = {
         "points": [n, 3],
         "gt_region": [n],
         "mask": [height, width],
         "feat2d": [height, width, dim],
-        "prototypes": [region_count, dim],
-        "colors": [n, 3],
+        "prototypes": [int(manifest["region_count"]), dim],
     }
-    for name, meta in blobs.items():
-        if name not in expected_shapes:
-            raise blobio.MalformedManifestError(f"{path}: unknown blob {name!r}")
-        if list(meta["shape"]) != expected_shapes[name]:
-            raise DimensionMismatchError(
-                f"{path}: blob {name!r} shape {meta['shape']} != expected {expected_shapes[name]}"
-            )
-    for required in ("points", "gt_region", "mask", "feat2d", "prototypes"):
-        if required not in blobs:
-            raise blobio.MalformedManifestError(f"{path}: missing blob entry {required!r}")
+    if "colors" in manifest["blobs"]:
+        shapes["colors"] = [n, 3]
+    return shapes
 
-    def load(name: str) -> np.ndarray:
-        meta = blobs[name]
-        return blobio.read_blob(path / f"{name}.bin", meta["dtype"], tuple(meta["shape"]))
 
+def read_bundle(path: str | Path) -> SceneBundle:
+    """Load a bundle directory, validating manifest and blob consistency."""
+    manifest, arrays = blobio.load_arrays(path, "scene-bundle", _BUNDLE_KEYS, _bundle_blob_shapes)
     bundle = SceneBundle(
-        points=load("points"),
-        colors=load("colors") if "colors" in blobs else None,
+        points=arrays["points"],
+        colors=arrays.get("colors"),
         camera=_camera_from_json(manifest["camera"]),
-        gt_region=load("gt_region"),
-        mask=load("mask"),
-        feat2d=load("feat2d"),
-        region_count=region_count,
+        gt_region=arrays["gt_region"],
+        mask=arrays["mask"],
+        feat2d=arrays["feat2d"],
+        region_count=int(manifest["region_count"]),
         region_types=np.array(manifest["region_types"], dtype=np.int32),
         field=FeatureField(
-            prototypes=load("prototypes"),
+            prototypes=arrays["prototypes"],
             noise_sigma=float(manifest["noise_sigma"]),
         ),
     )
@@ -624,10 +587,10 @@ def write_scene_dir(bundles: list[SceneBundle], path: str | Path) -> list[Path]:
 def read_scene_dir(path: str | Path) -> list[SceneBundle]:
     path = Path(path)
     if not path.is_dir():
-        raise blobio.MalformedManifestError(f"{path}: not a scene directory")
+        raise MalformedManifestError(f"{path}: not a scene directory")
     scene_paths = sorted(p for p in path.iterdir() if p.is_dir() and p.name.startswith("scene_"))
     if not scene_paths:
-        raise blobio.MalformedManifestError(f"{path}: no scene_* bundle directories")
+        raise MalformedManifestError(f"{path}: no scene_* bundle directories")
     return [read_bundle(p) for p in scene_paths]
 
 
@@ -659,27 +622,14 @@ def resolve_mask_overlaps(ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def write_mask_stack(path: str | Path, ids: np.ndarray, masks: np.ndarray) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    masks = np.asarray(masks, dtype=np.uint8)
-    manifest = {
-        "format": "mask-stack",
-        "version": 1,
-        "ids": [int(i) for i in ids],
-        "shape": list(masks.shape),
-    }
-    blobio.write_blob(path / "masks.bin", masks)
-    blobio.dump_manifest(path / "manifest.json", manifest)
+    meta = {"ids": [int(i) for i in ids]}
+    blobio.save_arrays(path, "mask-stack", meta, {"masks": np.asarray(masks, dtype=np.uint8)})
 
 
 def load_mask_stack(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    manifest = blobio.load_manifest(path / "manifest.json", ("format", "ids", "shape"))
-    if manifest["format"] != "mask-stack":
-        raise blobio.MalformedManifestError(f"{path}: not a mask-stack manifest")
-    shape = tuple(manifest["shape"])
+    manifest, arrays = blobio.load_arrays(path, "mask-stack", ("ids",), lambda _: {"masks": None})
     ids = np.array(manifest["ids"], dtype=np.int32)
-    if len(ids) != shape[0]:
+    masks = arrays["masks"].astype(bool)
+    if masks.ndim != 3 or len(ids) != masks.shape[0]:
         raise DimensionMismatchError(f"{path}: ids length != stack depth")
-    masks = blobio.read_blob(path / "masks.bin", "u1", shape).astype(bool)
     return ids, masks

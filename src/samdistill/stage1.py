@@ -210,32 +210,17 @@ def assign_groups(region_features: np.ndarray, centroids: np.ndarray) -> np.ndar
 
 
 def save_weight_table(path: str | Path, table: WeightTable, centroids: np.ndarray) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": "weight-table",
-        "version": 1,
-        "n_groups": table.n_groups,
-        "seed": table.seed,
-        "counts": [int(c) for c in table.counts],
-        "k": list(map(float, table.k)),
-        "tau": list(map(float, table.tau)),
-        "w": list(map(float, table.w)),
-        "group_of_region": [int(g) for g in table.group_of_region],
-        "centroid_shape": list(centroids.shape),
-    }
-    blobio.dump_manifest(path / "weight_table.json", manifest)
-    blobio.write_blob(path / "centroids.bin", np.asarray(centroids, dtype="<f8"))
+    meta = {name: np.asarray(value).tolist() for name, value in vars(table).items()}
+    blobio.save_arrays(path, "weight-table", meta, {"centroids": np.asarray(centroids, np.float64)})
 
 
 def load_weight_table(path: str | Path) -> tuple[WeightTable, np.ndarray]:
-    path = Path(path)
-    manifest = blobio.load_manifest(
-        path / "weight_table.json",
-        ("format", "n_groups", "seed", "counts", "k", "tau", "w", "group_of_region"),
+    manifest, arrays = blobio.load_arrays(
+        path,
+        "weight-table",
+        ("n_groups", "seed", "counts", "k", "tau", "w", "group_of_region"),
+        lambda _: {"centroids": None},
     )
-    if manifest["format"] != "weight-table":
-        raise blobio.MalformedManifestError(f"{path}: not a weight table")
     table = WeightTable(
         group_of_region=np.array(manifest["group_of_region"], dtype=np.int64),
         counts=np.array(manifest["counts"], dtype=np.int64),
@@ -245,10 +230,7 @@ def load_weight_table(path: str | Path) -> tuple[WeightTable, np.ndarray]:
         n_groups=int(manifest["n_groups"]),
         seed=int(manifest["seed"]),
     )
-    centroids = blobio.read_blob(
-        path / "centroids.bin", "f8", tuple(manifest["centroid_shape"])
-    )
-    return table, centroids
+    return table, arrays["centroids"]
 
 
 # ---------------------------------------------------------------------------

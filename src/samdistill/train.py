@@ -169,12 +169,17 @@ _INITIAL_METRICS = "initial_metrics.json"
 
 
 class _MetricsWriter:
-    def __init__(self, path: Path, append: bool):
-        exists = path.exists()
-        self._fh = open(path, "a" if append else "w", newline="")
+    """On resume, drops the rows from ``resume_step`` on, which a diverged run logged."""
+
+    def __init__(self, path: Path, resume_step: int | None):
+        kept = []
+        if resume_step is not None and path.exists():
+            with open(path, newline="") as fh:
+                kept = [row for row in csv.DictReader(fh) if int(row["step"]) < resume_step]
+        self._fh = open(path, "w", newline="")
         self._writer = csv.DictWriter(self._fh, fieldnames=_METRIC_COLUMNS)
-        if not (append and exists):
-            self._writer.writeheader()
+        self._writer.writeheader()
+        self._writer.writerows(kept)
 
     def row(self, **kwargs) -> None:
         self._writer.writerow({col: kwargs.get(col, "") for col in _METRIC_COLUMNS})
@@ -211,8 +216,9 @@ def _fit(
     ``dataset_metrics(params)`` is measured at step 0 and after the last
     step. Returns the checkpoint directory, the trained parameters, the
     step count and the initial and final dataset metrics. A non-finite
-    gradient or value inside a step saves the state from the start of
-    the epoch and raises DivergedRunError.
+    gradient or value inside a step, or in the final dataset metrics,
+    saves the state from the start of the epoch and raises
+    DivergedRunError.
     """
     train_cfg.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,7 +242,9 @@ def _fit(
     if stop_after_epochs is not None:
         end_epoch = min(end_epoch, start_epoch + stop_after_epochs)
     step = start_epoch * steps_per_epoch
-    writer = _MetricsWriter(out_dir / "metrics.csv", append=resume)
+    writer = _MetricsWriter(out_dir / "metrics.csv", step if resume else None)
+    # Replaced by a copy at the start of every epoch; nothing mutates it before.
+    last_good = (params, opt_state, step)
     try:
         for epoch in range(start_epoch, end_epoch):
             last_good = (params.copy(), _copy_opt_state(opt_state), step)
@@ -264,17 +272,19 @@ def _fit(
                     wall_ms=f"{(time.perf_counter() - t0) * 1e3:.3f}",
                 )
                 step += 1
+        final = dataset_metrics(params)
     except (DivergedRunError, NonFiniteError) as exc:
         good_params, good_state, good_step = last_good
         nn.save_checkpoint(ckpt_dir, good_params, good_step, good_state)
         if isinstance(exc, DivergedRunError):
             raise
-        raise DivergedRunError(step + 1, exc.op) from exc
+        # A non-finite final eval is charged to the last step taken.
+        raise DivergedRunError(min(step + 1, end_epoch * steps_per_epoch), exc.op) from exc
     finally:
         writer.close()
 
     nn.save_checkpoint(ckpt_dir, params, step, opt_state)
-    return ckpt_dir, params, step, initial, dataset_metrics(params)
+    return ckpt_dir, params, step, initial, final
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_full_pipeline_through_cli(tmp_path, config_file, capsys):
         == 0
     )
     assert (out / "s1" / "checkpoint" / "manifest.json").exists()
-    assert (out / "s1" / "weight_table" / "weight_table.json").exists()
+    assert (out / "s1" / "weight_table" / "manifest.json").exists()
 
     assert (
         cli.main(

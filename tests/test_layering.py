@@ -1,4 +1,4 @@
-"""Package layering: no module reaches into another module's private names."""
+"""Package layering: no module reaches into another module's private names or file formats."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,29 @@ def test_checker_catches_both_forms(tmp_path):
         "line 2: imports _forward_tokens from train",
         "line 3: reads nn._block",
     ]
+
+
+BLOB_IO = {"write_blob", "read_blob"}
+
+
+def _blob_io_uses(path: Path) -> list[str]:
+    """Lines that name blobio's raw blob functions, which only its artifact pair may call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        found += [f"line {node.lineno}: {name}" for name in names if name in BLOB_IO]
+    return found
+
+
+def test_only_blobio_touches_raw_blobs():
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "blobio.py")
+    violations = {p.name: uses for p in modules if (uses := _blob_io_uses(p))}
+    assert violations == {}
+    assert _blob_io_uses(PACKAGE_DIR / "blobio.py")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samdistill import nn, scene, tokenizer
+from samdistill import blobio, nn, scene, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import InvalidInputError
 from samdistill.tokenizer import Token, TokenSet
@@ -236,6 +236,26 @@ class TestParamsAndCheckpoints:
         loaded = nn.load_checkpoint(tmp_path / "ckpt")
         assert loaded.opt_state is None
         assert loaded.params.arch == tiny_arch
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, tiny_arch, monkeypatch):
+        old = nn.init_params(tiny_arch, seed=8)
+        nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
+        new = nn.init_params(tiny_arch, seed=9)
+        write_blob, calls = blobio.write_blob, []
+
+        def failing_write_blob(path, arr):
+            calls.append(path)
+            if len(calls) == 10:
+                raise OSError("disk full")
+            write_blob(path, arr)
+
+        monkeypatch.setattr(blobio, "write_blob", failing_write_blob)
+        with pytest.raises(OSError):
+            nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
+        loaded = nn.load_checkpoint(tmp_path / "ckpt")
+        assert loaded.step == 3
+        assert loaded.params.byte_hash() == old.byte_hash()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
     def test_copy_is_deep(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)

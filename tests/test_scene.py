@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from samdistill import scene
-from samdistill.errors import InvalidInputError, InvalidSpecError
+from samdistill.errors import DimensionMismatchError, InvalidInputError, InvalidSpecError
 
 
 def _identity_camera(f=100.0, c=50.0, size=100):
@@ -220,3 +220,8 @@ class TestMaskIngestion:
         rid, rmasks = scene.load_mask_stack(tmp_path / "stack")
         np.testing.assert_array_equal(rid, ids)
         np.testing.assert_array_equal(rmasks, masks)
+
+    def test_stack_ids_must_match_depth(self, tmp_path):
+        scene.write_mask_stack(tmp_path / "stack", np.array([2, 4, 6]), np.ones((2, 3, 3), bool))
+        with pytest.raises(DimensionMismatchError):
+            scene.load_mask_stack(tmp_path / "stack")

@@ -71,6 +71,42 @@ def test_mask_feat2d_dimension_inconsistency(stored):
         scene.read_bundle(stored)
 
 
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+def test_blob_entries_must_match_the_format(stored, edit):
+    manifest = json.loads((stored / "manifest.json").read_text())
+    if edit == "unknown":
+        manifest["blobs"]["extra"] = {"dtype": "<f4", "shape": [1]}
+    else:
+        del manifest["blobs"]["gt_region"]
+    (stored / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(MalformedManifestError):
+        scene.read_bundle(stored)
+
+
+def test_other_format_rejected(tmp_path):
+    scene.write_mask_stack(tmp_path / "stack", np.array([1]), np.ones((1, 2, 2), dtype=bool))
+    with pytest.raises(MalformedManifestError):
+        scene.read_bundle(tmp_path / "stack")
+
+
+def test_rewrite_replaces_directory_whole(stored, tmp_path):
+    other = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=5))
+    (stored / "stray.txt").write_text("left by an older writer")
+    scene.write_bundle(other, stored)
+    assert scene.read_bundle(stored).equals(other)
+    assert not (stored / "stray.txt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+
+
+def test_failed_manifest_write_keeps_old_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    blobio.dump_manifest(path, {"loss": 1.0})
+    with pytest.raises(TypeError):
+        blobio.dump_manifest(path, {"loss": object()})
+    assert blobio.load_manifest(path) == {"loss": 1.0}
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+
 def test_malformed_manifest_json(stored):
     (stored / "manifest.json").write_text("{not json")
     with pytest.raises(MalformedManifestError):

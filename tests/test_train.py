@@ -201,6 +201,36 @@ class TestRunStage1:
         assert ckpt.opt_state["t"] == ckpt.step
         assert all(np.all(np.isfinite(t.data)) for t in ckpt.params.tensors.values())
 
+    def test_resume_after_divergence_logs_each_step_once(self, tiny_dataset, tiny_arch, tmp_path):
+        import csv
+
+        tb, eb = tiny_dataset
+        for resume in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedRunError):
+                train.run_stage1(
+                    tb, eb, tiny_arch, _quick_cfg(batch_size=1, base_lr=1e200),
+                    train.Stage1Config(k_groups=3), tmp_path / "div", resume=resume,
+                )
+        with open(tmp_path / "div" / "metrics.csv") as fh:
+            steps = [int(row["step"]) for row in csv.DictReader(fh)]
+        assert steps and all(a < b for a, b in zip(steps, steps[1:]))
+
+    def test_non_finite_final_eval_keeps_last_good_checkpoint(
+        self, tiny_dataset, tiny_arch, tmp_path
+    ):
+        tb, eb = tiny_dataset
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedRunError) as err:
+            train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(base_lr=1e30), train.Stage1Config(k_groups=3),
+                tmp_path / "div",
+            )
+        assert isinstance(err.value.__cause__, NonFiniteError)
+        # Every step ran; the parameters after the last one fail the final eval.
+        assert err.value.step == 6
+        ckpt = nn.load_checkpoint(tmp_path / "div" / "checkpoint")
+        assert ckpt.step == 4
+        assert not (tmp_path / "div" / "metrics.json").exists()
+
     def test_metrics_csv_schema_and_finite_grad_norms(self, tiny_dataset, tiny_arch, tmp_path):
         import csv
 

@@ -11,9 +11,11 @@ by :func:`load_arrays`: a ``manifest.json`` naming the format plus one
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -43,8 +45,21 @@ def write_blob(path: str | Path, arr: np.ndarray) -> None:
         fh.write(le.tobytes())
 
 
-def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a blob written by :func:`write_blob` and validate its size."""
+def _check_payload(path: Path, n_bytes: int, dtype: np.dtype, shape: tuple[int, ...]) -> None:
+    expected = math.prod(shape) * dtype.itemsize
+    if n_bytes < expected:
+        raise TruncatedBlobError(f"{path}: expected {expected} payload bytes, got {n_bytes}")
+    if n_bytes > expected:
+        raise DimensionMismatchError(f"{path}: blob larger than manifest shape {shape}")
+
+
+def read_blob(
+    path: str | Path, dtype: str, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Read a blob written by :func:`write_blob` and validate its size.
+
+    Returns a native-order copy, or fills and returns ``out`` (of ``shape``).
+    """
     path = Path(path)
     if not path.exists():
         raise TruncatedBlobError(f"missing blob file: {path}")
@@ -57,15 +72,14 @@ def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarra
     if version != BLOB_VERSION:
         raise MalformedManifestError(f"{path}: unsupported blob version {version}")
     dt = np.dtype(dtype).newbyteorder("<")
-    expected = int(np.prod(shape)) * dt.itemsize
     payload = raw[_HEADER_LEN:]
-    if len(payload) < expected:
-        raise TruncatedBlobError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    if len(payload) > expected:
-        raise DimensionMismatchError(f"{path}: blob larger than manifest shape {shape}")
+    _check_payload(path, len(payload), dt, shape)
     arr = np.frombuffer(payload, dtype=dt).reshape(shape)
-    # Native byte order, writable copy.
-    return arr.astype(arr.dtype.newbyteorder("="))
+    if out is None:
+        # Native byte order, writable copy.
+        return arr.astype(arr.dtype.newbyteorder("="))
+    out[...] = arr
+    return out
 
 
 def dump_manifest(path: str | Path, manifest: dict) -> None:
@@ -130,30 +144,79 @@ def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.nda
     shutil.rmtree(old, ignore_errors=True)
 
 
-def load_arrays(
+@contextmanager
+def manifest_fields(path: str | Path):
+    """Report a missing or mistyped manifest field read in the block as MalformedManifestError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise MalformedManifestError(f"{path}: bad manifest field: {exc!r}") from exc
+
+
+def _blob_record(path: Path, name: str, meta) -> tuple[np.dtype, tuple[int, ...]]:
+    """The dtype and shape of a ``blobs`` entry: a numeric dtype and non-negative ints."""
+    if isinstance(meta, dict) and isinstance(meta.get("dtype"), str):
+        try:
+            dtype = np.dtype(meta["dtype"])
+        except (TypeError, ValueError):
+            dtype = None
+        shape = meta.get("shape")
+        if (
+            dtype is not None
+            and dtype.kind in "biuf"
+            and isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+        ):
+            return dtype.newbyteorder("<"), tuple(shape)
+    raise MalformedManifestError(f"{path}: bad record for blob {name!r}: {meta!r}")
+
+
+def open_arrays(
     path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a directory written by :func:`save_arrays`; returns (manifest, arrays).
+) -> tuple[dict, Callable[..., np.ndarray]]:
+    """Validate a directory written by :func:`save_arrays`; returns (manifest, read).
 
     ``expect(manifest)`` maps every blob the format holds to its shape, or
-    to None for any shape; it runs before any blob is read.
+    to None for any shape. Before any blob is read, every ``blobs`` record,
+    the blob list, the expected shapes and each blob file's size are
+    checked. ``read(name, out=None)`` then reads one blob, into ``out`` if
+    given.
     """
     path = Path(path)
     manifest = load_manifest(path / "manifest.json", ("format", "version", "blobs", *required_keys))
     if manifest["format"] != fmt or manifest["version"] != FORMAT_VERSION:
         raise MalformedManifestError(f"{path}: not a {fmt} version {FORMAT_VERSION} manifest")
-    blobs, expected = manifest["blobs"], expect(manifest)
-    for name, meta in blobs.items():
+    if not isinstance(manifest["blobs"], dict):
+        raise MalformedManifestError(f"{path}: blobs is not an object")
+    records = {name: _blob_record(path, name, meta) for name, meta in manifest["blobs"].items()}
+    with manifest_fields(path):
+        expected = expect(manifest)
+    for name, (_, shape) in records.items():
         if name not in expected:
             raise MalformedManifestError(f"{path}: unknown blob {name!r}")
-        if expected[name] is not None and list(meta["shape"]) != expected[name]:
+        if expected[name] is not None and list(shape) != list(expected[name]):
             raise DimensionMismatchError(
-                f"{path}: blob {name!r} shape {meta['shape']} != expected {expected[name]}"
+                f"{path}: blob {name!r} shape {list(shape)} != expected {expected[name]}"
             )
-    missing = [name for name in expected if name not in blobs]
+    missing = [name for name in expected if name not in records]
     if missing:
         raise MalformedManifestError(f"{path}: missing blob entries {missing}")
-    return manifest, {
-        name: read_blob(path / f"{name}.bin", meta["dtype"], tuple(meta["shape"]))
-        for name, meta in blobs.items()
-    }
+    for name, (dtype, shape) in records.items():
+        blob = path / f"{name}.bin"
+        if not blob.is_file():
+            raise TruncatedBlobError(f"missing blob file: {blob}")
+        _check_payload(blob, blob.stat().st_size - _HEADER_LEN, dtype, shape)
+
+    def read(name: str, out: np.ndarray | None = None) -> np.ndarray:
+        dtype, shape = records[name]
+        return read_blob(path / f"{name}.bin", dtype.str, shape, out)
+
+    return manifest, read
+
+
+def load_arrays(
+    path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """:func:`open_arrays`, then read every blob; returns (manifest, arrays)."""
+    manifest, read = open_arrays(path, fmt, required_keys, expect)
+    return manifest, {name: read(name) for name in manifest["blobs"]}

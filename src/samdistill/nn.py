@@ -12,12 +12,12 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import blobio, tensor as T
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MalformedManifestError
 from .tokenizer import Token, TokenSet
 
 _MASK_STREAM = 0x3A5C
@@ -55,36 +55,107 @@ class Arch:
         return arch
 
 
-@dataclass
-class ModelParams:
-    """Named parameter collection with freeze flags."""
+def no_decay(name: str) -> bool:
+    """Parameters excluded from weight decay: layer-norm affines and the mask query."""
+    return ".ln" in name or name == "mask_query"
 
-    arch: Arch
-    tensors: dict[str, T.Tensor]
-    frozen: dict[str, bool]
+
+class ModelParams:
+    """Named parameters stored as views into one flat float64 buffer.
+
+    ``data`` holds every parameter and ``grad`` every gradient; each
+    named ``Tensor`` is a reshaped view of its slice of both. The buffer
+    puts decayed parameters before the :func:`no_decay` ones, so AdamW
+    runs over at most two contiguous ranges. A leaf's ``requires_grad`` is
+    the one record of trainability: :meth:`set_trainable` sets it and
+    binds the leaf's ``grad`` to its view, or sets it to None when frozen.
+    ``grad`` is allocated while any parameter is trainable.
+    """
+
+    def __init__(
+        self,
+        shapes: dict[str, tuple[int, ...]],
+        arch: Arch | None = None,
+        data: np.ndarray | None = None,
+        frozen: Iterable[str] = (),
+    ):
+        self.arch = arch
+        # Buffer order: stable sort, decayed names first.
+        self._slices: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        offset = 0
+        for name in sorted(shapes, key=no_decay):
+            size = math.prod(shapes[name])
+            self._slices[name] = (slice(offset, offset + size), tuple(shapes[name]))
+            offset += size
+        self.n_decay = sum(math.prod(shape) for n, shape in shapes.items() if not no_decay(n))
+        self.data = np.zeros(offset) if data is None else data
+        self.grad: np.ndarray | None = None
+        views, frozen = self.views(self.data), set(frozen)
+        self.tensors = {name: T.Tensor(views[name], name not in frozen) for name in shapes}
+        self._bind_grads()
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], arch: Arch | None = None) -> "ModelParams":
+        """Trainable parameters holding copies of ``arrays``."""
+        params = cls({name: np.shape(a) for name, a in arrays.items()}, arch)
+        for name, a in arrays.items():
+            params.tensors[name].data[...] = a
+        return params
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view into ``flat``, a vector laid out like ``data``."""
+        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
 
     def names(self) -> list[str]:
         return list(self.tensors)
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self.tensors if not self.frozen[n]]
+        return [n for n, t in self.tensors.items() if t.requires_grad]
+
+    def trainable_ranges(self) -> list[tuple[int, int, bool]]:
+        """Maximal runs of trainable elements of ``data`` as (start, stop, decays)."""
+        runs: list[tuple[int, int, bool]] = []
+        for name, (sl, _) in self._slices.items():
+            decays = sl.start < self.n_decay
+            if not self.tensors[name].requires_grad or sl.start == sl.stop:
+                continue
+            if runs and runs[-1][1] == sl.start and runs[-1][2] == decays:
+                runs[-1] = (runs[-1][0], sl.stop, decays)
+            else:
+                runs.append((sl.start, sl.stop, decays))
+        return runs
+
+    def set_trainable(self, trainable: bool, names: Iterable[str] | None = None) -> None:
+        """Make ``names`` (default: all) trainable or frozen."""
+        for name in self.tensors if names is None else names:
+            self.tensors[name].requires_grad = trainable
+        self._bind_grads()
+
+    def _bind_grads(self) -> None:
+        if not self.trainable_names():
+            self.grad = None
+        elif self.grad is None:
+            self.grad = np.zeros(self.data.size)
+        views = {} if self.grad is None else self.views(self.grad)
+        for name, t in self.tensors.items():
+            if t.requires_grad:
+                t.grad = views[name]
+            else:
+                t.grad = None
+                if views:
+                    views[name][...] = 0.0  # a stale gradient must not reach AdamW's check
 
     def freeze_all(self) -> None:
-        for name, t in self.tensors.items():
-            self.frozen[name] = True
-            t.requires_grad = False
-            t.grad = None
+        self.set_trainable(False)
 
     def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def copy(self) -> "ModelParams":
-        out = ModelParams(arch=self.arch, tensors={}, frozen=dict(self.frozen))
-        for name, t in self.tensors.items():
-            clone = T.Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out.tensors[name] = clone
-        return out
+        shapes = {n: t.shape for n, t in self.tensors.items()}
+        frozen = [n for n, t in self.tensors.items() if not t.requires_grad]
+        return ModelParams(shapes, self.arch, self.data.copy(), frozen)
 
     def byte_hash(self) -> str:
         digest = hashlib.sha256()
@@ -94,28 +165,23 @@ class ModelParams:
         return digest.hexdigest()
 
 
-def no_decay(name: str) -> bool:
-    """Parameters excluded from weight decay: layer-norm affines and the mask query."""
-    return ".ln" in name or name == "mask_query"
-
-
 def init_params(arch: Arch, seed: int) -> ModelParams:
     """Seeded initialization; the positional MLP's final layer starts at zero."""
     arch.validate()
     rng = np.random.default_rng(np.random.SeedSequence([0x1417, seed]))
-    tensors: dict[str, T.Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
 
     def linear(name: str, fan_in: int, fan_out: int, zero: bool = False) -> None:
         if zero:
             w = np.zeros((fan_in, fan_out))
         else:
             w = rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out))
-        tensors[f"{name}.w"] = T.parameter(w)
-        tensors[f"{name}.b"] = T.parameter(np.zeros(fan_out))
+        arrays[f"{name}.w"] = w
+        arrays[f"{name}.b"] = np.zeros(fan_out)
 
     def layernorm(name: str, dim: int) -> None:
-        tensors[f"{name}.g"] = T.parameter(np.ones(dim))
-        tensors[f"{name}.b"] = T.parameter(np.zeros(dim))
+        arrays[f"{name}.g"] = np.ones(dim)
+        arrays[f"{name}.b"] = np.zeros(dim)
 
     L, H = arch.embed_dim, arch.pointnet_hidden
     linear("embed.l1", 3, H)
@@ -128,10 +194,8 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
         # Query/key/value projections carry no bias (a key bias would shift
         # every softmax row by a constant and never affect the output).
         for piece in ("wq", "wk", "wv", "wo"):
-            tensors[f"{prefix}.attn.{piece}"] = T.parameter(
-                rng.normal(0.0, 1.0 / math.sqrt(L), (L, L))
-            )
-        tensors[f"{prefix}.attn.bo"] = T.parameter(np.zeros(L))
+            arrays[f"{prefix}.attn.{piece}"] = rng.normal(0.0, 1.0 / math.sqrt(L), (L, L))
+        arrays[f"{prefix}.attn.bo"] = np.zeros(L)
         layernorm(f"{prefix}.ln2", L)
         linear(f"{prefix}.mlp.l1", L, L * arch.mlp_ratio)
         linear(f"{prefix}.mlp.l2", L * arch.mlp_ratio, L)
@@ -145,12 +209,12 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
     if arch.n_dec_layers > 0:
         layernorm("dec.ln_f", L)
 
-    tensors["mask_query"] = T.parameter(rng.normal(0.0, 0.02, L))
+    arrays["mask_query"] = rng.normal(0.0, 0.02, L)
     linear("proj", L, arch.proj_dim)
     linear("pred.l1", L, L)
     linear("pred.l2", L, L)
 
-    return ModelParams(arch=arch, tensors=tensors, frozen={n: False for n in tensors})
+    return ModelParams.from_arrays(arrays, arch)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +381,8 @@ def fill_masked_positions(enc_visible: T.Tensor, plan: MaskPlan, params: ModelPa
 class Checkpoint:
     params: ModelParams
     step: int
-    opt_state: dict | None = None  # {"t": int, "m": {name: arr}, "v": {name: arr}}
+    # {"t": int, "m": array, "v": array}; the moments are laid out like params.data.
+    opt_state: dict | None = None
 
 
 def save_checkpoint(
@@ -325,37 +390,63 @@ def save_checkpoint(
 ) -> None:
     arrays = {f"params/{name}": t.data for name, t in params.tensors.items()}
     if opt_state is not None:
-        arrays |= {f"opt/{name}.{k}": opt_state[k][name] for name in params.tensors for k in "mv"}
+        for k in "mv":
+            arrays |= {f"opt/{name}.{k}": view for name, view in params.views(opt_state[k]).items()}
     meta = {
         "arch": params.arch.to_json(),
         "step": int(step),
-        "params": [{"name": name, "frozen": bool(params.frozen[name])} for name in params.tensors],
+        "params": [
+            {"name": name, "frozen": not t.requires_grad} for name, t in params.tensors.items()
+        ],
         "optimizer": None if opt_state is None else {"t": int(opt_state["t"])},
     }
     blobio.save_arrays(path, "model-checkpoint", meta, arrays)
 
 
-def _checkpoint_blobs(manifest: dict) -> dict[str, None]:
-    names = [rec["name"] for rec in manifest["params"]]
+def _param_records(manifest: dict) -> dict[str, bool]:
+    """``{name: frozen}`` from the manifest's ``params`` list, in order."""
+    records = manifest["params"]
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict)
+        and isinstance(rec.get("name"), str)
+        and type(rec.get("frozen")) is bool
+        for rec in records
+    ):
+        raise MalformedManifestError("checkpoint params must be {name, frozen} records")
+    frozen = {rec["name"]: rec["frozen"] for rec in records}
+    if len(frozen) != len(records):
+        raise MalformedManifestError("checkpoint params repeat a name")
+    return frozen
+
+
+def _checkpoint_blobs(manifest: dict) -> dict[str, list[int] | None]:
+    names = list(_param_records(manifest))
     blobs = dict.fromkeys(f"params/{name}" for name in names)
     if manifest["optimizer"] is not None:
-        blobs |= dict.fromkeys(f"opt/{name}.{k}" for name in names for k in "mv")
+        # Moments take their parameter's shape.
+        shapes = {n: manifest["blobs"].get(f"params/{n}", {}).get("shape") for n in names}
+        blobs |= {f"opt/{name}.{k}": shapes[name] for name in names for k in "mv"}
     return blobs
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    manifest, arrays = blobio.load_arrays(
+    """Read a checkpoint, each blob straight into its slice of the flat buffers."""
+    manifest, read = blobio.open_arrays(
         path, "model-checkpoint", ("arch", "step", "params", "optimizer"), _checkpoint_blobs
     )
-    frozen = {rec["name"]: bool(rec["frozen"]) for rec in manifest["params"]}
-    tensors = {
-        name: T.Tensor(arrays[f"params/{name}"], requires_grad=not is_frozen)
-        for name, is_frozen in frozen.items()
-    }
-    params = ModelParams(arch=Arch.from_json(manifest["arch"]), tensors=tensors, frozen=frozen)
-
+    frozen = _param_records(manifest)
+    with blobio.manifest_fields(path):
+        arch = Arch.from_json(manifest["arch"])
+        step = int(manifest["step"])
+        t = None if manifest["optimizer"] is None else int(manifest["optimizer"]["t"])
+    shapes = {name: manifest["blobs"][f"params/{name}"]["shape"] for name in frozen}
+    params = ModelParams(shapes, arch, frozen=[n for n, is_frozen in frozen.items() if is_frozen])
+    for name, view in params.views(params.data).items():
+        read(f"params/{name}", view)
     opt_state = None
-    if manifest["optimizer"] is not None:
-        opt_state = {k: {name: arrays[f"opt/{name}.{k}"] for name in tensors} for k in "mv"}
-        opt_state["t"] = int(manifest["optimizer"]["t"])
-    return Checkpoint(params=params, step=int(manifest["step"]), opt_state=opt_state)
+    if t is not None:
+        opt_state = {"t": t, "m": np.empty_like(params.data), "v": np.empty_like(params.data)}
+        for k in "mv":
+            for name, view in params.views(opt_state[k]).items():
+                read(f"opt/{name}.{k}", view)
+    return Checkpoint(params=params, step=step, opt_state=opt_state)

@@ -82,13 +82,10 @@ def fit_linear_probe(
     xe = (test_x - mean) / std
 
     rng = np.random.default_rng(np.random.SeedSequence([0x9B0E, seed]))
-    w = T.parameter(rng.normal(0.0, 0.01, (xt.shape[1], n_classes)))
-    b = T.parameter(np.zeros(n_classes))
-    params = nn.ModelParams(
-        arch=nn.Arch(),
-        tensors={"probe.w": w, "probe.b": b},
-        frozen={"probe.w": False, "probe.b": False},
+    params = nn.ModelParams.from_arrays(
+        {"probe.w": rng.normal(0.0, 0.01, (xt.shape[1], n_classes)), "probe.b": np.zeros(n_classes)}
     )
+    w, b = params.tensors["probe.w"], params.tensors["probe.b"]
     cfg = TrainConfig(base_lr=lr, weight_decay=0.0, epochs=epochs, warmup_epochs=0, seed=seed)
     state = init_opt_state(params)
     x_const = T.constant(xt)

@@ -555,21 +555,22 @@ def _bundle_blob_shapes(manifest: dict) -> dict[str, list[int]]:
 def read_bundle(path: str | Path) -> SceneBundle:
     """Load a bundle directory, validating manifest and blob consistency."""
     manifest, arrays = blobio.load_arrays(path, "scene-bundle", _BUNDLE_KEYS, _bundle_blob_shapes)
-    bundle = SceneBundle(
-        points=arrays["points"],
-        colors=arrays.get("colors"),
-        camera=_camera_from_json(manifest["camera"]),
-        gt_region=arrays["gt_region"],
-        mask=arrays["mask"],
-        feat2d=arrays["feat2d"],
-        region_count=int(manifest["region_count"]),
-        region_types=np.array(manifest["region_types"], dtype=np.int32),
-        field=FeatureField(
-            prototypes=arrays["prototypes"],
-            noise_sigma=float(manifest["noise_sigma"]),
-        ),
-    )
-    bundle.validate()
+    with blobio.manifest_fields(path):
+        bundle = SceneBundle(
+            points=arrays["points"],
+            colors=arrays.get("colors"),
+            camera=_camera_from_json(manifest["camera"]),
+            gt_region=arrays["gt_region"],
+            mask=arrays["mask"],
+            feat2d=arrays["feat2d"],
+            region_count=int(manifest["region_count"]),
+            region_types=np.array(manifest["region_types"], dtype=np.int32),
+            field=FeatureField(
+                prototypes=arrays["prototypes"],
+                noise_sigma=float(manifest["noise_sigma"]),
+            ),
+        )
+        bundle.validate()
     return bundle
 
 
@@ -628,8 +629,9 @@ def write_mask_stack(path: str | Path, ids: np.ndarray, masks: np.ndarray) -> No
 
 def load_mask_stack(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     manifest, arrays = blobio.load_arrays(path, "mask-stack", ("ids",), lambda _: {"masks": None})
-    ids = np.array(manifest["ids"], dtype=np.int32)
+    with blobio.manifest_fields(path):
+        ids = np.array(manifest["ids"], dtype=np.int32)
     masks = arrays["masks"].astype(bool)
-    if masks.ndim != 3 or len(ids) != masks.shape[0]:
+    if masks.ndim != 3 or ids.ndim != 1 or len(ids) != masks.shape[0]:
         raise DimensionMismatchError(f"{path}: ids length != stack depth")
     return ids, masks

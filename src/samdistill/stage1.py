@@ -221,15 +221,16 @@ def load_weight_table(path: str | Path) -> tuple[WeightTable, np.ndarray]:
         ("n_groups", "seed", "counts", "k", "tau", "w", "group_of_region"),
         lambda _: {"centroids": None},
     )
-    table = WeightTable(
-        group_of_region=np.array(manifest["group_of_region"], dtype=np.int64),
-        counts=np.array(manifest["counts"], dtype=np.int64),
-        k=np.array(manifest["k"], dtype=np.float64),
-        tau=np.array(manifest["tau"], dtype=np.float64),
-        w=np.array(manifest["w"], dtype=np.float64),
-        n_groups=int(manifest["n_groups"]),
-        seed=int(manifest["seed"]),
-    )
+    with blobio.manifest_fields(path):
+        table = WeightTable(
+            group_of_region=np.array(manifest["group_of_region"], dtype=np.int64),
+            counts=np.array(manifest["counts"], dtype=np.int64),
+            k=np.array(manifest["k"], dtype=np.float64),
+            tau=np.array(manifest["tau"], dtype=np.float64),
+            w=np.array(manifest["w"], dtype=np.float64),
+            n_groups=int(manifest["n_groups"]),
+            seed=int(manifest["seed"]),
+        )
     return table, arrays["centroids"]
 
 

@@ -41,7 +41,7 @@ def teacher_forward(
     selects which decoder outputs become targets. No gradients are
     recorded.
     """
-    if any(not teacher.frozen[name] for name in teacher.tensors):
+    if teacher.trainable_names():
         raise InconsistencyError("teacher parameters must be fully frozen")
     with T.no_grad():
         centroids = nn.centroids_of(tokens)

@@ -68,12 +68,15 @@ class Tensor:
     # -- gradient plumbing ---------------------------------------------------
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero ``grad`` in place, so a leaf bound to a parameter store keeps its view."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0  # a fresh array, bit-identical to zeros + g
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate ``grad`` for every requires_grad node reachable from this scalar.
@@ -142,7 +145,7 @@ def parameter(data) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
     data = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(op)
     out = Tensor(data)
     out._op = op
@@ -305,7 +308,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     if out.requires_grad:
 
         def backward():
-            g = np.zeros_like(a.data)
+            g = np.zeros(a.shape)
             g[idx] = out.grad
             a._accumulate(g)
 
@@ -323,7 +326,7 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     if out.requires_grad:
 
         def backward():
-            g = np.zeros_like(a.data)
+            g = np.zeros(a.shape)
             np.add.at(g, idx, out.grad)
             a._accumulate(g)
 
@@ -356,7 +359,7 @@ def max_pool(a: Tensor, axis: int = 0) -> Tensor:
     if out.requires_grad:
 
         def backward():
-            g = np.zeros_like(a.data)
+            g = np.zeros(a.shape)
             np.put_along_axis(
                 g, np.expand_dims(argmax, axis), np.expand_dims(out.grad, axis), axis
             )
@@ -594,7 +597,8 @@ def grad_check(
 
     for t in inputs:
         # In-place perturbation below requires a contiguous buffer.
-        t.data = np.ascontiguousarray(t.data)
+        if not t.data.flags.c_contiguous:
+            t.data = np.ascontiguousarray(t.data)
         t.zero_grad()
     out = f()
     if out.size != 1:

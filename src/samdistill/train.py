@@ -64,19 +64,16 @@ PAPER_DEFAULTS = TrainConfig(batch_size=64)
 
 
 def init_opt_state(params: nn.ModelParams) -> dict:
-    return {
-        "t": 0,
-        "m": {n: np.zeros_like(t.data) for n, t in params.tensors.items()},
-        "v": {n: np.zeros_like(t.data) for n, t in params.tensors.items()},
-    }
+    """First and second moments as flat vectors laid out like ``params.data``."""
+    return {"t": 0, "m": np.zeros(params.data.size), "v": np.zeros(params.data.size)}
 
 
 def _copy_opt_state(state: dict) -> dict:
-    return {
-        "t": state["t"],
-        "m": {k: v.copy() for k, v in state["m"].items()},
-        "v": {k: v.copy() for k, v in state["v"].items()},
-    }
+    return {"t": state["t"], "m": state["m"].copy(), "v": state["v"].copy()}
+
+
+# Elements per in-place AdamW pass; the two scratch blocks stay in cache.
+_ADAMW_BLOCK = 16384
 
 
 def adamw_step(
@@ -89,36 +86,53 @@ def adamw_step(
 ) -> None:
     """One AdamW update with bias correction; frozen parameters are untouched.
 
-    Layer-norm affines and the mask query are excluded from decay.
-    Raises DivergedRunError on a non-finite gradient.
+    Runs in place over the flat buffers, block by block. Each element sees
+    the same operations in the same order as a per-tensor update, so the
+    result is bit-identical to one. Layer-norm affines and the mask query
+    are excluded from decay. Raises DivergedRunError on a non-finite
+    gradient, before anything is updated.
     """
     state["t"] += 1
     t = state["t"]
+    if params.grad is None:
+        return
+    if not np.isfinite(params.grad).all():
+        raise DivergedRunError(t)
     b1, b2 = betas
-    for name in params.tensors:
-        if params.frozen[name]:
-            continue
-        p = params.tensors[name]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise DivergedRunError(t)
-        m, v = state["m"][name], state["v"][name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        wd = 0.0 if nn.no_decay(name) else weight_decay
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p.data)
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
+    scratch_a, scratch_b = np.empty(_ADAMW_BLOCK), np.empty(_ADAMW_BLOCK)
+    for start, stop, decays in params.trainable_ranges():
+        wd = weight_decay if decays else 0.0
+        for lo in range(start, stop, _ADAMW_BLOCK):
+            hi = min(lo + _ADAMW_BLOCK, stop)
+            p, g, m, v = data[lo:hi], grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            # a = sqrt(v / bc2) + eps; b = m / bc1 / a + wd * p
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, bc1, out=b)
+            b /= a
+            np.multiply(p, wd, out=a)
+            b += a
+            b *= lr
+            p -= b
 
 
 def grad_norm(params: nn.ModelParams) -> float:
+    """Summed per tensor in name order, so the value matches a per-tensor loop bit for bit."""
     total = 0.0
     for name in params.trainable_names():
         g = params.tensors[name].grad
-        if g is not None:
-            total += float((g * g).sum())
+        total += float((g * g).sum())
     return math.sqrt(total)
 
 
@@ -162,6 +176,9 @@ _METRIC_COLUMNS = [
     "l_final",
     "grad_norm",
     "wall_ms",
+    "fwd_ms",
+    "bwd_ms",
+    "opt_ms",
 ]
 
 # Step-0 dataset metrics, measured once so a resumed run reports the same ones.
@@ -243,17 +260,20 @@ def _fit(
         end_epoch = min(end_epoch, start_epoch + stop_after_epochs)
     step = start_epoch * steps_per_epoch
     writer = _MetricsWriter(out_dir / "metrics.csv", step if resume else None)
-    # Replaced by a copy at the start of every epoch; nothing mutates it before.
-    last_good = (params, opt_state, step)
+    # Parameter values, optimizer state and step at the start of the epoch:
+    # replaced by copies at the start of every epoch; nothing mutates it before.
+    last_good = (params.data, opt_state, step)
     try:
         for epoch in range(start_epoch, end_epoch):
-            last_good = (params.copy(), _copy_opt_state(opt_state), step)
+            last_good = (params.data.copy(), _copy_opt_state(opt_state), step)
             order = _epoch_order(n_scenes, train_cfg.seed, epoch)
             for batch in _batches(order, train_cfg.batch_size):
                 t0 = time.perf_counter()
                 params.zero_grad()
                 loss, fields = batch_loss(params, batch, epoch)
+                t1 = time.perf_counter()
                 loss.backward()
+                t2 = time.perf_counter()
                 lr = lr_at(step, total_steps, train_cfg)
                 adamw_step(
                     params,
@@ -263,6 +283,7 @@ def _fit(
                     (train_cfg.beta1, train_cfg.beta2),
                     train_cfg.eps,
                 )
+                t3 = time.perf_counter()
                 writer.row(
                     epoch=epoch,
                     step=step,
@@ -270,12 +291,16 @@ def _fit(
                     **{name: f"{value:.10g}" for name, value in fields.items()},
                     grad_norm=f"{grad_norm(params):.10g}",
                     wall_ms=f"{(time.perf_counter() - t0) * 1e3:.3f}",
+                    fwd_ms=f"{(t1 - t0) * 1e3:.3f}",
+                    bwd_ms=f"{(t2 - t1) * 1e3:.3f}",
+                    opt_ms=f"{(t3 - t2) * 1e3:.3f}",
                 )
                 step += 1
         final = dataset_metrics(params)
     except (DivergedRunError, NonFiniteError) as exc:
-        good_params, good_state, good_step = last_good
-        nn.save_checkpoint(ckpt_dir, good_params, good_step, good_state)
+        good_data, good_state, good_step = last_good
+        params.data[...] = good_data
+        nn.save_checkpoint(ckpt_dir, params, good_step, good_state)
         if isinstance(exc, DivergedRunError):
             raise
         # A non-finite final eval is charged to the last step taken.
@@ -550,9 +575,7 @@ def run_stage2(
         if not cfg.init_from_teacher:
             return nn.init_params(teacher.arch, train_cfg.seed)
         student = teacher.copy()
-        for name, t in student.tensors.items():
-            student.frozen[name] = False
-            t.requires_grad = True
+        student.set_trainable(True)
         return student
 
     def batch_loss(student: nn.ModelParams, batch: np.ndarray, epoch: int):

@@ -1,0 +1,161 @@
+"""Malformed artifact directories of every format fail with typed errors only."""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from samdistill import cli, nn, scene, stage1, train
+from samdistill.errors import MalformedManifestError, SamDistillError
+
+# Checkpoints of this size keep each example's copy to a few dozen files.
+SMALL_ARCH = nn.Arch(
+    embed_dim=2, n_heads=1, n_enc_layers=0, n_dec_layers=0,
+    pointnet_hidden=2, max_points_per_token=4, mlp_ratio=1, proj_dim=2,
+)
+
+LOADERS = {
+    "scene-bundle": scene.read_bundle,
+    "mask-stack": scene.load_mask_stack,
+    "weight-table": stage1.load_weight_table,
+    "model-checkpoint": nn.load_checkpoint,
+}
+
+BAD_VALUES = [None, "x", "", -1, 0, 2.5, True, [], {}, [1, "a"], [-3], {"t": -1}]
+BAD_DTYPES = ["zz", "O", "", "<U3", "V8", "f8,i4", "<f4", "<i8", "|u1", 5, None]
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory, small_bundle):
+    root = tmp_path_factory.mktemp("artifacts")
+    scene.write_bundle(small_bundle, root / "scene-bundle")
+    masks = np.zeros((2, 4, 5), dtype=np.uint8)
+    masks[0, :2], masks[1, 1:] = 1, 1
+    scene.write_mask_stack(root / "mask-stack", np.array([3, 7]), masks)
+    k, tau, w = stage1.weights_from_counts(np.array([4, 2]))
+    table = stage1.WeightTable(
+        group_of_region=np.array([0, 1, 0]), counts=np.array([4, 2]), k=k, tau=tau, w=w,
+        n_groups=2, seed=0,
+    )
+    stage1.save_weight_table(root / "weight-table", table, np.ones((2, 3)))
+    params = nn.init_params(SMALL_ARCH, seed=0)
+    nn.save_checkpoint(root / "model-checkpoint", params, 5, train.init_opt_state(params))
+    for fmt, load in LOADERS.items():
+        load(root / fmt)  # every pristine artifact loads
+    return root
+
+
+def _draw_path(data, manifest: dict) -> list:
+    """A path from the manifest root to one of its values, at least one key deep."""
+    obj, path = manifest, []
+    while isinstance(obj, (dict, list)) and obj and (not path or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(sorted(obj) if isinstance(obj, dict) else range(len(obj))))
+        path.append(key)
+        obj = obj[key]
+    return path
+
+
+def _mutate(data, root: Path) -> None:
+    manifest = json.loads((root / "manifest.json").read_text())
+    blob = data.draw(st.sampled_from(sorted(manifest["blobs"])), label="blob")
+    kind = data.draw(
+        st.sampled_from(["drop", "retype", "dtype", "shape", "truncate", "extend"]), label="kind"
+    )
+    if kind in ("drop", "retype"):
+        path = _draw_path(data, manifest)
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    elif kind == "dtype":
+        manifest["blobs"][blob]["dtype"] = data.draw(st.sampled_from(BAD_DTYPES), label="dtype")
+    elif kind == "shape":
+        shape = manifest["blobs"][blob]["shape"]
+        if shape and data.draw(st.booleans()):
+            shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(st.integers(-5, -1))
+        else:
+            shape.append(data.draw(st.integers(-5, 3), label="extra dim"))
+    else:
+        path = root / f"{blob}.bin"
+        raw = path.read_bytes()
+        if kind == "truncate":
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+        else:
+            path.write_bytes(raw + b"\0" * data.draw(st.integers(1, 16), label="pad"))
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("fmt", sorted(LOADERS))
+@given(data=st.data())
+def test_only_typed_errors_escape(artifacts, fmt, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / fmt
+        shutil.copytree(artifacts / fmt, root)
+        _mutate(data, root)
+        try:
+            LOADERS[fmt](root)
+        except SamDistillError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        lambda m: m["blobs"]["points"].pop("shape"),
+        lambda m: m["blobs"].update(points="f4"),
+        lambda m: m["blobs"]["points"].update(dtype="zz"),
+        lambda m: m["blobs"]["points"].update(shape=[-1, 3]),
+        lambda m: m.update(blobs=[]),
+    ],
+    ids=["no-shape", "string-record", "bad-dtype", "negative-shape", "blobs-list"],
+)
+def test_bad_blob_records_are_malformed(artifacts, tmp_path, mutation):
+    root = tmp_path / "bundle"
+    shutil.copytree(artifacts / "scene-bundle", root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    mutation(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(MalformedManifestError):
+        scene.read_bundle(root)
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [lambda m: m["params"][0].pop("name"), lambda m: m.update(params=3)],
+    ids=["record-without-name", "params-not-a-list"],
+)
+def test_bad_param_records_are_malformed(artifacts, tmp_path, mutation):
+    root = tmp_path / "ckpt"
+    shutil.copytree(artifacts / "model-checkpoint", root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    mutation(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(MalformedManifestError):
+        nn.load_checkpoint(root)
+
+
+def test_cli_exits_2_on_a_malformed_checkpoint(artifacts, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(artifacts / "model-checkpoint", ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["blobs"]["params/proj.w"] = "f8"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    scenes = tmp_path / "scenes"
+    make_scene = ["--out-dir", str(tmp_path), "scene", "--out", str(scenes), "--n-scenes", "1"]
+    assert cli.main(make_scene) == 0
+    code = cli.main(
+        [
+            "--out-dir", str(tmp_path), "probe", "--encoder-ckpt", str(ckpt),
+            "--train-scenes", str(scenes), "--test-scenes", str(scenes),
+        ]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samdistill import blobio, nn, scene, tokenizer, train
+from samdistill import blobio, nn, scene, stage1, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import InvalidInputError
 from samdistill.tokenizer import Token, TokenSet
@@ -214,21 +214,21 @@ class TestParamsAndCheckpoints:
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
-        params.frozen["proj.w"] = True
+        params.set_trainable(False, ["proj.w"])
+        n = params.data.size
         opt = {
             "t": 17,
-            "m": {n: np.random.default_rng(1).normal(0, 1, t.shape) for n, t in params.tensors.items()},
-            "v": {n: np.abs(np.random.default_rng(2).normal(0, 1, t.shape)) for n, t in params.tensors.items()},
+            "m": np.random.default_rng(1).normal(0, 1, n),
+            "v": np.abs(np.random.default_rng(2).normal(0, 1, n)),
         }
         nn.save_checkpoint(tmp_path / "ckpt", params, step=42, opt_state=opt)
         loaded = nn.load_checkpoint(tmp_path / "ckpt")
         assert loaded.step == 42
         assert loaded.params.byte_hash() == params.byte_hash()
-        assert loaded.params.frozen == params.frozen
+        assert loaded.params.trainable_names() == params.trainable_names()
         assert loaded.opt_state["t"] == 17
-        for name in params.tensors:
-            np.testing.assert_array_equal(loaded.opt_state["m"][name], opt["m"][name])
-            np.testing.assert_array_equal(loaded.opt_state["v"][name], opt["v"][name])
+        np.testing.assert_array_equal(loaded.opt_state["m"], opt["m"])
+        np.testing.assert_array_equal(loaded.opt_state["v"], opt["v"])
 
     def test_checkpoint_without_optimizer(self, tmp_path, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
@@ -266,8 +266,74 @@ class TestParamsAndCheckpoints:
     def test_freeze_all_disables_grad(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
         params.freeze_all()
-        assert all(params.frozen.values())
+        assert params.trainable_names() == []
         assert not any(t.requires_grad for t in params.tensors.values())
+
+
+class TestFlatStore:
+    """Every leaf views its slice of the flat ``data``; trainable leaves also of ``grad``."""
+
+    @staticmethod
+    def _assert_bound(params):
+        for name, t in params.tensors.items():
+            assert np.shares_memory(t.data, params.data), name
+            if t.requires_grad:
+                assert np.shares_memory(t.grad, params.grad), name
+            else:
+                assert t.grad is None, name
+
+    def test_grads_stay_views_through_backward_zero_grad_and_grad_check(self, tiny_arch):
+        params = nn.init_params(tiny_arch, seed=2)
+        bundle = scene.generate_scene(
+            scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
+        )
+        tokens = tokenizer.sam_tokenize(bundle)
+        f2d = stage1.pool_features_by_region(
+            bundle.feat2d, bundle.mask, tokens.region_ids(), stage1.MEAN_POOLING
+        )
+
+        def f():
+            f3d = stage1.project_3d(nn.forward_tokens(bundle, tokens, params), params)
+            return stage1.uniform_stage1_loss(f2d, f3d)
+
+        f().backward()
+        self._assert_bound(params)
+        assert np.any(params.grad != 0.0)
+        params.zero_grad()
+        self._assert_bound(params)
+        assert not np.any(params.grad)
+        inputs = [params.tensors["embed.l2.b"], params.tensors["proj.b"]]
+        assert T.grad_check(f, inputs, h=1e-4, refine_above=1e-5) < 1e-4
+        self._assert_bound(params)
+
+    def test_copy_owns_its_buffers(self, tiny_arch):
+        params = nn.init_params(tiny_arch, seed=8)
+        params.set_trainable(False, ["proj.w"])
+        clone = params.copy()
+        self._assert_bound(clone)
+        assert clone.trainable_names() == params.trainable_names()
+        assert not np.shares_memory(clone.data, params.data)
+        assert not np.shares_memory(clone.grad, params.grad)
+        clone.grad[...] = 1.0
+        assert not np.any(params.grad)
+
+    def test_frozen_leaves_have_no_grad(self, tiny_arch):
+        teacher = nn.init_params(tiny_arch, seed=1)
+        teacher.freeze_all()
+        assert teacher.grad is None
+        self._assert_bound(teacher)
+        student = teacher.copy()
+        student.set_trainable(True)
+        self._assert_bound(student)
+        self._assert_bound(teacher)
+        student.set_trainable(False, ["mask_query"])
+        self._assert_bound(student)
+
+    def test_decayed_parameters_come_first(self, tiny_arch):
+        params = nn.init_params(tiny_arch, seed=1)
+        views = params.views(np.arange(params.data.size))
+        for name, view in views.items():
+            assert (view.min() >= params.n_decay) == nn.no_decay(name), name
 
 
 class TestEndToEndForward:

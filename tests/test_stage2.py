@@ -200,9 +200,7 @@ class TestStage2Loss:
     def test_identical_student_at_zero_ratio_isolates_predictor_gap(self, setup):
         bundle, tokens, teacher, _ = setup
         student = teacher.copy()
-        for name, t in student.tensors.items():
-            student.frozen[name] = False
-            t.requires_grad = True
+        student.set_trainable(True)
         plan = _plan(tokens, ratio=0.0)
         rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
         l_ins, l_token, _ = stage2.stage2_loss(rec, student)

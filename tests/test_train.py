@@ -8,21 +8,17 @@ import numpy as np
 import pytest
 
 from samdistill import nn, scene, tokenizer, train
-from samdistill import tensor as T
 from samdistill.errors import DivergedRunError, InvalidInputError, NonFiniteError
 
 
 def _one_param(value, name="w") -> nn.ModelParams:
-    t = T.parameter(np.array([value]))
-    return nn.ModelParams(
-        arch=nn.Arch(), tensors={name: t}, frozen={name: False}
-    )
+    return nn.ModelParams.from_arrays({name: np.array([value])}, nn.Arch())
 
 
 class TestAdamW:
     def test_hand_evaluated_first_step(self):
         params = _one_param(1.0)
-        params.tensors["w"].grad = np.array([1.0])
+        params.tensors["w"].grad[...] = 1.0
         state = train.init_opt_state(params)
         train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
         # m_hat = v_hat = 1, so the update is lr / (1 + eps).
@@ -35,27 +31,24 @@ class TestAdamW:
         state = train.init_opt_state(params)
         lr, wd = 0.01, 0.5
         for _ in range(3):
-            params.tensors["w"].grad = np.array([0.0])
+            params.tensors["w"].grad[...] = 0.0
             train.adamw_step(params, state, lr=lr, weight_decay=wd)
         assert params.tensors["w"].data[0] == pytest.approx(2.0 * (1 - lr * wd) ** 3, rel=1e-12)
 
     def test_frozen_parameter_untouched(self):
         params = _one_param(3.0)
-        params.frozen["w"] = True
-        params.tensors["w"].grad = np.array([10.0])
+        params.tensors["w"].grad[...] = 10.0
+        params.set_trainable(False, ["w"])
         state = train.init_opt_state(params)
         before = params.tensors["w"].data.copy()
         train.adamw_step(params, state, lr=0.1, weight_decay=0.1)
         np.testing.assert_array_equal(params.tensors["w"].data, before)
 
     def test_no_decay_for_layer_norms_and_mask_query(self):
-        t1 = T.parameter(np.array([1.0]))
-        t2 = T.parameter(np.array([1.0]))
-        params = nn.ModelParams(
-            arch=nn.Arch(),
-            tensors={"enc0.ln1.g": t1, "mask_query": t2},
-            frozen={"enc0.ln1.g": False, "mask_query": False},
+        params = nn.ModelParams.from_arrays(
+            {"enc0.ln1.g": np.array([1.0]), "mask_query": np.array([1.0])}, nn.Arch()
         )
+        t1, t2 = params.tensors["enc0.ln1.g"], params.tensors["mask_query"]
         state = train.init_opt_state(params)
         train.adamw_step(params, state, lr=0.1, weight_decay=0.9)
         np.testing.assert_array_equal(t1.data, [1.0])
@@ -63,7 +56,7 @@ class TestAdamW:
 
     def test_non_finite_gradient_signals_divergence(self):
         params = _one_param(1.0)
-        params.tensors["w"].grad = np.array([np.inf])
+        params.tensors["w"].grad[...] = np.inf
         state = train.init_opt_state(params)
         with pytest.raises(DivergedRunError) as err:
             train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
@@ -74,6 +67,79 @@ class TestAdamW:
         state = train.init_opt_state(params)
         train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
         assert params.tensors["w"].data[0] == 1.0
+
+
+def _per_tensor_adamw(params, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    """AdamW as a loop over tensors: the oracle the flat in-place update must match bit for bit."""
+    state["t"] += 1
+    t = state["t"]
+    b1, b2 = betas
+    moments_m, moments_v = params.views(state["m"]), params.views(state["v"])
+    for name, p in params.tensors.items():
+        if not p.requires_grad:
+            continue
+        g = p.grad
+        if not np.all(np.isfinite(g)):
+            raise DivergedRunError(t)
+        m, v = moments_m[name], moments_v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        wd = 0.0 if nn.no_decay(name) else weight_decay
+        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p.data)
+
+
+def _csv_without_timings(path: Path) -> list[dict]:
+    import csv
+
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [{k: v for k, v in row.items() if not k.endswith("_ms")} for row in rows]
+
+
+class TestAdamWOracle:
+    def test_flat_update_matches_per_tensor_loop(self):
+        flat = nn.init_params(nn.Arch(), seed=3)
+        flat.set_trainable(False, ["embed.l1.w"])
+        ref = flat.copy()
+        frozen_before = flat.tensors["embed.l1.w"].data.copy()
+        flat_state, ref_state = train.init_opt_state(flat), train.init_opt_state(ref)
+        rng = np.random.default_rng(0)
+        for step in range(30):
+            g = rng.normal(0.0, 1.0, flat.data.size) * 10.0 ** rng.integers(-6, 3)
+            g[rng.random(g.size) < 0.1] = 0.0
+            g[rng.random(g.size) < 0.05] = -0.0
+            for params in (flat, ref):
+                params.zero_grad()
+                for name in params.trainable_names():
+                    params.tensors[name].grad[...] = params.views(g)[name]
+            lr = 1e-3 * (step + 1) / 30
+            train.adamw_step(flat, flat_state, lr, 0.05)
+            _per_tensor_adamw(ref, ref_state, lr, 0.05)
+        assert flat.data.tobytes() == ref.data.tobytes()
+        assert flat_state["m"].tobytes() == ref_state["m"].tobytes()
+        assert flat_state["v"].tobytes() == ref_state["v"].tobytes()
+        assert flat_state["t"] == ref_state["t"] == 30
+        np.testing.assert_array_equal(flat.tensors["embed.l1.w"].data, frozen_before)
+        assert any(nn.no_decay(n) for n in flat.trainable_names())
+
+    def test_run_with_per_tensor_loop_is_bit_identical(
+        self, tiny_dataset, tiny_arch, tmp_path, monkeypatch
+    ):
+        tb, eb = tiny_dataset
+        cfg = train.Stage1Config(k_groups=3)
+        train.run_stage1(tb, eb, tiny_arch, _quick_cfg(), cfg, tmp_path / "flat")
+        monkeypatch.setattr(train, "adamw_step", _per_tensor_adamw)
+        train.run_stage1(tb, eb, tiny_arch, _quick_cfg(), cfg, tmp_path / "loop")
+        flat, loop = (nn.load_checkpoint(tmp_path / d / "checkpoint") for d in ("flat", "loop"))
+        assert flat.params.byte_hash() == loop.params.byte_hash()
+        assert flat.opt_state["m"].tobytes() == loop.opt_state["m"].tobytes()
+        assert _csv_without_timings(tmp_path / "flat" / "metrics.csv") == _csv_without_timings(
+            tmp_path / "loop" / "metrics.csv"
+        )
 
 
 class TestLrSchedule:
@@ -175,9 +241,8 @@ class TestRunStage1:
         b = nn.load_checkpoint(resumed.checkpoint_dir)
         assert a.params.byte_hash() == b.params.byte_hash()
         assert a.step == b.step
-        for name in a.params.tensors:
-            np.testing.assert_array_equal(a.opt_state["m"][name], b.opt_state["m"][name])
-            np.testing.assert_array_equal(a.opt_state["v"][name], b.opt_state["v"][name])
+        np.testing.assert_array_equal(a.opt_state["m"], b.opt_state["m"])
+        np.testing.assert_array_equal(a.opt_state["v"], b.opt_state["v"])
         # Bytes, not dicts: heldout_group_cosines may hold NaN.
         assert (tmp_path / "full" / "metrics.json").read_bytes() == (
             tmp_path / "part" / "metrics.json"
@@ -240,10 +305,18 @@ class TestRunStage1:
         )
         with open(Path(result.checkpoint_dir).parent / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [c for c in rows[0]] == train._METRIC_COLUMNS
+        assert [c for c in rows[0]] == train._METRIC_COLUMNS == [
+            "epoch", "step", "lr", "loss", "l_ins", "l_token", "l_final", "grad_norm",
+            "wall_ms", "fwd_ms", "bwd_ms", "opt_ms",
+        ]
         assert len(rows) == 6  # 3 epochs x 2 batches
         assert all(math.isfinite(float(r["grad_norm"])) for r in rows)
         assert all(math.isfinite(float(r["loss"])) for r in rows)
+        for r in rows:
+            phases = [float(r[c]) for c in ("fwd_ms", "bwd_ms", "opt_ms")]
+            assert min(phases) >= 0.0
+            # Each column is rounded to 1 us; the phases nest inside wall_ms.
+            assert sum(phases) <= float(r["wall_ms"]) + 0.002
 
     def test_weight_table_persisted(self, tiny_dataset, tiny_arch, tmp_path):
         from samdistill import stage1

@@ -383,10 +383,16 @@ class Checkpoint:
     step: int
     # {"t": int, "m": array, "v": array}; the moments are laid out like params.data.
     opt_state: dict | None = None
+    # What a resume must match, e.g. a stage-2 run's teacher hash; None if not recorded.
+    fingerprint: dict | None = None
 
 
 def save_checkpoint(
-    path: str | Path, params: ModelParams, step: int, opt_state: dict | None = None
+    path: str | Path,
+    params: ModelParams,
+    step: int,
+    opt_state: dict | None = None,
+    fingerprint: dict | None = None,
 ) -> None:
     arrays = {f"params/{name}": t.data for name, t in params.tensors.items()}
     if opt_state is not None:
@@ -400,6 +406,8 @@ def save_checkpoint(
         ],
         "optimizer": None if opt_state is None else {"t": int(opt_state["t"])},
     }
+    if fingerprint is not None:
+        meta["fingerprint"] = fingerprint
     blobio.save_arrays(path, "model-checkpoint", meta, arrays)
 
 
@@ -449,4 +457,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for k in "mv":
             for name, view in params.views(opt_state[k]).items():
                 read(f"opt/{name}.{k}", view)
-    return Checkpoint(params=params, step=step, opt_state=opt_state)
+    return Checkpoint(params, step, opt_state, manifest.get("fingerprint"))

@@ -1,14 +1,14 @@
 """Teacher-student masked token prediction.
 
-The frozen stage-1 model sees every token and provides an instance-level
-pooled feature plus per-token decoder outputs at the masked positions.
-The student sees only visible tokens and must predict both; the final
+The frozen stage-1 model sees every token, so its outputs depend on the
+scene alone: a run calls :func:`teacher_forward` once per scene and keeps
+the instance-level pooled feature and every decoder row. A mask plan only
+picks which of those rows become targets. The student sees only visible
+tokens and must predict the pooled feature and the masked rows; the final
 loss is the unweighted sum of the instance and token terms.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,38 +20,32 @@ from .scene import SceneBundle
 from .tokenizer import TokenSet
 
 
-@dataclass
-class Stage2Scene:
-    """Everything the stage-2 loss needs for one scene."""
-
-    tokens: TokenSet
-    plan: MaskPlan
-    f_ins_teacher: np.ndarray  # (L,) detached teacher pooled feature
-    token_targets: np.ndarray  # (N_m, L) detached teacher decoder outputs
-    f_ins_student: T.Tensor  # (L,)
-    token_preds: T.Tensor  # (N_m, L)
-
-
 def teacher_forward(
-    bundle: SceneBundle, tokens: TokenSet, plan: MaskPlan, teacher: ModelParams
+    bundle: SceneBundle, tokens: TokenSet, teacher: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen full-input forward: pooled encoder feature and masked-position decoder outputs.
+    """Frozen full-input forward: pooled encoder feature and every decoder row.
 
-    The teacher decodes with every position visible; the plan only
-    selects which decoder outputs become targets. No gradients are
-    recorded.
+    The teacher decodes with every position visible. No gradients are
+    recorded, and both arrays are read-only, so a caller cannot corrupt
+    targets that later steps reuse.
     """
     if teacher.trainable_names():
         raise InconsistencyError("teacher parameters must be fully frozen")
     with T.no_grad():
-        centroids = nn.centroids_of(tokens)
-        h = T.add(nn.embed_tokens(bundle, tokens, teacher), nn.pos_embed(centroids, teacher))
-        enc_out = nn.encode(h, teacher)
-        f_ins = T.mean_pool(enc_out, axis=0)
-        dec_in = T.add(enc_out, nn.pos_embed(centroids, teacher))
-        dec_out = nn.decode(dec_in, teacher)
-    targets = dec_out.data[plan.masked].copy()
-    return f_ins.data.copy(), targets
+        pos = nn.pos_embed(nn.centroids_of(tokens), teacher)
+        enc_out = nn.encode(T.add(nn.embed_tokens(bundle, tokens, teacher), pos), teacher)
+        f_ins = T.mean_pool(enc_out, axis=0).data
+        dec_out = nn.decode(T.add(enc_out, pos), teacher).data
+    f_ins.setflags(write=False)
+    dec_out.setflags(write=False)
+    return f_ins, dec_out
+
+
+def normalize_rows(targets: np.ndarray) -> np.ndarray:
+    """L2-normalize each teacher token target (an ablation switch); read-only like its input."""
+    out = targets / np.maximum(np.linalg.norm(targets, axis=1, keepdims=True), 1e-12)
+    out.setflags(write=False)
+    return out
 
 
 def student_forward(
@@ -95,48 +89,21 @@ def predict_instance(f_ins_student: T.Tensor, student: ModelParams) -> T.Tensor:
 
 
 def stage2_loss(
-    scene: Stage2Scene, student: ModelParams, normalize_targets: bool = False
+    pred_ins: T.Tensor, token_preds: T.Tensor, f_ins_teacher: np.ndarray, token_targets: np.ndarray
 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
     """Instance loss + masked token loss, summed with unit weights.
 
-    ``normalize_targets`` L2-normalizes each teacher token target (an
-    ablation switch); with zero masked tokens the token term is defined
-    as 0.
+    ``pred_ins`` is the predictor's output and ``token_targets`` the
+    teacher's decoder rows at the masked positions; with zero masked
+    tokens the token term is defined as 0.
     """
-    pred_ins = predict_instance(scene.f_ins_student, student)
-    l_ins = T.mse(pred_ins, T.constant(scene.f_ins_teacher))
-
-    n_masked = len(scene.plan.masked)
-    if n_masked == 0:
+    l_ins = T.mse(pred_ins, T.constant(f_ins_teacher))
+    if len(token_targets) == 0:
         l_token = T.constant(0.0)
     else:
-        targets = np.asarray(scene.token_targets, dtype=np.float64)
-        if normalize_targets:
-            norms = np.linalg.norm(targets, axis=1, keepdims=True)
-            targets = targets / np.maximum(norms, 1e-12)
-        if scene.token_preds.shape != targets.shape:
+        if token_preds.shape != token_targets.shape:
             raise InconsistencyError("token predictions misaligned with teacher targets")
         # Per-token MSE averaged over masked tokens; rows share one length,
         # so this equals the mean over all entries.
-        l_token = T.mse(scene.token_preds, T.constant(targets))
-    l_final = T.add(l_ins, l_token)
-    return l_ins, l_token, l_final
-
-
-def build_stage2_scene(
-    bundle: SceneBundle,
-    tokens: TokenSet,
-    plan: MaskPlan,
-    teacher: ModelParams,
-    student: ModelParams,
-) -> Stage2Scene:
-    f_ins_teacher, token_targets = teacher_forward(bundle, tokens, plan, teacher)
-    f_ins_student, token_preds = student_forward(bundle, tokens, plan, student)
-    return Stage2Scene(
-        tokens=tokens,
-        plan=plan,
-        f_ins_teacher=f_ins_teacher,
-        token_targets=token_targets,
-        f_ins_student=f_ins_student,
-        token_preds=token_preds,
-    )
+        l_token = T.mse(token_preds, T.constant(token_targets))
+    return l_ins, l_token, T.add(l_ins, l_token)

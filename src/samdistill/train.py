@@ -13,13 +13,13 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import blobio, nn, stage1, stage2
 from . import tensor as T
-from .errors import DivergedRunError, InvalidInputError, NonFiniteError
+from .errors import DivergedRunError, InconsistencyError, InvalidInputError, NonFiniteError
 from .scene import SceneBundle
 from .tokenizer import (
     MODE_SAM,
@@ -225,17 +225,19 @@ def _fit(
     dataset_metrics: Callable[[nn.ModelParams], dict],
     resume: bool,
     stop_after_epochs: int | None,
+    fingerprint: dict | None = None,
 ) -> tuple[Path, nn.ModelParams, int, dict, dict]:
     """The run loop both stages share.
 
     ``batch_loss(params, batch, epoch)`` returns the loss to minimize and
     the float ``metrics.csv`` fields of one batch of scene indices;
     ``dataset_metrics(params)`` is measured at step 0 and after the last
-    step. Returns the checkpoint directory, the trained parameters, the
-    step count and the initial and final dataset metrics. A non-finite
-    gradient or value inside a step, or in the final dataset metrics,
-    saves the state from the start of the epoch and raises
-    DivergedRunError.
+    step. Every checkpoint records ``fingerprint``, and resuming from a
+    checkpoint with another one raises InconsistencyError. Returns the
+    checkpoint directory, the trained parameters, the step count and the
+    initial and final dataset metrics. A non-finite gradient or value
+    inside a step, or in the final dataset metrics, saves the state from
+    the start of the epoch and raises DivergedRunError.
     """
     train_cfg.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,6 +247,10 @@ def _fit(
 
     if resume:
         ckpt = nn.load_checkpoint(ckpt_dir)
+        if ckpt.fingerprint != fingerprint:
+            raise InconsistencyError(
+                f"{ckpt_dir} was written by another run: {ckpt.fingerprint} != {fingerprint}"
+            )
         params, opt_state = ckpt.params, ckpt.opt_state
         start_epoch = ckpt.step // steps_per_epoch
         initial = blobio.load_manifest(out_dir / _INITIAL_METRICS)
@@ -300,7 +306,7 @@ def _fit(
     except (DivergedRunError, NonFiniteError) as exc:
         good_data, good_state, good_step = last_good
         params.data[...] = good_data
-        nn.save_checkpoint(ckpt_dir, params, good_step, good_state)
+        nn.save_checkpoint(ckpt_dir, params, good_step, good_state, fingerprint)
         if isinstance(exc, DivergedRunError):
             raise
         # A non-finite final eval is charged to the last step taken.
@@ -308,7 +314,7 @@ def _fit(
     finally:
         writer.close()
 
-    nn.save_checkpoint(ckpt_dir, params, step, opt_state)
+    nn.save_checkpoint(ckpt_dir, params, step, opt_state, fingerprint)
     return ckpt_dir, params, step, initial, final
 
 
@@ -516,33 +522,42 @@ class Stage2Result:
     metrics: dict
 
 
+class _Stage2Input(NamedTuple):
+    """One scene with the frozen teacher's outputs on it, computed once per run.
+
+    Under ``normalize_targets`` the decoder rows are already L2-normalized.
+    """
+
+    bundle: SceneBundle
+    tokens: TokenSet
+    f_ins_teacher: np.ndarray  # (L,) pooled feature, read-only
+    dec_out_teacher: np.ndarray  # (M, L) every decoder row, read-only
+
+
+def _stage2_scene(
+    scene: _Stage2Input, plan: nn.MaskPlan, student: nn.ModelParams
+) -> tuple[T.Tensor, T.Tensor, tuple[T.Tensor, T.Tensor, T.Tensor]]:
+    """Student pooled feature, predictor output and losses at one mask plan."""
+    f_ins, token_preds = stage2.student_forward(scene.bundle, scene.tokens, plan, student)
+    pred_ins = stage2.predict_instance(f_ins, student)
+    targets = scene.dec_out_teacher[plan.masked]
+    return f_ins, pred_ins, stage2.stage2_loss(pred_ins, token_preds, scene.f_ins_teacher, targets)
+
+
 def _stage2_dataset_eval(
-    bundles: list[SceneBundle],
-    token_sets: list[TokenSet],
-    teacher: nn.ModelParams,
-    student: nn.ModelParams,
-    cfg: Stage2Config,
-    seed: int,
-    scene_offset: int = 0,
+    scenes: list[_Stage2Input], plans: list[nn.MaskPlan], student: nn.ModelParams
 ) -> dict:
-    """Loss components plus pooled-feature cosine at the fixed epoch-0 mask plans."""
+    """Loss components plus pooled-feature cosines, one student forward per scene."""
     l_ins, l_token, l_final, raw_cos, ins_cos = [], [], [], [], []
     with T.no_grad():
-        for i, (bundle, tokens) in enumerate(zip(bundles, token_sets)):
-            plan = nn.make_mask_plan(len(tokens), cfg.mask_ratio, seed, scene_offset + i, 0)
-            a, b, c = stage2.stage2_loss(
-                stage2.build_stage2_scene(bundle, tokens, plan, teacher, student),
-                student,
-                normalize_targets=cfg.normalize_targets,
-            )
+        for scene, plan in zip(scenes, plans):
+            f_ins, pred_ins, (a, b, c) = _stage2_scene(scene, plan, student)
             l_ins.append(a.item())
             l_token.append(b.item())
             l_final.append(c.item())
-            f_t, _ = stage2.teacher_forward(bundle, tokens, plan, teacher)
-            f_s, _ = stage2.student_forward(bundle, tokens, plan, student)
-            f_pred = stage2.predict_instance(f_s, student)
-            raw_cos.append(T.cosine_sim(T.constant(f_s.data), T.constant(f_t)).item())
-            ins_cos.append(T.cosine_sim(T.constant(f_pred.data), T.constant(f_t)).item())
+            f_ins_teacher = T.constant(scene.f_ins_teacher)
+            raw_cos.append(T.cosine_sim(f_ins, f_ins_teacher).item())
+            ins_cos.append(T.cosine_sim(pred_ins, f_ins_teacher).item())
     return {
         "l_ins": float(np.mean(l_ins)),
         "l_token": float(np.mean(l_token)),
@@ -562,14 +577,32 @@ def run_stage2(
     resume: bool = False,
     stop_after_epochs: int | None = None,
 ) -> Stage2Result:
-    """Masked token prediction against a frozen stage-1 teacher."""
+    """Masked token prediction against a frozen stage-1 teacher.
+
+    The teacher runs once per train and held-out scene, before training,
+    and each step selects its targets from those outputs. Resuming
+    against a teacher with other bytes raises InconsistencyError.
+    """
     out_dir = Path(out_dir)
     teacher = nn.load_checkpoint(teacher_ckpt).params
     teacher.freeze_all()
     teacher_hash_before = teacher.byte_hash()
 
-    token_sets = [sam_tokenize(b, min_points=cfg.min_points) for b in train_bundles]
-    eval_tokens = [sam_tokenize(b, min_points=cfg.min_points) for b in eval_bundles]
+    def prepare(bundle: SceneBundle) -> _Stage2Input:
+        tokens = sam_tokenize(bundle, min_points=cfg.min_points)
+        f_ins, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        if cfg.normalize_targets:
+            dec_out = stage2.normalize_rows(dec_out)
+        return _Stage2Input(bundle, tokens, f_ins, dec_out)
+
+    def plan(scene: _Stage2Input, scene_id: int, epoch: int) -> nn.MaskPlan:
+        return nn.make_mask_plan(len(scene.tokens), cfg.mask_ratio, train_cfg.seed, scene_id, epoch)
+
+    train_scenes = [prepare(b) for b in train_bundles]
+    eval_scenes = [prepare(b) for b in eval_bundles]
+    # Dataset metrics use fixed epoch-0 plans; held-out scene ids follow the training ones.
+    train_plans = [plan(s, i, 0) for i, s in enumerate(train_scenes)]
+    eval_plans = [plan(s, len(train_scenes) + i, 0) for i, s in enumerate(eval_scenes)]
 
     def fresh_student() -> nn.ModelParams:
         if not cfg.init_from_teacher:
@@ -579,13 +612,10 @@ def run_stage2(
         return student
 
     def batch_loss(student: nn.ModelParams, batch: np.ndarray, epoch: int):
-        parts = []
-        for i in batch:
-            plan = nn.make_mask_plan(
-                len(token_sets[i]), cfg.mask_ratio, train_cfg.seed, int(i), epoch
-            )
-            rec = stage2.build_stage2_scene(train_bundles[i], token_sets[i], plan, teacher, student)
-            parts.append(stage2.stage2_loss(rec, student, cfg.normalize_targets))
+        parts = [
+            _stage2_scene(train_scenes[i], plan(train_scenes[i], int(i), epoch), student)[2]
+            for i in batch
+        ]
         l_final = _mean_loss([p[2] for p in parts])
         return l_final, {
             "l_ins": np.mean([p[0].item() for p in parts]),
@@ -599,11 +629,10 @@ def run_stage2(
         len(train_bundles),
         fresh_student,
         batch_loss,
-        lambda student: _stage2_dataset_eval(
-            train_bundles, token_sets, teacher, student, cfg, train_cfg.seed
-        ),
+        lambda student: _stage2_dataset_eval(train_scenes, train_plans, student),
         resume,
         stop_after_epochs,
+        {"teacher_hash": teacher_hash_before},
     )
     metrics = {
         "stage": 2,
@@ -620,16 +649,8 @@ def run_stage2(
         "steps": step,
         "seed": train_cfg.seed,
     }
-    if eval_bundles:
-        heldout = _stage2_dataset_eval(
-            eval_bundles,
-            eval_tokens,
-            teacher,
-            student,
-            cfg,
-            train_cfg.seed,
-            scene_offset=len(train_bundles),
-        )
+    if eval_scenes:
+        heldout = _stage2_dataset_eval(eval_scenes, eval_plans, student)
         metrics["heldout_pooled_cosine"] = heldout["pooled_cosine"]
         metrics["heldout_instance_cosine"] = heldout["instance_cosine"]
         metrics["heldout_l_final"] = heldout["l_final"]

@@ -234,10 +234,13 @@ def test_c4_gradient_checks_stage2():
         student = nn.init_params(GRAD_ARCH, seed=seed + 300)
         plan = nn.make_mask_plan(len(tokens), 0.6, seed=seed, scene_id=0, epoch=0)
         inputs = [student.tensors[n] for n in student.trainable_names()]
+        # The frozen teacher's outputs do not depend on the inputs, so they stay outside f.
+        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
 
         def f():
-            rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-            return stage2.stage2_loss(rec, student)[2]
+            f_ins, preds = stage2.student_forward(bundle, tokens, plan, student)
+            pred_ins = stage2.predict_instance(f_ins, student)
+            return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, dec_out[plan.masked])[2]
 
         worst = max(worst, T.grad_check(f, inputs, h=1e-4, refine_above=1e-5))
     assert worst < 1e-4

@@ -1,9 +1,11 @@
 """Masked token prediction: freeze contract, loss structure, gradient flow."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from samdistill import nn, scene, stage2, tokenizer
+from samdistill import nn, scene, stage2, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import DegeneratePlanError, InconsistencyError
 
@@ -24,38 +26,89 @@ def _plan(tokens, ratio=0.6, epoch=0):
     return nn.make_mask_plan(len(tokens), ratio, seed=0, scene_id=0, epoch=epoch)
 
 
+def _per_plan_teacher_forward(bundle, tokens, plan, teacher):
+    """The teacher path before its outputs were cached: a full forward per mask plan.
+
+    Kept as an oracle; it computes the positional embedding twice.
+    """
+    with T.no_grad():
+        centroids = nn.centroids_of(tokens)
+        h = T.add(nn.embed_tokens(bundle, tokens, teacher), nn.pos_embed(centroids, teacher))
+        enc_out = nn.encode(h, teacher)
+        f_ins = T.mean_pool(enc_out, axis=0)
+        dec_in = T.add(enc_out, nn.pos_embed(centroids, teacher))
+        dec_out = nn.decode(dec_in, teacher)
+    return f_ins.data.copy(), dec_out.data[plan.masked].copy()
+
+
+def _losses(bundle, tokens, plan, teacher_out, student):
+    f_ins_teacher, dec_out = teacher_out
+    f_ins, preds = stage2.student_forward(bundle, tokens, plan, student)
+    pred_ins = stage2.predict_instance(f_ins, student)
+    return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, dec_out[plan.masked])
+
+
 class TestTeacherForward:
     def test_zero_ratio_gives_empty_targets(self, setup):
         bundle, tokens, teacher, _ = setup
-        plan = _plan(tokens, ratio=0.0)
-        f_ins, targets = stage2.teacher_forward(bundle, tokens, plan, teacher)
+        f_ins, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
         assert f_ins.shape == (teacher.arch.embed_dim,)
-        assert targets.shape == (0, teacher.arch.embed_dim)
+        assert dec_out.shape == (len(tokens), teacher.arch.embed_dim)
+        assert dec_out[_plan(tokens, ratio=0.0).masked].shape == (0, teacher.arch.embed_dim)
 
     def test_deterministic_outputs(self, setup):
         bundle, tokens, teacher, _ = setup
-        plan = _plan(tokens)
-        a = stage2.teacher_forward(bundle, tokens, plan, teacher)
-        b = stage2.teacher_forward(bundle, tokens, plan, teacher)
+        a = stage2.teacher_forward(bundle, tokens, teacher)
+        b = stage2.teacher_forward(bundle, tokens, teacher)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_requires_frozen_teacher(self, setup):
         bundle, tokens, _, student = setup
         with pytest.raises(InconsistencyError):
-            stage2.teacher_forward(bundle, tokens, _plan(tokens), student)
+            stage2.teacher_forward(bundle, tokens, student)
 
     def test_hash_unchanged_by_forward(self, setup):
         bundle, tokens, teacher, _ = setup
         before = teacher.byte_hash()
-        stage2.teacher_forward(bundle, tokens, _plan(tokens), teacher)
+        stage2.teacher_forward(bundle, tokens, teacher)
         assert teacher.byte_hash() == before
 
     def test_targets_align_with_masked_positions(self, setup):
         bundle, tokens, teacher, _ = setup
         plan = _plan(tokens)
-        _, targets = stage2.teacher_forward(bundle, tokens, plan, teacher)
-        assert targets.shape == (len(plan.masked), teacher.arch.embed_dim)
+        _, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        assert dec_out[plan.masked].shape == (len(plan.masked), teacher.arch.embed_dim)
+
+    @pytest.mark.parametrize("epoch", [0, 1, 2])
+    def test_selected_rows_equal_per_plan_forward(self, setup, epoch):
+        bundle, tokens, teacher, _ = setup
+        plan = _plan(tokens, epoch=epoch)
+        f_ins, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        f_old, targets_old = _per_plan_teacher_forward(bundle, tokens, plan, teacher)
+        assert f_ins.tobytes() == f_old.tobytes()
+        assert dec_out[plan.masked].tobytes() == targets_old.tobytes()
+
+    def test_outputs_are_read_only(self, setup):
+        bundle, tokens, teacher, _ = setup
+        f_ins, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        normed = stage2.normalize_rows(dec_out)
+        for arr in (f_ins, dec_out, normed):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            dec_out *= 2.0
+
+    def test_normalize_all_rows_then_select_equals_select_then_normalize(self, setup):
+        bundle, tokens, teacher, _ = setup
+        _, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        rng = np.random.default_rng(0)
+        cases = [dec_out] + [rng.normal(0.0, 10.0 ** rng.integers(-6, 6), (9, 8)) for _ in range(200)]
+        for rows in cases:
+            masked = np.sort(rng.permutation(len(rows))[: rng.integers(1, len(rows) + 1)])
+            sel = rows[masked]
+            expected = sel / np.maximum(np.linalg.norm(sel, axis=1, keepdims=True), 1e-12)
+            assert stage2.normalize_rows(rows)[masked].tobytes() == expected.tobytes()
 
 
 class TestStudentForward:
@@ -130,65 +183,73 @@ class TestStage2Loss:
     def test_instance_loss_zero_when_predictor_rigged(self, setup, tiny_arch):
         bundle, tokens, teacher, student = setup
         plan = _plan(tokens)
-        rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student.copy())
+        teacher_out = stage2.teacher_forward(bundle, tokens, teacher)
         rigged = student.copy()
         # Constant predictor output equal to the teacher's pooled feature.
         rigged.tensors["pred.l1.w"].data[:] = 0.0
         rigged.tensors["pred.l1.b"].data[:] = 0.0
         rigged.tensors["pred.l2.w"].data[:] = 0.0
-        rigged.tensors["pred.l2.b"].data[:] = rec.f_ins_teacher
-        l_ins, _, _ = stage2.stage2_loss(rec, rigged)
+        rigged.tensors["pred.l2.b"].data[:] = teacher_out[0]
+        l_ins, _, _ = _losses(bundle, tokens, plan, teacher_out, rigged)
         assert l_ins.item() == pytest.approx(0.0, abs=1e-24)
 
     def test_token_loss_zero_when_preds_equal_targets(self, setup):
         bundle, tokens, teacher, student = setup
         plan = _plan(tokens)
-        rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-        rec.token_preds = T.constant(rec.token_targets.copy())
-        _, l_token, _ = stage2.stage2_loss(rec, student)
+        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        targets = dec_out[plan.masked]
+        pred_ins = T.constant(np.zeros_like(f_ins_teacher))
+        _, l_token, _ = stage2.stage2_loss(pred_ins, T.constant(targets), f_ins_teacher, targets)
         assert l_token.item() == 0.0
 
     def test_token_loss_quadratic_in_target_scale(self, setup):
-        bundle, tokens, teacher, student = setup
+        bundle, tokens, teacher, _ = setup
         plan = _plan(tokens)
-        rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-        zeros = T.constant(np.zeros_like(rec.token_targets))
-        rec.token_preds = zeros
-        _, l1, _ = stage2.stage2_loss(rec, student)
-        rec.token_targets = 2.0 * rec.token_targets
-        _, l2, _ = stage2.stage2_loss(rec, student)
+        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        targets = dec_out[plan.masked]
+        pred_ins = T.constant(np.zeros_like(f_ins_teacher))
+        zeros = T.constant(np.zeros_like(targets))
+        _, l1, _ = stage2.stage2_loss(pred_ins, zeros, f_ins_teacher, targets)
+        _, l2, _ = stage2.stage2_loss(pred_ins, zeros, f_ins_teacher, 2.0 * targets)
         assert l2.item() == pytest.approx(4.0 * l1.item(), rel=1e-12)
+
+    def test_misaligned_predictions_rejected(self, setup):
+        bundle, tokens, teacher, _ = setup
+        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        pred_ins = T.constant(np.zeros_like(f_ins_teacher))
+        with pytest.raises(InconsistencyError):
+            stage2.stage2_loss(pred_ins, T.constant(dec_out[:1]), f_ins_teacher, dec_out[:2])
 
     def test_final_is_sum_and_nonnegative(self, setup):
         bundle, tokens, teacher, student = setup
-        rec = stage2.build_stage2_scene(bundle, tokens, _plan(tokens), teacher, student)
-        l_ins, l_token, l_final = stage2.stage2_loss(rec, student)
+        teacher_out = stage2.teacher_forward(bundle, tokens, teacher)
+        l_ins, l_token, l_final = _losses(bundle, tokens, _plan(tokens), teacher_out, student)
         assert l_final.item() == pytest.approx(l_ins.item() + l_token.item(), rel=1e-12)
         assert l_final.item() >= 0.0
 
     def test_zero_masked_token_loss_defined_zero(self, setup):
         bundle, tokens, teacher, student = setup
-        rec = stage2.build_stage2_scene(
-            bundle, tokens, _plan(tokens, ratio=0.0), teacher, student
-        )
-        _, l_token, _ = stage2.stage2_loss(rec, student)
+        teacher_out = stage2.teacher_forward(bundle, tokens, teacher)
+        _, l_token, _ = _losses(bundle, tokens, _plan(tokens, ratio=0.0), teacher_out, student)
         assert l_token.item() == 0.0
 
     def test_normalize_targets_flag(self, setup):
         bundle, tokens, teacher, student = setup
         plan = _plan(tokens)
-        rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-        _, plain, _ = stage2.stage2_loss(rec, student, normalize_targets=False)
-        _, normed, _ = stage2.stage2_loss(rec, student, normalize_targets=True)
-        assert plain.item() != pytest.approx(normed.item())
+        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        normed = (f_ins_teacher, stage2.normalize_rows(dec_out))
+        _, plain, _ = _losses(bundle, tokens, plan, (f_ins_teacher, dec_out), student)
+        _, normalized, _ = _losses(bundle, tokens, plan, normed, student)
+        assert plain.item() != pytest.approx(normalized.item())
+        np.testing.assert_allclose(np.linalg.norm(normed[1], axis=1), 1.0, rtol=1e-12)
 
     def test_no_gradient_leaks_into_teacher(self, setup):
         bundle, tokens, teacher, student = setup
         student = student.copy()
         student.zero_grad()
-        rec = stage2.build_stage2_scene(bundle, tokens, _plan(tokens), teacher, student)
+        teacher_out = stage2.teacher_forward(bundle, tokens, teacher)
         before = teacher.byte_hash()
-        _, _, l_final = stage2.stage2_loss(rec, student)
+        _, _, l_final = _losses(bundle, tokens, _plan(tokens), teacher_out, student)
         l_final.backward()
         assert teacher.byte_hash() == before
         assert all(t.grad is None for t in teacher.tensors.values())
@@ -202,12 +263,13 @@ class TestStage2Loss:
         student = teacher.copy()
         student.set_trainable(True)
         plan = _plan(tokens, ratio=0.0)
-        rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-        l_ins, l_token, _ = stage2.stage2_loss(rec, student)
+        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        l_ins, l_token, _ = _losses(bundle, tokens, plan, (f_ins_teacher, dec_out), student)
         assert l_token.item() == 0.0
-        np.testing.assert_allclose(rec.f_ins_student.data, rec.f_ins_teacher, atol=1e-12)
-        pred = stage2.predict_instance(rec.f_ins_student, student)
-        manual_gap = float(np.mean((pred.data - rec.f_ins_teacher) ** 2))
+        f_ins_student, _ = stage2.student_forward(bundle, tokens, plan, student)
+        np.testing.assert_allclose(f_ins_student.data, f_ins_teacher, atol=1e-12)
+        pred = stage2.predict_instance(f_ins_student, student)
+        manual_gap = float(np.mean((pred.data - f_ins_teacher) ** 2))
         assert l_ins.item() == pytest.approx(manual_gap, rel=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -226,12 +288,56 @@ class TestStage2Loss:
         student = nn.init_params(arch, seed=2)
         plan = _plan(tokens)
         inputs = [student.tensors[n] for n in student.trainable_names()]
+        # The teacher is frozen, so its outputs stay outside f.
+        teacher_out = stage2.teacher_forward(bundle, tokens, teacher)
 
         def f():
-            rec = stage2.build_stage2_scene(bundle, tokens, plan, teacher, student)
-            _, _, l_final = stage2.stage2_loss(rec, student)
-            return l_final
+            return _losses(bundle, tokens, plan, teacher_out, student)[2]
 
         # h = 1e-4 balances truncation against round-off through this deep
         # composite; smaller steps drown near-zero derivatives in noise.
         assert T.grad_check(f, inputs, h=1e-4) < 1e-4
+
+
+def _csv_without_timings(path):
+    with open(path, newline="") as fh:
+        return [{k: v for k, v in r.items() if not k.endswith("_ms")} for r in csv.DictReader(fh)]
+
+
+class TestPerPlanTeacherOracle:
+    """A run on cached teacher outputs equals one that reruns the teacher at every plan."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_run_matches_per_plan_teacher_path(self, tiny_arch, tmp_path, monkeypatch, normalize):
+        spec = scene.SceneSpec(
+            n_objects=3, seed=0, feature_dim=tiny_arch.proj_dim, points_per_object_range=(20, 30)
+        )
+        tb, eb = scene.generate_dataset(spec, 4, 7), scene.generate_dataset(spec, 2, 9)
+        teacher = nn.init_params(tiny_arch, seed=1)
+        teacher.freeze_all()
+        nn.save_checkpoint(tmp_path / "teacher", teacher, 0)
+        train_cfg = train.TrainConfig(epochs=3, warmup_epochs=1, batch_size=2, seed=0)
+        cfg = train.Stage2Config(mask_ratio=0.5, normalize_targets=normalize)
+
+        def per_plan_scene(prepared, plan, student):
+            f_ins_teacher, targets = _per_plan_teacher_forward(
+                prepared.bundle, prepared.tokens, plan, teacher
+            )
+            if normalize and len(targets):
+                norms = np.linalg.norm(targets, axis=1, keepdims=True)
+                targets = targets / np.maximum(norms, 1e-12)
+            f_ins, preds = stage2.student_forward(prepared.bundle, prepared.tokens, plan, student)
+            pred_ins = stage2.predict_instance(f_ins, student)
+            return f_ins, pred_ins, stage2.stage2_loss(pred_ins, preds, f_ins_teacher, targets)
+
+        runs = {}
+        for name in ("cached", "per_plan"):
+            if name == "per_plan":
+                monkeypatch.setattr(train, "_stage2_scene", per_plan_scene)
+            result = train.run_stage2(tb, eb, tmp_path / "teacher", train_cfg, cfg, tmp_path / name)
+            runs[name] = (
+                nn.load_checkpoint(result.checkpoint_dir).params.byte_hash(),
+                (tmp_path / name / "metrics.json").read_bytes(),
+                _csv_without_timings(tmp_path / name / "metrics.csv"),
+            )
+        assert runs["cached"] == runs["per_plan"]

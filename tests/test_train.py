@@ -7,8 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samdistill import nn, scene, tokenizer, train
-from samdistill.errors import DivergedRunError, InvalidInputError, NonFiniteError
+from samdistill import nn, scene, stage2, tokenizer, train
+from samdistill.errors import (
+    DivergedRunError,
+    InconsistencyError,
+    InvalidInputError,
+    NonFiniteError,
+)
 
 
 def _one_param(value, name="w") -> nn.ModelParams:
@@ -393,6 +398,37 @@ class TestRunStage2:
         assert (tmp_path / "f" / "metrics.json").read_bytes() == (
             tmp_path / "p" / "metrics.json"
         ).read_bytes()
+
+    def test_resume_against_another_teacher_refused(self, tiny_dataset, tiny_arch, tmp_path):
+        tb, eb = tiny_dataset
+        for seed in (1, 2):
+            teacher = nn.init_params(tiny_arch, seed)
+            teacher.freeze_all()
+            nn.save_checkpoint(tmp_path / f"teacher{seed}", teacher, 0)
+        cfg = train.Stage2Config(mask_ratio=0.5)
+        run = tmp_path / "run"
+        train.run_stage2(
+            tb, eb, tmp_path / "teacher1", _quick_cfg(), cfg, run, stop_after_epochs=1
+        )
+        with pytest.raises(InconsistencyError):
+            train.run_stage2(tb, eb, tmp_path / "teacher2", _quick_cfg(), cfg, run, resume=True)
+        train.run_stage2(tb, eb, tmp_path / "teacher1", _quick_cfg(), cfg, run, resume=True)
+
+    def test_teacher_runs_once_per_scene(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
+        tb, eb = tiny_dataset
+        calls = []
+
+        def counting(bundle, *args):
+            calls.append(id(bundle))
+            return teacher_forward(bundle, *args)
+
+        teacher_forward = stage2.teacher_forward
+        monkeypatch.setattr(stage2, "teacher_forward", counting)
+        train.run_stage2(
+            tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), tmp_path / "r"
+        )
+        assert len(calls) == len(tb) + len(eb)
+        assert sorted(calls) == sorted(id(b) for b in tb + eb)
 
     def test_stage2_metrics_columns(self, tiny_dataset, teacher_ckpt, tmp_path):
         import csv

@@ -103,7 +103,8 @@ class TestTeacherForward:
         bundle, tokens, teacher, _ = setup
         _, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
         rng = np.random.default_rng(0)
-        cases = [dec_out] + [rng.normal(0.0, 10.0 ** rng.integers(-6, 6), (9, 8)) for _ in range(200)]
+        scales = 10.0 ** rng.integers(-6, 6, size=200)
+        cases = [dec_out] + [rng.normal(0.0, scale, (9, 8)) for scale in scales]
         for rows in cases:
             masked = np.sort(rng.permutation(len(rows))[: rng.integers(1, len(rows) + 1)])
             sel = rows[masked]

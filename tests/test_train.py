@@ -417,12 +417,12 @@ class TestRunStage2:
     def test_teacher_runs_once_per_scene(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
         tb, eb = tiny_dataset
         calls = []
+        teacher_forward = stage2.teacher_forward
 
         def counting(bundle, *args):
             calls.append(id(bundle))
             return teacher_forward(bundle, *args)
 
-        teacher_forward = stage2.teacher_forward
         monkeypatch.setattr(stage2, "teacher_forward", counting)
         train.run_stage2(
             tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), tmp_path / "r"

@@ -265,21 +265,11 @@ def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
 
 def _attention(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
     p = params.tensors
-    n_heads = params.arch.n_heads
-    dh = params.arch.embed_dim // n_heads
     q = T.matmul(x, p[f"{prefix}.attn.wq"])
     k = T.matmul(x, p[f"{prefix}.attn.wk"])
     v = T.matmul(x, p[f"{prefix}.attn.wv"])
-    heads = []
-    for h_i in range(n_heads):
-        lo, hi = h_i * dh, (h_i + 1) * dh
-        qh = T.slice_axis(q, 1, lo, hi)
-        kh = T.slice_axis(k, 1, lo, hi)
-        vh = T.slice_axis(v, 1, lo, hi)
-        scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
-        heads.append(T.matmul(T.softmax(scores, axis=1), vh))
-    cat = heads[0] if len(heads) == 1 else T.concat(heads, axis=1)
-    return T.add(T.matmul(cat, p[f"{prefix}.attn.wo"]), p[f"{prefix}.attn.bo"])
+    heads = T.attention(q, k, v, params.arch.n_heads)
+    return T.add(T.matmul(heads, p[f"{prefix}.attn.wo"]), p[f"{prefix}.attn.bo"])
 
 
 def _mlp(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:

@@ -265,15 +265,8 @@ def stage1_loss(
         raise InconsistencyError("region group index outside the weight table")
 
     scale = float(table.n_groups) if scale_mode == SCALE_MEAN_ONE else 1.0
-    total: T.Tensor | None = None
-    for i in range(m):
-        term = T.smooth_l1(
-            T.slice_axis(f3d, 0, i, i + 1), T.constant(targets[i : i + 1]), beta=beta
-        )
-        term = T.mul(term, scale * float(table.w[groups[i]]))
-        total = term if total is None else T.add(total, term)
-    assert total is not None
-    return T.mul(total, 1.0 / m)
+    weights = scale * table.w[groups]
+    return T.smooth_l1(f3d, T.constant(targets), beta=beta, weights=weights)
 
 
 def uniform_stage1_loss(f2d: np.ndarray, f3d: T.Tensor, beta: float = 1.0) -> T.Tensor:

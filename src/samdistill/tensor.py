@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Each operation records a closure that scatters the output gradient back
-to its parents; ``backward`` runs the closures in reverse topological
-order. The op set is exactly what the models and losses here need, with
-two deliberate restrictions: 64-bit floats everywhere, and no
+Each operation records a closure that takes the output gradient and
+scatters it back to its parents; ``backward`` runs the closures in
+reverse topological order. A closure holds its parents and never its own
+output, so a graph has no reference cycle and is freed as soon as its
+loss is dropped. The op set is exactly what the models and losses here
+need, with two deliberate restrictions: 64-bit floats everywhere, and no
 broadcasting beyond bias addition over the leading axis.
 """
 
@@ -35,14 +37,14 @@ def no_grad():
 class Tensor:
     """A float64 array plus an optional backward-graph record."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
 
     # -- introspection -----------------------------------------------------
@@ -74,7 +76,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g + 0.0  # a fresh array, bit-identical to zeros + g
+            # A fresh C-ordered array, bit-identical to zeros + g; the layout
+            # keeps later matmul backwards on one BLAS path.
+            self.grad = np.add(g, 0.0, order="C")
         else:
             self.grad += g
 
@@ -108,7 +112,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar -----------------------------------------------------
 
@@ -171,8 +175,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data + b.data, (a, b), "add")
     if out.requires_grad:
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
@@ -190,8 +193,8 @@ def mul(a: Tensor, b) -> Tensor:
         out = _node(a.data * c, (a,), "scale")
         if out.requires_grad:
 
-            def backward():
-                a._accumulate(out.grad * c)
+            def backward(g):
+                a._accumulate(g * c)
 
             out._backward = backward
         return out
@@ -202,8 +205,7 @@ def mul(a: Tensor, b) -> Tensor:
     out = _node(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accumulate(g * b.data)
             if b.requires_grad:
@@ -220,8 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
             if b.requires_grad:
@@ -238,8 +239,8 @@ def transpose(a: Tensor) -> Tensor:
     out = _node(a.data.T, (a,), "transpose")
     if out.requires_grad:
 
-        def backward():
-            a._accumulate(out.grad.T)
+        def backward(g):
+            a._accumulate(g.T)
 
         out._backward = backward
     return out
@@ -252,8 +253,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = _node(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
 
-        def backward():
-            a._accumulate(out.grad.reshape(a.shape))
+        def backward(g):
+            a._accumulate(g.reshape(a.shape))
 
         out._backward = backward
     return out
@@ -268,8 +269,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         sizes = [t.shape[axis] for t in ts]
         offsets = np.cumsum([0] + sizes)
 
-        def backward():
-            g = out.grad
+        def backward(g):
             for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     idx = [slice(None)] * g.ndim
@@ -288,10 +288,10 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     out = _node(np.stack([t.data for t in ts]), tuple(ts), "stack")
     if out.requires_grad:
 
-        def backward():
+        def backward(g):
             for i, t in enumerate(ts):
                 if t.requires_grad:
-                    t._accumulate(out.grad[i])
+                    t._accumulate(g[i])
 
         out._backward = backward
     return out
@@ -307,10 +307,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     out = _node(a.data[idx], (a,), "slice")
     if out.requires_grad:
 
-        def backward():
-            g = np.zeros(a.shape)
-            g[idx] = out.grad
-            a._accumulate(g)
+        def backward(g):
+            full = np.zeros(a.shape)
+            full[idx] = g
+            a._accumulate(full)
 
         out._backward = backward
     return out
@@ -325,10 +325,10 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     out = _node(a.data[idx], (a,), "gather_rows")
     if out.requires_grad:
 
-        def backward():
-            g = np.zeros(a.shape)
-            np.add.at(g, idx, out.grad)
-            a._accumulate(g)
+        def backward(g):
+            full = np.zeros(a.shape)
+            np.add.at(full, idx, g)
+            a._accumulate(full)
 
         out._backward = backward
     return out
@@ -342,8 +342,8 @@ def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
     out = _node(a.data.mean(axis=axis), (a,), "mean_pool")
     if out.requires_grad:
 
-        def backward():
-            a._accumulate(np.repeat(np.expand_dims(out.grad / n, axis), n, axis=axis))
+        def backward(g):
+            a._accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
 
         out._backward = backward
     return out
@@ -358,12 +358,12 @@ def max_pool(a: Tensor, axis: int = 0) -> Tensor:
     out = _node(a.data.max(axis=axis), (a,), "max_pool")
     if out.requires_grad:
 
-        def backward():
-            g = np.zeros(a.shape)
+        def backward(g):
+            full = np.zeros(a.shape)
             np.put_along_axis(
-                g, np.expand_dims(argmax, axis), np.expand_dims(out.grad, axis), axis
+                full, np.expand_dims(argmax, axis), np.expand_dims(g, axis), axis
             )
-            a._accumulate(g)
+            a._accumulate(full)
 
         out._backward = backward
     return out
@@ -374,8 +374,8 @@ def relu(a: Tensor) -> Tensor:
     out = _node(np.maximum(a.data, 0.0), (a,), "relu")
     if out.requires_grad:
 
-        def backward():
-            a._accumulate(out.grad * (a.data > 0.0))
+        def backward(g):
+            a._accumulate(g * (a.data > 0.0))
 
         out._backward = backward
     return out
@@ -393,10 +393,10 @@ def gelu(a: Tensor) -> Tensor:
     out = _node(0.5 * x * (1.0 + t), (a,), "gelu")
     if out.requires_grad:
 
-        def backward():
+        def backward(g):
             di = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * di
-            a._accumulate(out.grad * local)
+            a._accumulate(g * local)
 
         out._backward = backward
     return out
@@ -410,9 +410,54 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = _node(y, (a,), "softmax")
     if out.requires_grad:
 
-        def backward():
-            g = out.grad
+        def backward(g):
             a._accumulate((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+
+        out._backward = backward
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over the rows of ``q``, ``k`` and ``v``.
+
+    The columns split into ``n_heads`` contiguous heads of width dh, laid out
+    as (H, M, dh); head h gives softmax(q_h k_h^T / sqrt(dh)) v_h, and the
+    heads are concatenated back in column order. One node: the backward
+    reuses the forward's softmax, and each head's products are the ones a
+    per-head graph of matmul, scale and softmax nodes would compute.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeMismatchError("attention", q.shape, k.shape, v.shape)
+    m, width = q.shape
+    if n_heads < 1 or width % n_heads:
+        raise ShapeMismatchError("attention", q.shape, n_heads)
+    dh = width // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(m, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(1, 0, 2).reshape(m, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.transpose(0, 2, 1)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = _node(merge(y @ vh), (q, k, v), "attention")
+    if out.requires_grad:
+
+        def backward(g):
+            gh = np.ascontiguousarray(split(g))
+            gy = gh @ vh.transpose(0, 2, 1)
+            gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * c
+            if q.requires_grad:
+                q._accumulate(merge(gs @ kh))
+            if k.requires_grad:
+                k._accumulate(merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)))
+            if v.requires_grad:
+                v._accumulate(merge(y.transpose(0, 2, 1) @ gh))
 
         out._backward = backward
     return out
@@ -454,8 +499,8 @@ def layer_norm(
     out = _node(np.moveaxis(z, -1, axis), parents, "layer_norm")
     if out.requires_grad:
 
-        def backward():
-            g = np.moveaxis(out.grad, axis, -1)
+        def backward(g):
+            g = np.moveaxis(g, axis, -1)
             gy = g * gain.data if gain is not None else g
             if a.requires_grad:
                 dx = inv * (
@@ -484,8 +529,8 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     out = _node(np.mean(d * d), (a, b), "mse")
     if out.requires_grad:
 
-        def backward():
-            g = out.grad * 2.0 * d / d.size
+        def backward(g):
+            g = g * 2.0 * d / d.size
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
@@ -495,8 +540,15 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def smooth_l1(a: Tensor, b: Tensor, beta: float = 1.0) -> Tensor:
-    """Mean smooth L1: 0.5 d^2 / beta inside the kink, |d| - 0.5 beta outside."""
+def smooth_l1(
+    a: Tensor, b: Tensor, beta: float = 1.0, weights: np.ndarray | None = None
+) -> Tensor:
+    """Mean smooth L1: 0.5 d^2 / beta inside the kink, |d| - 0.5 beta outside.
+
+    With ``weights`` (one per row of 2-D inputs) the loss is instead the mean
+    over rows of weight times row mean, with the weighted row means summed
+    in row order, so it equals a chain of per-row terms bit for bit.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeMismatchError("smooth_l1", a.shape, b.shape)
@@ -505,12 +557,23 @@ def smooth_l1(a: Tensor, b: Tensor, beta: float = 1.0) -> Tensor:
     d = a.data - b.data
     quad = np.abs(d) < beta
     elems = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
-    out = _node(np.mean(elems), (a, b), "smooth_l1")
+    if weights is None:
+        value = np.mean(elems)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if d.ndim != 2 or w.shape != (d.shape[0],) or not d.shape[0]:
+            raise ShapeMismatchError("smooth_l1", d.shape, w.shape)
+        inv_rows = 1.0 / d.shape[0]
+        value = np.cumsum(elems.mean(axis=1) * w)[-1] * inv_rows
+    out = _node(value, (a, b), "smooth_l1")
     if out.requires_grad:
 
-        def backward():
-            local = np.where(quad, d / beta, np.sign(d)) / d.size
-            g = out.grad * local
+        def backward(g):
+            if weights is None:
+                g = g * (np.where(quad, d / beta, np.sign(d)) / d.size)
+            else:
+                row = (g * inv_rows) * w
+                g = row[:, None] * (np.where(quad, d / beta, np.sign(d)) / d.shape[1])
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
@@ -532,8 +595,7 @@ def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
     out = _node(s, (a, b), "cosine_sim")
     if out.requires_grad:
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accumulate((g * (y / (nx * ny) - s * x / (nx * nx))).reshape(a.shape))
             if b.requires_grad:
@@ -557,10 +619,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = _node(-np.mean(logp[np.arange(len(y)), y]), (logits,), "cross_entropy")
     if out.requires_grad:
 
-        def backward():
+        def backward(g):
             p = np.exp(logp)
             p[np.arange(len(y)), y] -= 1.0
-            logits._accumulate(out.grad * p / len(y))
+            logits._accumulate(g * p / len(y))
 
         out._backward = backward
     return out

@@ -279,6 +279,7 @@ def _fit(
                 loss, fields = batch_loss(params, batch, epoch)
                 t1 = time.perf_counter()
                 loss.backward()
+                del loss  # free this graph before the next forward builds one
                 t2 = time.perf_counter()
                 lr = lr_at(step, total_steps, train_cfg)
                 adamw_step(

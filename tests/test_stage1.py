@@ -1,5 +1,7 @@
 """Dense distillation: pooling, weight formulas, k-means oracle, weighted loss."""
 
+import gc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -294,6 +296,66 @@ class TestStage1Loss:
             return stage1.stage1_loss(f2d, f3d, table, groups)
 
         assert T.grad_check(f, inputs) < 1e-4
+
+
+def _per_region_stage1_loss(f2d, f3d, table, groups, scale_mode, beta):
+    """The unfused loss: one smooth-L1 node per region, weighted and chained."""
+    scale = float(table.n_groups) if scale_mode == stage1.SCALE_MEAN_ONE else 1.0
+    total = None
+    for i in range(len(f2d)):
+        term = T.smooth_l1(T.slice_axis(f3d, 0, i, i + 1), T.constant(f2d[i : i + 1]), beta=beta)
+        term = T.mul(term, scale * float(table.w[groups[i]]))
+        total = term if total is None else T.add(total, term)
+    return T.mul(total, 1.0 / len(f2d))
+
+
+class TestStage1LossOracle:
+    @pytest.mark.parametrize(
+        "m,scale_mode,beta",
+        [(1, "mean-one", 1.0), (7, "mean-one", 0.5), (22, "paper-literal", 1.0)],
+    )
+    def test_matches_per_region_loop_bit_for_bit(self, rng, m, scale_mode, beta):
+        counts = np.array([9, 4, 1])
+        kk, tau, w = stage1.weights_from_counts(counts)
+        table = stage1.WeightTable(
+            group_of_region=np.zeros(m, int), counts=counts, k=kk, tau=tau, w=w,
+            n_groups=3, seed=0,
+        )
+        groups = rng.integers(0, 3, m)
+        f2d = rng.normal(0, 1, (m, 32))
+        data = rng.normal(0, 1, (m, 32))
+        results = []
+        for loss_fn in (stage1.stage1_loss, _per_region_stage1_loss):
+            f3d = T.parameter(data)
+            loss = loss_fn(f2d, f3d, table, groups, scale_mode, beta)
+            # Scaled as in a batch mean, so the upstream gradient is not 1.
+            T.mul(loss, 1.0 / 3).backward()
+            results.append((loss.data.tobytes(), f3d.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_scene_graph_freed_without_the_garbage_collector(self, tiny_arch):
+        params = nn.init_params(tiny_arch, seed=2)
+        bundle = scene.generate_scene(
+            scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
+        )
+        tokens = tokenizer.sam_tokenize(bundle)
+        f2d = stage1.pool_features_by_region(
+            bundle.feat2d, bundle.mask, tokens.region_ids(), "mean"
+        )
+        table = _uniform_table(2)
+        groups = np.arange(len(tokens)) % 2
+        gc.disable()
+        try:
+            f3d = stage1.project_3d(nn.forward_tokens(bundle, tokens, params), params)
+            node = weakref.ref(f3d)
+            loss = stage1.stage1_loss(f2d, f3d, table, groups)
+            del f3d
+            loss.backward()
+            assert node() is not None
+            del loss
+            assert node() is None
+        finally:
+            gc.enable()
 
 
 class TestProject3d:

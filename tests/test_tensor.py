@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, exact gradients, and shape discipline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -271,8 +273,8 @@ def test_grad_check_refine_still_catches_wrong_gradients():
         out = T.mse(x, T.constant(np.zeros(2)))
         original = out._backward
 
-        def lying_backward():
-            original()
+        def lying_backward(g):
+            original(g)
             x.grad *= 0.5
 
         out._backward = lying_backward
@@ -280,3 +282,67 @@ def test_grad_check_refine_still_catches_wrong_gradients():
 
     err = T.grad_check(f, [x], h=1e-4, refine_above=1e-5)
     assert err > 0.1
+
+
+def _per_head_attention(q, k, v, n_heads):
+    """The unfused graph: per-head column slices, scaled scores, softmax, concat."""
+    dh = q.shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh, kh, vh = (T.slice_axis(t, 1, lo, hi) for t in (q, k, v))
+        scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+        heads.append(T.matmul(T.softmax(scores, axis=1), vh))
+    return heads[0] if len(heads) == 1 else T.concat(heads, axis=1)
+
+
+@pytest.mark.parametrize("m,width,n_heads", [(1, 4, 2), (3, 4, 1), (5, 6, 2), (12, 64, 4)])
+def test_attention_matches_per_head_graph_bit_for_bit(m, width, n_heads, rng):
+    data = [rng.normal(0.0, 1.0, (m, width)) for _ in range(3)]
+    target = T.constant(rng.normal(0.0, 1.0, (m, width)))
+    results = []
+    for op in (T.attention, _per_head_attention):
+        qkv = [T.parameter(x) for x in data]
+        out = op(*qkv, n_heads)
+        T.mse(out, target).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in qkv])
+    assert results[0] == results[1]
+
+
+def test_attention_is_one_node_with_c_ordered_grads(rng):
+    q, k, v = (T.parameter(rng.normal(0.0, 1.0, (4, 6))) for _ in range(3))
+    out = T.attention(q, k, v, 1)
+    assert out._parents == (q, k, v)
+    T.mse(out, T.constant(np.zeros((4, 6)))).backward()
+    assert all(t.grad.flags.c_contiguous for t in (q, k, v))
+
+
+def test_attention_validation():
+    x = T.constant(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatchError):
+        T.attention(x, x, T.constant(np.ones((2, 4))), 2)
+    with pytest.raises(ShapeMismatchError):
+        T.attention(x, x, x, 3)
+
+
+def test_grad_check_attention(rng):
+    q, k, v = (T.parameter(rng.normal(0.0, 1.0, (4, 6))) for _ in range(3))
+    target = T.constant(rng.normal(0.0, 1.0, (4, 6)))
+    assert T.grad_check(lambda: T.mse(T.attention(q, k, v, 2), target), [q, k, v]) < 1e-4
+
+
+def test_weighted_smooth_l1_value_and_validation():
+    a = T.constant([[0.0, 0.0], [0.0, 3.0]])
+    b = T.constant(np.zeros((2, 2)))
+    # Row means 0 and 1.25, weighted by 2 and 4, averaged over 2 rows.
+    loss = T.smooth_l1(a, b, weights=np.array([2.0, 4.0]))
+    assert loss.item() == 2.5
+    with pytest.raises(ShapeMismatchError):
+        T.smooth_l1(a, b, weights=np.ones(3))
+
+
+def test_grad_check_weighted_smooth_l1(rng):
+    a = T.parameter(rng.uniform(-3.0, 3.0, (4, 5)))  # both branches of the kink
+    b = T.constant(np.zeros((4, 5)))
+    w = rng.uniform(0.5, 2.0, 4)
+    assert T.grad_check(lambda: T.smooth_l1(a, b, beta=0.7, weights=w), [a]) < 1e-4

@@ -1,9 +1,9 @@
 """Model components: token embedder, positional MLP, transformer stacks.
 
-Parameters live in a flat named map with per-name freeze flags so that a
-whole model can serve as a frozen teacher. Checkpoints are a JSON
-manifest plus one raw float64 blob per parameter and round-trip
-bit-exact, optimizer state included.
+Parameters are named views into one flat float64 buffer, and each leaf's
+``requires_grad`` says whether it trains, so that a whole model can serve
+as a frozen teacher. Checkpoints are a JSON manifest plus one raw float64
+blob per parameter and round-trip bit-exact, optimizer state included.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import blobio, tensor as T
 from .errors import InvalidInputError, MalformedManifestError
-from .tokenizer import Token, TokenSet
+from .tokenizer import TokenSet
 
 _MASK_STREAM = 0x3A5C
 
@@ -221,38 +221,21 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
 # Forward building blocks
 
 
-def _subsample(indices: np.ndarray, max_points: int) -> np.ndarray:
-    """Deterministic stride sampling over sorted indices down to max_points."""
-    idx = np.sort(np.asarray(indices, dtype=np.int64))
-    if len(idx) <= max_points:
-        return idx
-    stride = math.ceil(len(idx) / max_points)
-    return idx[::stride]
+def embed_tokens(bundle, tokens: TokenSet, params: ModelParams) -> T.Tensor:
+    """Mini-PointNet: center members, shared two-layer MLP, max-pool over points.
 
-
-def _tokens_of(tokens: TokenSet | Sequence[Token]) -> list[Token]:
-    return list(tokens.tokens) if isinstance(tokens, TokenSet) else list(tokens)
-
-
-def centroids_of(tokens: TokenSet | Sequence[Token]) -> np.ndarray:
-    return np.stack([t.centroid for t in _tokens_of(tokens)])
-
-
-def embed_tokens(bundle, tokens: TokenSet | Sequence[Token], params: ModelParams) -> T.Tensor:
-    """Mini-PointNet: center members, shared two-layer MLP, max-pool over points."""
-    toks = _tokens_of(tokens)
-    if any(len(t.point_indices) == 0 for t in toks):
+    The MLP runs once over every token's packed member rows, and the max
+    runs over each token's segment of them.
+    """
+    if np.any(tokens.member_counts() == 0):
         raise InvalidInputError("cannot embed an empty token")
     p = params.tensors
-    points = np.asarray(bundle.points, dtype=np.float64)
-    rows = []
-    for tok in toks:
-        idx = _subsample(tok.point_indices, params.arch.max_points_per_token)
-        local = T.constant(points[idx] - tok.centroid)
-        h = T.relu(T.add(T.matmul(local, p["embed.l1.w"]), p["embed.l1.b"]))
-        h = T.add(T.matmul(h, p["embed.l2.w"]), p["embed.l2.b"])
-        rows.append(T.max_pool(h, axis=0))
-    return T.stack(rows)
+    indices, offsets = tokens.subsampled(params.arch.max_points_per_token)
+    centroids = np.repeat(tokens.centroids, np.diff(offsets), axis=0)
+    local = T.constant(np.asarray(bundle.points[indices], dtype=np.float64) - centroids)
+    h = T.relu(T.add(T.matmul(local, p["embed.l1.w"]), p["embed.l1.b"]))
+    h = T.add(T.matmul(h, p["embed.l2.w"]), p["embed.l2.b"])
+    return T.max_pool(h, offsets)
 
 
 def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
@@ -309,7 +292,7 @@ def decode(features: T.Tensor, params: ModelParams) -> T.Tensor:
 
 def forward_tokens(bundle, tokens: TokenSet, params: ModelParams) -> T.Tensor:
     """Encoder features of every token: token plus positional embedding, then the encoder."""
-    h = T.add(embed_tokens(bundle, tokens, params), pos_embed(centroids_of(tokens), params))
+    h = T.add(embed_tokens(bundle, tokens, params), pos_embed(tokens.centroids, params))
     return encode(h, params)
 
 

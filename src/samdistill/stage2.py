@@ -32,7 +32,7 @@ def teacher_forward(
     if teacher.trainable_names():
         raise InconsistencyError("teacher parameters must be fully frozen")
     with T.no_grad():
-        pos = nn.pos_embed(nn.centroids_of(tokens), teacher)
+        pos = nn.pos_embed(tokens.centroids, teacher)
         enc_out = nn.encode(T.add(nn.embed_tokens(bundle, tokens, teacher), pos), teacher)
         f_ins = T.mean_pool(enc_out, axis=0).data
         dec_out = nn.decode(T.add(enc_out, pos), teacher).data
@@ -57,18 +57,16 @@ def student_forward(
     if plan.n_tokens != len(tokens):
         raise InconsistencyError("mask plan does not match the token set")
 
-    visible_tokens = [tokens.tokens[i] for i in plan.visible]
-    centroids_all = nn.centroids_of(tokens)
+    visible = tokens.select(plan.visible)
     h = T.add(
-        nn.embed_tokens(bundle, visible_tokens, student),
-        nn.pos_embed(centroids_all[plan.visible], student),
+        nn.embed_tokens(bundle, visible, student), nn.pos_embed(visible.centroids, student)
     )
     enc_out = nn.encode(h, student)
     f_ins = T.mean_pool(enc_out, axis=0)
 
     dec_in = T.add(
         nn.fill_masked_positions(enc_out, plan, student),
-        nn.pos_embed(centroids_all, student),
+        nn.pos_embed(tokens.centroids, student),
     )
     dec_out = nn.decode(dec_in, student)
     preds = (

@@ -349,20 +349,36 @@ def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
     return out
 
 
-def max_pool(a: Tensor, axis: int = 0) -> Tensor:
-    """Max along an axis; gradient routes to the first (lowest-index) argmax."""
+def max_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
+    """Max over each segment of rows ``a[offsets[i]:offsets[i + 1]]``.
+
+    ``offsets`` are CSR bounds: they start at 0, end at ``len(a)`` and leave
+    no segment empty. The gradient routes to the first (lowest-row) argmax
+    of each segment and column.
+    """
     a = _as_tensor(a)
-    if not (0 <= axis < a.ndim):
-        raise ShapeMismatchError("max_pool", a.shape, axis)
-    argmax = np.argmax(a.data, axis=axis)
-    out = _node(a.data.max(axis=axis), (a,), "max_pool")
+    bounds = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(bounds)
+    if (
+        a.ndim < 1
+        or bounds.ndim != 1
+        or len(bounds) < 2
+        or bounds[0] != 0
+        or bounds[-1] != a.shape[0]
+        or np.any(counts < 1)
+    ):
+        raise ShapeMismatchError("max_pool", a.shape, bounds.shape)
+    starts = bounds[:-1]
+    maxima = np.maximum.reduceat(a.data, starts, axis=0)
+    out = _node(maxima, (a,), "max_pool")
     if out.requires_grad:
 
         def backward(g):
+            rows = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1))
+            at_max = a.data == np.repeat(maxima, counts, axis=0)
+            first = np.minimum.reduceat(np.where(at_max, rows, a.shape[0]), starts, axis=0)
             full = np.zeros(a.shape)
-            np.put_along_axis(
-                full, np.expand_dims(argmax, axis), np.expand_dims(g, axis), axis
-            )
+            np.put_along_axis(full, first, g, axis=0)
             a._accumulate(full)
 
         out._backward = backward
@@ -388,7 +404,7 @@ def gelu(a: Tensor) -> Tensor:
     """Tanh-approximate GELU with its exact analytic derivative."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = _node(0.5 * x * (1.0 + t), (a,), "gelu")
     if out.requires_grad:

@@ -22,27 +22,122 @@ MODE_SAM = "sam"
 MODE_KNN = "knn"
 
 
-@dataclass
-class Token:
-    point_indices: np.ndarray  # int64 indices into the bundle's points
-    centroid: np.ndarray  # (3,) float64 mean of member coordinates
-    region_id: int  # -1 for baseline tokens
-
-
-@dataclass
+@dataclass(eq=False)
 class TokenSet:
-    tokens: list[Token]
+    """The tokens of one scene as a struct of arrays in CSR form.
+
+    Token i owns the point indices ``indices[offsets[i]:offsets[i + 1]]``;
+    ``centroids[i]`` is their mean and ``region_ids[i]`` their mask region
+    (-1 for baseline tokens). ``dropped_points`` are the scene points the
+    tokenizer left out.
+    """
+
+    indices: np.ndarray  # int64 member indices into the bundle's points, token after token
+    offsets: np.ndarray  # (M + 1,) int64 segment bounds into indices
+    centroids: np.ndarray  # (M, 3) float64
+    region_ids: np.ndarray  # (M,) int64
     mode: str
     dropped_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    _subsampled: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_members(
+        cls,
+        members: list[np.ndarray],
+        points: np.ndarray,
+        region_ids: np.ndarray,
+        mode: str,
+        dropped_points: np.ndarray | None = None,
+    ) -> "TokenSet":
+        """Pack per-token member index arrays; each centroid is its members' mean."""
+        pts = np.asarray(points, dtype=np.float64)
+        members = [np.asarray(m, dtype=np.int64) for m in members]
+        offsets = np.zeros(len(members) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(m) for m in members], dtype=np.int64)
+        return cls(
+            indices=np.concatenate(members) if members else np.empty(0, dtype=np.int64),
+            offsets=offsets,
+            centroids=np.array([pts[m].mean(axis=0) for m in members]).reshape(-1, 3),
+            region_ids=np.asarray(region_ids, dtype=np.int64),
+            mode=mode,
+            dropped_points=(
+                np.empty(0, dtype=np.int64) if dropped_points is None else dropped_points
+            ),
+        )
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.offsets) - 1
 
     def member_counts(self) -> np.ndarray:
-        return np.array([len(t.point_indices) for t in self.tokens], dtype=np.int64)
+        return np.diff(self.offsets)
 
-    def region_ids(self) -> np.ndarray:
-        return np.array([t.region_id for t in self.tokens], dtype=np.int64)
+    def segment_ids(self) -> np.ndarray:
+        """The token of each entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), self.member_counts())
+
+    def subsampled(self, max_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, offsets)`` with at most ``max_points`` members per token.
+
+        Each token's members are sorted, and a token with n > max_points
+        keeps every ceil(n / max_points)-th one. Built once per
+        ``max_points``; the arrays are read-only.
+        """
+        view = self._subsampled.get(max_points)
+        if view is None:
+            counts, seg = self.member_counts(), self.segment_ids()
+            ordered = self.indices[np.lexsort((self.indices, seg))]
+            stride = np.maximum(-(-counts // max_points), 1)
+            rank = np.arange(len(ordered)) - np.repeat(self.offsets[:-1], counts)
+            offsets = np.zeros_like(self.offsets)
+            np.cumsum(-(-counts // stride), out=offsets[1:])
+            view = _read_only(ordered[rank % stride[seg] == 0], offsets)
+            self._subsampled[max_points] = view
+        return view
+
+    def select(self, rows: np.ndarray) -> "TokenSet":
+        """The tokens at ``rows``, in that order.
+
+        The cached subsampled views are carried over; ``dropped_points``
+        stays the tokenizer's.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        indices, offsets = _take_segments(self.indices, self.offsets, rows)
+        out = TokenSet(
+            indices, offsets, self.centroids[rows], self.region_ids[rows], self.mode,
+            self.dropped_points,
+        )
+        for max_points, view in self._subsampled.items():
+            out._subsampled[max_points] = _read_only(*_take_segments(*view, rows))
+        return out
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _take_segments(
+    indices: np.ndarray, offsets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR segments ``rows`` of ``(indices, offsets)``, concatenated in that order."""
+    counts = offsets[rows + 1] - offsets[rows]
+    new_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    pos = np.repeat(offsets[rows] - new_offsets[:-1], counts) + np.arange(new_offsets[-1])
+    return indices[pos], new_offsets
+
+
+def _label_counts(
+    tokens: TokenSet, labels: np.ndarray, keep: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct member labels and an (M, U) count of each label in each token."""
+    seg = tokens.segment_ids()
+    if keep is not None:
+        seg, labels = seg[keep], labels[keep]
+    ids, inverse = np.unique(labels, return_inverse=True)
+    counts = np.bincount(seg * len(ids) + inverse, minlength=len(tokens) * len(ids))
+    return ids, counts.reshape(len(tokens), len(ids))
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -91,7 +186,7 @@ def knn_tokenize(
     """Baseline tokenizer: k nearest points around each FPS centroid.
 
     Neighborhoods may overlap, so a point can belong to several tokens;
-    the centroid field is recomputed as the member mean. Token order
+    each centroid is the member mean, not the FPS pick. Token order
     follows FPS pick order.
     """
     pts = _as_points(points)
@@ -102,18 +197,16 @@ def knn_tokenize(
         start_index = nearest_to_mean(pts)
     centers = fps(pts, n, start_index)
 
-    tokens = []
+    members = []
     covered = np.zeros(n_points, dtype=bool)
     for c in centers:
         d = np.linalg.norm(pts - pts[c], axis=1)
-        members = np.argsort(d, kind="stable")[:k].astype(np.int64)
-        members.sort()
-        covered[members] = True
-        tokens.append(
-            Token(point_indices=members, centroid=pts[members].mean(axis=0), region_id=-1)
-        )
+        group = np.argsort(d, kind="stable")[:k].astype(np.int64)
+        group.sort()
+        covered[group] = True
+        members.append(group)
     dropped = np.nonzero(~covered)[0].astype(np.int64)
-    return TokenSet(tokens=tokens, mode=MODE_KNN, dropped_points=dropped)
+    return TokenSet.from_members(members, pts, np.full(n, -1), MODE_KNN, dropped)
 
 
 def point_regions(bundle: SceneBundle) -> np.ndarray:
@@ -149,24 +242,19 @@ def sam_tokenize(bundle: SceneBundle, min_points: int = 8) -> TokenSet:
     pts = np.asarray(bundle.points, dtype=np.float64)
     region_of_point = point_regions(bundle)
 
-    tokens = []
+    members, region_ids = [], []
     dropped = list(np.nonzero(region_of_point < 0)[0])
     for rid in np.unique(region_of_point[region_of_point >= 0]):
-        members = np.nonzero(region_of_point == rid)[0].astype(np.int64)
-        if len(members) < min_points:
-            dropped.extend(members)
+        group = np.nonzero(region_of_point == rid)[0].astype(np.int64)
+        if len(group) < min_points:
+            dropped.extend(group)
             continue
-        tokens.append(
-            Token(
-                point_indices=members,
-                centroid=pts[members].mean(axis=0),
-                region_id=int(rid),
-            )
-        )
-    if not tokens:
+        members.append(group)
+        region_ids.append(rid)
+    if not members:
         raise EmptyTokenizationError("no region produced a token; skip this scene")
     dropped_arr = np.array(sorted(int(i) for i in dropped), dtype=np.int64)
-    return TokenSet(tokens=tokens, mode=MODE_SAM, dropped_points=dropped_arr)
+    return TokenSet.from_members(members, pts, region_ids, MODE_SAM, dropped_arr)
 
 
 def tokenize(
@@ -188,25 +276,16 @@ def tokenize(
 
 def majority_regions(tokens: TokenSet, regions_of_points: np.ndarray) -> np.ndarray:
     """Per-token majority mask region among members; ties take the lowest id."""
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens.tokens):
-        labels = regions_of_points[tok.point_indices]
-        labels = labels[labels >= 0]
-        if len(labels) == 0:
-            raise InvalidInputError("token has no members on masked pixels")
-        ids, counts = np.unique(labels, return_counts=True)
-        out[i] = ids[np.argmax(counts)]
-    return out
+    labels = np.asarray(regions_of_points)[tokens.indices]
+    ids, counts = _label_counts(tokens, labels, keep=labels >= 0)
+    if not counts.any(axis=1).all():
+        raise InvalidInputError("token has no members on masked pixels")
+    return ids[np.argmax(counts, axis=1)].astype(np.int64)
 
 
 def purity(tokens: TokenSet, gt_region: np.ndarray) -> float:
     """Mean over tokens of the largest single-label share among members."""
     if len(tokens) == 0:
         raise InvalidInputError("purity of an empty token set is undefined")
-    gt = np.asarray(gt_region)
-    shares = []
-    for tok in tokens.tokens:
-        labels = gt[tok.point_indices]
-        _, counts = np.unique(labels, return_counts=True)
-        shares.append(counts.max() / len(labels))
-    return float(np.mean(shares))
+    _, counts = _label_counts(tokens, np.asarray(gt_region)[tokens.indices])
+    return float(np.mean(counts.max(axis=1) / tokens.member_counts()))

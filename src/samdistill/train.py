@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -216,6 +216,19 @@ def _mean_loss(losses: list[T.Tensor]) -> T.Tensor:
     return T.mul(total, 1.0 / len(losses))
 
 
+def _run_fingerprint(
+    train_cfg: TrainConfig, stage_cfg, arch: nn.Arch, n_train: int, n_heldout: int
+) -> dict:
+    """What a resumed run must match: the resolved configs and the dataset sizes."""
+    return {
+        "train": asdict(train_cfg),
+        "stage": asdict(stage_cfg),
+        "arch": arch.to_json(),
+        "n_train": n_train,
+        "n_heldout": n_heldout,
+    }
+
+
 def _fit(
     train_cfg: TrainConfig,
     out_dir: Path,
@@ -225,7 +238,7 @@ def _fit(
     dataset_metrics: Callable[[nn.ModelParams], dict],
     resume: bool,
     stop_after_epochs: int | None,
-    fingerprint: dict | None = None,
+    fingerprint: dict,
 ) -> tuple[Path, nn.ModelParams, int, dict, dict]:
     """The run loop both stages share.
 
@@ -345,7 +358,7 @@ class _PreparedScene:
 
 def _prepare_scene(bundle: SceneBundle, tokens: TokenSet) -> _PreparedScene:
     if tokens.mode == MODE_SAM:
-        token_regions = tokens.region_ids()
+        token_regions = tokens.region_ids
     else:
         token_regions = majority_regions(tokens, point_regions(bundle))
     targets = stage1.pool_features_by_region(
@@ -441,7 +454,8 @@ def run_stage1(
 
     ``stop_after_epochs`` bounds how many epochs this invocation processes
     (the schedule still spans the configured total); rerun with
-    ``resume=True`` to continue bit-exactly.
+    ``resume=True`` to continue bit-exactly. Resuming with another train or
+    stage config, arch or scene count raises InconsistencyError.
     """
     out_dir = Path(out_dir)
     prepared = [
@@ -482,6 +496,7 @@ def run_stage1(
         dataset_metrics,
         resume,
         stop_after_epochs,
+        _run_fingerprint(train_cfg, cfg, arch, len(train_bundles), len(eval_bundles)),
     )
     train_purity = float(
         np.mean([purity(p.tokens, b.gt_region) for p, b in zip(prepared, train_bundles)])
@@ -582,7 +597,8 @@ def run_stage2(
 
     The teacher runs once per train and held-out scene, before training,
     and each step selects its targets from those outputs. Resuming
-    against a teacher with other bytes raises InconsistencyError.
+    against a teacher with other bytes, or with another train or stage
+    config or scene count, raises InconsistencyError.
     """
     out_dir = Path(out_dir)
     teacher = nn.load_checkpoint(teacher_ckpt).params
@@ -633,7 +649,12 @@ def run_stage2(
         lambda student: _stage2_dataset_eval(train_scenes, train_plans, student),
         resume,
         stop_after_epochs,
-        {"teacher_hash": teacher_hash_before},
+        {
+            **_run_fingerprint(
+                train_cfg, cfg, teacher.arch, len(train_bundles), len(eval_bundles)
+            ),
+            "teacher_hash": teacher_hash_before,
+        },
     )
     metrics = {
         "stage": 2,

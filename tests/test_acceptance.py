@@ -200,7 +200,7 @@ def test_c4_gradient_checks_stage1():
         bundle, tokens = _grad_seed_setup(seed)
         params = nn.init_params(GRAD_ARCH, seed=seed + 100)
         targets = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids(), stage1.MEAN_POOLING
+            bundle.feat2d, bundle.mask, tokens.region_ids, stage1.MEAN_POOLING
         )
         counts = np.array([5, 2])
         k, tau, w = stage1.weights_from_counts(counts)
@@ -215,7 +215,7 @@ def test_c4_gradient_checks_stage1():
         def f():
             h = T.add(
                 nn.embed_tokens(bundle, tokens, params),
-                nn.pos_embed(nn.centroids_of(tokens), params),
+                nn.pos_embed(tokens.centroids, params),
             )
             f3d = stage1.project_3d(nn.encode(h, params), params)
             return stage1.stage1_loss(targets, f3d, table, groups)

@@ -1,6 +1,7 @@
 """Model components: embedder invariances, transformer properties, mask plans, checkpoints."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from samdistill import blobio, nn, scene, stage1, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import InvalidInputError
-from samdistill.tokenizer import Token, TokenSet
+from samdistill.tokenizer import MODE_SAM, TokenSet
 
 
 class _PointsOnly:
@@ -18,9 +19,8 @@ class _PointsOnly:
         self.points = np.asarray(points, dtype=np.float64)
 
 
-def _token(indices, points):
-    idx = np.asarray(indices, dtype=np.int64)
-    return Token(point_indices=idx, centroid=points[idx].mean(axis=0), region_id=0)
+def _tokens(points, *members):
+    return TokenSet.from_members(list(members), points, np.zeros(len(members)), MODE_SAM)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ class TestEmbedder:
     def test_degenerate_token_embeds_like_origin(self, params, rng):
         pts = np.vstack([np.full((4, 3), 2.5), np.full((2, 3), -7.0)])
         holder = _PointsOnly(pts)
-        toks = [_token([0, 1, 2, 3], pts), _token([4, 5], pts)]
+        toks = _tokens(pts, [0, 1, 2, 3], [4, 5])
         out = nn.embed_tokens(holder, toks, params)
         # Both collapse to the centered zero cloud, so rows match exactly.
         np.testing.assert_array_equal(out.data[0], out.data[1])
@@ -40,15 +40,15 @@ class TestEmbedder:
     def test_member_order_permutation_invariance(self, params, rng):
         pts = rng.normal(0, 1, (10, 3))
         holder = _PointsOnly(pts)
-        a = nn.embed_tokens(holder, [_token([0, 3, 5, 7], pts)], params)
-        b = nn.embed_tokens(holder, [_token([7, 0, 5, 3], pts)], params)
+        a = nn.embed_tokens(holder, _tokens(pts, [0, 3, 5, 7]), params)
+        b = nn.embed_tokens(holder, _tokens(pts, [7, 0, 5, 3]), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_member_duplication_invariance(self, params, rng):
         pts = rng.normal(0, 1, (6, 3))
         holder = _PointsOnly(pts)
-        a = nn.embed_tokens(holder, [_token([0, 1, 2], pts)], params)
-        b = nn.embed_tokens(holder, [_token([0, 0, 1, 1, 2, 2], pts)], params)
+        a = nn.embed_tokens(holder, _tokens(pts, [0, 1, 2]), params)
+        b = nn.embed_tokens(holder, _tokens(pts, [0, 0, 1, 1, 2, 2]), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_duplication_invariance_through_subsampling(self, params, rng):
@@ -56,19 +56,76 @@ class TestEmbedder:
         pts = rng.normal(0, 1, (max_pts, 3))
         holder = _PointsOnly(pts)
         idx = np.arange(max_pts)
-        a = nn.embed_tokens(holder, [_token(idx, pts)], params)
-        b = nn.embed_tokens(holder, [_token(np.repeat(idx, 2), pts)], params)
+        a = nn.embed_tokens(holder, _tokens(pts, idx), params)
+        b = nn.embed_tokens(holder, _tokens(pts, np.repeat(idx, 2)), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_oversized_token_subsampled_to_cap(self, params, rng):
         max_pts = params.arch.max_points_per_token
-        assert len(nn._subsample(np.arange(3 * max_pts), max_pts)) <= max_pts
+        tokens = _tokens(np.zeros((3 * max_pts, 3)), np.arange(3 * max_pts), np.arange(5))
+        _, offsets = tokens.subsampled(max_pts)
+        assert np.diff(offsets)[0] <= max_pts
+        assert np.diff(offsets)[1] == 5
 
     def test_empty_token_rejected(self, params):
         pts = np.zeros((2, 3))
-        tok = Token(point_indices=np.array([], dtype=np.int64), centroid=np.zeros(3), region_id=0)
+        tok = TokenSet(
+            indices=np.array([], dtype=np.int64),
+            offsets=np.array([0, 0]),
+            centroids=np.zeros((1, 3)),
+            region_ids=np.zeros(1, dtype=np.int64),
+            mode=MODE_SAM,
+        )
         with pytest.raises(InvalidInputError):
-            nn.embed_tokens(_PointsOnly(pts), [tok], params)
+            nn.embed_tokens(_PointsOnly(pts), tok, params)
+
+
+def _per_token_embed(bundle, tokens, params):
+    """The unpacked embedder: one MLP graph per token, rows concatenated."""
+    p = params.tensors
+    max_points = params.arch.max_points_per_token
+    points = np.asarray(bundle.points, dtype=np.float64)
+    rows = []
+    for i, members in enumerate(np.split(tokens.indices, tokens.offsets[1:-1])):
+        idx = np.sort(members)
+        if len(idx) > max_points:
+            idx = idx[:: math.ceil(len(idx) / max_points)]
+        local = T.constant(points[idx] - tokens.centroids[i])
+        h = T.relu(T.add(T.matmul(local, p["embed.l1.w"]), p["embed.l1.b"]))
+        h = T.add(T.matmul(h, p["embed.l2.w"]), p["embed.l2.b"])
+        rows.append(T.max_pool(h, np.array([0, len(idx)])))
+    return T.concat(rows, axis=0)
+
+
+class TestPackedEmbedOracle:
+    """The packed embedder equals a per-token graph: forward bits and weight gradients."""
+
+    @pytest.mark.parametrize("mode", [tokenizer.MODE_SAM, tokenizer.MODE_KNN])
+    def test_matches_per_token_graph(self, tiny_arch, mode):
+        bundle = scene.generate_scene(scene.SceneSpec(n_objects=5, seed=21))
+        tokens = tokenizer.tokenize(bundle, mode)
+        # The tiny arch keeps 16 points per token, so every token is subsampled.
+        assert tokens.member_counts().min() > tiny_arch.max_points_per_token
+        names = ["embed.l1.w", "embed.l1.b", "embed.l2.w", "embed.l2.b"]
+        target = T.constant(np.random.default_rng(0).normal(0, 1, (len(tokens), 8)))
+        results = []
+        for embed in (nn.embed_tokens, _per_token_embed):
+            params = nn.init_params(tiny_arch, seed=4)
+            out = embed(bundle, tokens, params)
+            T.mse(out, target).backward()
+            results.append((out.data.tobytes(), [params.tensors[n].grad.copy() for n in names]))
+        (packed, packed_grads), (oracle, oracle_grads) = results
+        assert packed == oracle
+        for name, a, b in zip(names, packed_grads, oracle_grads):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_visible_selection_embeds_like_the_full_set(self, params):
+        bundle = scene.generate_scene(scene.SceneSpec(n_objects=5, seed=21))
+        tokens = tokenizer.sam_tokenize(bundle)
+        full = nn.embed_tokens(bundle, tokens, params).data
+        rows = np.array([3, 0, 4])
+        picked = nn.embed_tokens(bundle, tokens.select(rows), params).data
+        assert picked.tobytes() == full[rows].tobytes()
 
 
 class TestPosEmbed:
@@ -289,7 +346,7 @@ class TestFlatStore:
         )
         tokens = tokenizer.sam_tokenize(bundle)
         f2d = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids(), stage1.MEAN_POOLING
+            bundle.feat2d, bundle.mask, tokens.region_ids, stage1.MEAN_POOLING
         )
 
         def f():
@@ -343,7 +400,7 @@ class TestEndToEndForward:
         tokens = tokenizer.sam_tokenize(bundle)
         h = T.add(
             nn.embed_tokens(bundle, tokens, params),
-            nn.pos_embed(nn.centroids_of(tokens), params),
+            nn.pos_embed(tokens.centroids, params),
         )
         out = nn.encode(h, params)
         assert out.shape == (len(tokens), tiny_arch.embed_dim)

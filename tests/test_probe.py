@@ -68,8 +68,8 @@ def test_token_labels_are_region_types(probe_data):
     bundle = bundles[0]
     tokens = tokenizer.sam_tokenize(bundle)
     labels = probe.token_type_labels(bundle, tokens)
-    for tok, label in zip(tokens.tokens, labels):
-        assert label == bundle.region_types[tok.region_id]
+    for region_id, label in zip(tokens.region_ids, labels):
+        assert label == bundle.region_types[region_id]
 
 
 def test_linear_probe_end_to_end_deterministic(probe_data, tiny_arch):

@@ -58,7 +58,7 @@ class TestPooling:
     def test_noise_free_mean_recovers_prototype(self):
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=6, noise_sigma=0.0))
         tokens = tokenizer.sam_tokenize(bundle)
-        region_ids = tokens.region_ids()
+        region_ids = tokens.region_ids
         pooled = stage1.pool_features_by_region(bundle.feat2d, bundle.mask, region_ids, "mean")
         for row, rid in zip(pooled, region_ids):
             np.testing.assert_allclose(
@@ -276,7 +276,7 @@ class TestStage1Loss:
         )
         tokens = tokenizer.sam_tokenize(bundle)
         f2d = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids(), "mean"
+            bundle.feat2d, bundle.mask, tokens.region_ids, "mean"
         )
         counts = np.array([4, 2])
         kk, tau, w = stage1.weights_from_counts(counts)
@@ -290,7 +290,7 @@ class TestStage1Loss:
         def f():
             h = T.add(
                 nn.embed_tokens(bundle, tokens, params),
-                nn.pos_embed(nn.centroids_of(tokens), params),
+                nn.pos_embed(tokens.centroids, params),
             )
             f3d = stage1.project_3d(nn.encode(h, params), params)
             return stage1.stage1_loss(f2d, f3d, table, groups)
@@ -340,7 +340,7 @@ class TestStage1LossOracle:
         )
         tokens = tokenizer.sam_tokenize(bundle)
         f2d = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids(), "mean"
+            bundle.feat2d, bundle.mask, tokens.region_ids, "mean"
         )
         table = _uniform_table(2)
         groups = np.arange(len(tokens)) % 2

@@ -32,7 +32,7 @@ def _per_plan_teacher_forward(bundle, tokens, plan, teacher):
     Kept as an oracle; it computes the positional embedding twice.
     """
     with T.no_grad():
-        centroids = nn.centroids_of(tokens)
+        centroids = tokens.centroids
         h = T.add(nn.embed_tokens(bundle, tokens, teacher), nn.pos_embed(centroids, teacher))
         enc_out = nn.encode(h, teacher)
         f_ins = T.mean_pool(enc_out, axis=0)
@@ -147,7 +147,7 @@ class TestStudentForward:
         with T.no_grad():
             h = T.add(
                 nn.embed_tokens(bundle, tokens, student),
-                nn.pos_embed(nn.centroids_of(tokens), student),
+                nn.pos_embed(tokens.centroids, student),
             )
             expected = T.mean_pool(nn.encode(h, student), axis=0)
         np.testing.assert_allclose(f_ins.data, expected.data, atol=1e-12)
@@ -160,9 +160,7 @@ class TestStudentForward:
 
         perm = np.random.default_rng(5).permutation(len(tokens))
         inv = np.argsort(perm)
-        permuted_tokens = tokenizer.TokenSet(
-            tokens=[tokens.tokens[i] for i in perm], mode=tokens.mode
-        )
+        permuted_tokens = tokens.select(perm)
         perm_plan = nn.MaskPlan(
             visible=np.sort(inv[plan.visible]),
             masked=np.sort(inv[plan.masked]),

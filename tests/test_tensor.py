@@ -79,8 +79,8 @@ def test_non_finite_forward_signals_op():
 
 def test_max_pool_tie_routes_to_lowest_index():
     x = T.parameter(np.array([[3.0, 1.0], [3.0, 2.0]]))
-    out = T.max_pool(x, axis=0)
-    T.mean_pool(out, 0).backward()
+    out = T.max_pool(x, np.array([0, 2]))
+    T.mean_pool(T.reshape(out, (2,)), 0).backward()
     np.testing.assert_allclose(x.grad, [[0.5, 0.0], [0.0, 0.5]])
 
 
@@ -197,7 +197,7 @@ def test_grad_check_smooth_l1_away_from_kink(rng):
         lambda x: T.mean_pool(T.gelu(x), 0),
         lambda x: T.mean_pool(T.softmax(x, axis=1), 0),
         lambda x: T.mean_pool(T.layer_norm(x, eps=1e-5), 0),
-        lambda x: T.max_pool(x, 0),
+        lambda x: T.max_pool(x, np.array([0, 3])),
         lambda x: T.mean_pool(T.transpose(x), 0),
         lambda x: T.mean_pool(T.reshape(x, (x.size,)), 0),
         lambda x: T.mean_pool(T.slice_axis(x, 1, 1, 3), 0),
@@ -256,7 +256,9 @@ def test_grad_check_refine_skips_kink_window():
     x = T.parameter(np.array([[1.0, 1.0 + 1e-6], [0.0, 5.0]]))
 
     def f():
-        return T.mse(T.max_pool(x, axis=1), T.constant([3.0, 1.0]))
+        # One segment per row of x: the max along each row.
+        rows = T.max_pool(T.reshape(x, (4, 1)), np.array([0, 2, 4]))
+        return T.mse(rows, T.constant([[3.0], [1.0]]))
 
     plain = T.grad_check(f, [x], h=1e-4)
     refined = T.grad_check(f, [x], h=1e-4, refine_above=1e-5)
@@ -346,3 +348,44 @@ def test_grad_check_weighted_smooth_l1(rng):
     b = T.constant(np.zeros((4, 5)))
     w = rng.uniform(0.5, 2.0, 4)
     assert T.grad_check(lambda: T.smooth_l1(a, b, beta=0.7, weights=w), [a]) < 1e-4
+
+
+def test_max_pool_segments_ties_and_single_rows():
+    # Segments of 1, 3 and 2 rows; column 0 ties inside the middle segment at
+    # its max, and the value 4.0 repeats across segments.
+    x = T.parameter(
+        np.array([[4.0, -1.0], [5.0, 0.0], [5.0, 2.0], [1.0, 2.0], [4.0, -1.0], [0.5, -1.0]])
+    )
+    offsets = np.array([0, 1, 4, 6])
+    out = T.max_pool(x, offsets)
+    np.testing.assert_array_equal(out.data, [[4.0, -1.0], [5.0, 2.0], [4.0, -1.0]])
+    T.mse(out, T.constant(np.zeros((3, 2)))).backward()
+    expected = np.zeros((6, 2))
+    # Ties route to the first row of their segment: (1, 0), (2, 1) and (4, 1).
+    for (r, c), value in zip([(0, 0), (0, 1), (1, 0), (2, 1), (4, 0), (4, 1)], out.data.ravel()):
+        expected[r, c] = 2.0 * value / 6.0
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("offsets", [[0, 1, 5, 6], [0, 1, 2, 3, 4, 5, 6]])
+def test_grad_check_segment_max_pool(offsets, rng):
+    # Rows 0 and 5 tie across segments; rows 2 and 3 tie inside the middle
+    # segment, below its max (a tie at a max is a kink, checked exactly above).
+    b0, b1, b2 = rng.normal(0.0, 1.0, (3, 4))
+    x = T.parameter(np.stack([b0, b1, b2 - 5.0, b2 - 5.0, b0 - 5.0, b0]))
+    target = None
+
+    def f():
+        nonlocal target
+        out = T.max_pool(x, np.array(offsets))
+        if target is None:
+            target = rng.normal(0.0, 1.0, out.shape)
+        return T.mse(out, T.constant(target))
+
+    assert T.grad_check(f, [x]) < 1e-4
+
+
+@pytest.mark.parametrize("offsets", [[0, 2], [1, 3], [0, 0, 3], [0, 2, 1, 3], [[0, 3]]])
+def test_max_pool_rejects_bad_offsets(offsets):
+    with pytest.raises(ShapeMismatchError):
+        T.max_pool(T.constant(np.ones((3, 2))), np.array(offsets))

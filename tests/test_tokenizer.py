@@ -13,6 +13,11 @@ from samdistill.errors import (
 )
 
 
+def members(ts):
+    """Each token's member indices, token by token."""
+    return np.split(ts.indices, ts.offsets[1:-1])
+
+
 def brute_force_fps(points: np.ndarray, n: int, start: int) -> list[int]:
     """Independent greedy reference: literal distance recomputation each pick."""
     picked = [start]
@@ -77,17 +82,17 @@ class TestKnnTokenize:
     def test_two_point_token_example(self):
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])
         ts = tokenizer.knn_tokenize(pts, n=1, k=2, start_index=0)
-        assert set(ts.tokens[0].point_indices.tolist()) == {0, 1}
+        assert set(members(ts)[0].tolist()) == {0, 1}
         # Default start (closest to mean) picks the same token here.
         ts2 = tokenizer.knn_tokenize(pts, n=1, k=2)
-        assert set(ts2.tokens[0].point_indices.tolist()) == {0, 1}
+        assert set(members(ts2)[0].tolist()) == {0, 1}
 
     def test_k_one_tokens_contain_their_centroid_point(self, rng):
         pts = rng.normal(0, 1, (9, 3))
         ts = tokenizer.knn_tokenize(pts, n=4, k=1)
         centers = tokenizer.fps(pts, 4, tokenizer.nearest_to_mean(pts))
-        for tok, c in zip(ts.tokens, centers):
-            np.testing.assert_array_equal(tok.point_indices, [c])
+        for tok, c in zip(members(ts), centers):
+            np.testing.assert_array_equal(tok, [c])
 
     def test_well_separated_clusters_give_pure_tokens(self):
         rng = np.random.default_rng(0)
@@ -101,15 +106,13 @@ class TestKnnTokenize:
     def test_centroid_is_member_mean(self, rng):
         pts = rng.normal(0, 1, (12, 3))
         ts = tokenizer.knn_tokenize(pts, n=3, k=5)
-        for tok in ts.tokens:
-            np.testing.assert_allclose(
-                tok.centroid, pts[tok.point_indices].mean(axis=0), atol=1e-6
-            )
+        for tok, centroid in zip(members(ts), ts.centroids):
+            np.testing.assert_allclose(centroid, pts[tok].mean(axis=0), atol=1e-6)
 
     def test_mode_and_region_ids(self, rng):
         ts = tokenizer.knn_tokenize(rng.normal(0, 1, (6, 3)), n=2, k=3)
         assert ts.mode == tokenizer.MODE_KNN
-        assert all(t.region_id == -1 for t in ts.tokens)
+        assert all(ts.region_ids == -1)
 
     def test_k_too_large(self):
         with pytest.raises(InvalidCountError):
@@ -128,7 +131,7 @@ class TestSamTokenize:
         with pytest.raises(EmptyTokenizationError):
             tokenizer.sam_tokenize(small_bundle, min_points=threshold)
         ts = tokenizer.sam_tokenize(small_bundle, min_points=counts.max())
-        surviving = {t.region_id for t in ts.tokens}
+        surviving = set(ts.region_ids.tolist())
         assert surviving == {int(np.argmax(counts))} or counts.max() == counts.min()
 
     def test_min_points_boundary_drops_into_dropped_points(self):
@@ -136,7 +139,7 @@ class TestSamTokenize:
         counts = np.bincount(bundle.gt_region)
         smallest = int(np.argmin(counts))
         ts = tokenizer.sam_tokenize(bundle, min_points=int(counts[smallest]) + 1)
-        assert smallest not in {t.region_id for t in ts.tokens}
+        assert smallest not in set(ts.region_ids.tolist())
         dropped_regions = set(bundle.gt_region[ts.dropped_points].tolist())
         assert smallest in dropped_regions
 
@@ -146,11 +149,11 @@ class TestSamTokenize:
         assert len(ts) == 3
         # Oracle: count in-raster masked projections directly.
         regions = tokenizer.point_regions(bundle)
-        assert sum(len(t.point_indices) for t in ts.tokens) == int((regions >= 0).sum())
+        assert sum(len(t) for t in members(ts)) == int((regions >= 0).sum())
 
     def test_tokens_sorted_by_region_id(self, small_bundle):
         ts = tokenizer.sam_tokenize(small_bundle)
-        ids = [t.region_id for t in ts.tokens]
+        ids = ts.region_ids.tolist()
         assert ids == sorted(ids)
 
     @given(st.integers(0, 300), st.integers(1, 6))
@@ -158,14 +161,12 @@ class TestSamTokenize:
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=n_objects, seed=seed))
         ts = tokenizer.sam_tokenize(bundle, min_points=8)
         seen = list(ts.dropped_points)
-        for tok in ts.tokens:
-            seen.extend(tok.point_indices.tolist())
+        for tok, region_id, centroid in zip(members(ts), ts.region_ids, ts.centroids):
+            seen.extend(tok.tolist())
             # Region homogeneity under the oracle mask.
-            assert np.all(bundle.gt_region[tok.point_indices] == tok.region_id)
+            assert np.all(bundle.gt_region[tok] == region_id)
             np.testing.assert_allclose(
-                tok.centroid,
-                bundle.points[tok.point_indices].astype(np.float64).mean(axis=0),
-                atol=1e-6,
+                centroid, bundle.points[tok].astype(np.float64).mean(axis=0), atol=1e-6
             )
         assert sorted(seen) == list(range(bundle.n_points))
 
@@ -183,22 +184,19 @@ class TestSamTokenize:
 
 class TestPurity:
     def test_two_thirds_example(self):
-        tok = tokenizer.Token(
-            point_indices=np.array([0, 1, 2]), centroid=np.zeros(3), region_id=0
+        ts = tokenizer.TokenSet.from_members(
+            [np.array([0, 1, 2])], np.zeros((3, 3)), [0], tokenizer.MODE_KNN
         )
-        ts = tokenizer.TokenSet(tokens=[tok], mode=tokenizer.MODE_KNN)
         assert tokenizer.purity(ts, np.array([7, 7, 8])) == pytest.approx(2 / 3)
 
     def test_all_single_label(self):
-        toks = [
-            tokenizer.Token(np.array([0, 1]), np.zeros(3), 0),
-            tokenizer.Token(np.array([2]), np.zeros(3), 1),
-        ]
-        ts = tokenizer.TokenSet(tokens=toks, mode=tokenizer.MODE_SAM)
+        ts = tokenizer.TokenSet.from_members(
+            [np.array([0, 1]), np.array([2])], np.zeros((3, 3)), [0, 1], tokenizer.MODE_SAM
+        )
         assert tokenizer.purity(ts, np.array([4, 4, 9])) == 1.0
 
     def test_empty_token_set_rejected(self):
-        ts = tokenizer.TokenSet(tokens=[], mode=tokenizer.MODE_KNN)
+        ts = tokenizer.TokenSet.from_members([], np.zeros((0, 3)), [], tokenizer.MODE_KNN)
         with pytest.raises(InvalidInputError):
             tokenizer.purity(ts, np.array([0]))
 
@@ -213,3 +211,85 @@ class TestPurity:
         assert tokenizer.purity(ts, bundle.gt_region) < 1.0
         sam_ts = tokenizer.sam_tokenize(bundle)
         assert tokenizer.purity(sam_ts, bundle.gt_region) == 1.0
+
+
+def _per_token_purity(ts, gt_region):
+    """The per-token loop that purity replaced."""
+    shares = []
+    for tok in members(ts):
+        _, counts = np.unique(gt_region[tok], return_counts=True)
+        shares.append(counts.max() / len(tok))
+    return float(np.mean(shares))
+
+
+def _per_token_majority(ts, regions_of_points):
+    out = []
+    for tok in members(ts):
+        labels = regions_of_points[tok]
+        ids, counts = np.unique(labels[labels >= 0], return_counts=True)
+        out.append(ids[np.argmax(counts)])
+    return np.array(out, dtype=np.int64)
+
+
+class TestPackedTokenSet:
+    @given(st.integers(0, 200), st.integers(2, 6))
+    def test_segment_reductions_match_per_token_loops(self, seed, n_objects):
+        bundle = scene.generate_scene(scene.SceneSpec(n_objects=n_objects, seed=seed))
+        regions = tokenizer.point_regions(bundle)
+        for ts in (
+            tokenizer.sam_tokenize(bundle, min_points=1),
+            tokenizer.knn_tokenize(bundle.points, n=n_objects, k=bundle.n_points // n_objects),
+        ):
+            assert tokenizer.purity(ts, bundle.gt_region) == _per_token_purity(
+                ts, bundle.gt_region
+            )
+            np.testing.assert_array_equal(
+                ts.member_counts(), [len(tok) for tok in members(ts)]
+            )
+            if all((regions[tok] >= 0).any() for tok in members(ts)):
+                np.testing.assert_array_equal(
+                    tokenizer.majority_regions(ts, regions), _per_token_majority(ts, regions)
+                )
+
+    def test_majority_ties_take_lowest_id_and_unmapped_tokens_fail(self):
+        ts = tokenizer.TokenSet.from_members(
+            [np.array([0, 1, 2, 3]), np.array([4, 5])], np.zeros((6, 3)), [0, 0],
+            tokenizer.MODE_KNN,
+        )
+        np.testing.assert_array_equal(
+            tokenizer.majority_regions(ts, np.array([5, 3, 5, 3, -1, 2])), [3, 2]
+        )
+        with pytest.raises(InvalidInputError):
+            tokenizer.majority_regions(ts, np.array([5, 3, 5, 3, -1, -1]))
+
+    def test_subsampled_view_strides_sorted_members_once(self):
+        pts = np.zeros((40, 3))
+        ts = tokenizer.TokenSet.from_members(
+            [np.arange(39, -1, -1), np.array([7, 3]), np.arange(10)], pts, [0, 1, 2],
+            tokenizer.MODE_KNN,
+        )
+        indices, offsets = ts.subsampled(8)
+        # 40 members at stride ceil(40 / 8) = 5; the others fit as they are.
+        np.testing.assert_array_equal(offsets, [0, 8, 10, 15])
+        np.testing.assert_array_equal(indices[:8], np.arange(0, 40, 5))
+        np.testing.assert_array_equal(indices[8:10], [3, 7])
+        np.testing.assert_array_equal(indices[10:], np.arange(0, 10, 2))
+        assert ts.subsampled(8)[0] is indices
+        assert not indices.flags.writeable
+
+    def test_select_keeps_rows_and_cached_views(self, small_bundle):
+        ts = tokenizer.sam_tokenize(small_bundle)
+        full_indices, full_offsets = ts.subsampled(16)
+        rows = np.array([2, 0]) if len(ts) > 2 else np.array([len(ts) - 1])
+        picked = ts.select(rows)
+        assert len(picked) == len(rows)
+        np.testing.assert_array_equal(picked.region_ids, ts.region_ids[rows])
+        np.testing.assert_array_equal(picked.centroids, ts.centroids[rows])
+        for new, old in zip(members(picked), rows):
+            np.testing.assert_array_equal(new, members(ts)[old])
+        indices, offsets = picked._subsampled[16]
+        for i, old in enumerate(rows):
+            np.testing.assert_array_equal(
+                indices[offsets[i] : offsets[i + 1]],
+                full_indices[full_offsets[old] : full_offsets[old + 1]],
+            )

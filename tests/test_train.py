@@ -253,6 +253,22 @@ class TestRunStage1:
             tmp_path / "part" / "metrics.json"
         ).read_bytes()
 
+    def test_resume_with_other_k_groups_refused(self, tiny_dataset, tiny_arch, tmp_path):
+        tb, eb = tiny_dataset
+        run = tmp_path / "run"
+        train.run_stage1(
+            tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), run,
+            stop_after_epochs=1,
+        )
+        with pytest.raises(InconsistencyError):
+            train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=2), run,
+                resume=True,
+            )
+        train.run_stage1(
+            tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), run, resume=True
+        )
+
     def test_non_finite_value_in_a_step_keeps_last_good_checkpoint(
         self, tiny_dataset, tiny_arch, tmp_path
     ):
@@ -413,6 +429,21 @@ class TestRunStage2:
         with pytest.raises(InconsistencyError):
             train.run_stage2(tb, eb, tmp_path / "teacher2", _quick_cfg(), cfg, run, resume=True)
         train.run_stage2(tb, eb, tmp_path / "teacher1", _quick_cfg(), cfg, run, resume=True)
+
+    def test_resume_with_other_scenes_or_mask_ratio_refused(
+        self, tiny_dataset, teacher_ckpt, tmp_path
+    ):
+        tb, eb = tiny_dataset
+        run = tmp_path / "run"
+        train.run_stage2(
+            tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), run,
+            stop_after_epochs=1,
+        )
+        with pytest.raises(InconsistencyError):
+            train.run_stage2(
+                tb[:3], eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.2), run,
+                resume=True,
+            )
 
     def test_teacher_runs_once_per_scene(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
         tb, eb = tiny_dataset

@@ -1,5 +1,9 @@
 """Model components: token embedder, positional MLP, transformer stacks.
 
+Every forward runs on a :class:`TokenBatch`, the tokens of one or more
+scenes stacked row after row; attention stays within each scene, so the
+scenes of an optimizer batch share one graph.
+
 Parameters are named views into one flat float64 buffer, and each leaf's
 ``requires_grad`` says whether it trains, so that a whole model can serve
 as a frozen teacher. Checkpoints are a JSON manifest plus one raw float64
@@ -12,7 +16,7 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -221,21 +225,89 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
 # Forward building blocks
 
 
-def embed_tokens(bundle, tokens: TokenSet, params: ModelParams) -> T.Tensor:
-    """Mini-PointNet: center members, shared two-layer MLP, max-pool over points.
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """The tokens of one or more scenes, stacked row after row for one forward.
 
-    The MLP runs once over every token's packed member rows, and the max
+    Token i's subsampled member points, each minus the token's centroid,
+    are ``members[member_offsets[i]:member_offsets[i + 1]]``; scene s owns
+    the tokens ``scene_offsets[s]:scene_offsets[s + 1]``. A scene's batch is
+    built once with :meth:`of_scene`; :meth:`stack` and :meth:`select` only
+    copy rows.
+    """
+
+    members: np.ndarray  # (P, 3) float64
+    member_offsets: np.ndarray  # (N + 1,) int64 CSR bounds into members
+    centroids: np.ndarray  # (N, 3) float64
+    scene_offsets: np.ndarray  # (B + 1,) int64 CSR bounds into the tokens
+
+    @classmethod
+    def of_scene(cls, bundle, tokens: TokenSet, max_points: int) -> "TokenBatch":
+        """One scene's tokens, each cut to at most ``max_points`` members."""
+        if np.any(tokens.member_counts() == 0):
+            raise InvalidInputError("cannot embed an empty token")
+        indices, offsets = tokens.subsampled(max_points)
+        centroids = np.repeat(tokens.centroids, np.diff(offsets), axis=0)
+        members = np.asarray(bundle.points[indices], dtype=np.float64) - centroids
+        return cls(members, offsets, tokens.centroids, np.array([0, len(tokens)]))
+
+    @classmethod
+    def stack(cls, batches: Sequence["TokenBatch"]) -> "TokenBatch":
+        """The scenes of ``batches``, in order, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            np.concatenate([b.members for b in batches]),
+            _bounds(np.concatenate([np.diff(b.member_offsets) for b in batches])),
+            np.concatenate([b.centroids for b in batches]),
+            _bounds([len(b) for b in batches]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.centroids)
+
+    @property
+    def n_scenes(self) -> int:
+        return len(self.scene_offsets) - 1
+
+    def scene_sizes(self) -> np.ndarray:
+        return np.diff(self.scene_offsets)
+
+    def select(self, rows: np.ndarray) -> "TokenBatch":
+        """The tokens at ``rows``, in that order; rows must keep the scenes in order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        scene = np.repeat(np.arange(self.n_scenes), self.scene_sizes())[rows]
+        if np.any(np.diff(scene) < 0):
+            raise InvalidInputError("selected rows must keep the scenes in order")
+        counts = self.member_offsets[rows + 1] - self.member_offsets[rows]
+        member_offsets = _bounds(counts)
+        picked = np.repeat(self.member_offsets[rows] - member_offsets[:-1], counts)
+        return TokenBatch(
+            self.members[picked + np.arange(member_offsets[-1])],
+            member_offsets,
+            self.centroids[rows],
+            _bounds(np.bincount(scene, minlength=self.n_scenes)),
+        )
+
+
+def _bounds(counts) -> np.ndarray:
+    """CSR bounds of consecutive segments of the given sizes."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
+
+
+def embed_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
+    """Mini-PointNet: shared two-layer MLP over centered members, max-pool over points.
+
+    The MLP runs once over every member row of the batch, and the max
     runs over each token's segment of them.
     """
-    if np.any(tokens.member_counts() == 0):
-        raise InvalidInputError("cannot embed an empty token")
     p = params.tensors
-    indices, offsets = tokens.subsampled(params.arch.max_points_per_token)
-    centroids = np.repeat(tokens.centroids, np.diff(offsets), axis=0)
-    local = T.constant(np.asarray(bundle.points[indices], dtype=np.float64) - centroids)
+    local = T.constant(batch.members)
     h = T.relu(T.add(T.matmul(local, p["embed.l1.w"]), p["embed.l1.b"]))
     h = T.add(T.matmul(h, p["embed.l2.w"]), p["embed.l2.b"])
-    return T.max_pool(h, offsets)
+    return T.max_pool(h, batch.member_offsets)
 
 
 def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
@@ -246,12 +318,14 @@ def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
     return T.add(T.matmul(h, p["pos.l2.w"]), p["pos.l2.b"])
 
 
-def _attention(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
+def _attention(
+    x: T.Tensor, params: ModelParams, prefix: str, scene_offsets: np.ndarray
+) -> T.Tensor:
     p = params.tensors
     q = T.matmul(x, p[f"{prefix}.attn.wq"])
     k = T.matmul(x, p[f"{prefix}.attn.wk"])
     v = T.matmul(x, p[f"{prefix}.attn.wv"])
-    heads = T.attention(q, k, v, params.arch.n_heads)
+    heads = T.attention(q, k, v, params.arch.n_heads, scene_offsets)
     return T.add(T.matmul(heads, p[f"{prefix}.attn.wo"]), p[f"{prefix}.attn.bo"])
 
 
@@ -261,39 +335,35 @@ def _mlp(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
     return T.add(T.matmul(h, p[f"{prefix}.mlp.l2.w"]), p[f"{prefix}.mlp.l2.b"])
 
 
-def _block(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
+def _transformer(
+    x: T.Tensor, params: ModelParams, name: str, n_layers: int, scene_offsets: np.ndarray
+) -> T.Tensor:
+    """``n_layers`` pre-norm blocks and a final layer norm; identity when empty."""
+    if n_layers == 0:
+        return x
     p, eps = params.tensors, params.arch.ln_eps
-    normed = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
-    x = T.add(x, _attention(normed, params, prefix))
-    normed = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
-    return T.add(x, _mlp(normed, params, prefix))
+    for i in range(n_layers):
+        prefix = f"{name}{i}"
+        normed = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
+        x = T.add(x, _attention(normed, params, prefix, scene_offsets))
+        normed = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
+        x = T.add(x, _mlp(normed, params, prefix))
+    return T.layer_norm(x, p[f"{name}.ln_f.g"], p[f"{name}.ln_f.b"], eps=eps)
 
 
-def encode(features: T.Tensor, params: ModelParams) -> T.Tensor:
-    """Pre-norm self-attention stack; identity when the stack is empty."""
-    x = features
-    if params.arch.n_enc_layers == 0:
-        return x
-    for i in range(params.arch.n_enc_layers):
-        x = _block(x, params, f"enc{i}")
-    p = params.tensors
-    return T.layer_norm(x, p["enc.ln_f.g"], p["enc.ln_f.b"], eps=params.arch.ln_eps)
+def encode(features: T.Tensor, params: ModelParams, scene_offsets: np.ndarray) -> T.Tensor:
+    """Pre-norm self-attention stack over stacked scenes; each row attends within its scene."""
+    return _transformer(features, params, "enc", params.arch.n_enc_layers, scene_offsets)
 
 
-def decode(features: T.Tensor, params: ModelParams) -> T.Tensor:
-    x = features
-    if params.arch.n_dec_layers == 0:
-        return x
-    for i in range(params.arch.n_dec_layers):
-        x = _block(x, params, f"dec{i}")
-    p = params.tensors
-    return T.layer_norm(x, p["dec.ln_f.g"], p["dec.ln_f.b"], eps=params.arch.ln_eps)
+def decode(features: T.Tensor, params: ModelParams, scene_offsets: np.ndarray) -> T.Tensor:
+    return _transformer(features, params, "dec", params.arch.n_dec_layers, scene_offsets)
 
 
-def forward_tokens(bundle, tokens: TokenSet, params: ModelParams) -> T.Tensor:
+def forward_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
     """Encoder features of every token: token plus positional embedding, then the encoder."""
-    h = T.add(embed_tokens(bundle, tokens, params), pos_embed(tokens.centroids, params))
-    return encode(h, params)
+    h = T.add(embed_tokens(batch, params), pos_embed(batch.centroids, params))
+    return encode(h, params, batch.scene_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +404,21 @@ def make_mask_plan(m: int, r_w: float, seed: int, scene_id: int, epoch: int) -> 
     )
 
 
-def fill_masked_positions(enc_visible: T.Tensor, plan: MaskPlan, params: ModelParams) -> T.Tensor:
-    """Arrange visible encodings and the shared mask query back into token order."""
-    n_visible = len(plan.visible)
+def fill_masked_positions(
+    enc_visible: T.Tensor, visible_rows: np.ndarray, n_tokens: int, params: ModelParams
+) -> T.Tensor:
+    """Arrange visible encodings and the shared mask query back into token order.
+
+    Row ``visible_rows[i]`` of the ``n_tokens`` output rows is
+    ``enc_visible[i]``; every other row is the mask query.
+    """
+    n_visible = len(visible_rows)
     if enc_visible.shape[0] != n_visible:
         raise InvalidInputError("visible encodings do not match the mask plan")
     query = T.reshape(params.tensors["mask_query"], (1, params.arch.embed_dim))
     pool = T.concat([enc_visible, query], axis=0)
-    index = np.full(plan.n_tokens, n_visible, dtype=np.int64)
-    index[plan.visible] = np.arange(n_visible)
+    index = np.full(n_tokens, n_visible, dtype=np.int64)
+    index[visible_rows] = np.arange(n_visible)
     return T.gather_rows(pool, index)
 
 

@@ -49,12 +49,18 @@ def token_type_labels(bundle: SceneBundle, tokens: TokenSet) -> np.ndarray:
 def extract_features(
     bundles: list[SceneBundle], params: nn.ModelParams, min_points: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen encoder features and type labels for every token across scenes."""
+    """Frozen encoder features and type labels for every token across scenes.
+
+    One scene per forward, so a probe's features do not depend on how
+    scenes would be grouped.
+    """
+    max_points = params.arch.max_points_per_token
     feats, labels = [], []
     with T.no_grad():
         for bundle in bundles:
             tokens = sam_tokenize(bundle, min_points=min_points)
-            feats.append(nn.forward_tokens(bundle, tokens, params).data)
+            batch = nn.TokenBatch.of_scene(bundle, tokens, max_points)
+            feats.append(nn.forward_tokens(batch, params).data)
             labels.append(token_type_labels(bundle, tokens))
     return np.concatenate(feats), np.concatenate(labels)
 

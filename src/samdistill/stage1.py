@@ -245,12 +245,15 @@ def stage1_loss(
     groups: np.ndarray,
     scale_mode: str = SCALE_MEAN_ONE,
     beta: float = 1.0,
+    scene_offsets: np.ndarray | None = None,
 ) -> T.Tensor:
     """Weighted mean of per-region smooth L1 between pooled 2D and projected 3D features.
 
     ``mean-one`` scales weights by K so their average stays 1 and the
     effective learning rate matches the unweighted loss;
-    ``paper-literal`` applies the normalized weights as-is.
+    ``paper-literal`` applies the normalized weights as-is. With
+    ``scene_offsets`` (CSR bounds of stacked scenes' rows) the loss is the
+    mean over scenes of each scene's loss.
     """
     if scale_mode not in (SCALE_MEAN_ONE, SCALE_PAPER_LITERAL):
         raise InvalidInputError(f"unknown scale_mode {scale_mode!r}")
@@ -266,12 +269,16 @@ def stage1_loss(
 
     scale = float(table.n_groups) if scale_mode == SCALE_MEAN_ONE else 1.0
     weights = scale * table.w[groups]
-    return T.smooth_l1(f3d, T.constant(targets), beta=beta, weights=weights)
+    return T.smooth_l1(f3d, T.constant(targets), beta, weights, scene_offsets)
 
 
-def uniform_stage1_loss(f2d: np.ndarray, f3d: T.Tensor, beta: float = 1.0) -> T.Tensor:
-    """Unweighted distillation loss (the re-weighting ablation)."""
-    return T.smooth_l1(f3d, T.constant(np.asarray(f2d, dtype=np.float64)), beta=beta)
+def uniform_stage1_loss(
+    f2d: np.ndarray, f3d: T.Tensor, beta: float = 1.0, scene_offsets: np.ndarray | None = None
+) -> T.Tensor:
+    """Unweighted distillation loss (the re-weighting ablation), a mean over scenes."""
+    return T.smooth_l1(
+        f3d, T.constant(np.asarray(f2d, dtype=np.float64)), beta, offsets=scene_offsets
+    )
 
 
 def region_cosines(f2d: np.ndarray, f3d: np.ndarray) -> np.ndarray:

@@ -85,8 +85,8 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` for every requires_grad node reachable from this scalar.
 
-        Leaf gradients accumulate across calls, so batched losses may sum
-        per-scene backward passes; call ``zero_grad`` between steps.
+        Leaf gradients accumulate across calls; call ``zero_grad`` between
+        steps.
         """
         if self.size != 1:
             raise ShapeMismatchError("backward", self.shape)
@@ -334,16 +334,52 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
+def _segments(op: str, n_rows: int, offsets, allow_empty: bool = False) -> np.ndarray:
+    """Validated CSR bounds over ``n_rows`` rows; ``None`` makes all rows one segment."""
+    if offsets is None:
+        return np.array([0, n_rows], dtype=np.int64)
+    bounds = np.asarray(offsets, dtype=np.int64)
+    if (
+        bounds.ndim != 1
+        or len(bounds) < 2
+        or bounds[0] != 0
+        or bounds[-1] != n_rows
+        or np.any(np.diff(bounds) < (0 if allow_empty else 1))
+    ):
+        raise ShapeMismatchError(op, (n_rows,), bounds.shape)
+    return bounds
+
+
+def _padded(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each segment's rows of ``x`` as one slice of a zero-padded (S, longest, ...) array.
+
+    Trailing zeros change no sum, and with one segment the copy has
+    ``x``'s layout, so reductions over axis 1 run as they would over ``x``.
+    """
+    counts = np.diff(bounds)
+    out = np.zeros((len(counts), counts.max(initial=0)) + x.shape[1:])
+    seg = np.repeat(np.arange(len(counts)), counts)
+    out[seg, np.arange(len(x)) - bounds[seg]] = x
+    return out
+
+
+def mean_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
+    """Mean over each segment of rows ``a[offsets[i]:offsets[i + 1]]``.
+
+    ``offsets`` are CSR bounds as for :func:`max_pool`. A one-segment mean
+    has the bits of ``a.mean(axis=0)``.
+    """
     a = _as_tensor(a)
-    if not (0 <= axis < a.ndim):
-        raise ShapeMismatchError("mean_pool", a.shape, axis)
-    n = a.shape[axis]
-    out = _node(a.data.mean(axis=axis), (a,), "mean_pool")
+    if a.ndim < 1:
+        raise ShapeMismatchError("mean_pool", a.shape)
+    bounds = _segments("mean_pool", a.shape[0], offsets)
+    counts = np.diff(bounds)
+    per_row = counts.reshape((-1,) + (1,) * (a.ndim - 1))
+    out = _node(np.add.reduce(_padded(a.data, bounds), axis=1) / per_row, (a,), "mean_pool")
     if out.requires_grad:
 
         def backward(g):
-            a._accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
+            a._accumulate(np.repeat(g / per_row, counts, axis=0))
 
         out._backward = backward
     return out
@@ -357,17 +393,10 @@ def max_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
     of each segment and column.
     """
     a = _as_tensor(a)
-    bounds = np.asarray(offsets, dtype=np.int64)
+    if a.ndim < 1:
+        raise ShapeMismatchError("max_pool", a.shape)
+    bounds = _segments("max_pool", a.shape[0], offsets)
     counts = np.diff(bounds)
-    if (
-        a.ndim < 1
-        or bounds.ndim != 1
-        or len(bounds) < 2
-        or bounds[0] != 0
-        or bounds[-1] != a.shape[0]
-        or np.any(counts < 1)
-    ):
-        raise ShapeMismatchError("max_pool", a.shape, bounds.shape)
     starts = bounds[:-1]
     maxima = np.maximum.reduceat(a.data, starts, axis=0)
     out = _node(maxima, (a,), "max_pool")
@@ -433,14 +462,19 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, offsets: np.ndarray | None = None
+) -> Tensor:
     """Multi-head scaled dot-product attention over the rows of ``q``, ``k`` and ``v``.
 
     The columns split into ``n_heads`` contiguous heads of width dh, laid out
     as (H, M, dh); head h gives softmax(q_h k_h^T / sqrt(dh)) v_h, and the
-    heads are concatenated back in column order. One node: the backward
-    reuses the forward's softmax, and each head's products are the ones a
-    per-head graph of matmul, scale and softmax nodes would compute.
+    heads are concatenated back in column order. ``offsets`` are CSR bounds
+    of the scenes stacked in the rows: a block-diagonal -inf mask on the
+    scores keeps each row to its own scene's keys, and with one scene (or
+    None) no mask is applied. One node: the backward reuses the forward's
+    softmax, and each head's products are the ones a per-head graph of
+    matmul, scale and softmax nodes would compute.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -448,6 +482,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     m, width = q.shape
     if n_heads < 1 or width % n_heads:
         raise ShapeMismatchError("attention", q.shape, n_heads)
+    bounds = _segments("attention", m, offsets, allow_empty=True)
     dh = width // n_heads
     c = 1.0 / math.sqrt(dh)
 
@@ -459,6 +494,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.transpose(0, 2, 1)) * c
+    if len(bounds) > 2:
+        scene = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        scores = np.where(scene[:, None] == scene, scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = _node(merge(y @ vh), (q, k, v), "attention")
@@ -483,51 +521,51 @@ def layer_norm(
     a: Tensor,
     gain: Tensor | None = None,
     bias: Tensor | None = None,
-    axis: int = -1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize each slice along ``axis`` to zero mean and unit variance.
+    """Normalize each slice along the last axis to zero mean and unit variance.
 
-    Optional ``gain``/``bias`` of shape (a.shape[axis],) apply the usual
+    Optional ``gain``/``bias`` of shape (a.shape[-1],) apply the usual
     affine transform; folding them into the op keeps the engine free of
-    general broadcasting.
+    general broadcasting. The moments are the reductions ``np.mean`` and
+    ``np.var`` make, without their Python wrappers.
     """
     a = _as_tensor(a)
     if eps <= 0:
         raise InvalidInputError("layer_norm eps must be > 0")
-    axis = axis % a.ndim
-    dim = a.shape[axis]
+    n = a.shape[-1]
     for extra in (gain, bias):
-        if extra is not None and extra.shape != (dim,):
+        if extra is not None and extra.shape != (n,):
             raise ShapeMismatchError("layer_norm", a.shape, extra.shape)
 
-    x = np.moveaxis(a.data, axis, -1)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mean) * inv
+    d = a.data - np.add.reduce(a.data, -1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / n + eps)
+    y = d * inv
     z = y
     if gain is not None:
         z = z * gain.data
     if bias is not None:
         z = z + bias.data
     parents = tuple(t for t in (a, gain, bias) if t is not None)
-    out = _node(np.moveaxis(z, -1, axis), parents, "layer_norm")
+    out = _node(z, parents, "layer_norm")
     if out.requires_grad:
 
         def backward(g):
-            g = np.moveaxis(g, axis, -1)
             gy = g * gain.data if gain is not None else g
             if a.requires_grad:
-                dx = inv * (
-                    gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True)
+                a._accumulate(
+                    inv
+                    * (
+                        gy
+                        - np.add.reduce(gy, -1, keepdims=True) / n
+                        - y * (np.add.reduce(gy * y, -1, keepdims=True) / n)
+                    )
                 )
-                a._accumulate(np.moveaxis(dx, -1, axis))
-            reduce_axes = tuple(range(g.ndim - 1))
+            leading = tuple(range(g.ndim - 1))
             if gain is not None and gain.requires_grad:
-                gain._accumulate((g * y).sum(axis=reduce_axes))
+                gain._accumulate(np.add.reduce(g * y, leading))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=reduce_axes))
+                bias._accumulate(np.add.reduce(g, leading))
 
         out._backward = backward
     return out
@@ -537,16 +575,26 @@ def layer_norm(
 # Fused scalar losses
 
 
-def mse(a: Tensor, b: Tensor) -> Tensor:
+def mse(a: Tensor, b: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+    """Mean squared error.
+
+    ``offsets`` are CSR bounds over the leading axis: the loss is then the
+    mean over segments of each segment's MSE, and an empty segment counts
+    as 0. Without them all rows are one segment.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
+    if a.shape != b.shape or a.ndim < 1:
         raise ShapeMismatchError("mse", a.shape, b.shape)
+    bounds = _segments("mse", a.shape[0], offsets, allow_empty=True)
     d = a.data - b.data
-    out = _node(np.mean(d * d), (a, b), "mse")
+    sizes = np.diff(bounds) * (d[:1].size)
+    sums = np.add.reduce(_padded(d * d, bounds).reshape(len(sizes), -1), axis=1)
+    out = _node(np.mean(sums / np.maximum(sizes, 1)), (a, b), "mse")
     if out.requires_grad:
+        row_sizes = np.repeat(sizes, np.diff(bounds)).reshape((-1,) + (1,) * (d.ndim - 1))
 
         def backward(g):
-            g = g * 2.0 * d / d.size
+            g = g / len(sizes) * 2.0 * d / row_sizes
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
@@ -557,39 +605,53 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 
 def smooth_l1(
-    a: Tensor, b: Tensor, beta: float = 1.0, weights: np.ndarray | None = None
+    a: Tensor,
+    b: Tensor,
+    beta: float = 1.0,
+    weights: np.ndarray | None = None,
+    offsets: np.ndarray | None = None,
 ) -> Tensor:
     """Mean smooth L1: 0.5 d^2 / beta inside the kink, |d| - 0.5 beta outside.
 
-    With ``weights`` (one per row of 2-D inputs) the loss is instead the mean
-    over rows of weight times row mean, with the weighted row means summed
-    in row order, so it equals a chain of per-row terms bit for bit.
+    ``offsets`` are CSR bounds over the leading axis, such as one segment
+    per scene (default: all rows are one segment); the loss is the mean over segments of
+    each segment's loss. A segment's loss is the mean of its elements, or
+    with ``weights`` (one per row of 2-D inputs) the mean over its rows of
+    weight times row mean, with the weighted row means summed in row
+    order, so it equals a chain of per-row terms bit for bit.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
+    if a.shape != b.shape or a.ndim < 1:
         raise ShapeMismatchError("smooth_l1", a.shape, b.shape)
     if beta <= 0:
         raise InvalidInputError("smooth_l1 beta must be > 0")
+    bounds = _segments("smooth_l1", a.shape[0], offsets)
+    counts = np.diff(bounds)
     d = a.data - b.data
     quad = np.abs(d) < beta
     elems = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
     if weights is None:
-        value = np.mean(elems)
+        sizes = counts * elems[:1].size
+        sums = np.add.reduce(_padded(elems, bounds).reshape(len(counts), -1), axis=1)
+        per_segment = sums / sizes
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if d.ndim != 2 or w.shape != (d.shape[0],) or not d.shape[0]:
+        if d.ndim != 2 or w.shape != (d.shape[0],):
             raise ShapeMismatchError("smooth_l1", d.shape, w.shape)
-        inv_rows = 1.0 / d.shape[0]
-        value = np.cumsum(elems.mean(axis=1) * w)[-1] * inv_rows
-    out = _node(value, (a, b), "smooth_l1")
+        inv_rows = 1.0 / counts
+        per_segment = np.cumsum(_padded(elems.mean(axis=1) * w, bounds), axis=1)[:, -1] * inv_rows
+    out = _node(np.mean(per_segment), (a, b), "smooth_l1")
     if out.requires_grad:
 
         def backward(g):
+            g = g / len(counts)
+            slope = np.where(quad, d / beta, np.sign(d))
             if weights is None:
-                g = g * (np.where(quad, d / beta, np.sign(d)) / d.size)
+                row_sizes = np.repeat(sizes, counts).reshape((-1,) + (1,) * (d.ndim - 1))
+                g = g * (slope / row_sizes)
             else:
-                row = (g * inv_rows) * w
-                g = row[:, None] * (np.where(quad, d / beta, np.sign(d)) / d.shape[1])
+                row = (g * np.repeat(inv_rows, counts)) * w
+                g = row[:, None] * (slope / d.shape[1])
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:

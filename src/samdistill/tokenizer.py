@@ -94,38 +94,11 @@ class TokenSet:
             self._subsampled[max_points] = view
         return view
 
-    def select(self, rows: np.ndarray) -> "TokenSet":
-        """The tokens at ``rows``, in that order.
-
-        The cached subsampled views are carried over; ``dropped_points``
-        stays the tokenizer's.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        indices, offsets = _take_segments(self.indices, self.offsets, rows)
-        out = TokenSet(
-            indices, offsets, self.centroids[rows], self.region_ids[rows], self.mode,
-            self.dropped_points,
-        )
-        for max_points, view in self._subsampled.items():
-            out._subsampled[max_points] = _read_only(*_take_segments(*view, rows))
-        return out
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _take_segments(
-    indices: np.ndarray, offsets: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR segments ``rows`` of ``(indices, offsets)``, concatenated in that order."""
-    counts = offsets[rows + 1] - offsets[rows]
-    new_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_offsets[1:])
-    pos = np.repeat(offsets[rows] - new_offsets[:-1], counts) + np.arange(new_offsets[-1])
-    return indices[pos], new_offsets
 
 
 def _label_counts(

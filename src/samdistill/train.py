@@ -1,5 +1,10 @@
 """Optimization shared by both stages: AdamW, warmup+cosine schedule, one run loop.
 
+Each optimizer step builds one graph over its whole batch of scenes,
+stacked into one :class:`~samdistill.nn.TokenBatch`; dataset metrics,
+held-out evals and stage-2 teacher forwards run the same packed forward
+on chunks of at most ``batch_size`` scenes.
+
 Runs are deterministic given (dataset, seed): initialization, epoch
 shuffles, and mask plans all derive from the seed, never from global
 state, so identical configurations produce bit-identical checkpoints
@@ -9,6 +14,7 @@ and interrupted runs resume bit-exactly.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -179,6 +185,8 @@ _METRIC_COLUMNS = [
     "fwd_ms",
     "bwd_ms",
     "opt_ms",
+    "n_visible",
+    "n_masked",
 ]
 
 # Step-0 dataset metrics, measured once so a resumed run reports the same ones.
@@ -205,27 +213,40 @@ class _MetricsWriter:
         self._fh.close()
 
 
-def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
+def _batches(items, batch_size: int) -> list:
+    """Consecutive slices of at most ``batch_size`` items."""
+    return [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
 
 
-def _mean_loss(losses: list[T.Tensor]) -> T.Tensor:
-    total = losses[0]
-    for loss in losses[1:]:
-        total = T.add(total, loss)
-    return T.mul(total, 1.0 / len(losses))
+def _scene_mean(values, sizes) -> float:
+    """Mean over scenes of per-batch means, each weighted by its batch's scene count."""
+    return float(np.sum(np.multiply(values, sizes)) / np.sum(sizes))
 
 
 def _run_fingerprint(
-    train_cfg: TrainConfig, stage_cfg, arch: nn.Arch, n_train: int, n_heldout: int
+    train_cfg: TrainConfig,
+    stage_cfg,
+    arch: nn.Arch,
+    train_bundles: list[SceneBundle],
+    eval_bundles: list[SceneBundle],
 ) -> dict:
-    """What a resumed run must match: the resolved configs and the dataset sizes."""
+    """What a resumed run must match: the resolved configs and the dataset.
+
+    The dataset is its scene counts plus a sha256 over every train, then
+    held-out, scene's points and mask (not its 2D feature raster).
+    """
+    digest = hashlib.sha256()
+    for bundle in (*train_bundles, *eval_bundles):
+        for array in (bundle.points, bundle.mask):
+            digest.update(str(array.shape).encode())
+            digest.update(np.ascontiguousarray(array))
     return {
         "train": asdict(train_cfg),
         "stage": asdict(stage_cfg),
         "arch": arch.to_json(),
-        "n_train": n_train,
-        "n_heldout": n_heldout,
+        "n_train": len(train_bundles),
+        "n_heldout": len(eval_bundles),
+        "scenes_sha256": digest.hexdigest(),
     }
 
 
@@ -242,8 +263,9 @@ def _fit(
 ) -> tuple[Path, nn.ModelParams, int, dict, dict]:
     """The run loop both stages share.
 
-    ``batch_loss(params, batch, epoch)`` returns the loss to minimize and
-    the float ``metrics.csv`` fields of one batch of scene indices;
+    ``batch_loss(params, batch, epoch)`` returns the loss to minimize, one
+    graph over the batch of scene indices, and the numeric ``metrics.csv``
+    fields of that batch;
     ``dataset_metrics(params)`` is measured at step 0 and after the last
     step. Every checkpoint records ``fingerprint``, and resuming from a
     checkpoint with another one raises InconsistencyError. Returns the
@@ -351,12 +373,13 @@ class Stage1Config:
 @dataclass
 class _PreparedScene:
     tokens: TokenSet
+    batch: nn.TokenBatch  # the tokens, packed once for every forward
     targets: np.ndarray  # per token, mean-pooled 2D region features
     group_features: np.ndarray  # per token, max-pooled 2D region features
     groups: np.ndarray | None = None
 
 
-def _prepare_scene(bundle: SceneBundle, tokens: TokenSet) -> _PreparedScene:
+def _prepare_scene(bundle: SceneBundle, tokens: TokenSet, arch: nn.Arch) -> _PreparedScene:
     if tokens.mode == MODE_SAM:
         token_regions = tokens.region_ids
     else:
@@ -367,7 +390,12 @@ def _prepare_scene(bundle: SceneBundle, tokens: TokenSet) -> _PreparedScene:
     group_features = stage1.pool_features_by_region(
         bundle.feat2d, bundle.mask, token_regions, stage1.MAX_POOLING
     )
-    return _PreparedScene(tokens=tokens, targets=targets, group_features=group_features)
+    return _PreparedScene(
+        tokens=tokens,
+        batch=nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token),
+        targets=targets,
+        group_features=group_features,
+    )
 
 
 def _scene_region_features(bundles: list[SceneBundle], pooling: str) -> np.ndarray:
@@ -387,19 +415,27 @@ class Stage1Result:
     centroids: np.ndarray
 
 
-def _stage1_scene_loss(
-    bundle: SceneBundle,
-    prep: _PreparedScene,
+def _stage1_project(scenes: list[_PreparedScene], params: nn.ModelParams):
+    """One packed forward: the scenes' stacked tokens and their projected 3D features."""
+    batch = nn.TokenBatch.stack([s.batch for s in scenes])
+    return batch, stage1.project_3d(nn.forward_tokens(batch, params), params)
+
+
+def _stage1_batch_loss(
+    scenes: list[_PreparedScene],
     params: nn.ModelParams,
     table: stage1.WeightTable,
     cfg: Stage1Config,
 ) -> T.Tensor:
-    f3d = stage1.project_3d(nn.forward_tokens(bundle, prep.tokens, params), params)
+    """Mean over the scenes of each scene's distillation loss, from one graph."""
+    batch, f3d = _stage1_project(scenes, params)
+    targets = np.concatenate([s.targets for s in scenes])
     if cfg.reweight:
+        groups = np.concatenate([s.groups for s in scenes])
         return stage1.stage1_loss(
-            prep.targets, f3d, table, prep.groups, cfg.scale_mode, beta=cfg.beta
+            targets, f3d, table, groups, cfg.scale_mode, cfg.beta, batch.scene_offsets
         )
-    return stage1.uniform_stage1_loss(prep.targets, f3d, beta=cfg.beta)
+    return stage1.uniform_stage1_loss(targets, f3d, cfg.beta, batch.scene_offsets)
 
 
 def _stage1_eval(
@@ -408,22 +444,28 @@ def _stage1_eval(
     table: stage1.WeightTable,
     centroids: np.ndarray,
     cfg: Stage1Config,
+    batch_size: int,
 ) -> dict:
     """Held-out per-region cosine between projected 3D features and 2D targets.
 
     Held-out scenes always use mask-guided tokens, whatever the training
-    tokenizer, so every run is scored on the same regions.
+    tokenizer, so every run is scored on the same regions. The forward
+    runs on chunks of at most ``batch_size`` scenes.
     """
     cosines: list[np.ndarray] = []
-    groups: list[np.ndarray] = []
+    group_features: list[np.ndarray] = []
     with T.no_grad():
-        for bundle in bundles:
-            prep = _prepare_scene(bundle, sam_tokenize(bundle, min_points=cfg.min_points))
-            f3d = stage1.project_3d(nn.forward_tokens(bundle, prep.tokens, params), params)
-            cosines.append(stage1.region_cosines(prep.targets, f3d.data))
-            groups.append(stage1.assign_groups(prep.group_features, centroids))
+        for chunk in _batches(bundles, batch_size):
+            scenes = [
+                _prepare_scene(b, sam_tokenize(b, min_points=cfg.min_points), params.arch)
+                for b in chunk
+            ]
+            _, f3d = _stage1_project(scenes, params)
+            targets = np.concatenate([s.targets for s in scenes])
+            cosines.append(stage1.region_cosines(targets, f3d.data))
+            group_features += [s.group_features for s in scenes]
     cos = np.concatenate(cosines)
-    grp = np.concatenate(groups)
+    grp = stage1.assign_groups(np.concatenate(group_features), centroids)
     per_group = [
         float(cos[grp == g].mean()) if np.any(grp == g) else float("nan")
         for g in range(table.n_groups)
@@ -452,15 +494,17 @@ def run_stage1(
 ) -> Stage1Result:
     """Dense distillation run: offline weight table, then weighted smooth-L1 training.
 
-    ``stop_after_epochs`` bounds how many epochs this invocation processes
-    (the schedule still spans the configured total); rerun with
-    ``resume=True`` to continue bit-exactly. Resuming with another train or
-    stage config, arch or scene count raises InconsistencyError.
+    Each step's loss is the mean over its batch's scenes of each scene's
+    loss, from one packed graph. ``stop_after_epochs`` bounds how many
+    epochs this invocation processes (the schedule still spans the
+    configured total); rerun with ``resume=True`` to continue bit-exactly.
+    Resuming with another train or stage config, arch or dataset raises
+    InconsistencyError.
     """
     out_dir = Path(out_dir)
     prepared = [
         _prepare_scene(
-            b, tokenize(b, cfg.tokenizer_mode, cfg.min_points, cfg.knn_tokens, cfg.knn_k)
+            b, tokenize(b, cfg.tokenizer_mode, cfg.min_points, cfg.knn_tokens, cfg.knn_k), arch
         )
         for b in train_bundles
     ]
@@ -474,18 +518,14 @@ def run_stage1(
         prep.groups = stage1.assign_groups(prep.group_features, centroids)
 
     def batch_loss(params: nn.ModelParams, batch: np.ndarray, epoch: int):
-        loss = _mean_loss(
-            [_stage1_scene_loss(train_bundles[i], prepared[i], params, table, cfg) for i in batch]
-        )
+        loss = _stage1_batch_loss([prepared[i] for i in batch], params, table, cfg)
         return loss, {"loss": loss.item()}
 
     def dataset_metrics(params: nn.ModelParams) -> dict:
         with T.no_grad():
-            losses = [
-                _stage1_scene_loss(b, p, params, table, cfg).item()
-                for b, p in zip(train_bundles, prepared)
-            ]
-        return {"loss": float(np.mean(losses))}
+            chunks = _batches(prepared, train_cfg.batch_size)
+            losses = [_stage1_batch_loss(chunk, params, table, cfg).item() for chunk in chunks]
+        return {"loss": _scene_mean(losses, [len(chunk) for chunk in chunks])}
 
     ckpt_dir, params, step, initial, final = _fit(
         train_cfg,
@@ -496,7 +536,7 @@ def run_stage1(
         dataset_metrics,
         resume,
         stop_after_epochs,
-        _run_fingerprint(train_cfg, cfg, arch, len(train_bundles), len(eval_bundles)),
+        _run_fingerprint(train_cfg, cfg, arch, train_bundles, eval_bundles),
     )
     train_purity = float(
         np.mean([purity(p.tokens, b.gt_region) for p, b in zip(prepared, train_bundles)])
@@ -513,7 +553,9 @@ def run_stage1(
         "seed": train_cfg.seed,
     }
     if eval_bundles:
-        metrics.update(_stage1_eval(eval_bundles, params, table, centroids, cfg))
+        metrics.update(
+            _stage1_eval(eval_bundles, params, table, centroids, cfg, train_cfg.batch_size)
+        )
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
     return Stage1Result(
         checkpoint_dir=ckpt_dir, metrics=metrics, table=table, centroids=centroids
@@ -544,40 +586,54 @@ class _Stage2Input(NamedTuple):
     Under ``normalize_targets`` the decoder rows are already L2-normalized.
     """
 
-    bundle: SceneBundle
-    tokens: TokenSet
+    batch: nn.TokenBatch  # the scene's tokens, packed once
     f_ins_teacher: np.ndarray  # (L,) pooled feature, read-only
     dec_out_teacher: np.ndarray  # (M, L) every decoder row, read-only
 
 
-def _stage2_scene(
-    scene: _Stage2Input, plan: nn.MaskPlan, student: nn.ModelParams
+def _stage2_batch(
+    scenes: list[_Stage2Input], plans: list[nn.MaskPlan], student: nn.ModelParams
 ) -> tuple[T.Tensor, T.Tensor, tuple[T.Tensor, T.Tensor, T.Tensor]]:
-    """Student pooled feature, predictor output and losses at one mask plan."""
-    f_ins, token_preds = stage2.student_forward(scene.bundle, scene.tokens, plan, student)
+    """Student pooled features, predictor outputs and losses of a batch, from one graph."""
+    batch = nn.TokenBatch.stack([s.batch for s in scenes])
+    f_ins, token_preds = stage2.student_forward(batch, plans, student)
     pred_ins = stage2.predict_instance(f_ins, student)
-    targets = scene.dec_out_teacher[plan.masked]
-    return f_ins, pred_ins, stage2.stage2_loss(pred_ins, token_preds, scene.f_ins_teacher, targets)
+    targets = np.concatenate([s.dec_out_teacher[p.masked] for s, p in zip(scenes, plans)])
+    masked_offsets = np.cumsum([0] + [len(p.masked) for p in plans])
+    f_ins_teacher = np.stack([s.f_ins_teacher for s in scenes])
+    losses = stage2.stage2_loss(pred_ins, token_preds, f_ins_teacher, targets, masked_offsets)
+    return f_ins, pred_ins, losses
+
+
+def _row_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:
+    return [T.cosine_sim(T.constant(x), T.constant(y)).item() for x, y in zip(a, b)]
 
 
 def _stage2_dataset_eval(
-    scenes: list[_Stage2Input], plans: list[nn.MaskPlan], student: nn.ModelParams
+    scenes: list[_Stage2Input],
+    plans: list[nn.MaskPlan],
+    student: nn.ModelParams,
+    batch_size: int,
 ) -> dict:
-    """Loss components plus pooled-feature cosines, one student forward per scene."""
-    l_ins, l_token, l_final, raw_cos, ins_cos = [], [], [], [], []
+    """Loss components plus pooled-feature cosines, averaged over scenes.
+
+    The student forward runs on chunks of at most ``batch_size`` scenes.
+    """
+    losses, sizes, raw_cos, ins_cos = [], [], [], []
     with T.no_grad():
-        for scene, plan in zip(scenes, plans):
-            f_ins, pred_ins, (a, b, c) = _stage2_scene(scene, plan, student)
-            l_ins.append(a.item())
-            l_token.append(b.item())
-            l_final.append(c.item())
-            f_ins_teacher = T.constant(scene.f_ins_teacher)
-            raw_cos.append(T.cosine_sim(f_ins, f_ins_teacher).item())
-            ins_cos.append(T.cosine_sim(pred_ins, f_ins_teacher).item())
+        for chunk in _batches(list(zip(scenes, plans)), batch_size):
+            chunk_scenes, chunk_plans = map(list, zip(*chunk))
+            f_ins, pred_ins, parts = _stage2_batch(chunk_scenes, chunk_plans, student)
+            losses.append([part.item() for part in parts])
+            sizes.append(len(chunk))
+            f_ins_teacher = [s.f_ins_teacher for s in chunk_scenes]
+            raw_cos += _row_cosines(f_ins.data, f_ins_teacher)
+            ins_cos += _row_cosines(pred_ins.data, f_ins_teacher)
+    l_ins, l_token, l_final = zip(*losses)
     return {
-        "l_ins": float(np.mean(l_ins)),
-        "l_token": float(np.mean(l_token)),
-        "l_final": float(np.mean(l_final)),
+        "l_ins": _scene_mean(l_ins, sizes),
+        "l_token": _scene_mean(l_token, sizes),
+        "l_final": _scene_mean(l_final, sizes),
         "pooled_cosine": float(np.mean(raw_cos)),
         "instance_cosine": float(np.mean(ins_cos)),
     }
@@ -595,28 +651,43 @@ def run_stage2(
 ) -> Stage2Result:
     """Masked token prediction against a frozen stage-1 teacher.
 
-    The teacher runs once per train and held-out scene, before training,
-    and each step selects its targets from those outputs. Resuming
-    against a teacher with other bytes, or with another train or stage
-    config or scene count, raises InconsistencyError.
+    The teacher runs once per chunk of at most ``batch_size`` train or
+    held-out scenes, before training, and each step selects its targets
+    from those outputs. Each step's loss is the mean over its batch's
+    scenes of each scene's loss, from one packed graph. Resuming against a
+    teacher with other bytes, or with another train or stage config or
+    dataset, raises InconsistencyError.
     """
     out_dir = Path(out_dir)
     teacher = nn.load_checkpoint(teacher_ckpt).params
     teacher.freeze_all()
     teacher_hash_before = teacher.byte_hash()
 
-    def prepare(bundle: SceneBundle) -> _Stage2Input:
-        tokens = sam_tokenize(bundle, min_points=cfg.min_points)
-        f_ins, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
-        if cfg.normalize_targets:
-            dec_out = stage2.normalize_rows(dec_out)
-        return _Stage2Input(bundle, tokens, f_ins, dec_out)
+    def prepare(bundles: list[SceneBundle]) -> list[_Stage2Input]:
+        batches = [
+            nn.TokenBatch.of_scene(
+                b, sam_tokenize(b, min_points=cfg.min_points), teacher.arch.max_points_per_token
+            )
+            for b in bundles
+        ]
+        scenes = []
+        for chunk in _batches(batches, train_cfg.batch_size):
+            stacked = nn.TokenBatch.stack(chunk)
+            f_ins, dec_out = stage2.teacher_forward(stacked, teacher)
+            if cfg.normalize_targets:
+                dec_out = stage2.normalize_rows(dec_out)
+            bounds = stacked.scene_offsets
+            scenes += [
+                _Stage2Input(b, f_ins[s], dec_out[bounds[s] : bounds[s + 1]])
+                for s, b in enumerate(chunk)
+            ]
+        return scenes
 
     def plan(scene: _Stage2Input, scene_id: int, epoch: int) -> nn.MaskPlan:
-        return nn.make_mask_plan(len(scene.tokens), cfg.mask_ratio, train_cfg.seed, scene_id, epoch)
+        return nn.make_mask_plan(len(scene.batch), cfg.mask_ratio, train_cfg.seed, scene_id, epoch)
 
-    train_scenes = [prepare(b) for b in train_bundles]
-    eval_scenes = [prepare(b) for b in eval_bundles]
+    train_scenes = prepare(train_bundles)
+    eval_scenes = prepare(eval_bundles)
     # Dataset metrics use fixed epoch-0 plans; held-out scene ids follow the training ones.
     train_plans = [plan(s, i, 0) for i, s in enumerate(train_scenes)]
     eval_plans = [plan(s, len(train_scenes) + i, 0) for i, s in enumerate(eval_scenes)]
@@ -629,15 +700,16 @@ def run_stage2(
         return student
 
     def batch_loss(student: nn.ModelParams, batch: np.ndarray, epoch: int):
-        parts = [
-            _stage2_scene(train_scenes[i], plan(train_scenes[i], int(i), epoch), student)[2]
-            for i in batch
-        ]
-        l_final = _mean_loss([p[2] for p in parts])
+        plans = [plan(train_scenes[i], int(i), epoch) for i in batch]
+        _, _, (l_ins, l_token, l_final) = _stage2_batch(
+            [train_scenes[i] for i in batch], plans, student
+        )
         return l_final, {
-            "l_ins": np.mean([p[0].item() for p in parts]),
-            "l_token": np.mean([p[1].item() for p in parts]),
+            "l_ins": l_ins.item(),
+            "l_token": l_token.item(),
             "l_final": l_final.item(),
+            "n_visible": sum(len(p.visible) for p in plans),
+            "n_masked": sum(len(p.masked) for p in plans),
         }
 
     ckpt_dir, student, step, initial, final = _fit(
@@ -646,13 +718,13 @@ def run_stage2(
         len(train_bundles),
         fresh_student,
         batch_loss,
-        lambda student: _stage2_dataset_eval(train_scenes, train_plans, student),
+        lambda student: _stage2_dataset_eval(
+            train_scenes, train_plans, student, train_cfg.batch_size
+        ),
         resume,
         stop_after_epochs,
         {
-            **_run_fingerprint(
-                train_cfg, cfg, teacher.arch, len(train_bundles), len(eval_bundles)
-            ),
+            **_run_fingerprint(train_cfg, cfg, teacher.arch, train_bundles, eval_bundles),
             "teacher_hash": teacher_hash_before,
         },
     )
@@ -672,7 +744,7 @@ def run_stage2(
         "seed": train_cfg.seed,
     }
     if eval_scenes:
-        heldout = _stage2_dataset_eval(eval_scenes, eval_plans, student)
+        heldout = _stage2_dataset_eval(eval_scenes, eval_plans, student, train_cfg.batch_size)
         metrics["heldout_pooled_cosine"] = heldout["pooled_cosine"]
         metrics["heldout_instance_cosine"] = heldout["instance_cosine"]
         metrics["heldout_l_final"] = heldout["l_final"]

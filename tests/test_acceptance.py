@@ -211,14 +211,13 @@ def test_c4_gradient_checks_stage1():
         rng = np.random.default_rng(seed)
         groups = rng.integers(0, 2, len(tokens))
         inputs = [params.tensors[n] for n in params.trainable_names()]
+        batch = nn.TokenBatch.of_scene(bundle, tokens, GRAD_ARCH.max_points_per_token)
 
         def f():
-            h = T.add(
-                nn.embed_tokens(bundle, tokens, params),
-                nn.pos_embed(tokens.centroids, params),
+            f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
+            return stage1.stage1_loss(
+                targets, f3d, table, groups, scene_offsets=batch.scene_offsets
             )
-            f3d = stage1.project_3d(nn.encode(h, params), params)
-            return stage1.stage1_loss(targets, f3d, table, groups)
 
         worst = max(worst, T.grad_check(f, inputs, h=1e-4, refine_above=1e-5))
     assert worst < 1e-4
@@ -234,13 +233,17 @@ def test_c4_gradient_checks_stage2():
         student = nn.init_params(GRAD_ARCH, seed=seed + 300)
         plan = nn.make_mask_plan(len(tokens), 0.6, seed=seed, scene_id=0, epoch=0)
         inputs = [student.tensors[n] for n in student.trainable_names()]
+        batch = nn.TokenBatch.of_scene(bundle, tokens, GRAD_ARCH.max_points_per_token)
+        masked_offsets = np.array([0, len(plan.masked)])
         # The frozen teacher's outputs do not depend on the inputs, so they stay outside f.
-        f_ins_teacher, dec_out = stage2.teacher_forward(bundle, tokens, teacher)
+        f_ins_teacher, dec_out = stage2.teacher_forward(batch, teacher)
 
         def f():
-            f_ins, preds = stage2.student_forward(bundle, tokens, plan, student)
+            f_ins, preds = stage2.student_forward(batch, [plan], student)
             pred_ins = stage2.predict_instance(f_ins, student)
-            return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, dec_out[plan.masked])[2]
+            return stage2.stage2_loss(
+                pred_ins, preds, f_ins_teacher, dec_out[plan.masked], masked_offsets
+            )[2]
 
         worst = max(worst, T.grad_check(f, inputs, h=1e-4, refine_above=1e-5))
     assert worst < 1e-4

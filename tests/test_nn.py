@@ -23,6 +23,18 @@ def _tokens(points, *members):
     return TokenSet.from_members(list(members), points, np.zeros(len(members)), MODE_SAM)
 
 
+def _batch(bundle, tokens, params):
+    return nn.TokenBatch.of_scene(bundle, tokens, params.arch.max_points_per_token)
+
+
+def _embed(bundle, tokens, params):
+    return nn.embed_tokens(_batch(bundle, tokens, params), params)
+
+
+def _one_scene(x):
+    return np.array([0, x.shape[0]])
+
+
 @pytest.fixture(scope="module")
 def params(tiny_arch):
     return nn.init_params(tiny_arch, seed=3)
@@ -33,22 +45,22 @@ class TestEmbedder:
         pts = np.vstack([np.full((4, 3), 2.5), np.full((2, 3), -7.0)])
         holder = _PointsOnly(pts)
         toks = _tokens(pts, [0, 1, 2, 3], [4, 5])
-        out = nn.embed_tokens(holder, toks, params)
+        out = _embed(holder, toks, params)
         # Both collapse to the centered zero cloud, so rows match exactly.
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
     def test_member_order_permutation_invariance(self, params, rng):
         pts = rng.normal(0, 1, (10, 3))
         holder = _PointsOnly(pts)
-        a = nn.embed_tokens(holder, _tokens(pts, [0, 3, 5, 7]), params)
-        b = nn.embed_tokens(holder, _tokens(pts, [7, 0, 5, 3]), params)
+        a = _embed(holder, _tokens(pts, [0, 3, 5, 7]), params)
+        b = _embed(holder, _tokens(pts, [7, 0, 5, 3]), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_member_duplication_invariance(self, params, rng):
         pts = rng.normal(0, 1, (6, 3))
         holder = _PointsOnly(pts)
-        a = nn.embed_tokens(holder, _tokens(pts, [0, 1, 2]), params)
-        b = nn.embed_tokens(holder, _tokens(pts, [0, 0, 1, 1, 2, 2]), params)
+        a = _embed(holder, _tokens(pts, [0, 1, 2]), params)
+        b = _embed(holder, _tokens(pts, [0, 0, 1, 1, 2, 2]), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_duplication_invariance_through_subsampling(self, params, rng):
@@ -56,8 +68,8 @@ class TestEmbedder:
         pts = rng.normal(0, 1, (max_pts, 3))
         holder = _PointsOnly(pts)
         idx = np.arange(max_pts)
-        a = nn.embed_tokens(holder, _tokens(pts, idx), params)
-        b = nn.embed_tokens(holder, _tokens(pts, np.repeat(idx, 2)), params)
+        a = _embed(holder, _tokens(pts, idx), params)
+        b = _embed(holder, _tokens(pts, np.repeat(idx, 2)), params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_oversized_token_subsampled_to_cap(self, params, rng):
@@ -77,7 +89,7 @@ class TestEmbedder:
             mode=MODE_SAM,
         )
         with pytest.raises(InvalidInputError):
-            nn.embed_tokens(_PointsOnly(pts), tok, params)
+            _embed(_PointsOnly(pts), tok, params)
 
 
 def _per_token_embed(bundle, tokens, params):
@@ -109,7 +121,7 @@ class TestPackedEmbedOracle:
         names = ["embed.l1.w", "embed.l1.b", "embed.l2.w", "embed.l2.b"]
         target = T.constant(np.random.default_rng(0).normal(0, 1, (len(tokens), 8)))
         results = []
-        for embed in (nn.embed_tokens, _per_token_embed):
+        for embed in (_embed, _per_token_embed):
             params = nn.init_params(tiny_arch, seed=4)
             out = embed(bundle, tokens, params)
             T.mse(out, target).backward()
@@ -122,10 +134,80 @@ class TestPackedEmbedOracle:
     def test_visible_selection_embeds_like_the_full_set(self, params):
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=5, seed=21))
         tokens = tokenizer.sam_tokenize(bundle)
-        full = nn.embed_tokens(bundle, tokens, params).data
+        batch = _batch(bundle, tokens, params)
+        full = nn.embed_tokens(batch, params).data
         rows = np.array([3, 0, 4])
-        picked = nn.embed_tokens(bundle, tokens.select(rows), params).data
+        picked = nn.embed_tokens(batch.select(rows), params).data
         assert picked.tobytes() == full[rows].tobytes()
+
+
+def _scenes(tiny_arch, n):
+    """``n`` small scenes with unequal token counts, and their mask-guided tokens."""
+    bundles = [
+        scene.generate_scene(
+            scene.SceneSpec(n_objects=3 + i, seed=40 + i, feature_dim=tiny_arch.proj_dim)
+        )
+        for i in range(n)
+    ]
+    return bundles, [tokenizer.sam_tokenize(b) for b in bundles]
+
+
+class TestTokenBatch:
+    def test_select_keeps_rows_and_member_rows(self, small_bundle, params):
+        tokens = tokenizer.sam_tokenize(small_bundle)
+        one = _batch(small_bundle, tokens, params)
+        batch = nn.TokenBatch.stack([one, one])
+        n = len(tokens)
+        rows = np.array([2, 0, n + 1]) if n > 2 else np.array([0, n])
+        picked = batch.select(rows)
+        assert len(picked) == len(rows)
+        np.testing.assert_array_equal(picked.scene_offsets, [0, np.sum(rows < n), len(rows)])
+        np.testing.assert_array_equal(picked.centroids, batch.centroids[rows])
+        for i, row in enumerate(rows):
+            got = picked.members[picked.member_offsets[i] : picked.member_offsets[i + 1]]
+            lo, hi = batch.member_offsets[row], batch.member_offsets[row + 1]
+            assert got.tobytes() == batch.members[lo:hi].tobytes()
+
+    def test_stack_keeps_each_scene(self, tiny_arch, params):
+        bundles, token_sets = _scenes(tiny_arch, 3)
+        parts = [_batch(b, t, params) for b, t in zip(bundles, token_sets)]
+        batch = nn.TokenBatch.stack(parts)
+        assert batch.n_scenes == 3
+        np.testing.assert_array_equal(batch.scene_sizes(), [len(t) for t in token_sets])
+        np.testing.assert_array_equal(batch.members, np.concatenate([b.members for b in parts]))
+        assert batch.member_offsets[-1] == len(batch.members)
+
+    def test_select_must_keep_scene_order(self, small_bundle, params):
+        one = _batch(small_bundle, tokenizer.sam_tokenize(small_bundle), params)
+        batch = nn.TokenBatch.stack([one, one])
+        with pytest.raises(InvalidInputError):
+            batch.select(np.array([len(one), 0]))
+
+
+class TestPackedForward:
+    """Stacked scenes run as one graph; each scene's rows see only that scene."""
+
+    def test_matches_per_scene_forward(self, tiny_arch, params):
+        bundles, token_sets = _scenes(tiny_arch, 3)
+        parts = [_batch(b, t, params) for b, t in zip(bundles, token_sets)]
+        assert len({len(t) for t in token_sets}) == 3
+        packed = nn.forward_tokens(nn.TokenBatch.stack(parts), params).data
+        oracle = np.concatenate([nn.forward_tokens(b, params).data for b in parts])
+        np.testing.assert_allclose(packed, oracle, rtol=1e-12, atol=1e-14)
+
+    def test_one_scene_perturbed_leaves_the_others_unchanged(self, tiny_arch, params):
+        bundles, token_sets = _scenes(tiny_arch, 3)
+        parts = [_batch(b, t, params) for b, t in zip(bundles, token_sets)]
+        moved = dataclasses.replace(bundles[1], points=bundles[1].points + 0.05)
+        moved_parts = [parts[0], _batch(moved, token_sets[1], params), parts[2]]
+        batch = nn.TokenBatch.stack(parts)
+        before = nn.forward_tokens(batch, params).data
+        after = nn.forward_tokens(nn.TokenBatch.stack(moved_parts), params).data
+        lo, hi = batch.scene_offsets[1], batch.scene_offsets[2]
+        assert np.delete(after, np.s_[lo:hi], 0).tobytes() == np.delete(
+            before, np.s_[lo:hi], 0
+        ).tobytes()
+        assert not np.array_equal(after[lo:hi], before[lo:hi])
 
 
 class TestPosEmbed:
@@ -153,8 +235,8 @@ class TestEncoderDecoder:
         arch = nn.Arch(embed_dim=8, n_heads=2, n_enc_layers=0, n_dec_layers=0)
         params = nn.init_params(arch, seed=0)
         x = T.constant(rng.normal(0, 1, (3, 8)))
-        assert nn.encode(x, params) is x
-        assert nn.decode(x, params) is x
+        assert nn.encode(x, params, _one_scene(x)) is x
+        assert nn.decode(x, params, _one_scene(x)) is x
 
     def test_single_token_softmax_weight_is_one(self, rng):
         scores = T.softmax(T.constant(rng.normal(0, 1, (1, 1))), axis=1)
@@ -163,23 +245,23 @@ class TestEncoderDecoder:
     def test_forward_preserves_shape(self, params, rng):
         for m in (1, 2, 5):
             x = T.constant(rng.normal(0, 1, (m, params.arch.embed_dim)))
-            assert nn.encode(x, params).shape == (m, params.arch.embed_dim)
-            assert nn.decode(x, params).shape == (m, params.arch.embed_dim)
+            assert nn.encode(x, params, _one_scene(x)).shape == (m, params.arch.embed_dim)
+            assert nn.decode(x, params, _one_scene(x)).shape == (m, params.arch.embed_dim)
 
     def test_permutation_equivariance(self, params, rng):
         m, dim = 5, params.arch.embed_dim
         feats = rng.normal(0, 1, (m, dim))
         perm = rng.permutation(m)
-        out = nn.encode(T.constant(feats), params).data
-        out_perm = nn.encode(T.constant(feats[perm]), params).data
+        out = nn.encode(T.constant(feats), params, _one_scene(feats)).data
+        out_perm = nn.encode(T.constant(feats[perm]), params, _one_scene(feats)).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_decoder_permutation_equivariance(self, params, rng):
         m, dim = 4, params.arch.embed_dim
         feats = rng.normal(0, 1, (m, dim))
         perm = rng.permutation(m)
-        out = nn.decode(T.constant(feats), params).data
-        out_perm = nn.decode(T.constant(feats[perm]), params).data
+        out = nn.decode(T.constant(feats), params, _one_scene(feats)).data
+        out_perm = nn.decode(T.constant(feats[perm]), params, _one_scene(feats)).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_grad_check_one_attention_block(self, rng):
@@ -193,7 +275,7 @@ class TestEncoderDecoder:
         inputs = [params.tensors[n] for n in params.trainable_names() if n.startswith("enc")]
 
         def f():
-            return T.mse(nn.encode(x, params), T.constant(target))
+            return T.mse(nn.encode(x, params, _one_scene(x)), T.constant(target))
 
         assert T.grad_check(f, inputs) < 1e-4
 
@@ -238,7 +320,7 @@ class TestFillMaskedPositions:
         dim = params.arch.embed_dim
         plan = nn.make_mask_plan(5, 0.6, seed=1, scene_id=0, epoch=0)
         enc_vis = T.constant(rng.normal(0, 1, (len(plan.visible), dim)))
-        out = nn.fill_masked_positions(enc_vis, plan, params)
+        out = nn.fill_masked_positions(enc_vis, plan.visible, plan.n_tokens, params)
         assert out.shape == (5, dim)
         for rank, token_idx in enumerate(plan.visible):
             np.testing.assert_array_equal(out.data[token_idx], enc_vis.data[rank])
@@ -251,7 +333,7 @@ class TestFillMaskedPositions:
         plan = nn.make_mask_plan(5, 0.6, seed=1, scene_id=0, epoch=0)
         enc_vis = T.constant(rng.normal(0, 1, (len(plan.visible) + 1, params.arch.embed_dim)))
         with pytest.raises(InvalidInputError):
-            nn.fill_masked_positions(enc_vis, plan, params)
+            nn.fill_masked_positions(enc_vis, plan.visible, plan.n_tokens, params)
 
 
 class TestParamsAndCheckpoints:
@@ -348,9 +430,10 @@ class TestFlatStore:
         f2d = stage1.pool_features_by_region(
             bundle.feat2d, bundle.mask, tokens.region_ids, stage1.MEAN_POOLING
         )
+        batch = _batch(bundle, tokens, params)
 
         def f():
-            f3d = stage1.project_3d(nn.forward_tokens(bundle, tokens, params), params)
+            f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
             return stage1.uniform_stage1_loss(f2d, f3d)
 
         f().backward()
@@ -398,9 +481,7 @@ class TestEndToEndForward:
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=3, seed=13))
         params = nn.init_params(tiny_arch, seed=0)
         tokens = tokenizer.sam_tokenize(bundle)
-        h = T.add(
-            nn.embed_tokens(bundle, tokens, params),
-            nn.pos_embed(tokens.centroids, params),
-        )
-        out = nn.encode(h, params)
+        batch = _batch(bundle, tokens, params)
+        h = T.add(nn.embed_tokens(batch, params), nn.pos_embed(batch.centroids, params))
+        out = nn.encode(h, params, batch.scene_offsets)
         assert out.shape == (len(tokens), tiny_arch.embed_dim)

@@ -287,12 +287,10 @@ class TestStage1Loss:
         groups = np.array([0, 1, 0])
         inputs = [params.tensors[n] for n in params.trainable_names()]
 
+        batch = nn.TokenBatch.of_scene(bundle, tokens, tiny_arch.max_points_per_token)
+
         def f():
-            h = T.add(
-                nn.embed_tokens(bundle, tokens, params),
-                nn.pos_embed(tokens.centroids, params),
-            )
-            f3d = stage1.project_3d(nn.encode(h, params), params)
+            f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
             return stage1.stage1_loss(f2d, f3d, table, groups)
 
         assert T.grad_check(f, inputs) < 1e-4
@@ -344,9 +342,10 @@ class TestStage1LossOracle:
         )
         table = _uniform_table(2)
         groups = np.arange(len(tokens)) % 2
+        batch = nn.TokenBatch.of_scene(bundle, tokens, tiny_arch.max_points_per_token)
         gc.disable()
         try:
-            f3d = stage1.project_3d(nn.forward_tokens(bundle, tokens, params), params)
+            f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
             node = weakref.ref(f3d)
             loss = stage1.stage1_loss(f2d, f3d, table, groups)
             del f3d
@@ -356,6 +355,107 @@ class TestStage1LossOracle:
             assert node() is None
         finally:
             gc.enable()
+
+
+GRAD_ARCH = nn.Arch(
+    embed_dim=6, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+    pointnet_hidden=4, mlp_ratio=1, proj_dim=4, max_points_per_token=12,
+)
+
+
+def _packed_scenes(arch, n_scenes, points=(14, 20)):
+    """Scenes with unequal token counts, their tokens, targets and random groups."""
+    scenes = []
+    for i in range(n_scenes):
+        bundle = scene.generate_scene(
+            scene.SceneSpec(
+                n_objects=2 + i, seed=60 + i, feature_dim=arch.proj_dim,
+                points_per_object_range=points,
+            )
+        )
+        tokens = tokenizer.sam_tokenize(bundle)
+        f2d = stage1.pool_features_by_region(
+            bundle.feat2d, bundle.mask, tokens.region_ids, stage1.MEAN_POOLING
+        )
+        groups = np.random.default_rng(i).integers(0, 3, len(tokens))
+        batch = nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token)
+        scenes.append((batch, f2d, groups))
+    return scenes
+
+
+def _stage1_scene_oracle(scenes, params, table, reweight):
+    """The per-scene path: one graph per scene, their losses averaged by a node chain."""
+    losses = []
+    for batch, f2d, groups in scenes:
+        f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
+        losses.append(
+            stage1.stage1_loss(f2d, f3d, table, groups)
+            if reweight
+            else stage1.uniform_stage1_loss(f2d, f3d)
+        )
+    total = losses[0]
+    for loss in losses[1:]:
+        total = T.add(total, loss)
+    return T.mul(total, 1.0 / len(losses))
+
+
+def _stage1_packed(scenes, params, table, reweight):
+    batch = nn.TokenBatch.stack([b for b, _, _ in scenes])
+    f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
+    f2d = np.concatenate([f for _, f, _ in scenes])
+    if reweight:
+        groups = np.concatenate([g for _, _, g in scenes])
+        return stage1.stage1_loss(f2d, f3d, table, groups, scene_offsets=batch.scene_offsets)
+    return stage1.uniform_stage1_loss(f2d, f3d, scene_offsets=batch.scene_offsets)
+
+
+def _loss_and_grads(loss_fn, params):
+    params.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), params.grad.copy()
+
+
+class TestPackedStage1Loss:
+    """One graph over stacked scenes equals the mean of per-scene losses."""
+
+    @pytest.mark.parametrize("reweight", [True, False])
+    def test_three_scenes_match_the_per_scene_oracle(self, reweight):
+        scenes = _packed_scenes(GRAD_ARCH, 3)
+        assert len({len(b) for b, _, _ in scenes}) == 3
+        params, table = nn.init_params(GRAD_ARCH, seed=7), _uniform_table(3)
+        packed, packed_grad = _loss_and_grads(
+            lambda: _stage1_packed(scenes, params, table, reweight), params
+        )
+        oracle, oracle_grad = _loss_and_grads(
+            lambda: _stage1_scene_oracle(scenes, params, table, reweight), params
+        )
+        assert packed == pytest.approx(oracle, rel=1e-12)
+        assert np.abs(packed_grad - oracle_grad).max() <= 1e-12 * np.abs(oracle_grad).max()
+
+    @pytest.mark.parametrize("reweight", [True, False])
+    def test_one_scene_is_bit_identical_to_the_oracle(self, reweight):
+        scenes = _packed_scenes(GRAD_ARCH, 1)
+        params, table = nn.init_params(GRAD_ARCH, seed=7), _uniform_table(3)
+        packed = _loss_and_grads(lambda: _stage1_packed(scenes, params, table, reweight), params)
+        oracle = _loss_and_grads(
+            lambda: _stage1_scene_oracle(scenes, params, table, reweight), params
+        )
+        assert packed[0] == oracle[0]
+        assert packed[1].tobytes() == oracle[1].tobytes()
+
+    def test_grad_check_two_scenes(self):
+        scenes = _packed_scenes(GRAD_ARCH, 2)
+        assert len(scenes[0][0]) != len(scenes[1][0])
+        params, table = nn.init_params(GRAD_ARCH, seed=8), _uniform_table(3)
+        inputs = [params.tensors[n] for n in params.trainable_names()]
+        err = T.grad_check(
+            lambda: _stage1_packed(scenes, params, table, True),
+            inputs,
+            h=1e-4,
+            refine_above=1e-5,
+        )
+        assert err < 1e-4
 
 
 class TestProject3d:

@@ -11,6 +11,11 @@ from hypothesis.extra.numpy import arrays
 from samdistill import tensor as T
 from samdistill.errors import InvalidInputError, NonFiniteError, ShapeMismatchError
 
+def _mean(x):
+    """Mean of every element of ``x``, as one (1, 1) node chain."""
+    return T.mean_pool(T.reshape(x, (x.size, 1)), np.array([0, x.size]))
+
+
 finite_matrices = arrays(
     np.float64,
     st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -57,7 +62,7 @@ def test_add_bias_broadcast_over_leading_axis():
     b = T.parameter(np.array([1.0, 2.0]))
     out = T.add(a, b)
     np.testing.assert_allclose(out.data, [[2.0, 3.0]] * 3)
-    T.mean_pool(T.mean_pool(out, 0), 0).backward()
+    _mean(T.mean_pool(out, np.array([0, 3]))).backward()
     np.testing.assert_allclose(b.grad, [0.5, 0.5])
 
 
@@ -80,14 +85,26 @@ def test_non_finite_forward_signals_op():
 def test_max_pool_tie_routes_to_lowest_index():
     x = T.parameter(np.array([[3.0, 1.0], [3.0, 2.0]]))
     out = T.max_pool(x, np.array([0, 2]))
-    T.mean_pool(T.reshape(out, (2,)), 0).backward()
+    _mean(out).backward()
     np.testing.assert_allclose(x.grad, [[0.5, 0.0], [0.0, 0.5]])
 
 
-def test_mean_pool_axis_one():
-    x = T.parameter(np.array([[1.0, 3.0], [2.0, 4.0]]))
-    out = T.mean_pool(x, axis=1)
-    np.testing.assert_allclose(out.data, [2.0, 3.0])
+def test_mean_pool_segments():
+    x = T.parameter(np.array([[1.0, 3.0], [2.0, 4.0], [6.0, -1.0]]))
+    out = T.mean_pool(x, np.array([0, 2, 3]))
+    np.testing.assert_array_equal(out.data, [[1.5, 3.5], [6.0, -1.0]])
+    T.mse(out, T.constant(np.zeros((2, 2)))).backward()
+    g = out.data / 2.0  # d mse / d out, 4 elements
+    np.testing.assert_array_equal(x.grad, [g[0] / 2.0, g[0] / 2.0, g[1]])
+    with pytest.raises(ShapeMismatchError):
+        T.mean_pool(x, np.array([0, 0, 3]))
+
+
+@pytest.mark.parametrize("m,width", [(1, 3), (7, 64), (12, 64), (40, 5)])
+def test_one_segment_mean_pool_matches_numpy_mean_bit_for_bit(m, width, rng):
+    x = rng.normal(0.0, 3.0, (m, width))
+    out = T.mean_pool(T.constant(x), np.array([0, m]))
+    assert out.data.tobytes() == x.mean(axis=0, keepdims=True).tobytes()
 
 
 @given(finite_matrices)
@@ -193,16 +210,16 @@ def test_grad_check_smooth_l1_away_from_kink(rng):
 @pytest.mark.parametrize(
     "builder",
     [
-        lambda x: T.mean_pool(T.relu(x), 0),
-        lambda x: T.mean_pool(T.gelu(x), 0),
-        lambda x: T.mean_pool(T.softmax(x, axis=1), 0),
-        lambda x: T.mean_pool(T.layer_norm(x, eps=1e-5), 0),
+        lambda x: T.mean_pool(T.relu(x), np.array([0, 1, 3])),
+        lambda x: T.mean_pool(T.gelu(x), np.array([0, 3])),
+        lambda x: T.mean_pool(T.softmax(x, axis=1), np.array([0, 2, 3])),
+        lambda x: T.mean_pool(T.layer_norm(x, eps=1e-5), np.array([0, 3])),
         lambda x: T.max_pool(x, np.array([0, 3])),
-        lambda x: T.mean_pool(T.transpose(x), 0),
-        lambda x: T.mean_pool(T.reshape(x, (x.size,)), 0),
-        lambda x: T.mean_pool(T.slice_axis(x, 1, 1, 3), 0),
-        lambda x: T.mean_pool(T.gather_rows(x, np.array([1, 0, 1])), 0),
-        lambda x: T.mean_pool(T.concat([x, x], axis=1), 0),
+        lambda x: T.mean_pool(T.transpose(x), np.array([0, 1, 4])),
+        lambda x: T.mean_pool(T.reshape(x, (x.size,)), np.array([0, 5, 12])),
+        lambda x: T.mean_pool(T.slice_axis(x, 1, 1, 3), np.array([0, 3])),
+        lambda x: T.mean_pool(T.gather_rows(x, np.array([1, 0, 1])), np.array([0, 1, 3])),
+        lambda x: T.mean_pool(T.concat([x, x], axis=1), np.array([0, 3])),
     ],
 )
 def test_grad_check_elementwise_and_structural_ops(builder, rng):
@@ -227,7 +244,7 @@ def test_grad_check_layer_norm_affine(rng):
     b = T.parameter(rng.normal(0, 0.1, 5))
 
     def f():
-        return T.mean_pool(T.mean_pool(T.layer_norm(x, g, b, eps=1e-5), 0), 0)
+        return _mean(T.layer_norm(x, g, b, eps=1e-5))
 
     assert T.grad_check(f, [x, g, b]) < 1e-4
 
@@ -389,3 +406,104 @@ def test_grad_check_segment_max_pool(offsets, rng):
 def test_max_pool_rejects_bad_offsets(offsets):
     with pytest.raises(ShapeMismatchError):
         T.max_pool(T.constant(np.ones((3, 2))), np.array(offsets))
+
+
+def _old_layer_norm(x, gain, bias, g, eps=1e-5):
+    """The layer norm before its rewrite: np.mean/np.var over a moved axis, and its backward."""
+    axis = -1 % x.ndim
+    xm = np.moveaxis(x, axis, -1)
+    mean = xm.mean(axis=-1, keepdims=True)
+    var = xm.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (xm - mean) * inv
+    z = np.moveaxis(y * gain + bias, -1, axis)
+    gm = np.moveaxis(g, axis, -1)
+    gy = gm * gain
+    dx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+    reduce_axes = tuple(range(gm.ndim - 1))
+    return z, np.moveaxis(dx, -1, axis), (gm * y).sum(axis=reduce_axes), gm.sum(axis=reduce_axes)
+
+
+def test_layer_norm_matches_the_old_formula_byte_for_byte(rng):
+    for trial in range(201):
+        m, n = (12, 64) if trial == 0 else (int(rng.integers(1, 20)), int(rng.integers(1, 70)))
+        scale = 10.0 ** rng.integers(-4, 4)
+        x = T.parameter(rng.normal(0.0, scale, (m, n)) + rng.normal(0.0, scale))
+        gain = T.parameter(rng.normal(1.0, 0.3, n))
+        bias = T.parameter(rng.normal(0.0, 0.3, n))
+        g = rng.normal(0.0, 1.0, (m, n))
+        out = T.layer_norm(x, gain, bias)
+        out._backward(g)
+        expected = _old_layer_norm(x.data, gain.data, bias.data, g)
+        got = (out.data, x.grad, gain.grad, bias.grad)
+        for name, a, b in zip(("forward", "x", "gain", "bias"), got, expected):
+            assert a.tobytes() == b.tobytes(), (trial, name)
+
+
+def _scene_attention(q, k, v, n_heads, offsets):
+    """Attention scene by scene: the oracle of the block-diagonal mask."""
+    outs = [
+        T.attention(*(T.gather_rows(t, np.arange(lo, hi)) for t in (q, k, v)), n_heads)
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
+    return T.concat(outs, axis=0)
+
+
+def test_attention_mask_keeps_rows_to_their_scene(rng):
+    offsets = np.array([0, 3, 4, 9])
+    data = [rng.normal(0.0, 1.0, (9, 6)) for _ in range(3)]
+    target = T.constant(rng.normal(0.0, 1.0, (9, 6)))
+    results = []
+    for op in (T.attention, _scene_attention):
+        qkv = [T.parameter(x) for x in data]
+        out = op(*qkv, 2, offsets)
+        T.mse(out, target).backward()
+        results.append([out.data] + [t.grad for t in qkv])
+    for a, b in zip(*results):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    # Changing one scene's rows leaves every other scene's output bytes alone.
+    moved = [x.copy() for x in data]
+    moved[2][5] += 1.0  # a value row of the last scene
+    before = T.attention(*map(T.constant, data), 2, offsets).data
+    after = T.attention(*map(T.constant, moved), 2, offsets).data
+    assert after[:4].tobytes() == before[:4].tobytes()
+    assert not np.any(after[4:] == before[4:])
+
+
+def test_grad_check_masked_attention(rng):
+    q, k, v = (T.parameter(rng.normal(0.0, 1.0, (5, 4))) for _ in range(3))
+    target = T.constant(rng.normal(0.0, 1.0, (5, 4)))
+    offsets = np.array([0, 2, 5])
+    assert T.grad_check(lambda: T.mse(T.attention(q, k, v, 2, offsets), target), [q, k, v]) < 1e-4
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_segment_losses_are_means_of_per_segment_losses(weighted, rng):
+    offsets = np.array([0, 4, 5, 11])
+    a = rng.uniform(-3.0, 3.0, (11, 5))
+    b = rng.uniform(-3.0, 3.0, (11, 5))
+    w = rng.uniform(0.5, 2.0, 11) if weighted else None
+    pairs = list(zip(offsets[:-1], offsets[1:]))
+    loss = T.smooth_l1(T.constant(a), T.constant(b), 0.7, w, offsets).item()
+    per_scene = [
+        T.smooth_l1(
+            T.constant(a[lo:hi]), T.constant(b[lo:hi]), 0.7, None if w is None else w[lo:hi]
+        ).item()
+        for lo, hi in pairs
+    ]
+    assert loss == pytest.approx(np.mean(per_scene), rel=1e-14)
+    # An empty segment counts 0 in the mean-squared error.
+    mse_offsets = np.array([0, 4, 4, 11])
+    mse = T.mse(T.constant(a), T.constant(b), mse_offsets).item()
+    expected = [np.mean((a[:4] - b[:4]) ** 2), 0.0, np.mean((a[4:] - b[4:]) ** 2)]
+    assert mse == pytest.approx(np.mean(expected), rel=1e-14)
+
+
+def test_grad_check_segment_losses(rng):
+    a = T.parameter(rng.uniform(-3.0, 3.0, (6, 4)))
+    b = T.constant(np.zeros((6, 4)))
+    w = rng.uniform(0.5, 2.0, 6)
+    offsets = np.array([0, 1, 6])
+    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, w, offsets), [a]) < 1e-4
+    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, None, offsets), [a]) < 1e-4
+    assert T.grad_check(lambda: T.mse(a, b, np.array([0, 0, 2, 6])), [a]) < 1e-4

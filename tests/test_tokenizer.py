@@ -276,20 +276,3 @@ class TestPackedTokenSet:
         np.testing.assert_array_equal(indices[10:], np.arange(0, 10, 2))
         assert ts.subsampled(8)[0] is indices
         assert not indices.flags.writeable
-
-    def test_select_keeps_rows_and_cached_views(self, small_bundle):
-        ts = tokenizer.sam_tokenize(small_bundle)
-        full_indices, full_offsets = ts.subsampled(16)
-        rows = np.array([2, 0]) if len(ts) > 2 else np.array([len(ts) - 1])
-        picked = ts.select(rows)
-        assert len(picked) == len(rows)
-        np.testing.assert_array_equal(picked.region_ids, ts.region_ids[rows])
-        np.testing.assert_array_equal(picked.centroids, ts.centroids[rows])
-        for new, old in zip(members(picked), rows):
-            np.testing.assert_array_equal(new, members(ts)[old])
-        indices, offsets = picked._subsampled[16]
-        for i, old in enumerate(rows):
-            np.testing.assert_array_equal(
-                indices[offsets[i] : offsets[i + 1]],
-                full_indices[full_offsets[old] : full_offsets[old + 1]],
-            )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from samdistill import nn, scene, stage2, tokenizer, train
+from samdistill import tensor as T
 from samdistill.errors import (
     DivergedRunError,
     InconsistencyError,
@@ -202,6 +203,15 @@ def tiny_dataset(tiny_arch):
     return scene.generate_dataset(spec, 4, 7), scene.generate_dataset(spec, 2, 9)
 
 
+@pytest.fixture(scope="module")
+def other_dataset(tiny_arch):
+    """As many train and held-out scenes as ``tiny_dataset``, from other seeds."""
+    spec = scene.SceneSpec(
+        n_objects=3, seed=0, feature_dim=tiny_arch.proj_dim, points_per_object_range=(20, 30)
+    )
+    return scene.generate_dataset(spec, 4, 17), scene.generate_dataset(spec, 2, 19)
+
+
 def _quick_cfg(**kw) -> train.TrainConfig:
     base = dict(epochs=3, warmup_epochs=1, batch_size=2, seed=0)
     base.update(kw)
@@ -269,6 +279,15 @@ class TestRunStage1:
             tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), run, resume=True
         )
 
+    def test_resume_with_other_scenes_of_the_same_count_refused(
+        self, tiny_dataset, other_dataset, tiny_arch, tmp_path
+    ):
+        tb, eb = tiny_dataset
+        cfg, run = train.Stage1Config(k_groups=3), tmp_path / "run"
+        train.run_stage1(tb, eb, tiny_arch, _quick_cfg(), cfg, run, stop_after_epochs=1)
+        with pytest.raises(InconsistencyError):
+            train.run_stage1(*other_dataset, tiny_arch, _quick_cfg(), cfg, run, resume=True)
+
     def test_non_finite_value_in_a_step_keeps_last_good_checkpoint(
         self, tiny_dataset, tiny_arch, tmp_path
     ):
@@ -328,9 +347,10 @@ class TestRunStage1:
             rows = list(csv.DictReader(fh))
         assert [c for c in rows[0]] == train._METRIC_COLUMNS == [
             "epoch", "step", "lr", "loss", "l_ins", "l_token", "l_final", "grad_norm",
-            "wall_ms", "fwd_ms", "bwd_ms", "opt_ms",
+            "wall_ms", "fwd_ms", "bwd_ms", "opt_ms", "n_visible", "n_masked",
         ]
         assert len(rows) == 6  # 3 epochs x 2 batches
+        assert all(r["n_visible"] == r["n_masked"] == "" for r in rows)
         assert all(math.isfinite(float(r["grad_norm"])) for r in rows)
         assert all(math.isfinite(float(r["loss"])) for r in rows)
         for r in rows:
@@ -445,21 +465,32 @@ class TestRunStage2:
                 resume=True,
             )
 
+    def test_resume_with_other_scenes_of_the_same_count_refused(
+        self, tiny_dataset, other_dataset, teacher_ckpt, tmp_path
+    ):
+        tb, eb = tiny_dataset
+        cfg, run = train.Stage2Config(mask_ratio=0.5), tmp_path / "run"
+        train.run_stage2(tb, eb, teacher_ckpt, _quick_cfg(), cfg, run, stop_after_epochs=1)
+        with pytest.raises(InconsistencyError):
+            train.run_stage2(*other_dataset, teacher_ckpt, _quick_cfg(), cfg, run, resume=True)
+
     def test_teacher_runs_once_per_scene(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
         tb, eb = tiny_dataset
         calls = []
         teacher_forward = stage2.teacher_forward
 
-        def counting(bundle, *args):
-            calls.append(id(bundle))
-            return teacher_forward(bundle, *args)
+        def counting(batch, *args):
+            calls.append(batch.centroids.copy())
+            return teacher_forward(batch, *args)
 
         monkeypatch.setattr(stage2, "teacher_forward", counting)
         train.run_stage2(
             tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), tmp_path / "r"
         )
-        assert len(calls) == len(tb) + len(eb)
-        assert sorted(calls) == sorted(id(b) for b in tb + eb)
+        # Chunks of at most batch_size = 2 scenes: two of the 4 train scenes, one of the 2 held out.
+        assert len(calls) == 3
+        expected = [tokenizer.sam_tokenize(b).centroids for b in tb + eb]
+        np.testing.assert_array_equal(np.concatenate(calls), np.concatenate(expected))
 
     def test_stage2_metrics_columns(self, tiny_dataset, teacher_ckpt, tmp_path):
         import csv
@@ -471,9 +502,64 @@ class TestRunStage2:
         )
         with open(Path(result.checkpoint_dir).parent / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
+        n_tokens = [len(tokenizer.sam_tokenize(b)) for b in tb]
+        assert sum(int(row["n_visible"]) + int(row["n_masked"]) for row in rows) == 3 * sum(
+            n_tokens
+        )
         for row in rows:
             assert row["l_ins"] != "" and row["l_token"] != "" and row["l_final"] != ""
             assert math.isfinite(float(row["l_final"]))
+            assert int(row["n_masked"]) > 0 and int(row["n_visible"]) > 0
+
+
+def _graph_sizes(monkeypatch) -> list[int]:
+    """Record, at every backward, how many nodes the loss's graph holds."""
+    sizes = []
+    backward = T.Tensor.backward
+
+    def counting(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        sizes.append(len(seen))
+        backward(loss)
+
+    monkeypatch.setattr(T.Tensor, "backward", counting)
+    return sizes
+
+
+class TestOneGraphPerBatch:
+    """A batch of 8 scenes builds exactly as many graph nodes as a batch of 1."""
+
+    @pytest.fixture(scope="class")
+    def eight_scenes(self, tiny_arch):
+        spec = scene.SceneSpec(
+            n_objects=3, seed=0, feature_dim=tiny_arch.proj_dim, points_per_object_range=(20, 30)
+        )
+        return scene.generate_dataset(spec, 8, 7)
+
+    def test_stage1(self, eight_scenes, tiny_arch, tmp_path, monkeypatch):
+        sizes = _graph_sizes(monkeypatch)
+        for batch_size in (8, 1):
+            train.run_stage1(
+                eight_scenes, [], tiny_arch, _quick_cfg(epochs=1, batch_size=batch_size),
+                train.Stage1Config(k_groups=3), tmp_path / str(batch_size),
+            )
+        assert len(sizes) == 1 + 8
+        assert len(set(sizes)) == 1
+
+    def test_stage2(self, eight_scenes, teacher_ckpt, tmp_path, monkeypatch):
+        sizes = _graph_sizes(monkeypatch)
+        for batch_size in (8, 1):
+            train.run_stage2(
+                eight_scenes, [], teacher_ckpt, _quick_cfg(epochs=1, batch_size=batch_size),
+                train.Stage2Config(mask_ratio=0.5), tmp_path / str(batch_size),
+            )
+        assert len(sizes) == 1 + 8
+        assert len(set(sizes)) == 1
 
 
 class TestEpochOrder:

@@ -5,7 +5,7 @@ version, so corrupt or foreign files fail loudly instead of decoding
 into garbage. Scene bundles, mask stacks, weight tables and model
 checkpoints are all directories written by :func:`save_arrays` and read
 by :func:`load_arrays`: a ``manifest.json`` naming the format plus one
-``<name>.bin`` blob per array.
+``<name>.bin`` blob per array, side by side in the one directory.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def write_blob(path: str | Path, arr: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", BLOB_VERSION))
-        fh.write(le.tobytes())
+        fh.write(le.data)
 
 
 def _check_payload(path: Path, n_bytes: int, dtype: np.dtype, shape: tuple[int, ...]) -> None:
@@ -53,13 +53,8 @@ def _check_payload(path: Path, n_bytes: int, dtype: np.dtype, shape: tuple[int, 
         raise DimensionMismatchError(f"{path}: blob larger than manifest shape {shape}")
 
 
-def read_blob(
-    path: str | Path, dtype: str, shape: tuple[int, ...], out: np.ndarray | None = None
-) -> np.ndarray:
-    """Read a blob written by :func:`write_blob` and validate its size.
-
-    Returns a native-order copy, or fills and returns ``out`` (of ``shape``).
-    """
+def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a blob written by :func:`write_blob` as a native-order array; validates its size."""
     path = Path(path)
     if not path.exists():
         raise TruncatedBlobError(f"missing blob file: {path}")
@@ -72,14 +67,10 @@ def read_blob(
     if version != BLOB_VERSION:
         raise MalformedManifestError(f"{path}: unsupported blob version {version}")
     dt = np.dtype(dtype).newbyteorder("<")
-    payload = raw[_HEADER_LEN:]
-    _check_payload(path, len(payload), dt, shape)
-    arr = np.frombuffer(payload, dtype=dt).reshape(shape)
-    if out is None:
-        # Native byte order, writable copy.
-        return arr.astype(arr.dtype.newbyteorder("="))
-    out[...] = arr
-    return out
+    _check_payload(path, len(raw) - _HEADER_LEN, dt, shape)
+    arr = np.frombuffer(raw, dtype=dt, offset=_HEADER_LEN).reshape(shape)
+    # Native byte order, writable copy.
+    return arr.astype(arr.dtype.newbyteorder("="))
 
 
 def dump_manifest(path: str | Path, manifest: dict) -> None:
@@ -116,9 +107,8 @@ def load_manifest(path: str | Path, required_keys: tuple[str, ...] = ()) -> dict
 def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``arrays`` as ``<name>.bin`` blobs plus ``manifest.json``, replacing ``path``.
 
-    A ``/`` in a name makes a subdirectory. The directory is built under a
-    dot-prefixed sibling name and renamed into place; an existing one is
-    moved aside first and deleted afterwards.
+    The directory is built under a dot-prefixed sibling name and renamed
+    into place; an existing one is moved aside first and deleted afterwards.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -127,8 +117,6 @@ def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.nda
     shutil.rmtree(tmp, ignore_errors=True)  # left behind by a killed process with this pid
     tmp.mkdir()
     try:
-        for sub in {Path(name).parent for name in arrays} - {Path(".")}:
-            (tmp / sub).mkdir(parents=True)
         blobs = {}
         for name, arr in arrays.items():
             write_blob(tmp / f"{name}.bin", arr)
@@ -171,16 +159,15 @@ def _blob_record(path: Path, name: str, meta) -> tuple[np.dtype, tuple[int, ...]
     raise MalformedManifestError(f"{path}: bad record for blob {name!r}: {meta!r}")
 
 
-def open_arrays(
+def load_arrays(
     path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
-) -> tuple[dict, Callable[..., np.ndarray]]:
-    """Validate a directory written by :func:`save_arrays`; returns (manifest, read).
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a directory written by :func:`save_arrays`; returns (manifest, arrays).
 
     ``expect(manifest)`` maps every blob the format holds to its shape, or
-    to None for any shape. Before any blob is read, every ``blobs`` record,
-    the blob list, the expected shapes and each blob file's size are
-    checked. ``read(name, out=None)`` then reads one blob, into ``out`` if
-    given.
+    to None for any shape; it runs after every ``blobs`` record is checked.
+    The blob list, the expected shapes and each blob file's size are
+    checked before any blob is read.
     """
     path = Path(path)
     manifest = load_manifest(path / "manifest.json", ("format", "version", "blobs", *required_keys))
@@ -206,17 +193,8 @@ def open_arrays(
         if not blob.is_file():
             raise TruncatedBlobError(f"missing blob file: {blob}")
         _check_payload(blob, blob.stat().st_size - _HEADER_LEN, dtype, shape)
-
-    def read(name: str, out: np.ndarray | None = None) -> np.ndarray:
-        dtype, shape = records[name]
-        return read_blob(path / f"{name}.bin", dtype.str, shape, out)
-
-    return manifest, read
-
-
-def load_arrays(
-    path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """:func:`open_arrays`, then read every blob; returns (manifest, arrays)."""
-    manifest, read = open_arrays(path, fmt, required_keys, expect)
-    return manifest, {name: read(name) for name in manifest["blobs"]}
+    arrays = {
+        name: read_blob(path / f"{name}.bin", dtype.str, shape)
+        for name, (dtype, shape) in records.items()
+    }
+    return manifest, arrays

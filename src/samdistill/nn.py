@@ -6,8 +6,9 @@ scenes of an optimizer batch share one graph.
 
 Parameters are named views into one flat float64 buffer, and each leaf's
 ``requires_grad`` says whether it trains, so that a whole model can serve
-as a frozen teacher. Checkpoints are a JSON manifest plus one raw float64
-blob per parameter and round-trip bit-exact, optimizer state included.
+as a frozen teacher. A checkpoint is a JSON manifest plus one raw float64
+blob per flat buffer (the parameters and, if saved, the two AdamW
+moments) and round-trips bit-exact, optimizer state included.
 """
 
 from __future__ import annotations
@@ -443,15 +444,16 @@ def save_checkpoint(
     opt_state: dict | None = None,
     fingerprint: dict | None = None,
 ) -> None:
-    arrays = {f"params/{name}": t.data for name, t in params.tensors.items()}
+    """Write ``params.data``, and the AdamW moments if given, as one blob each."""
+    arrays = {"params": params.data}
     if opt_state is not None:
-        for k in "mv":
-            arrays |= {f"opt/{name}.{k}": view for name, view in params.views(opt_state[k]).items()}
+        arrays |= {"m": opt_state["m"], "v": opt_state["v"]}
     meta = {
         "arch": params.arch.to_json(),
         "step": int(step),
         "params": [
-            {"name": name, "frozen": not t.requires_grad} for name, t in params.tensors.items()
+            {"name": name, "shape": list(t.shape), "frozen": not t.requires_grad}
+            for name, t in params.tensors.items()
         ],
         "optimizer": None if opt_state is None else {"t": int(opt_state["t"])},
     }
@@ -460,50 +462,49 @@ def save_checkpoint(
     blobio.save_arrays(path, "model-checkpoint", meta, arrays)
 
 
-def _param_records(manifest: dict) -> dict[str, bool]:
-    """``{name: frozen}`` from the manifest's ``params`` list, in order."""
+def _param_records(manifest: dict) -> dict[str, tuple[list[int], bool]]:
+    """``{name: (shape, frozen)}`` from the manifest's ``params`` list, in order."""
     records = manifest["params"]
     if not isinstance(records, list) or not all(
         isinstance(rec, dict)
         and isinstance(rec.get("name"), str)
+        and isinstance(rec.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in rec["shape"])
         and type(rec.get("frozen")) is bool
         for rec in records
     ):
-        raise MalformedManifestError("checkpoint params must be {name, frozen} records")
-    frozen = {rec["name"]: rec["frozen"] for rec in records}
-    if len(frozen) != len(records):
+        raise MalformedManifestError("checkpoint params must be {name, shape, frozen} records")
+    parsed = {rec["name"]: (rec["shape"], rec["frozen"]) for rec in records}
+    if len(parsed) != len(records):
         raise MalformedManifestError("checkpoint params repeat a name")
-    return frozen
+    return parsed
 
 
-def _checkpoint_blobs(manifest: dict) -> dict[str, list[int] | None]:
-    names = list(_param_records(manifest))
-    blobs = dict.fromkeys(f"params/{name}" for name in names)
-    if manifest["optimizer"] is not None:
-        # Moments take their parameter's shape.
-        shapes = {n: manifest["blobs"].get(f"params/{n}", {}).get("shape") for n in names}
-        blobs |= {f"opt/{name}.{k}": shapes[name] for name in names for k in "mv"}
-    return blobs
+def _checkpoint_blobs(manifest: dict) -> dict[str, list[int]]:
+    """The flat buffers, each as long as all parameters together, all ``<f8``."""
+    if any(rec["dtype"] != "<f8" for rec in manifest["blobs"].values()):
+        raise MalformedManifestError("checkpoint blobs must be <f8")
+    total = [sum(math.prod(shape) for shape, _ in _param_records(manifest).values())]
+    if manifest["optimizer"] is None:
+        return {"params": total}
+    return {"params": total, "m": total, "v": total}
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint, each blob straight into its slice of the flat buffers."""
-    manifest, read = blobio.open_arrays(
+    """Read a checkpoint; its blobs become the flat buffers as they are."""
+    manifest, arrays = blobio.load_arrays(
         path, "model-checkpoint", ("arch", "step", "params", "optimizer"), _checkpoint_blobs
     )
-    frozen = _param_records(manifest)
+    records = _param_records(manifest)
     with blobio.manifest_fields(path):
         arch = Arch.from_json(manifest["arch"])
         step = int(manifest["step"])
         t = None if manifest["optimizer"] is None else int(manifest["optimizer"]["t"])
-    shapes = {name: manifest["blobs"][f"params/{name}"]["shape"] for name in frozen}
-    params = ModelParams(shapes, arch, frozen=[n for n, is_frozen in frozen.items() if is_frozen])
-    for name, view in params.views(params.data).items():
-        read(f"params/{name}", view)
-    opt_state = None
-    if t is not None:
-        opt_state = {"t": t, "m": np.empty_like(params.data), "v": np.empty_like(params.data)}
-        for k in "mv":
-            for name, view in params.views(opt_state[k]).items():
-                read(f"opt/{name}.{k}", view)
+    params = ModelParams(
+        {name: shape for name, (shape, _) in records.items()},
+        arch,
+        data=arrays["params"],
+        frozen=[name for name, (_, frozen) in records.items() if frozen],
+    )
+    opt_state = None if t is None else {"t": t, "m": arrays["m"], "v": arrays["v"]}
     return Checkpoint(params, step, opt_state, manifest.get("fingerprint"))

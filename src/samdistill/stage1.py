@@ -31,13 +31,13 @@ def pool_features_by_region(
     """Pool raster features over the pixels of each listed mask region."""
     if pooling not in (MEAN_POOLING, MAX_POOLING):
         raise InvalidInputError(f"unknown pooling {pooling!r}")
-    feat = np.asarray(feat2d, dtype=np.float64)
+    feat = np.asarray(feat2d)
     rows = []
     for rid in region_ids:
         ys, xs = np.nonzero(mask == rid)
         if len(ys) == 0:
             raise InconsistencyError(f"region {rid} has no masked pixels")
-        pixels = feat[ys, xs]
+        pixels = feat[ys, xs].astype(np.float64, copy=False)  # only the gathered pixels
         rows.append(pixels.mean(axis=0) if pooling == MEAN_POOLING else pixels.max(axis=0))
     return np.stack(rows)
 

@@ -378,9 +378,9 @@ def test_c9_determinism_and_formats(tmp_path_factory, tiny_arch):
     ckpt_a = nn.load_checkpoint(a.checkpoint_dir)
     ckpt_b = nn.load_checkpoint(b.checkpoint_dir)
     assert ckpt_a.params.byte_hash() == ckpt_b.params.byte_hash()
-    for name in ckpt_a.params.tensors:
-        bytes_a = (a.checkpoint_dir / "params" / f"{name}.bin").read_bytes()
-        bytes_b = (b.checkpoint_dir / "params" / f"{name}.bin").read_bytes()
+    for blob in ("params.bin", "m.bin", "v.bin"):
+        bytes_a = (a.checkpoint_dir / blob).read_bytes()
+        bytes_b = (b.checkpoint_dir / blob).read_bytes()
         assert bytes_a == bytes_b
 
     bundle = train_b[0]

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samdistill import cli, nn, scene, stage1, train
-from samdistill.errors import MalformedManifestError, SamDistillError
+from samdistill import blobio, cli, nn, scene, stage1, train
+from samdistill.errors import DimensionMismatchError, MalformedManifestError, SamDistillError
 
-# Checkpoints of this size keep each example's copy to a few dozen files.
+# A checkpoint of this size keeps each example's copy to a few kilobytes.
 SMALL_ARCH = nn.Arch(
     embed_dim=2, n_heads=1, n_enc_layers=0, n_dec_layers=0,
     pointnet_hidden=2, max_points_per_token=4, mlp_ratio=1, proj_dim=2,
@@ -128,25 +128,60 @@ def test_bad_blob_records_are_malformed(artifacts, tmp_path, mutation):
 
 
 @pytest.mark.parametrize(
-    "mutation",
-    [lambda m: m["params"][0].pop("name"), lambda m: m.update(params=3)],
-    ids=["record-without-name", "params-not-a-list"],
+    "mutation, error",
+    [
+        (lambda m: m["params"][0].pop("name"), MalformedManifestError),
+        (lambda m: m.update(params=3), MalformedManifestError),
+        (lambda m: m["params"][0].pop("shape"), MalformedManifestError),
+        (lambda m: m["params"][0]["shape"].__setitem__(0, -3), MalformedManifestError),
+        # The records then describe a longer buffer than the blobs hold.
+        (lambda m: m["params"][0]["shape"].__setitem__(0, 4), DimensionMismatchError),
+    ],
+    ids=[
+        "record-without-name", "params-not-a-list", "record-without-shape", "negative-dim",
+        "shapes-not-summing-to-the-blob",
+    ],
 )
-def test_bad_param_records_are_malformed(artifacts, tmp_path, mutation):
+def test_bad_param_records_are_malformed(artifacts, tmp_path, mutation, error):
     root = tmp_path / "ckpt"
     shutil.copytree(artifacts / "model-checkpoint", root)
     manifest = json.loads((root / "manifest.json").read_text())
     mutation(manifest)
     (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(error):
+        nn.load_checkpoint(root)
+
+
+def test_integer_checkpoint_blob_is_refused(artifacts, tmp_path):
+    root = tmp_path / "ckpt"
+    shutil.copytree(artifacts / "model-checkpoint", root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["blobs"]["params"]["dtype"] = "<i8"  # same size, so only the dtype is wrong
+    (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(MalformedManifestError):
         nn.load_checkpoint(root)
+
+
+@pytest.mark.parametrize("with_shapes", [False, True])
+def test_per_parameter_checkpoint_is_refused(tmp_path, with_shapes):
+    """The layout before flat-buffer checkpoints: one blob per parameter."""
+    params = nn.init_params(SMALL_ARCH, seed=0)
+    records = [{"name": name, "frozen": False} for name in params.names()]
+    if with_shapes:
+        for rec in records:
+            rec["shape"] = list(params.tensors[rec["name"]].shape)
+    meta = {"arch": SMALL_ARCH.to_json(), "step": 0, "params": records, "optimizer": None}
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    blobio.save_arrays(tmp_path / "ckpt", "model-checkpoint", meta, arrays)
+    with pytest.raises(MalformedManifestError):
+        nn.load_checkpoint(tmp_path / "ckpt")
 
 
 def test_cli_exits_2_on_a_malformed_checkpoint(artifacts, tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(artifacts / "model-checkpoint", ckpt)
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["blobs"]["params/proj.w"] = "f8"
+    manifest["blobs"]["params"] = "f8"
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     scenes = tmp_path / "scenes"
     make_scene = ["--out-dir", str(tmp_path), "scene", "--out", str(scenes), "--n-scenes", "1"]

@@ -376,19 +376,44 @@ class TestParamsAndCheckpoints:
         assert loaded.opt_state is None
         assert loaded.params.arch == tiny_arch
 
-    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, tiny_arch, monkeypatch):
+    def test_checkpoint_blobs_are_the_flat_buffers(self, tmp_path, tiny_arch):
+        params = nn.init_params(tiny_arch, seed=8)
+        params.set_trainable(False, ["proj.w", "enc0.ln1.g"])
+        names = params.names()
+        # The buffer puts decayed parameters first, so its order is not name order.
+        assert any(nn.no_decay(a) and not nn.no_decay(b) for a, b in zip(names, names[1:]))
+        opt = train.init_opt_state(params)
+        opt["m"] += np.arange(params.data.size)
+        opt["v"] += 0.5
+        nn.save_checkpoint(tmp_path / "ckpt", params, step=1, opt_state=opt)
+        files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+        assert files == ["m.bin", "manifest.json", "params.bin", "v.bin"]
+        for blob, flat in [("params", params.data), ("m", opt["m"]), ("v", opt["v"])]:
+            assert (tmp_path / "ckpt" / f"{blob}.bin").read_bytes()[12:] == flat.tobytes()
+        nn.save_checkpoint(tmp_path / "ckpt", params, step=1)
+        files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+        assert files == ["manifest.json", "params.bin"]
+
+    @pytest.mark.parametrize(
+        "fails", [("write_blob", 1), ("write_blob", 2), ("write_blob", 3), ("dump_manifest", 1)],
+        ids=["params", "m", "v", "manifest"],
+    )
+    def test_failed_save_leaves_previous_checkpoint(
+        self, tmp_path, tiny_arch, monkeypatch, fails
+    ):
         old = nn.init_params(tiny_arch, seed=8)
         nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
         new = nn.init_params(tiny_arch, seed=9)
-        write_blob, calls = blobio.write_blob, []
+        failing, nth = fails
+        write, calls = getattr(blobio, failing), []
 
-        def failing_write_blob(path, arr):
+        def failing_write(path, obj):
             calls.append(path)
-            if len(calls) == 10:
+            if len(calls) == nth:
                 raise OSError("disk full")
-            write_blob(path, arr)
+            write(path, obj)
 
-        monkeypatch.setattr(blobio, "write_blob", failing_write_blob)
+        monkeypatch.setattr(blobio, failing, failing_write)
         with pytest.raises(OSError):
             nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
         loaded = nn.load_checkpoint(tmp_path / "ckpt")

@@ -2,9 +2,9 @@
 
 Blobs are little-endian arrays prefixed by 8 magic bytes and a 4-byte
 version, so corrupt or foreign files fail loudly instead of decoding
-into garbage. Scene bundles, mask stacks, weight tables and model
-checkpoints are all directories written by :func:`save_arrays` and read
-by :func:`load_arrays`: a ``manifest.json`` naming the format plus one
+into garbage. Scene bundles, weight tables and model checkpoints are
+all directories written by :func:`save_arrays` and read by
+:func:`load_arrays`: a ``manifest.json`` naming the format plus one
 ``<name>.bin`` blob per array, side by side in the one directory.
 """
 

@@ -594,44 +594,3 @@ def read_scene_dir(path: str | Path) -> list[SceneBundle]:
         raise MalformedManifestError(f"{path}: no scene_* bundle directories")
     return [read_bundle(p) for p in scene_paths]
 
-
-# ---------------------------------------------------------------------------
-# Offline mask-file ingestion (externally produced, possibly overlapping masks)
-
-
-def resolve_mask_overlaps(ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Collapse a stack of possibly overlapping binary masks to one id raster.
-
-    Overlaps resolve to the smallest-area mask (the most specific
-    region); exact area ties go to the lower id. Pixels covered by no
-    mask stay -1.
-    """
-    ids = np.asarray(ids, dtype=np.int32)
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 3 or len(ids) != masks.shape[0]:
-        raise DimensionMismatchError(
-            f"mask stack {masks.shape} inconsistent with {len(ids)} ids"
-        )
-    areas = masks.reshape(len(ids), -1).sum(axis=1)
-    out = np.full(masks.shape[1:], -1, dtype=np.int32)
-    # Paint large masks first so smaller (more specific) ones overwrite them;
-    # ties paint the lower id last.
-    order = sorted(range(len(ids)), key=lambda i: (-int(areas[i]), -int(ids[i])))
-    for i in order:
-        out[masks[i]] = ids[i]
-    return out
-
-
-def write_mask_stack(path: str | Path, ids: np.ndarray, masks: np.ndarray) -> None:
-    meta = {"ids": [int(i) for i in ids]}
-    blobio.save_arrays(path, "mask-stack", meta, {"masks": np.asarray(masks, dtype=np.uint8)})
-
-
-def load_mask_stack(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    manifest, arrays = blobio.load_arrays(path, "mask-stack", ("ids",), lambda _: {"masks": None})
-    with blobio.manifest_fields(path):
-        ids = np.array(manifest["ids"], dtype=np.int32)
-    masks = arrays["masks"].astype(bool)
-    if masks.ndim != 3 or ids.ndim != 1 or len(ids) != masks.shape[0]:
-        raise DimensionMismatchError(f"{path}: ids length != stack depth")
-    return ids, masks

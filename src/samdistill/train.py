@@ -74,10 +74,6 @@ def init_opt_state(params: nn.ModelParams) -> dict:
     return {"t": 0, "m": np.zeros(params.data.size), "v": np.zeros(params.data.size)}
 
 
-def _copy_opt_state(state: dict) -> dict:
-    return {"t": state["t"], "m": state["m"].copy(), "v": state["v"].copy()}
-
-
 # Elements per in-place AdamW pass; the two scratch blocks stay in cache.
 _ADAMW_BLOCK = 16384
 
@@ -96,14 +92,14 @@ def adamw_step(
     the same operations in the same order as a per-tensor update, so the
     result is bit-identical to one. Layer-norm affines and the mask query
     are excluded from decay. Raises DivergedRunError on a non-finite
-    gradient, before anything is updated.
+    gradient before it writes anything, the step count included.
     """
-    state["t"] += 1
-    t = state["t"]
+    t = state["t"] + 1
+    if params.grad is not None and not np.isfinite(params.grad).all():
+        raise DivergedRunError(t)
+    state["t"] = t
     if params.grad is None:
         return
-    if not np.isfinite(params.grad).all():
-        raise DivergedRunError(t)
     b1, b2 = betas
     bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
     data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
@@ -194,7 +190,11 @@ _INITIAL_METRICS = "initial_metrics.json"
 
 
 class _MetricsWriter:
-    """On resume, drops the rows from ``resume_step`` on, which a diverged run logged."""
+    """On resume, drops the rows from ``resume_step`` on.
+
+    A run that saved its checkpoint logged none of them; they come only
+    from a run that died without saving.
+    """
 
     def __init__(self, path: Path, resume_step: int | None):
         kept = []
@@ -270,9 +270,14 @@ def _fit(
     step. Every checkpoint records ``fingerprint``, and resuming from a
     checkpoint with another one raises InconsistencyError. Returns the
     checkpoint directory, the trained parameters, the step count and the
-    initial and final dataset metrics. A non-finite gradient or value
-    inside a step, or in the final dataset metrics, saves the state from
-    the start of the epoch and raises DivergedRunError.
+    initial and final dataset metrics.
+
+    A checkpoint at step k holds the state before step k ran, so a resume
+    may start mid-epoch; it skips that epoch's batches already taken. A
+    non-finite gradient or value inside a step raises before the step
+    changes that state, so the run saves it and raises DivergedRunError. A
+    non-finite final dataset metric saves the state after the last step and
+    raises DivergedRunError at that step; a resume fails the same way.
     """
     train_cfg.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,29 +291,25 @@ def _fit(
             raise InconsistencyError(
                 f"{ckpt_dir} was written by another run: {ckpt.fingerprint} != {fingerprint}"
             )
-        params, opt_state = ckpt.params, ckpt.opt_state
-        start_epoch = ckpt.step // steps_per_epoch
+        params, opt_state, step = ckpt.params, ckpt.opt_state, ckpt.step
         initial = blobio.load_manifest(out_dir / _INITIAL_METRICS)
     else:
         params = fresh_params()
         opt_state = init_opt_state(params)
-        start_epoch = 0
+        step = 0
         initial = dataset_metrics(params)
         blobio.dump_manifest(out_dir / _INITIAL_METRICS, initial)
 
+    start_epoch = step // steps_per_epoch
     end_epoch = train_cfg.epochs
     if stop_after_epochs is not None:
         end_epoch = min(end_epoch, start_epoch + stop_after_epochs)
-    step = start_epoch * steps_per_epoch
     writer = _MetricsWriter(out_dir / "metrics.csv", step if resume else None)
-    # Parameter values, optimizer state and step at the start of the epoch:
-    # replaced by copies at the start of every epoch; nothing mutates it before.
-    last_good = (params.data, opt_state, step)
     try:
         for epoch in range(start_epoch, end_epoch):
-            last_good = (params.data.copy(), _copy_opt_state(opt_state), step)
             order = _epoch_order(n_scenes, train_cfg.seed, epoch)
-            for batch in _batches(order, train_cfg.batch_size):
+            taken = step - epoch * steps_per_epoch  # > 0 only in a resumed epoch
+            for batch in _batches(order, train_cfg.batch_size)[taken:]:
                 t0 = time.perf_counter()
                 params.zero_grad()
                 loss, fields = batch_loss(params, batch, epoch)
@@ -340,9 +341,7 @@ def _fit(
                 step += 1
         final = dataset_metrics(params)
     except (DivergedRunError, NonFiniteError) as exc:
-        good_data, good_state, good_step = last_good
-        params.data[...] = good_data
-        nn.save_checkpoint(ckpt_dir, params, good_step, good_state, fingerprint)
+        nn.save_checkpoint(ckpt_dir, params, step, opt_state, fingerprint)
         if isinstance(exc, DivergedRunError):
             raise
         # A non-finite final eval is charged to the last step taken.
@@ -496,8 +495,9 @@ def run_stage1(
 
     Each step's loss is the mean over its batch's scenes of each scene's
     loss, from one packed graph. ``stop_after_epochs`` bounds how many
-    epochs this invocation processes (the schedule still spans the
-    configured total); rerun with ``resume=True`` to continue bit-exactly.
+    epochs this invocation processes, the first of which is partial when it
+    resumes mid-epoch (the schedule still spans the configured total);
+    rerun with ``resume=True`` to continue bit-exactly.
     Resuming with another train or stage config, arch or dataset raises
     InconsistencyError.
     """

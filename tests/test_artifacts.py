@@ -21,7 +21,6 @@ SMALL_ARCH = nn.Arch(
 
 LOADERS = {
     "scene-bundle": scene.read_bundle,
-    "mask-stack": scene.load_mask_stack,
     "weight-table": stage1.load_weight_table,
     "model-checkpoint": nn.load_checkpoint,
 }
@@ -34,9 +33,6 @@ BAD_DTYPES = ["zz", "O", "", "<U3", "V8", "f8,i4", "<f4", "<i8", "|u1", 5, None]
 def artifacts(tmp_path_factory, small_bundle):
     root = tmp_path_factory.mktemp("artifacts")
     scene.write_bundle(small_bundle, root / "scene-bundle")
-    masks = np.zeros((2, 4, 5), dtype=np.uint8)
-    masks[0, :2], masks[1, 1:] = 1, 1
-    scene.write_mask_stack(root / "mask-stack", np.array([3, 7]), masks)
     k, tau, w = stage1.weights_from_counts(np.array([4, 2]))
     table = stage1.WeightTable(
         group_of_region=np.array([0, 1, 0]), counts=np.array([4, 2]), k=k, tau=tau, w=w,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from samdistill import scene
-from samdistill.errors import DimensionMismatchError, InvalidInputError, InvalidSpecError
+from samdistill.errors import InvalidInputError, InvalidSpecError
 
 
 def _identity_camera(f=100.0, c=50.0, size=100):
@@ -191,37 +191,3 @@ class TestGenerateScene:
         nearest = np.minimum(np.abs(depths - 3.0), np.abs(depths - 5.0))
         assert np.all(nearest < 0.3)
 
-
-class TestMaskIngestion:
-    def test_smallest_area_wins(self):
-        big = np.zeros((4, 4), dtype=bool)
-        big[0:3, 0:3] = True
-        small = np.zeros((4, 4), dtype=bool)
-        small[1:2, 1:3] = True
-        out = scene.resolve_mask_overlaps(np.array([7, 9]), np.stack([big, small]))
-        assert out[1, 1] == 9 and out[1, 2] == 9
-        assert out[0, 0] == 7
-        assert out[3, 3] == -1
-
-    def test_area_tie_lower_id_wins(self):
-        a = np.zeros((2, 2), dtype=bool)
-        a[0, :] = True
-        b = np.zeros((2, 2), dtype=bool)
-        b[:, 0] = True
-        out = scene.resolve_mask_overlaps(np.array([5, 3]), np.stack([a, b]))
-        assert out[0, 0] == 3
-
-    def test_stack_round_trip(self, tmp_path):
-        ids = np.array([2, 4])
-        masks = np.zeros((2, 3, 3), dtype=bool)
-        masks[0, 0] = True
-        masks[1, :, 2] = True
-        scene.write_mask_stack(tmp_path / "stack", ids, masks)
-        rid, rmasks = scene.load_mask_stack(tmp_path / "stack")
-        np.testing.assert_array_equal(rid, ids)
-        np.testing.assert_array_equal(rmasks, masks)
-
-    def test_stack_ids_must_match_depth(self, tmp_path):
-        scene.write_mask_stack(tmp_path / "stack", np.array([2, 4, 6]), np.ones((2, 3, 3), bool))
-        with pytest.raises(DimensionMismatchError):
-            scene.load_mask_stack(tmp_path / "stack")

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from samdistill import blobio, scene
+from samdistill import blobio, scene, stage1
 from samdistill.errors import (
     DimensionMismatchError,
     MagicMismatchError,
@@ -84,9 +84,14 @@ def test_blob_entries_must_match_the_format(stored, edit):
 
 
 def test_other_format_rejected(tmp_path):
-    scene.write_mask_stack(tmp_path / "stack", np.array([1]), np.ones((1, 2, 2), dtype=bool))
+    counts = np.array([3, 1])
+    k, tau, w = stage1.weights_from_counts(counts)
+    table = stage1.WeightTable(
+        group_of_region=np.array([0, 1]), counts=counts, k=k, tau=tau, w=w, n_groups=2, seed=0
+    )
+    stage1.save_weight_table(tmp_path / "table", table, np.zeros((2, 3)))
     with pytest.raises(MalformedManifestError):
-        scene.read_bundle(tmp_path / "stack")
+        scene.read_bundle(tmp_path / "table")
 
 
 def test_rewrite_replaces_directory_whole(stored, tmp_path):

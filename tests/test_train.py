@@ -64,9 +64,13 @@ class TestAdamW:
         params = _one_param(1.0)
         params.tensors["w"].grad[...] = np.inf
         state = train.init_opt_state(params)
+        before = [a.tobytes() for a in (params.data, state["m"], state["v"])]
         with pytest.raises(DivergedRunError) as err:
             train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
         assert err.value.step == 1
+        # Nothing is written before the check, the step count included.
+        assert state["t"] == 0
+        assert [a.tobytes() for a in (params.data, state["m"], state["v"])] == before
 
     def test_missing_grad_treated_as_zero(self):
         params = _one_param(1.0)
@@ -77,16 +81,15 @@ class TestAdamW:
 
 def _per_tensor_adamw(params, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
     """AdamW as a loop over tensors: the oracle the flat in-place update must match bit for bit."""
-    state["t"] += 1
-    t = state["t"]
+    t = state["t"] + 1
+    trainable = {name: p for name, p in params.tensors.items() if p.requires_grad}
+    if not all(np.all(np.isfinite(p.grad)) for p in trainable.values()):
+        raise DivergedRunError(t)
+    state["t"] = t
     b1, b2 = betas
     moments_m, moments_v = params.views(state["m"]), params.views(state["v"])
-    for name, p in params.tensors.items():
-        if not p.requires_grad:
-            continue
+    for name, p in trainable.items():
         g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise DivergedRunError(t)
         m, v = moments_m[name], moments_v[name]
         m *= b1
         m += (1.0 - b1) * g
@@ -301,7 +304,7 @@ class TestRunStage1:
         assert err.value.op == err.value.__cause__.op
         assert err.value.op in str(err.value)
         ckpt = nn.load_checkpoint(tmp_path / "div" / "checkpoint")
-        # The first step of epoch 1 overflows; the last good state opens that epoch.
+        # The first step of epoch 1 overflows; the checkpoint holds the state before it.
         assert ckpt.step == err.value.step - 1 == 2
         assert ckpt.opt_state["t"] == ckpt.step
         assert all(np.all(np.isfinite(t.data)) for t in ckpt.params.tensors.values())
@@ -333,8 +336,18 @@ class TestRunStage1:
         # Every step ran; the parameters after the last one fail the final eval.
         assert err.value.step == 6
         ckpt = nn.load_checkpoint(tmp_path / "div" / "checkpoint")
-        assert ckpt.step == 4
+        assert ckpt.step == ckpt.opt_state["t"] == 6
         assert not (tmp_path / "div" / "metrics.json").exists()
+        # A resume re-runs only the final eval, which fails the same way.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedRunError) as again:
+            train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(base_lr=1e30), train.Stage1Config(k_groups=3),
+                tmp_path / "div", resume=True,
+            )
+        assert again.value.step == 6
+        assert nn.load_checkpoint(tmp_path / "div" / "checkpoint").params.byte_hash() == (
+            ckpt.params.byte_hash()
+        )
 
     def test_metrics_csv_schema_and_finite_grad_norms(self, tiny_dataset, tiny_arch, tmp_path):
         import csv
@@ -510,6 +523,71 @@ class TestRunStage2:
             assert row["l_ins"] != "" and row["l_token"] != "" and row["l_final"] != ""
             assert math.isfinite(float(row["l_final"]))
             assert int(row["n_masked"]) > 0 and int(row["n_visible"]) > 0
+
+
+def _run_artifacts(out_dir: Path) -> dict:
+    """Everything a resumed run must reproduce, timings aside."""
+    ckpt = nn.load_checkpoint(out_dir / "checkpoint")
+    return {
+        "params": ckpt.params.byte_hash(),
+        "m": ckpt.opt_state["m"].tobytes(),
+        "v": ckpt.opt_state["v"].tobytes(),
+        "t": ckpt.opt_state["t"],
+        "metrics.json": (out_dir / "metrics.json").read_bytes(),
+        "initial_metrics.json": (out_dir / "initial_metrics.json").read_bytes(),
+        "metrics.csv": _csv_without_timings(out_dir / "metrics.csv"),
+    }
+
+
+class TestResumeAfterAFailureAtEveryStep:
+    """A NaN gradient at step k saves the state before step k, and a resume finishes the run."""
+
+    STEPS = 6  # 3 epochs of two uneven batches, 3 and 1 of the 4 train scenes
+
+    def _sweep(self, run, tmp_path, monkeypatch):
+        run(tmp_path / "full", resume=False)
+        expected = _run_artifacts(tmp_path / "full")
+        adamw_step = train.adamw_step
+        for k in range(1, self.STEPS + 1):
+            calls = []
+
+            def poisoned(params, *args):
+                calls.append(k)
+                if len(calls) == k:
+                    params.grad[0] = np.nan
+                adamw_step(params, *args)
+
+            out = tmp_path / f"nan_at_{k}"
+            with monkeypatch.context() as patch, pytest.raises(DivergedRunError) as err:
+                patch.setattr(train, "adamw_step", poisoned)
+                run(out, resume=False)
+            assert err.value.step == k
+            ckpt = nn.load_checkpoint(out / "checkpoint")
+            assert ckpt.step == ckpt.opt_state["t"] == k - 1
+            run(out, resume=True)
+            assert _run_artifacts(out) == expected, f"NaN at step {k}"
+
+    def test_stage1(self, tiny_dataset, tiny_arch, tmp_path, monkeypatch):
+        tb, eb = tiny_dataset
+
+        def run(out, resume):
+            train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(batch_size=3), train.Stage1Config(k_groups=3), out,
+                resume=resume,
+            )
+
+        self._sweep(run, tmp_path, monkeypatch)
+
+    def test_stage2(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
+        tb, eb = tiny_dataset
+
+        def run(out, resume):
+            train.run_stage2(
+                tb, eb, teacher_ckpt, _quick_cfg(batch_size=3), train.Stage2Config(mask_ratio=0.5),
+                out, resume=resume,
+            )
+
+        self._sweep(run, tmp_path, monkeypatch)
 
 
 def _graph_sizes(monkeypatch) -> list[int]:

@@ -306,8 +306,8 @@ def embed_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
     """
     p = params.tensors
     local = T.constant(batch.members)
-    h = T.relu(T.add(T.matmul(local, p["embed.l1.w"]), p["embed.l1.b"]))
-    h = T.add(T.matmul(h, p["embed.l2.w"]), p["embed.l2.b"])
+    h = T.relu(T.linear(local, p["embed.l1.w"], p["embed.l1.b"]))
+    h = T.linear(h, p["embed.l2.w"], p["embed.l2.b"])
     return T.max_pool(h, batch.member_offsets)
 
 
@@ -315,8 +315,8 @@ def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
     """Two-layer MLP on raw centroid coordinates."""
     p = params.tensors
     x = T.constant(np.asarray(centroids, dtype=np.float64).reshape(-1, 3))
-    h = T.gelu(T.add(T.matmul(x, p["pos.l1.w"]), p["pos.l1.b"]))
-    return T.add(T.matmul(h, p["pos.l2.w"]), p["pos.l2.b"])
+    h = T.gelu(T.linear(x, p["pos.l1.w"], p["pos.l1.b"]))
+    return T.linear(h, p["pos.l2.w"], p["pos.l2.b"])
 
 
 def _attention(
@@ -327,13 +327,13 @@ def _attention(
     k = T.matmul(x, p[f"{prefix}.attn.wk"])
     v = T.matmul(x, p[f"{prefix}.attn.wv"])
     heads = T.attention(q, k, v, params.arch.n_heads, scene_offsets)
-    return T.add(T.matmul(heads, p[f"{prefix}.attn.wo"]), p[f"{prefix}.attn.bo"])
+    return T.linear(heads, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.bo"])
 
 
 def _mlp(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
     p = params.tensors
-    h = T.gelu(T.add(T.matmul(x, p[f"{prefix}.mlp.l1.w"]), p[f"{prefix}.mlp.l1.b"]))
-    return T.add(T.matmul(h, p[f"{prefix}.mlp.l2.w"]), p[f"{prefix}.mlp.l2.b"])
+    h = T.gelu(T.linear(x, p[f"{prefix}.mlp.l1.w"], p[f"{prefix}.mlp.l1.b"]))
+    return T.linear(h, p[f"{prefix}.mlp.l2.w"], p[f"{prefix}.mlp.l2.b"])
 
 
 def _transformer(

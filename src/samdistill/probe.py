@@ -97,7 +97,7 @@ def fit_linear_probe(
     x_const = T.constant(xt)
     for epoch in range(epochs):
         params.zero_grad()
-        loss = T.cross_entropy(T.add(T.matmul(x_const, w), b), train_y)
+        loss = T.cross_entropy(T.linear(x_const, w, b), train_y)
         loss.backward()
         adamw_step(params, state, lr_at(epoch, epochs, cfg), 0.0)
 

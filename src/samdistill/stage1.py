@@ -28,24 +28,42 @@ SCALE_PAPER_LITERAL = "paper-literal"
 def pool_features_by_region(
     feat2d: np.ndarray, mask: np.ndarray, region_ids: np.ndarray, pooling: str
 ) -> np.ndarray:
-    """Pool raster features over the pixels of each listed mask region."""
+    """Pool raster features over the pixels of each listed mask region.
+
+    One stable sort groups the labelled pixels by region, in raster order
+    within each, and every region pools at once. Each row has the bits of
+    ``feat[mask == rid].max(0)``, or of ``.mean(0)`` for features wider than
+    one column: the mean sums with ``np.bincount``, which adds each
+    region's rows in turn as ``.mean(0)`` does on a matrix
+    (``np.add.reduceat`` sums in another order, and numpy sums a single
+    column pairwise).
+    """
     if pooling not in (MEAN_POOLING, MAX_POOLING):
         raise InvalidInputError(f"unknown pooling {pooling!r}")
     feat = np.asarray(feat2d)
-    rows = []
-    for rid in region_ids:
-        ys, xs = np.nonzero(mask == rid)
-        if len(ys) == 0:
-            raise InconsistencyError(f"region {rid} has no masked pixels")
-        pixels = feat[ys, xs].astype(np.float64, copy=False)  # only the gathered pixels
-        rows.append(pixels.mean(axis=0) if pooling == MEAN_POOLING else pixels.max(axis=0))
-    return np.stack(rows)
+    labels = np.asarray(mask).reshape(-1)
+    pixels = np.flatnonzero(labels >= 0)
+    pixels = pixels[np.argsort(labels[pixels], kind="stable")]
+    present, starts, counts = np.unique(labels[pixels], return_index=True, return_counts=True)
+    region_ids = np.asarray(region_ids).reshape(-1)
+    which = np.searchsorted(present, region_ids)
+    found = which < len(present)
+    found[found] = present[which[found]] == region_ids[found]
+    if not found.all():
+        raise InconsistencyError(f"region {region_ids[~found][0]} has no masked pixels")
+    rows = feat.reshape(labels.size, -1)[pixels].astype(np.float64, copy=False)
+    if pooling == MAX_POOLING:
+        return np.maximum.reduceat(rows, starts, axis=0)[which]
+    width = rows.shape[1]
+    cells = np.repeat(np.arange(len(present)) * width, counts)[:, None] + np.arange(width)
+    sums = np.bincount(cells.reshape(-1), rows.reshape(-1), len(present) * width)
+    return (sums.reshape(-1, width) / counts[:, None])[which]
 
 
 def project_3d(h: T.Tensor, params: ModelParams) -> T.Tensor:
     """Linear map from encoder features to the 2D feature dimension."""
     p = params.tensors
-    return T.add(T.matmul(h, p["proj.w"]), p["proj.b"])
+    return T.linear(h, p["proj.w"], p["proj.b"])
 
 
 # ---------------------------------------------------------------------------

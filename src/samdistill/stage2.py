@@ -97,8 +97,8 @@ def student_forward(
 def predict_instance(f_ins_student: T.Tensor, student: ModelParams) -> T.Tensor:
     """Two-layer predictor mapping each student pooled feature onto the teacher's."""
     p = student.tensors
-    h = T.gelu(T.add(T.matmul(f_ins_student, p["pred.l1.w"]), p["pred.l1.b"]))
-    return T.add(T.matmul(h, p["pred.l2.w"]), p["pred.l2.b"])
+    h = T.gelu(T.linear(f_ins_student, p["pred.l1.w"], p["pred.l1.b"]))
+    return T.linear(h, p["pred.l2.w"], p["pred.l2.b"])
 
 
 def stage2_loss(

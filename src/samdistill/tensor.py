@@ -212,6 +212,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one node, with the bits of ``add(matmul(x, w), b)``."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatchError("linear", x.shape, w.shape, b.shape)
+    out = _node(x.data @ w.data + b.data, (x, w, b), "linear")
+    if out.requires_grad:
+
+        def backward(g):
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+
+        out._backward = backward
+    return out
+
+
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:

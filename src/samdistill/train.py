@@ -130,12 +130,13 @@ def adamw_step(
 
 
 def grad_norm(params: nn.ModelParams) -> float:
-    """Summed per tensor in name order, so the value matches a per-tensor loop bit for bit."""
-    total = 0.0
-    for name in params.trainable_names():
-        g = params.tensors[name].grad
-        total += float((g * g).sum())
-    return math.sqrt(total)
+    """L2 norm of the trainable gradients, one dot over the flat buffer.
+
+    Frozen slots of the buffer hold zeros, so they add nothing.
+    """
+    if params.grad is None:
+        return 0.0
+    return math.sqrt(float(params.grad @ params.grad))
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:

@@ -280,6 +280,56 @@ class TestEncoderDecoder:
         assert T.grad_check(f, inputs) < 1e-4
 
 
+
+def _unfused_encode(x, params, scene_offsets):
+    """The encoder with each linear layer as a matmul node plus a bias add node."""
+    p, eps = params.tensors, params.arch.ln_eps
+
+    def affine(h, name, bias):
+        return T.add(T.matmul(h, p[name]), p[bias])
+
+    for i in range(params.arch.n_enc_layers):
+        pre = f"enc{i}"
+        normed = T.layer_norm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"], eps=eps)
+        q, k, v = (T.matmul(normed, p[f"{pre}.attn.{w}"]) for w in ("wq", "wk", "wv"))
+        heads = T.attention(q, k, v, params.arch.n_heads, scene_offsets)
+        x = T.add(x, affine(heads, f"{pre}.attn.wo", f"{pre}.attn.bo"))
+        normed = T.layer_norm(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], eps=eps)
+        h = T.gelu(affine(normed, f"{pre}.mlp.l1.w", f"{pre}.mlp.l1.b"))
+        x = T.add(x, affine(h, f"{pre}.mlp.l2.w", f"{pre}.mlp.l2.b"))
+    return T.layer_norm(x, p["enc.ln_f.g"], p["enc.ln_f.b"], eps=eps)
+
+
+class TestFusedLinearLayers:
+    """The encoder's ``linear`` nodes against the unfused matmul-plus-add graph."""
+
+    @pytest.mark.parametrize("offsets", [[0, 3], [0, 3, 5]])
+    def test_encode_matches_unfused_graph_and_passes_grad_check(self, offsets, rng):
+        arch = nn.Arch(
+            embed_dim=6, n_heads=2, n_enc_layers=2, n_dec_layers=0,
+            pointnet_hidden=4, mlp_ratio=2, proj_dim=3,
+        )
+        params = nn.init_params(arch, seed=1)
+        offsets = np.array(offsets)
+        x = T.parameter(rng.normal(0, 1, (offsets[-1], 6)))
+        target = T.constant(rng.normal(0, 1, (offsets[-1], 6)))
+        names = [n for n in params.trainable_names() if n.startswith("enc")]
+        results = []
+        for encode in (nn.encode, _unfused_encode):
+            params.zero_grad()
+            x.zero_grad()
+            out = encode(x, params, offsets)
+            T.mse(out, target).backward()
+            grads = [x.grad] + [params.tensors[n].grad for n in names]
+            results.append([out.data.tobytes()] + [g.tobytes() for g in grads])
+        assert results[0] == results[1]
+
+        def f():
+            return T.mse(nn.encode(x, params, offsets), target)
+
+        assert T.grad_check(f, [x] + [params.tensors[n] for n in names]) < 1e-4
+
+
 class TestMaskPlan:
     def test_sixty_percent_of_ten(self):
         plan = nn.make_mask_plan(10, 0.6, seed=0, scene_id=0, epoch=0)

@@ -38,6 +38,31 @@ def brute_force_two_partition_sse(x: np.ndarray) -> float:
     return best
 
 
+
+def _per_region_pool(feat, mask, region_ids, pooling):
+    """The per-region loop the segment form replaced: one ``np.nonzero`` scan per region."""
+    rows = []
+    for rid in region_ids:
+        ys, xs = np.nonzero(mask == rid)
+        pixels = feat[ys, xs].astype(np.float64, copy=False)
+        rows.append(pixels.mean(axis=0) if pooling == "mean" else pixels.max(axis=0))
+    return np.stack(rows)
+
+
+def _random_pooling_case(rng, width, dtype):
+    """A mask with background -1, non-contiguous ids and a one-pixel region, plus
+    unsorted, repeated region ids covering every region."""
+    h, w = (int(n) for n in rng.integers(2, 30, 2))
+    ids = rng.choice(10_000, int(rng.integers(1, 9)), replace=False)
+    labelled = rng.random((h, w)) < rng.uniform(0.02, 1.0)
+    mask = np.where(labelled, rng.choice(ids, (h, w)), -1).astype(np.int32)
+    mask[rng.integers(h), rng.integers(w)] = 10_000  # a one-pixel region
+    present = np.unique(mask[mask >= 0])
+    region_ids = rng.permutation(np.concatenate([present, rng.choice(present, len(present))]))
+    feat = (rng.normal(0.0, 1.0, (h, w, width)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    return feat, mask, region_ids
+
+
 class TestPooling:
     def test_mean_of_two_pixels(self):
         feat = np.zeros((1, 2, 2))
@@ -73,6 +98,35 @@ class TestPooling:
         with pytest.raises(InconsistencyError):
             stage1.pool_features_by_region(
                 np.zeros((1, 1, 2)), np.full((1, 1), -1, int), np.array([0]), "mean"
+            )
+
+
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_region_oracle_bit_for_bit(self, pooling, dtype):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            feat, mask, region_ids = _random_pooling_case(rng, int(rng.choice([2, 5, 32])), dtype)
+            out = stage1.pool_features_by_region(feat, mask, region_ids, pooling)
+            expected = _per_region_pool(feat, mask, region_ids, pooling)
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
+    def test_single_column_mean_agrees_to_rounding(self):
+        # numpy sums one column pairwise, so only the last bits may differ.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            feat, mask, region_ids = _random_pooling_case(rng, 1, np.float64)
+            out = stage1.pool_features_by_region(feat, mask, region_ids, "mean")
+            expected = _per_region_pool(feat, mask, region_ids, "mean")
+            np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("missing", [0, 5, 99])
+    def test_missing_region_among_present_ones_is_inconsistent(self, missing):
+        mask = np.array([[3, -1, 7], [7, 3, -1]], dtype=np.int32)
+        with pytest.raises(InconsistencyError, match=f"region {missing} "):
+            stage1.pool_features_by_region(
+                np.ones((2, 3, 2)), mask, np.array([7, missing, 3]), "mean"
             )
 
 

@@ -507,3 +507,45 @@ def test_grad_check_segment_losses(rng):
     assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, w, offsets), [a]) < 1e-4
     assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, None, offsets), [a]) < 1e-4
     assert T.grad_check(lambda: T.mse(a, b, np.array([0, 0, 2, 6])), [a]) < 1e-4
+
+
+@pytest.mark.parametrize("m,k,n", [(1, 3, 2), (4, 1, 5), (12, 64, 256), (7, 256, 64)])
+def test_linear_matches_matmul_plus_bias_bit_for_bit(m, k, n, rng):
+    data = [rng.normal(0.0, 1.0, shape) for shape in ((m, k), (k, n), (n,))]
+    target = T.constant(rng.normal(0.0, 1.0, (m, n)))
+    results = []
+    for op in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+        xwb = [T.parameter(a) for a in data]
+        out = op(*xwb)
+        T.mse(out, target).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in xwb])
+    assert results[0] == results[1]
+
+
+def test_linear_is_one_node_and_records_nothing_under_no_grad(rng):
+    x, w, b = (T.parameter(rng.normal(0.0, 1.0, s)) for s in ((3, 4), (4, 2), (2,)))
+    out = T.linear(x, w, b)
+    assert out._op == "linear" and out._parents == (x, w, b)
+    with T.no_grad():
+        frozen = T.linear(x, w, b)
+    assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
+    assert frozen.data.tobytes() == out.data.tobytes()
+
+
+def test_linear_validation():
+    x, w, b = T.constant(np.ones((3, 4))), T.constant(np.ones((4, 2))), T.constant(np.ones(2))
+    for args in (
+        (T.constant(np.ones((3, 5))), w, b),
+        (x, w, T.constant(np.ones(3))),
+        (x, w, T.constant(np.ones((1, 2)))),
+        (T.constant(np.ones(4)), w, b),
+        (x, T.constant(np.ones((4, 2, 1))), b),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            T.linear(*args)
+
+
+def test_grad_check_linear(rng):
+    x, w, b = (T.parameter(rng.normal(0.0, 1.0, s)) for s in ((3, 4), (4, 2), (2,)))
+    target = T.constant(rng.normal(0.0, 1.0, (3, 2)))
+    assert T.grad_check(lambda: T.mse(T.linear(x, w, b), target), [x, w, b]) < 1e-4

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samdistill import nn, scene, stage2, tokenizer, train
+from samdistill import nn, scene, stage1, stage2, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import (
     DivergedRunError,
@@ -77,6 +77,24 @@ class TestAdamW:
         state = train.init_opt_state(params)
         train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
         assert params.tensors["w"].data[0] == 1.0
+
+
+
+class TestGradNorm:
+    def test_equals_per_tensor_sum_with_frozen_parameters(self):
+        params = nn.init_params(nn.Arch(), seed=3)
+        rng = np.random.default_rng(1)
+        for t in params.tensors.values():
+            t.grad[...] = rng.normal(0.0, 1.0, t.shape)
+        params.set_trainable(False, ["embed.l1.w", "enc0.ln1.g", "mask_query"])
+        trainable = [params.tensors[name] for name in params.trainable_names()]
+        per_tensor = sum(float((t.grad * t.grad).sum()) for t in trainable)
+        assert train.grad_norm(params) == pytest.approx(math.sqrt(per_tensor), rel=1e-12)
+
+    def test_zero_when_nothing_trains(self):
+        params = nn.init_params(nn.Arch(), seed=3)
+        params.freeze_all()
+        assert train.grad_norm(params) == 0.0
 
 
 def _per_tensor_adamw(params, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
@@ -590,19 +608,31 @@ class TestResumeAfterAFailureAtEveryStep:
         self._sweep(run, tmp_path, monkeypatch)
 
 
-def _graph_sizes(monkeypatch) -> list[int]:
-    """Record, at every backward, how many nodes the loss's graph holds."""
+def _graph_nodes(out: T.Tensor) -> list[T.Tensor]:
+    """Every node reachable from ``out`` through ``_parents``, leaves included."""
+    seen, nodes, stack = set(), [], [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _op_nodes(out: T.Tensor) -> int:
+    """How many of the nodes reachable from ``out`` are ops, not leaves."""
+    return sum(node._op != "leaf" for node in _graph_nodes(out))
+
+
+def _graph_sizes(monkeypatch) -> list[tuple[int, int]]:
+    """Record, at every backward, how many nodes the loss's graph holds and how many are ops."""
     sizes = []
     backward = T.Tensor.backward
 
     def counting(loss):
-        seen, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node._parents)
-        sizes.append(len(seen))
+        nodes = _graph_nodes(loss)
+        sizes.append((len(nodes), sum(node._op != "leaf" for node in nodes)))
         backward(loss)
 
     monkeypatch.setattr(T.Tensor, "backward", counting)
@@ -638,6 +668,42 @@ class TestOneGraphPerBatch:
             )
         assert len(sizes) == 1 + 8
         assert len(set(sizes)) == 1
+
+
+
+class TestStage1NodesPerSceneStep:
+    """Graph nodes of a batch-1 stage-1 step on the default Arch, pinned exactly.
+
+    A change that moves a count updates these pins and logs old -> new in
+    CHANGES.md.
+    """
+
+    SPEC = scene.SceneSpec(n_objects=3, seed=0, points_per_object_range=(20, 30))
+
+    def test_whole_step(self, tmp_path, monkeypatch):
+        sizes = _graph_sizes(monkeypatch)
+        train.run_stage1(
+            scene.generate_dataset(self.SPEC, 2, 7), [], nn.Arch(),
+            _quick_cfg(epochs=1, batch_size=1), train.Stage1Config(k_groups=2), tmp_path,
+        )
+        # 47 ops, plus 51 parameter leaves and 3 constants (members, centroids, targets).
+        assert sizes == [(101, 47)] * 2
+
+    def test_per_layer(self):
+        bundle = scene.generate_scene(self.SPEC)
+        params = nn.init_params(nn.Arch(), seed=0)
+        batch = nn.TokenBatch.of_scene(
+            bundle, tokenizer.sam_tokenize(bundle), params.arch.max_points_per_token
+        )
+        embedded = nn.embed_tokens(batch, params)
+        pos = nn.pos_embed(batch.centroids, params)
+        h = T.add(embedded, pos)
+        encoded = nn.encode(h, params, batch.scene_offsets)
+        f3d = stage1.project_3d(encoded, params)
+        loss = stage1.uniform_stage1_loss(np.zeros(f3d.shape), f3d)
+        totals = [_op_nodes(t) for t in (embedded, pos, h, encoded, f3d, loss)]
+        # embed_tokens 4, pos_embed 3, their sum 1, encode 37, project_3d 1, loss 1.
+        assert totals == [4, 3, 8, 45, 46, 47]
 
 
 class TestEpochOrder:

@@ -74,7 +74,7 @@ def init_opt_state(params: nn.ModelParams) -> dict:
     return {"t": 0, "m": np.zeros(params.data.size), "v": np.zeros(params.data.size)}
 
 
-# Elements per in-place AdamW pass; the two scratch blocks stay in cache.
+# Elements per in-place AdamW pass; the scratch block stays in cache.
 _ADAMW_BLOCK = 16384
 
 
@@ -88,7 +88,12 @@ def adamw_step(
 ) -> None:
     """One AdamW update with bias correction; frozen parameters are untouched.
 
-    Runs in place over the flat buffers, block by block. Each element sees
+    The update is Adam in Kingma & Ba's efficient order (ICLR 2015, end of
+    section 2) with decoupled decay (Loshchilov & Hutter, ICLR 2019):
+    ``p *= 1 - lr * wd``, then ``p -= (lr * sqrt(bc2) / bc1) * m / (sqrt(v) +
+    eps * sqrt(bc2))``. That is the textbook ``p -= lr * (m_hat / (sqrt(v_hat)
+    + eps) + wd * p)`` rearranged, with no pass for ``m_hat`` or ``v_hat``.
+    Runs in place over the flat buffers, block by block; each element sees
     the same operations in the same order as a per-tensor update, so the
     result is bit-identical to one. Layer-norm affines and the mask query
     are excluded from decay. Raises DivergedRunError on a non-finite
@@ -102,14 +107,15 @@ def adamw_step(
         return
     b1, b2 = betas
     bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    step_size, eps_hat = lr * math.sqrt(bc2) / bc1, eps * math.sqrt(bc2)
     data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
-    scratch_a, scratch_b = np.empty(_ADAMW_BLOCK), np.empty(_ADAMW_BLOCK)
+    scratch = np.empty(_ADAMW_BLOCK)
     for start, stop, decays in params.trainable_ranges():
         wd = weight_decay if decays else 0.0
         for lo in range(start, stop, _ADAMW_BLOCK):
             hi = min(lo + _ADAMW_BLOCK, stop)
             p, g, m, v = data[lo:hi], grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
-            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            a = scratch[: hi - lo]
             m *= b1
             np.multiply(g, 1.0 - b1, out=a)
             m += a
@@ -117,16 +123,14 @@ def adamw_step(
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            # a = sqrt(v / bc2) + eps; b = m / bc1 / a + wd * p
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += eps
-            np.divide(m, bc1, out=b)
-            b /= a
-            np.multiply(p, wd, out=a)
-            b += a
-            b *= lr
-            p -= b
+            # a = step_size * m / (sqrt(v) + eps_hat)
+            np.sqrt(v, out=a)
+            a += eps_hat
+            np.divide(m, a, out=a)
+            a *= step_size
+            if wd:
+                p *= 1.0 - lr * wd
+            p -= a
 
 
 def grad_norm(params: nn.ModelParams) -> float:

@@ -50,8 +50,11 @@ def _per_region_pool(feat, mask, region_ids, pooling):
 
 
 def _random_pooling_case(rng, width, dtype):
-    """A mask with background -1, non-contiguous ids and a one-pixel region, plus
-    unsorted, repeated region ids covering every region."""
+    """Features, a mask and region ids to pool.
+
+    The mask has background -1, non-contiguous ids and a one-pixel region;
+    the region ids are unsorted, repeated and cover every region.
+    """
     h, w = (int(n) for n in rng.integers(2, 30, 2))
     ids = rng.choice(10_000, int(rng.integers(1, 9)), replace=False)
     labelled = rng.random((h, w)) < rng.uniform(0.02, 1.0)

@@ -79,7 +79,6 @@ class TestAdamW:
         assert params.tensors["w"].data[0] == 1.0
 
 
-
 class TestGradNorm:
     def test_equals_per_tensor_sum_with_frozen_parameters(self):
         params = nn.init_params(nn.Arch(), seed=3)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,46 +19,49 @@ from . import tensor as T
 from .errors import InconsistencyError, InvalidCountError, InvalidInputError
 from .nn import ModelParams
 
-MEAN_POOLING = "mean"
-MAX_POOLING = "max"
-
 SCALE_MEAN_ONE = "mean-one"
 SCALE_PAPER_LITERAL = "paper-literal"
 
 
-def pool_features_by_region(
-    feat2d: np.ndarray, mask: np.ndarray, region_ids: np.ndarray, pooling: str
-) -> np.ndarray:
-    """Pool raster features over the pixels of each listed mask region.
+class RegionFeatures(NamedTuple):
+    """A scene's pooled 2D features: mean rows are stage-1 targets, max rows the k-means input."""
+
+    ids: np.ndarray  # (R,) region ids, ascending
+    mean: np.ndarray  # (R, L) float64
+    max: np.ndarray  # (R, L) float64
+
+    def select(self, region_ids: np.ndarray) -> RegionFeatures:
+        """The rows of the listed regions, in order; InconsistencyError for one with no pixels."""
+        region_ids = np.asarray(region_ids).reshape(-1)
+        missing = region_ids[~np.isin(region_ids, self.ids)]
+        if missing.size:
+            raise InconsistencyError(f"region {missing[0]} has no masked pixels")
+        which = np.searchsorted(self.ids, region_ids)
+        return RegionFeatures(region_ids, self.mean[which], self.max[which])
+
+
+def pool_features_by_region(feat2d: np.ndarray, mask: np.ndarray) -> RegionFeatures:
+    """Mean- and max-pool raster features over the pixels of every mask region.
 
     One stable sort groups the labelled pixels by region, in raster order
-    within each, and every region pools at once. Each row has the bits of
-    ``feat[mask == rid].max(0)``, or of ``.mean(0)`` for features wider than
-    one column: the mean sums with ``np.bincount``, which adds each
-    region's rows in turn as ``.mean(0)`` does on a matrix
-    (``np.add.reduceat`` sums in another order, and numpy sums a single
-    column pairwise).
+    within each, and every region pools at once. Each max row has the bits
+    of ``feat[mask == rid].max(0)``, and each mean row those of
+    ``.mean(0)`` for features wider than one column: the mean sums with
+    ``np.bincount``, which adds each region's rows in turn as ``.mean(0)``
+    does on a matrix (``np.add.reduceat`` sums in another order, and numpy
+    sums a single column pairwise).
     """
-    if pooling not in (MEAN_POOLING, MAX_POOLING):
-        raise InvalidInputError(f"unknown pooling {pooling!r}")
     feat = np.asarray(feat2d)
     labels = np.asarray(mask).reshape(-1)
     pixels = np.flatnonzero(labels >= 0)
     pixels = pixels[np.argsort(labels[pixels], kind="stable")]
-    present, starts, counts = np.unique(labels[pixels], return_index=True, return_counts=True)
-    region_ids = np.asarray(region_ids).reshape(-1)
-    which = np.searchsorted(present, region_ids)
-    found = which < len(present)
-    found[found] = present[which[found]] == region_ids[found]
-    if not found.all():
-        raise InconsistencyError(f"region {region_ids[~found][0]} has no masked pixels")
+    ids, starts, counts = np.unique(labels[pixels], return_index=True, return_counts=True)
     rows = feat.reshape(labels.size, -1)[pixels].astype(np.float64, copy=False)
-    if pooling == MAX_POOLING:
-        return np.maximum.reduceat(rows, starts, axis=0)[which]
     width = rows.shape[1]
-    cells = np.repeat(np.arange(len(present)) * width, counts)[:, None] + np.arange(width)
-    sums = np.bincount(cells.reshape(-1), rows.reshape(-1), len(present) * width)
-    return (sums.reshape(-1, width) / counts[:, None])[which]
+    cells = np.repeat(np.arange(len(ids)) * width, counts)[:, None] + np.arange(width)
+    sums = np.bincount(cells.reshape(-1), rows.reshape(-1), len(ids) * width)
+    means = sums.reshape(-1, width) / counts[:, None]
+    return RegionFeatures(ids, means, np.maximum.reduceat(rows, starts, axis=0))
 
 
 def project_3d(h: T.Tensor, params: ModelParams) -> T.Tensor:

@@ -5,10 +5,12 @@ stacked into one :class:`~samdistill.nn.TokenBatch`; dataset metrics,
 held-out evals and stage-2 teacher forwards run the same packed forward
 on chunks of at most ``batch_size`` scenes.
 
-Runs are deterministic given (dataset, seed): initialization, epoch
-shuffles, and mask plans all derive from the seed, never from global
-state, so identical configurations produce bit-identical checkpoints
-and interrupted runs resume bit-exactly.
+Runs are deterministic given (dataset, seed) and the BLAS thread count:
+initialization, epoch shuffles, and mask plans all derive from the seed,
+never from global state, so identical configurations under one BLAS
+thread count produce bit-identical checkpoints and interrupted runs
+resume bit-exactly. The thread count moves the last bits of large
+matmuls, and the resume fingerprint does not record it.
 """
 
 from __future__ import annotations
@@ -379,36 +381,27 @@ class _PreparedScene:
     tokens: TokenSet
     batch: nn.TokenBatch  # the tokens, packed once for every forward
     targets: np.ndarray  # per token, mean-pooled 2D region features
-    group_features: np.ndarray  # per token, max-pooled 2D region features
-    groups: np.ndarray | None = None
+    groups: np.ndarray  # per token, the weight-table group of its max-pooled features
 
 
-def _prepare_scene(bundle: SceneBundle, tokens: TokenSet, arch: nn.Arch) -> _PreparedScene:
+def _prepare_scene(
+    bundle: SceneBundle,
+    tokens: TokenSet,
+    pooled: stage1.RegionFeatures,
+    centroids: np.ndarray,
+    arch: nn.Arch,
+) -> _PreparedScene:
     if tokens.mode == MODE_SAM:
         token_regions = tokens.region_ids
     else:
         token_regions = majority_regions(tokens, point_regions(bundle))
-    targets = stage1.pool_features_by_region(
-        bundle.feat2d, bundle.mask, token_regions, stage1.MEAN_POOLING
-    )
-    group_features = stage1.pool_features_by_region(
-        bundle.feat2d, bundle.mask, token_regions, stage1.MAX_POOLING
-    )
+    rows = pooled.select(token_regions)
     return _PreparedScene(
         tokens=tokens,
         batch=nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token),
-        targets=targets,
-        group_features=group_features,
+        targets=rows.mean,
+        groups=stage1.assign_groups(rows.max, centroids),
     )
-
-
-def _scene_region_features(bundles: list[SceneBundle], pooling: str) -> np.ndarray:
-    """Max- or mean-pooled features for every mask region across a dataset."""
-    rows = []
-    for bundle in bundles:
-        ids = np.unique(bundle.mask[bundle.mask >= 0])
-        rows.append(stage1.pool_features_by_region(bundle.feat2d, bundle.mask, ids, pooling))
-    return np.concatenate(rows)
 
 
 @dataclass
@@ -457,19 +450,20 @@ def _stage1_eval(
     runs on chunks of at most ``batch_size`` scenes.
     """
     cosines: list[np.ndarray] = []
-    group_features: list[np.ndarray] = []
+    groups: list[np.ndarray] = []
     with T.no_grad():
         for chunk in _batches(bundles, batch_size):
-            scenes = [
-                _prepare_scene(b, sam_tokenize(b, min_points=cfg.min_points), params.arch)
-                for b in chunk
-            ]
+            scenes = []
+            for b in chunk:
+                tokens = sam_tokenize(b, min_points=cfg.min_points)
+                pooled = stage1.pool_features_by_region(b.feat2d, b.mask)
+                scenes.append(_prepare_scene(b, tokens, pooled, centroids, params.arch))
             _, f3d = _stage1_project(scenes, params)
             targets = np.concatenate([s.targets for s in scenes])
             cosines.append(stage1.region_cosines(targets, f3d.data))
-            group_features += [s.group_features for s in scenes]
+            groups += [s.groups for s in scenes]
     cos = np.concatenate(cosines)
-    grp = stage1.assign_groups(np.concatenate(group_features), centroids)
+    grp = np.concatenate(groups)
     per_group = [
         float(cos[grp == g].mean()) if np.any(grp == g) else float("nan")
         for g in range(table.n_groups)
@@ -507,20 +501,19 @@ def run_stage1(
     InconsistencyError.
     """
     out_dir = Path(out_dir)
-    prepared = [
-        _prepare_scene(
-            b, tokenize(b, cfg.tokenizer_mode, cfg.min_points, cfg.knn_tokens, cfg.knn_k), arch
-        )
+    tokens = [
+        tokenize(b, cfg.tokenizer_mode, cfg.min_points, cfg.knn_tokens, cfg.knn_k)
         for b in train_bundles
     ]
+    pooled = [stage1.pool_features_by_region(b.feat2d, b.mask) for b in train_bundles]
     table, centroids = stage1.build_weight_table(
-        _scene_region_features(train_bundles, stage1.MAX_POOLING),
-        cfg.k_groups,
-        train_cfg.seed,
+        np.concatenate([p.max for p in pooled]), cfg.k_groups, train_cfg.seed
     )
+    prepared = [
+        _prepare_scene(b, t, p, centroids, arch)
+        for b, t, p in zip(train_bundles, tokens, pooled)
+    ]
     stage1.save_weight_table(out_dir / "weight_table", table, centroids)
-    for prep in prepared:
-        prep.groups = stage1.assign_groups(prep.group_features, centroids)
 
     def batch_loss(params: nn.ModelParams, batch: np.ndarray, epoch: int):
         loss = _stage1_batch_loss([prepared[i] for i in batch], params, table, cfg)

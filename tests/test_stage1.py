@@ -72,37 +72,34 @@ class TestPooling:
         feat[0, 0] = [1.0, 1.0]
         feat[0, 1] = [3.0, 3.0]
         mask = np.array([[4, 4]])
-        out = stage1.pool_features_by_region(feat, mask, np.array([4]), "mean")
-        np.testing.assert_allclose(out, [[2.0, 2.0]])
+        pooled = stage1.pool_features_by_region(feat, mask)
+        np.testing.assert_array_equal(pooled.ids, [4])
+        np.testing.assert_allclose(pooled.mean, [[2.0, 2.0]])
 
     def test_max_of_two_pixels(self):
         feat = np.zeros((1, 2, 2))
         feat[0, 0] = [1.0, 4.0]
         feat[0, 1] = [3.0, 2.0]
         mask = np.array([[4, 4]])
-        out = stage1.pool_features_by_region(feat, mask, np.array([4]), "max")
-        np.testing.assert_allclose(out, [[3.0, 4.0]])
+        pooled = stage1.pool_features_by_region(feat, mask)
+        np.testing.assert_array_equal(pooled.ids, [4])
+        np.testing.assert_allclose(pooled.max, [[3.0, 4.0]])
 
     def test_noise_free_mean_recovers_prototype(self):
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=6, noise_sigma=0.0))
         tokens = tokenizer.sam_tokenize(bundle)
         region_ids = tokens.region_ids
-        pooled = stage1.pool_features_by_region(bundle.feat2d, bundle.mask, region_ids, "mean")
-        for row, rid in zip(pooled, region_ids):
+        pooled = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(region_ids)
+        for row, rid in zip(pooled.mean, region_ids):
             np.testing.assert_allclose(
                 row, bundle.field.prototypes[rid], atol=1e-6
             )
 
-    def test_unknown_pooling_rejected(self):
-        with pytest.raises(InvalidInputError):
-            stage1.pool_features_by_region(np.zeros((1, 1, 2)), np.zeros((1, 1), int), np.array([0]), "sum")
-
     def test_region_without_pixels_is_inconsistent(self):
+        pooled = stage1.pool_features_by_region(np.zeros((1, 1, 2)), np.full((1, 1), -1, int))
+        assert pooled.ids.size == 0 and pooled.mean.shape == pooled.max.shape == (0, 2)
         with pytest.raises(InconsistencyError):
-            stage1.pool_features_by_region(
-                np.zeros((1, 1, 2)), np.full((1, 1), -1, int), np.array([0]), "mean"
-            )
-
+            pooled.select(np.array([0]))
 
     @pytest.mark.parametrize("pooling", ["mean", "max"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -110,27 +107,29 @@ class TestPooling:
         rng = np.random.default_rng(5)
         for _ in range(40):
             feat, mask, region_ids = _random_pooling_case(rng, int(rng.choice([2, 5, 32])), dtype)
-            out = stage1.pool_features_by_region(feat, mask, region_ids, pooling)
+            pooled = stage1.pool_features_by_region(feat, mask)
+            np.testing.assert_array_equal(pooled.ids, np.unique(mask[mask >= 0]))
+            out = pooled.select(region_ids)
+            np.testing.assert_array_equal(out.ids, region_ids)
             expected = _per_region_pool(feat, mask, region_ids, pooling)
-            assert out.shape == expected.shape
-            assert out.tobytes() == expected.tobytes()
+            assert getattr(out, pooling).shape == expected.shape
+            assert getattr(out, pooling).tobytes() == expected.tobytes()
 
     def test_single_column_mean_agrees_to_rounding(self):
         # numpy sums one column pairwise, so only the last bits may differ.
         rng = np.random.default_rng(6)
         for _ in range(20):
             feat, mask, region_ids = _random_pooling_case(rng, 1, np.float64)
-            out = stage1.pool_features_by_region(feat, mask, region_ids, "mean")
+            out = stage1.pool_features_by_region(feat, mask).select(region_ids).mean
             expected = _per_region_pool(feat, mask, region_ids, "mean")
             np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("missing", [0, 5, 99])
     def test_missing_region_among_present_ones_is_inconsistent(self, missing):
         mask = np.array([[3, -1, 7], [7, 3, -1]], dtype=np.int32)
+        pooled = stage1.pool_features_by_region(np.ones((2, 3, 2)), mask)
         with pytest.raises(InconsistencyError, match=f"region {missing} "):
-            stage1.pool_features_by_region(
-                np.ones((2, 3, 2)), mask, np.array([7, missing, 3]), "mean"
-            )
+            pooled.select(np.array([7, missing, 3]))
 
 
 class TestWeightFormulas:
@@ -332,9 +331,9 @@ class TestStage1Loss:
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids, "mean"
-        )
+        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+            tokens.region_ids
+        ).mean
         counts = np.array([4, 2])
         kk, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(
@@ -394,9 +393,9 @@ class TestStage1LossOracle:
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids, "mean"
-        )
+        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+            tokens.region_ids
+        ).mean
         table = _uniform_table(2)
         groups = np.arange(len(tokens)) % 2
         batch = nn.TokenBatch.of_scene(bundle, tokens, tiny_arch.max_points_per_token)
@@ -431,9 +430,9 @@ def _packed_scenes(arch, n_scenes, points=(14, 20)):
             )
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(
-            bundle.feat2d, bundle.mask, tokens.region_ids, stage1.MEAN_POOLING
-        )
+        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+            tokens.region_ids
+        ).mean
         groups = np.random.default_rng(i).integers(0, 3, len(tokens))
         batch = nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token)
         scenes.append((batch, f2d, groups))

@@ -451,6 +451,24 @@ class TestRunStage1:
         )
         assert result.metrics["tokenizer"] == "knn"
 
+    @pytest.mark.parametrize("mode", [tokenizer.MODE_SAM, tokenizer.MODE_KNN])
+    def test_pools_each_scene_once(self, tiny_dataset, tiny_arch, tmp_path, monkeypatch, mode):
+        tb, eb = tiny_dataset
+        masks = []
+        pool = stage1.pool_features_by_region
+
+        def counting(feat2d, mask):
+            masks.append(mask)
+            return pool(feat2d, mask)
+
+        monkeypatch.setattr(stage1, "pool_features_by_region", counting)
+        train.run_stage1(
+            tb, eb, tiny_arch, _quick_cfg(),
+            train.Stage1Config(k_groups=3, tokenizer_mode=mode), tmp_path / "r",
+        )
+        # Every training scene, then every held-out scene, once each.
+        assert [id(m) for m in masks] == [id(b.mask) for b in tb + eb]
+
 
 @pytest.fixture(scope="module")
 def teacher_ckpt(tiny_dataset, tiny_arch, tmp_path_factory):

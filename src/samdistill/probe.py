@@ -16,7 +16,7 @@ from . import nn
 from . import tensor as T
 from .errors import BadSplitError, InvalidInputError
 from .scene import SceneBundle
-from .tokenizer import TokenSet, majority_regions, point_regions, sam_tokenize
+from .tokenizer import TokenSet, sam_tokenize, token_regions
 from .train import TrainConfig, adamw_step, init_opt_state, lr_at
 
 ENCODER_SCRATCH = "scratch"
@@ -41,9 +41,8 @@ class ProbeResult:
 
 
 def token_type_labels(bundle: SceneBundle, tokens: TokenSet) -> np.ndarray:
-    """Object type of each token's majority region (unanimous for mask-guided tokens)."""
-    regions = majority_regions(tokens, point_regions(bundle))
-    return bundle.region_types[regions].astype(np.int64)
+    """Object type of each token's region (its majority region for baseline tokens)."""
+    return bundle.region_types[token_regions(tokens, bundle)].astype(np.int64)
 
 
 def extract_features(

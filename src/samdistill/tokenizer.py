@@ -256,6 +256,13 @@ def majority_regions(tokens: TokenSet, regions_of_points: np.ndarray) -> np.ndar
     return ids[np.argmax(counts, axis=1)].astype(np.int64)
 
 
+def token_regions(tokens: TokenSet, bundle: SceneBundle) -> np.ndarray:
+    """The mask region of each token: its own for mask-guided tokens, else its majority."""
+    if tokens.mode == MODE_SAM:
+        return tokens.region_ids
+    return majority_regions(tokens, point_regions(bundle))
+
+
 def purity(tokens: TokenSet, gt_region: np.ndarray) -> float:
     """Mean over tokens of the largest single-label share among members."""
     if len(tokens) == 0:

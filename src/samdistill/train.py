@@ -32,10 +32,9 @@ from .scene import SceneBundle
 from .tokenizer import (
     MODE_SAM,
     TokenSet,
-    majority_regions,
-    point_regions,
     purity,
     sam_tokenize,
+    token_regions,
     tokenize,
 )
 
@@ -391,11 +390,7 @@ def _prepare_scene(
     centroids: np.ndarray,
     arch: nn.Arch,
 ) -> _PreparedScene:
-    if tokens.mode == MODE_SAM:
-        token_regions = tokens.region_ids
-    else:
-        token_regions = majority_regions(tokens, point_regions(bundle))
-    rows = pooled.select(token_regions)
+    rows = pooled.select(token_regions(tokens, bundle))
     return _PreparedScene(
         tokens=tokens,
         batch=nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token),

@@ -72,6 +72,21 @@ def test_token_labels_are_region_types(probe_data):
         assert label == bundle.region_types[region_id]
 
 
+def test_token_labels_of_baseline_tokens_are_majority_region_types(probe_data, monkeypatch):
+    bundle = probe_data[0][0]
+    knn = tokenizer.tokenize(bundle, tokenizer.MODE_KNN)
+    majority = tokenizer.majority_regions(knn, tokenizer.point_regions(bundle))
+    np.testing.assert_array_equal(
+        probe.token_type_labels(bundle, knn), bundle.region_types[majority]
+    )
+    # Mask-guided tokens are labelled from the regions the tokenizer stored.
+    tokens = tokenizer.sam_tokenize(bundle)
+    monkeypatch.setattr(tokenizer, "point_regions", None)
+    np.testing.assert_array_equal(
+        probe.token_type_labels(bundle, tokens), bundle.region_types[tokens.region_ids]
+    )
+
+
 def test_linear_probe_end_to_end_deterministic(probe_data, tiny_arch):
     train_b, test_b = probe_data
     encoder = nn.init_params(tiny_arch, seed=5)

@@ -262,6 +262,21 @@ class TestPackedTokenSet:
         with pytest.raises(InvalidInputError):
             tokenizer.majority_regions(ts, np.array([5, 3, 5, 3, -1, -1]))
 
+    def test_token_regions_are_stored_for_mask_guided_tokens_else_the_majority(
+        self, monkeypatch
+    ):
+        bundle = scene.generate_scene(scene.SceneSpec(n_objects=4, seed=3))
+        regions = tokenizer.point_regions(bundle)
+        knn = tokenizer.tokenize(bundle, tokenizer.MODE_KNN)
+        np.testing.assert_array_equal(
+            tokenizer.token_regions(knn, bundle), tokenizer.majority_regions(knn, regions)
+        )
+        sam = tokenizer.sam_tokenize(bundle)
+        np.testing.assert_array_equal(tokenizer.majority_regions(sam, regions), sam.region_ids)
+        # Mask-guided tokens keep the region they were built from; no point is re-projected.
+        monkeypatch.setattr(tokenizer, "point_regions", None)
+        assert tokenizer.token_regions(sam, bundle) is sam.region_ids
+
     def test_subsampled_view_strides_sorted_members_once(self):
         pts = np.zeros((40, 3))
         ts = tokenizer.TokenSet.from_members(

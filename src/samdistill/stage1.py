@@ -304,7 +304,7 @@ def uniform_stage1_loss(
 
 
 def region_cosines(f2d: np.ndarray, f3d: np.ndarray) -> np.ndarray:
-    """Per-region cosine similarity between target and projected features."""
+    """Cosine similarity of each pair of rows; a pair with a zero-norm row gives 0."""
     a = np.asarray(f2d, dtype=np.float64)
     b = np.asarray(f3d, dtype=np.float64)
     num = (a * b).sum(axis=1)

@@ -598,10 +598,6 @@ def _stage2_batch(
     return f_ins, pred_ins, losses
 
 
-def _row_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:
-    return [T.cosine_sim(T.constant(x), T.constant(y)).item() for x, y in zip(a, b)]
-
-
 def _stage2_dataset_eval(
     scenes: list[_Stage2Input],
     plans: list[nn.MaskPlan],
@@ -619,16 +615,16 @@ def _stage2_dataset_eval(
             f_ins, pred_ins, parts = _stage2_batch(chunk_scenes, chunk_plans, student)
             losses.append([part.item() for part in parts])
             sizes.append(len(chunk))
-            f_ins_teacher = [s.f_ins_teacher for s in chunk_scenes]
-            raw_cos += _row_cosines(f_ins.data, f_ins_teacher)
-            ins_cos += _row_cosines(pred_ins.data, f_ins_teacher)
+            f_ins_teacher = np.stack([s.f_ins_teacher for s in chunk_scenes])
+            raw_cos.append(stage1.region_cosines(f_ins.data, f_ins_teacher))
+            ins_cos.append(stage1.region_cosines(pred_ins.data, f_ins_teacher))
     l_ins, l_token, l_final = zip(*losses)
     return {
         "l_ins": _scene_mean(l_ins, sizes),
         "l_token": _scene_mean(l_token, sizes),
         "l_final": _scene_mean(l_final, sizes),
-        "pooled_cosine": float(np.mean(raw_cos)),
-        "instance_cosine": float(np.mean(ins_cos)),
+        "pooled_cosine": float(np.concatenate(raw_cos).mean()),
+        "instance_cosine": float(np.concatenate(ins_cos).mean()),
     }
 
 

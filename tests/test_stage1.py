@@ -542,3 +542,8 @@ class TestRegionCosines:
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
         np.testing.assert_allclose(stage1.region_cosines(a, b), 0.0, atol=1e-12)
+
+    def test_zero_norm_row_gives_zero(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0]])
+        b = np.array([[1.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_allclose(stage1.region_cosines(a, b), [0.0, 1.0], atol=1e-12)

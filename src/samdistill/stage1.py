@@ -30,14 +30,17 @@ class RegionFeatures(NamedTuple):
     mean: np.ndarray  # (R, L) float64
     max: np.ndarray  # (R, L) float64
 
-    def select(self, region_ids: np.ndarray) -> RegionFeatures:
-        """The rows of the listed regions, in order; InconsistencyError for one with no pixels."""
+    def select(self, region_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and max rows of the listed regions, in order.
+
+        Raises InconsistencyError for a region with no masked pixels.
+        """
         region_ids = np.asarray(region_ids).reshape(-1)
         missing = region_ids[~np.isin(region_ids, self.ids)]
         if missing.size:
             raise InconsistencyError(f"region {missing[0]} has no masked pixels")
         which = np.searchsorted(self.ids, region_ids)
-        return RegionFeatures(region_ids, self.mean[which], self.max[which])
+        return self.mean[which], self.max[which]
 
 
 def pool_features_by_region(feat2d: np.ndarray, mask: np.ndarray) -> RegionFeatures:

@@ -390,12 +390,12 @@ def _prepare_scene(
     centroids: np.ndarray,
     arch: nn.Arch,
 ) -> _PreparedScene:
-    rows = pooled.select(token_regions(tokens, bundle))
+    means, maxes = pooled.select(token_regions(tokens, bundle))
     return _PreparedScene(
         tokens=tokens,
         batch=nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token),
-        targets=rows.mean,
-        groups=stage1.assign_groups(rows.max, centroids),
+        targets=means,
+        groups=stage1.assign_groups(maxes, centroids),
     )
 
 

@@ -199,9 +199,9 @@ def test_c4_gradient_checks_stage1():
     for seed in range(20):
         bundle, tokens = _grad_seed_setup(seed)
         params = nn.init_params(GRAD_ARCH, seed=seed + 100)
-        targets = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+        targets, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
-        ).mean
+        )
         counts = np.array([5, 2])
         k, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(

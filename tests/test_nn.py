@@ -502,9 +502,9 @@ class TestFlatStore:
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+        f2d, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
-        ).mean
+        )
         batch = _batch(bundle, tokens, params)
 
         def f():

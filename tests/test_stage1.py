@@ -89,8 +89,8 @@ class TestPooling:
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=6, noise_sigma=0.0))
         tokens = tokenizer.sam_tokenize(bundle)
         region_ids = tokens.region_ids
-        pooled = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(region_ids)
-        for row, rid in zip(pooled.mean, region_ids):
+        means, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(region_ids)
+        for row, rid in zip(means, region_ids):
             np.testing.assert_allclose(
                 row, bundle.field.prototypes[rid], atol=1e-6
             )
@@ -109,18 +109,18 @@ class TestPooling:
             feat, mask, region_ids = _random_pooling_case(rng, int(rng.choice([2, 5, 32])), dtype)
             pooled = stage1.pool_features_by_region(feat, mask)
             np.testing.assert_array_equal(pooled.ids, np.unique(mask[mask >= 0]))
-            out = pooled.select(region_ids)
-            np.testing.assert_array_equal(out.ids, region_ids)
+            means, maxes = pooled.select(region_ids)
+            out = means if pooling == "mean" else maxes
             expected = _per_region_pool(feat, mask, region_ids, pooling)
-            assert getattr(out, pooling).shape == expected.shape
-            assert getattr(out, pooling).tobytes() == expected.tobytes()
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
 
     def test_single_column_mean_agrees_to_rounding(self):
         # numpy sums one column pairwise, so only the last bits may differ.
         rng = np.random.default_rng(6)
         for _ in range(20):
             feat, mask, region_ids = _random_pooling_case(rng, 1, np.float64)
-            out = stage1.pool_features_by_region(feat, mask).select(region_ids).mean
+            out, _ = stage1.pool_features_by_region(feat, mask).select(region_ids)
             expected = _per_region_pool(feat, mask, region_ids, "mean")
             np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0.0)
 
@@ -331,9 +331,9 @@ class TestStage1Loss:
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+        f2d, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
-        ).mean
+        )
         counts = np.array([4, 2])
         kk, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(
@@ -393,9 +393,9 @@ class TestStage1LossOracle:
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+        f2d, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
-        ).mean
+        )
         table = _uniform_table(2)
         groups = np.arange(len(tokens)) % 2
         batch = nn.TokenBatch.of_scene(bundle, tokens, tiny_arch.max_points_per_token)
@@ -430,9 +430,9 @@ def _packed_scenes(arch, n_scenes, points=(14, 20)):
             )
         )
         tokens = tokenizer.sam_tokenize(bundle)
-        f2d = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
+        f2d, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
-        ).mean
+        )
         groups = np.random.default_rng(i).integers(0, 3, len(tokens))
         batch = nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token)
         scenes.append((batch, f2d, groups))

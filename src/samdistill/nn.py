@@ -302,13 +302,14 @@ def embed_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
     """Mini-PointNet: shared two-layer MLP over centered members, max-pool over points.
 
     The MLP runs once over every member row of the batch, and the max
-    runs over each token's segment of them.
+    runs over each token's segment of them, as one engine node whose
+    backward touches only each token's argmax rows.
     """
     p = params.tensors
-    local = T.constant(batch.members)
-    h = T.relu(T.linear(local, p["embed.l1.w"], p["embed.l1.b"]))
-    h = T.linear(h, p["embed.l2.w"], p["embed.l2.b"])
-    return T.max_pool(h, batch.member_offsets)
+    return T.mlp_max_pool(
+        batch.members, p["embed.l1.w"], p["embed.l1.b"], p["embed.l2.w"], p["embed.l2.b"],
+        batch.member_offsets,
+    )
 
 
 def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:

@@ -4,9 +4,13 @@ Each operation records a closure that takes the output gradient and
 scatters it back to its parents; ``backward`` runs the closures in
 reverse topological order. A closure holds its parents and never its own
 output, so a graph has no reference cycle and is freed as soon as its
-loss is dropped. The op set is exactly what the models and losses here
-need, with two deliberate restrictions: 64-bit floats everywhere, and no
-broadcasting beyond bias addition over the leading axis.
+loss is dropped. The op set is what the models and losses here need, with
+two deliberate restrictions: 64-bit floats everywhere, and no
+broadcasting beyond bias addition over the leading axis. Eight ops have
+no caller in the models and stay only because the benchmark declares
+their call counts: ``relu``, ``max_pool``, ``cosine_sim``, ``mul``,
+``softmax``, ``slice_axis``, ``stack`` and ``transpose``. Tests use them
+as unfused oracles; they go when the benchmark's declarations do.
 """
 
 from __future__ import annotations
@@ -385,6 +389,18 @@ def mean_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
     return out
 
 
+def _first_argmax(x: np.ndarray, maxima: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row of the first (lowest-row) argmax of each segment and column of ``x``.
+
+    ``maxima`` are the segment maxima of ``x`` over the CSR ``bounds``; the
+    result has their shape. This is the one tie rule of every max-pool
+    backward.
+    """
+    rows = np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1))
+    at_max = x == np.repeat(maxima, np.diff(bounds), axis=0)
+    return np.minimum.reduceat(np.where(at_max, rows, x.shape[0]), bounds[:-1], axis=0)
+
+
 def max_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
     """Max over each segment of rows ``a[offsets[i]:offsets[i + 1]]``.
 
@@ -396,19 +412,77 @@ def max_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
     if a.ndim < 1:
         raise ShapeMismatchError("max_pool", a.shape)
     bounds = _segments("max_pool", a.shape[0], offsets)
-    counts = np.diff(bounds)
-    starts = bounds[:-1]
-    maxima = np.maximum.reduceat(a.data, starts, axis=0)
+    maxima = np.maximum.reduceat(a.data, bounds[:-1], axis=0)
     out = _node(maxima, (a,), "max_pool")
     if out.requires_grad:
 
         def backward(g):
-            rows = np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1))
-            at_max = a.data == np.repeat(maxima, counts, axis=0)
-            first = np.minimum.reduceat(np.where(at_max, rows, a.shape[0]), starts, axis=0)
             full = np.zeros(a.shape)
-            np.put_along_axis(full, first, g, axis=0)
+            np.put_along_axis(full, _first_argmax(a.data, maxima, bounds), g, axis=0)
             a._accumulate(full)
+
+        out._backward = backward
+    return out
+
+
+def mlp_max_pool(
+    members: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, offsets: np.ndarray
+) -> Tensor:
+    """Shared two-layer ReLU MLP over data rows, then the max over each segment of them.
+
+    One node with the forward bits of ``max_pool(linear(relu(linear(members,
+    w1, b1)), w2, b2), offsets)``. ``members`` is a plain (P, C) array and
+    gets no gradient. Only the first argmax row of each segment and column
+    carries gradient (PointNet's critical points), so a recorded forward
+    keeps the members and hidden rows of those rows alone, and the backward
+    runs its products, ReLU mask and bias sums on them. The backward bits
+    differ from the unfused graph's in the last places: its sums skip the
+    rows whose gradient is zero.
+    """
+    x = np.asarray(members, dtype=np.float64)
+    w1, b1, w2, b2 = (_as_tensor(t) for t in (w1, b1, w2, b2))
+    if (
+        x.ndim != 2
+        or w1.ndim != 2
+        or w2.ndim != 2
+        or x.shape[1] != w1.shape[0]
+        or b1.shape != w1.shape[1:]
+        or w2.shape[0] != w1.shape[1]
+        or b2.shape != w2.shape[1:]
+    ):
+        raise ShapeMismatchError("mlp_max_pool", x.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    bounds = _segments("mlp_max_pool", x.shape[0], offsets)
+    pre = x @ w1.data + b1.data
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("mlp_max_pool")
+    hidden = np.maximum(pre, 0.0)
+    y = hidden @ w2.data + b2.data
+    if not np.isfinite(y).all():
+        raise NonFiniteError("mlp_max_pool")
+    maxima = np.maximum.reduceat(y, bounds[:-1], axis=0)
+    out = _node(maxima, (w1, b1, w2, b2), "mlp_max_pool")
+    if out.requires_grad:
+        first = _first_argmax(y, maxima, bounds)
+        critical = np.zeros(x.shape[0], dtype=bool)
+        critical[first.ravel()] = True
+        rows = np.flatnonzero(critical)
+        # Each (segment, column) pair owns one cell of the critical rows.
+        cell = (np.cumsum(critical) - 1)[first], np.arange(y.shape[1])
+        x_rows, h_rows, active = x[rows], hidden[rows], pre[rows] > 0.0
+
+        def backward(g):
+            gy = np.zeros((len(x_rows), g.shape[1]))
+            gy[cell] = g
+            if w2.requires_grad:
+                w2._accumulate(h_rows.T @ gy)
+            if b2.requires_grad:
+                b2._accumulate(gy.sum(axis=0))
+            if w1.requires_grad or b1.requires_grad:
+                gh = (gy @ w2.data.T) * active
+                if w1.requires_grad:
+                    w1._accumulate(x_rows.T @ gh)
+                if b1.requires_grad:
+                    b1._accumulate(gh.sum(axis=0))
 
         out._backward = backward
     return out

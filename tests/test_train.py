@@ -745,8 +745,8 @@ class TestStage1NodesPerSceneStep:
             scene.generate_dataset(self.SPEC, 2, 7), [], nn.Arch(),
             _quick_cfg(epochs=1, batch_size=1), train.Stage1Config(k_groups=2), tmp_path,
         )
-        # 47 ops, plus 51 parameter leaves and 3 constants (members, centroids, targets).
-        assert sizes == [(101, 47)] * 2
+        # 44 ops, plus 51 parameter leaves and 2 constants (centroids, targets).
+        assert sizes == [(97, 44)] * 2
 
     def test_per_layer(self):
         bundle = scene.generate_scene(self.SPEC)
@@ -761,8 +761,8 @@ class TestStage1NodesPerSceneStep:
         f3d = stage1.project_3d(encoded, params)
         loss = stage1.uniform_stage1_loss(np.zeros(f3d.shape), f3d)
         totals = [_op_nodes(t) for t in (embedded, pos, h, encoded, f3d, loss)]
-        # embed_tokens 4, pos_embed 3, their sum 1, encode 37, project_3d 1, loss 1.
-        assert totals == [4, 3, 8, 45, 46, 47]
+        # embed_tokens 1, pos_embed 3, their sum 1, encode 37, project_3d 1, loss 1.
+        assert totals == [1, 3, 5, 42, 43, 44]
 
 
 class TestEpochOrder:

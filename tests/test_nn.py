@@ -141,6 +141,39 @@ class TestPackedEmbedOracle:
         assert picked.tobytes() == full[rows].tobytes()
 
 
+def _unfused_embed(batch, params):
+    """The embedder as four nodes, linear -> relu -> linear -> max_pool."""
+    p = params.tensors
+    h = T.relu(T.linear(T.constant(batch.members), p["embed.l1.w"], p["embed.l1.b"]))
+    h = T.linear(h, p["embed.l2.w"], p["embed.l2.b"])
+    return T.max_pool(h, batch.member_offsets)
+
+
+class TestFusedEmbedder:
+    """The one-node embedder equals the unfused graph on stacked scenes of the default Arch."""
+
+    @pytest.mark.parametrize("n_scenes", [1, 2])
+    def test_matches_the_unfused_graph(self, n_scenes):
+        params = nn.init_params(nn.Arch(), seed=0)
+        parts = []
+        for seed in range(n_scenes):
+            bundle = scene.generate_scene(scene.SceneSpec(n_objects=5, seed=30 + seed))
+            parts.append(_batch(bundle, tokenizer.sam_tokenize(bundle), params))
+        batch = nn.TokenBatch.stack(parts)
+        names = ["embed.l1.w", "embed.l1.b", "embed.l2.w", "embed.l2.b"]
+        target = T.constant(np.random.default_rng(1).normal(0, 1, (len(batch), 64)))
+        results = []
+        for embed in (nn.embed_tokens, _unfused_embed):
+            params.zero_grad()
+            out = embed(batch, params)
+            T.mse(out, target).backward()
+            results.append((out.data.tobytes(), [params.tensors[n].grad.copy() for n in names]))
+        (fused, fused_grads), (oracle, oracle_grads) = results
+        assert fused == oracle
+        for name, a, b in zip(names, fused_grads, oracle_grads):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
 def _scenes(tiny_arch, n):
     """``n`` small scenes with unequal token counts, and their mask-guided tokens."""
     bundles = [

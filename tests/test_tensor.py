@@ -549,3 +549,95 @@ def test_grad_check_linear(rng):
     x, w, b = (T.parameter(rng.normal(0.0, 1.0, s)) for s in ((3, 4), (4, 2), (2,)))
     target = T.constant(rng.normal(0.0, 1.0, (3, 2)))
     assert T.grad_check(lambda: T.mse(T.linear(x, w, b), target), [x, w, b]) < 1e-4
+
+
+def _unfused_mlp_max_pool(members, w1, b1, w2, b2, offsets):
+    """The four-node graph that ``mlp_max_pool`` fuses: the test oracle."""
+    h = T.relu(T.linear(T.constant(members), w1, b1))
+    return T.max_pool(T.linear(h, w2, b2), offsets)
+
+
+def _mlp_weights(rng, c, hidden, d):
+    shapes = ((c, hidden), (hidden,), (hidden, d), (d,))
+    return [rng.normal(0.0, 1.0, s) for s in shapes]
+
+
+# One segment; segments of 1, 3, 13 and 23 rows; three one-member segments,
+# whose single row is the critical row of every column.
+@pytest.mark.parametrize("offsets", [[0, 40], [0, 1, 4, 17, 40], [0, 1, 2, 3, 40]])
+def test_mlp_max_pool_matches_the_unfused_graph(offsets, rng):
+    members = rng.normal(0.0, 1.0, (40, 3))
+    weights = _mlp_weights(rng, 3, 64, 64)
+    target = T.constant(rng.normal(0.0, 1.0, (len(offsets) - 1, 64)))
+    results = []
+    for op in (T.mlp_max_pool, _unfused_mlp_max_pool):
+        params = [T.parameter(w) for w in weights]
+        out = op(members, *params, np.array(offsets))
+        T.mse(out, target).backward()
+        results.append((out.data.tobytes(), [p.grad for p in params]))
+    (fused, fused_grads), (oracle, oracle_grads) = results
+    assert fused == oracle
+    for a, b in zip(fused_grads, oracle_grads):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_mlp_max_pool_tie_routes_to_the_lowest_row():
+    # The third coordinate has zero weight, so rows 0 and 1 give equal
+    # outputs in every column and tie; only the lowest row carries gradient.
+    members = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 5.0], [-1.0, 0.0, 0.0]])
+    w1 = T.parameter([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+    b1, w2, b2 = T.parameter([0.5, 0.5]), T.parameter([[1.0], [1.0]]), T.parameter([0.0])
+    T.mlp_max_pool(members, w1, b1, w2, b2, np.array([0, 3])).backward()
+    # d out / d w1[i, j] = members[0, i] * w2[j], from row 0 alone.
+    np.testing.assert_array_equal(w1.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(b1.grad, [1.0, 1.0])
+
+
+def test_grad_check_mlp_max_pool(rng):
+    members = rng.normal(0.0, 1.0, (9, 3))
+    params = [T.parameter(w) for w in _mlp_weights(rng, 3, 6, 4)]
+    offsets = np.array([0, 1, 5, 9])
+    target = T.constant(rng.normal(0.0, 1.0, (3, 4)))
+    f = lambda: T.mse(T.mlp_max_pool(members, *params, offsets), target)  # noqa: E731
+    assert T.grad_check(f, params, refine_above=1e-4) < 1e-4
+
+
+def test_mlp_max_pool_non_finite_raises_naming_the_op(rng):
+    members = rng.normal(0.0, 1.0, (4, 3))
+    weights = _mlp_weights(rng, 3, 5, 2)
+    for i, (r, c) in ((0, (1, 2)), (2, (0, 1))):
+        bad = [w.copy() for w in weights]
+        bad[i][r, c] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            T.mlp_max_pool(members, *[T.parameter(w) for w in bad], np.array([0, 4]))
+        assert "mlp_max_pool" in str(err.value)
+    huge = [w.copy() for w in weights]
+    huge[2][:] = 1e308  # finite hidden rows, overflowing second layer
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+        T.mlp_max_pool(members * 1e3, *[T.constant(w) for w in huge], np.array([0, 4]))
+
+
+def test_mlp_max_pool_is_one_node_and_records_nothing_under_no_grad(rng):
+    members = rng.normal(0.0, 1.0, (5, 3))
+    params = [T.parameter(w) for w in _mlp_weights(rng, 3, 4, 2)]
+    out = T.mlp_max_pool(members, *params, np.array([0, 2, 5]))
+    assert out._op == "mlp_max_pool" and out._parents == tuple(params)
+    with T.no_grad():
+        frozen = T.mlp_max_pool(members, *params, np.array([0, 2, 5]))
+    assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
+    assert frozen.data.tobytes() == out.data.tobytes()
+
+
+def test_mlp_max_pool_validation():
+    members, offsets = np.ones((3, 2)), np.array([0, 3])
+    w1, b1, w2, b2 = (T.constant(np.ones(s)) for s in ((2, 4), (4,), (4, 5), (5,)))
+    for args in (
+        (np.ones((3, 3)), w1, b1, w2, b2, offsets),
+        (np.ones(3), w1, b1, w2, b2, offsets),
+        (members, w1, T.constant(np.ones(5)), w2, b2, offsets),
+        (members, w1, b1, T.constant(np.ones((5, 5))), b2, offsets),
+        (members, w1, b1, w2, T.constant(np.ones(4)), offsets),
+        (members, w1, b1, w2, b2, np.array([0, 0, 3])),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            T.mlp_max_pool(*args)

@@ -667,9 +667,9 @@ class TestResumeAfterAFailureAtEveryStep:
         self._sweep(run, tmp_path, monkeypatch)
 
 
-def _graph_nodes(out: T.Tensor) -> list[T.Tensor]:
-    """Every node reachable from ``out`` through ``_parents``, leaves included."""
-    seen, nodes, stack = set(), [], [out]
+def _graph_nodes(*outs: T.Tensor) -> list[T.Tensor]:
+    """Every node reachable from ``outs`` through ``_parents``, leaves included."""
+    seen, nodes, stack = set(), [], list(outs)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -679,9 +679,9 @@ def _graph_nodes(out: T.Tensor) -> list[T.Tensor]:
     return nodes
 
 
-def _op_nodes(out: T.Tensor) -> int:
-    """How many of the nodes reachable from ``out`` are ops, not leaves."""
-    return sum(node._op != "leaf" for node in _graph_nodes(out))
+def _op_nodes(*outs: T.Tensor) -> int:
+    """How many of the nodes reachable from ``outs`` are ops, not leaves."""
+    return sum(node._op != "leaf" for node in _graph_nodes(*outs))
 
 
 def _graph_sizes(monkeypatch) -> list[tuple[int, int]]:
@@ -763,6 +763,30 @@ class TestStage1NodesPerSceneStep:
         totals = [_op_nodes(t) for t in (embedded, pos, h, encoded, f3d, loss)]
         # embed_tokens 1, pos_embed 3, their sum 1, encode 37, project_3d 1, loss 1.
         assert totals == [1, 3, 5, 42, 43, 44]
+
+
+def test_stage2_student_forward_nodes():
+    """Op nodes of one student forward on a fixed 8-scene batch, default Arch, pinned exactly.
+
+    A change that moves the count updates this pin and logs old -> new in
+    CHANGES.md.
+    """
+    params = nn.init_params(nn.Arch(), seed=0)
+    bundles = scene.generate_dataset(TestStage1NodesPerSceneStep.SPEC, 8, 5)
+    batch = nn.TokenBatch.stack(
+        [
+            nn.TokenBatch.of_scene(b, tokenizer.sam_tokenize(b), params.arch.max_points_per_token)
+            for b in bundles
+        ]
+    )
+    plans = [
+        nn.make_mask_plan(int(m), 0.6, seed=0, scene_id=i, epoch=0)
+        for i, m in enumerate(batch.scene_sizes())
+    ]
+    f_ins, preds = stage2.student_forward(batch, plans, params)
+    # embed_tokens 1, two pos_embed 3 each, two sums 1 each, encode 37,
+    # mean_pool 1, fill_masked_positions 3, decode 13, gather_rows 1.
+    assert _op_nodes(f_ins, preds) == 64
 
 
 class TestEpochOrder:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import blobio, nn, probe, report, train
+from . import blobio, nn, probe, report, stage1, train
 from .errors import SamDistillError
 from .scene import generate_dataset, read_scene_dir, write_scene_dir
 from .tokenizer import MODE_KNN, MODE_SAM, purity, tokenize
@@ -49,7 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-scenes", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="run directory (default OUT_DIR/stage1)")
     p.add_argument("--k-groups", type=int, default=None)
-    p.add_argument("--scale-mode", choices=("mean-one", "paper-literal"), default=None)
+    p.add_argument(
+        "--scale-mode",
+        choices=(stage1.SCALE_MEAN_ONE, stage1.SCALE_PAPER_LITERAL),
+        default=None,
+    )
     p.add_argument("--no-reweight", action="store_true", help="ablation: uniform loss")
     p.add_argument("--tokenizer", choices=(MODE_SAM, MODE_KNN), default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -214,8 +218,11 @@ def _cmd_probe(args, cfg: report.PipelineConfig) -> int:
         encoder = nn.init_params(cfg.arch, cfg.train.seed)
         tag = probe.ENCODER_SCRATCH
     else:
-        encoder = Path(args.encoder_ckpt)
-        tag = probe.ENCODER_STAGE1
+        ckpt = nn.load_checkpoint(args.encoder_ckpt)
+        encoder = ckpt.params
+        # Only a stage-2 run fingerprints a teacher.
+        from_stage2 = "teacher_hash" in (ckpt.fingerprint or {})
+        tag = probe.ENCODER_STAGE2 if from_stage2 else probe.ENCODER_STAGE1
     result = probe.linear_probe(
         encoder, train_bundles, test_bundles, epochs=epochs, seed=cfg.seed, encoder_tag=tag
     )

@@ -23,6 +23,8 @@ ENCODER_SCRATCH = "scratch"
 ENCODER_STAGE1 = "stage1"
 ENCODER_STAGE2 = "stage2"
 
+_PROBE_LR = 0.05
+
 
 @dataclass
 class ProbeResult:
@@ -46,7 +48,7 @@ def token_type_labels(bundle: SceneBundle, tokens: TokenSet) -> np.ndarray:
 
 
 def extract_features(
-    bundles: list[SceneBundle], params: nn.ModelParams, min_points: int = 8
+    bundles: list[SceneBundle], params: nn.ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen encoder features and type labels for every token across scenes.
 
@@ -57,7 +59,7 @@ def extract_features(
     feats, labels = [], []
     with T.no_grad():
         for bundle in bundles:
-            tokens = sam_tokenize(bundle, min_points=min_points)
+            tokens = sam_tokenize(bundle)
             batch = nn.TokenBatch.of_scene(bundle, tokens, max_points)
             feats.append(nn.forward_tokens(batch, params).data)
             labels.append(token_type_labels(bundle, tokens))
@@ -72,7 +74,6 @@ def fit_linear_probe(
     n_classes: int,
     epochs: int,
     seed: int,
-    lr: float = 0.05,
 ) -> tuple[float, list[float]]:
     """Train a single linear classifier full-batch and score the held-out tokens."""
     if epochs < 1:
@@ -91,7 +92,9 @@ def fit_linear_probe(
         {"probe.w": rng.normal(0.0, 0.01, (xt.shape[1], n_classes)), "probe.b": np.zeros(n_classes)}
     )
     w, b = params.tensors["probe.w"], params.tensors["probe.b"]
-    cfg = TrainConfig(base_lr=lr, weight_decay=0.0, epochs=epochs, warmup_epochs=0, seed=seed)
+    cfg = TrainConfig(
+        base_lr=_PROBE_LR, weight_decay=0.0, epochs=epochs, warmup_epochs=0, seed=seed
+    )
     state = init_opt_state(params)
     x_const = T.constant(xt)
     for epoch in range(epochs):
@@ -118,15 +121,14 @@ def linear_probe(
     epochs: int = 300,
     seed: int = 0,
     encoder_tag: str = ENCODER_STAGE1,
-    min_points: int = 8,
 ) -> ProbeResult:
     """Probe a frozen encoder (a ModelParams or a checkpoint path)."""
     if not isinstance(encoder, nn.ModelParams):
         encoder = nn.load_checkpoint(encoder).params
     encoder.freeze_all()
 
-    train_x, train_y = extract_features(train_bundles, encoder, min_points)
-    test_x, test_y = extract_features(test_bundles, encoder, min_points)
+    train_x, train_y = extract_features(train_bundles, encoder)
+    test_x, test_y = extract_features(test_bundles, encoder)
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     accuracy, per_class = fit_linear_probe(
         train_x, train_y, test_x, test_y, n_classes, epochs, seed

@@ -109,6 +109,10 @@ def _sse(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
     return float(((x - centroids[assign]) ** 2).sum())
 
 
+_KMEANS_MAX_ITER = 100
+_KMEANS_RESTARTS = 8
+
+
 @dataclass
 class KMeansResult:
     centroids: np.ndarray  # K x L
@@ -118,16 +122,11 @@ class KMeansResult:
     converged: bool
 
 
-def kmeans(
-    features: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    n_restarts: int = 8,
-) -> KMeansResult:
+def kmeans(features: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Lloyd iterations to an assignment fixpoint from k-means++ seeds.
 
-    Runs ``n_restarts`` seeded restarts and keeps the lowest
+    Runs ``_KMEANS_RESTARTS`` seeded restarts of at most
+    ``_KMEANS_MAX_ITER`` iterations each and keeps the lowest
     within-cluster SSE. An empty cluster re-seeds, deterministically,
     from the point farthest from its assigned centroid.
     """
@@ -138,13 +137,13 @@ def kmeans(
         raise InvalidCountError(f"cannot form {k} clusters from {len(x)} points")
 
     best: KMeansResult | None = None
-    for restart in range(n_restarts):
+    for restart in range(_KMEANS_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([0xC1A5, seed, restart]))
         centroids = _plusplus_seed(x, k, rng)
         assignment = _assign(x, centroids)
         converged = False
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, _KMEANS_MAX_ITER + 1):
             for j in range(k):
                 members = assignment == j
                 if members.any():
@@ -269,14 +268,15 @@ def stage1_loss(
     table: WeightTable,
     groups: np.ndarray,
     scale_mode: str = SCALE_MEAN_ONE,
-    beta: float = 1.0,
     scene_offsets: np.ndarray | None = None,
+    reweight: bool = True,
 ) -> T.Tensor:
     """Weighted mean of per-region smooth L1 between pooled 2D and projected 3D features.
 
     ``mean-one`` scales weights by K so their average stays 1 and the
     effective learning rate matches the unweighted loss;
-    ``paper-literal`` applies the normalized weights as-is. With
+    ``paper-literal`` applies the normalized weights as-is. Without
+    ``reweight`` (the re-weighting ablation) every region weighs 1. With
     ``scene_offsets`` (CSR bounds of stacked scenes' rows) the loss is the
     mean over scenes of each scene's loss.
     """
@@ -292,18 +292,12 @@ def stage1_loss(
     if groups.min() < 0 or groups.max() >= table.n_groups:
         raise InconsistencyError("region group index outside the weight table")
 
-    scale = float(table.n_groups) if scale_mode == SCALE_MEAN_ONE else 1.0
-    weights = scale * table.w[groups]
-    return T.smooth_l1(f3d, T.constant(targets), beta, weights, scene_offsets)
-
-
-def uniform_stage1_loss(
-    f2d: np.ndarray, f3d: T.Tensor, beta: float = 1.0, scene_offsets: np.ndarray | None = None
-) -> T.Tensor:
-    """Unweighted distillation loss (the re-weighting ablation), a mean over scenes."""
-    return T.smooth_l1(
-        f3d, T.constant(np.asarray(f2d, dtype=np.float64)), beta, offsets=scene_offsets
-    )
+    if reweight:
+        scale = float(table.n_groups) if scale_mode == SCALE_MEAN_ONE else 1.0
+        weights = scale * table.w[groups]
+    else:
+        weights = np.ones(m)
+    return T.smooth_l1(f3d, T.constant(targets), 1.0, weights, scene_offsets)
 
 
 def region_cosines(f2d: np.ndarray, f3d: np.ndarray) -> np.ndarray:

@@ -45,13 +45,6 @@ def teacher_forward(batch: TokenBatch, teacher: ModelParams) -> tuple[np.ndarray
     return f_ins, dec_out
 
 
-def normalize_rows(targets: np.ndarray) -> np.ndarray:
-    """L2-normalize each teacher token target (an ablation switch); read-only like its input."""
-    out = targets / np.maximum(np.linalg.norm(targets, axis=1, keepdims=True), 1e-12)
-    out.setflags(write=False)
-    return out
-
-
 def _stack_plans(batch: TokenBatch, plans: Sequence[MaskPlan]) -> tuple[np.ndarray, np.ndarray]:
     """Batch rows of every scene's visible and masked tokens, scene after scene."""
     if len(plans) != batch.n_scenes:

@@ -38,7 +38,6 @@ class TokenSet:
     region_ids: np.ndarray  # (M,) int64
     mode: str
     dropped_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    _subsampled: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_members(
@@ -79,26 +78,15 @@ class TokenSet:
         """``(indices, offsets)`` with at most ``max_points`` members per token.
 
         Each token's members are sorted, and a token with n > max_points
-        keeps every ceil(n / max_points)-th one. Built once per
-        ``max_points``; the arrays are read-only.
+        keeps every ceil(n / max_points)-th one.
         """
-        view = self._subsampled.get(max_points)
-        if view is None:
-            counts, seg = self.member_counts(), self.segment_ids()
-            ordered = self.indices[np.lexsort((self.indices, seg))]
-            stride = np.maximum(-(-counts // max_points), 1)
-            rank = np.arange(len(ordered)) - np.repeat(self.offsets[:-1], counts)
-            offsets = np.zeros_like(self.offsets)
-            np.cumsum(-(-counts // stride), out=offsets[1:])
-            view = _read_only(ordered[rank % stride[seg] == 0], offsets)
-            self._subsampled[max_points] = view
-        return view
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+        counts, seg = self.member_counts(), self.segment_ids()
+        ordered = self.indices[np.lexsort((self.indices, seg))]
+        stride = np.maximum(-(-counts // max_points), 1)
+        rank = np.arange(len(ordered)) - np.repeat(self.offsets[:-1], counts)
+        offsets = np.zeros_like(self.offsets)
+        np.cumsum(-(-counts // stride), out=offsets[1:])
+        return ordered[rank % stride[seg] == 0], offsets
 
 
 def _label_counts(

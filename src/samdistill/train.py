@@ -49,9 +49,6 @@ class TrainConfig:
     epochs: int = 100
     warmup_epochs: int = 10
     min_lr_ratio: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
@@ -61,6 +58,10 @@ class TrainConfig:
             raise InvalidInputError("need 0 <= warmup_epochs <= epochs")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
+        if self.weight_decay < 0:
+            raise InvalidInputError("weight_decay must be >= 0")
+        if not (0 <= self.min_lr_ratio <= 1):
+            raise InvalidInputError("min_lr_ratio must be in [0, 1]")
 
 
 PAPER_DEFAULTS = TrainConfig(batch_size=64)
@@ -77,16 +78,10 @@ def init_opt_state(params: nn.ModelParams) -> dict:
 
 # Elements per in-place AdamW pass; the scratch block stays in cache.
 _ADAMW_BLOCK = 16384
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def adamw_step(
-    params: nn.ModelParams,
-    state: dict,
-    lr: float,
-    weight_decay: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
+def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: float) -> None:
     """One AdamW update with bias correction; frozen parameters are untouched.
 
     The update is Adam in Kingma & Ba's efficient order (ICLR 2015, end of
@@ -106,9 +101,8 @@ def adamw_step(
     state["t"] = t
     if params.grad is None:
         return
-    b1, b2 = betas
-    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-    step_size, eps_hat = lr * math.sqrt(bc2) / bc1, eps * math.sqrt(bc2)
+    bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
+    step_size, eps_hat = lr * math.sqrt(bc2) / bc1, _EPS * math.sqrt(bc2)
     data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
     scratch = np.empty(_ADAMW_BLOCK)
     for start, stop, decays in params.trainable_ranges():
@@ -117,11 +111,11 @@ def adamw_step(
             hi = min(lo + _ADAMW_BLOCK, stop)
             p, g, m, v = data[lo:hi], grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
             a = scratch[: hi - lo]
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
+            m *= _BETA1
+            np.multiply(g, 1.0 - _BETA1, out=a)
             m += a
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=a)
+            v *= _BETA2
+            np.multiply(g, 1.0 - _BETA2, out=a)
             a *= g
             v += a
             # a = step_size * m / (sqrt(v) + eps_hat)
@@ -324,14 +318,7 @@ def _fit(
                 del loss  # free this graph before the next forward builds one
                 t2 = time.perf_counter()
                 lr = lr_at(step, total_steps, train_cfg)
-                adamw_step(
-                    params,
-                    opt_state,
-                    lr,
-                    train_cfg.weight_decay,
-                    (train_cfg.beta1, train_cfg.beta2),
-                    train_cfg.eps,
-                )
+                adamw_step(params, opt_state, lr, train_cfg.weight_decay)
                 t3 = time.perf_counter()
                 writer.row(
                     epoch=epoch,
@@ -369,10 +356,6 @@ class Stage1Config:
     scale_mode: str = stage1.SCALE_MEAN_ONE
     reweight: bool = True
     tokenizer_mode: str = MODE_SAM
-    min_points: int = 8
-    knn_tokens: int = 0  # 0: one token per scene region
-    knn_k: int = 0  # 0: ceil(n_points / n_tokens)
-    beta: float = 1.0
 
 
 @dataclass
@@ -421,13 +404,15 @@ def _stage1_batch_loss(
 ) -> T.Tensor:
     """Mean over the scenes of each scene's distillation loss, from one graph."""
     batch, f3d = _stage1_project(scenes, params)
-    targets = np.concatenate([s.targets for s in scenes])
-    if cfg.reweight:
-        groups = np.concatenate([s.groups for s in scenes])
-        return stage1.stage1_loss(
-            targets, f3d, table, groups, cfg.scale_mode, cfg.beta, batch.scene_offsets
-        )
-    return stage1.uniform_stage1_loss(targets, f3d, cfg.beta, batch.scene_offsets)
+    return stage1.stage1_loss(
+        np.concatenate([s.targets for s in scenes]),
+        f3d,
+        table,
+        np.concatenate([s.groups for s in scenes]),
+        cfg.scale_mode,
+        batch.scene_offsets,
+        cfg.reweight,
+    )
 
 
 def _stage1_eval(
@@ -435,7 +420,6 @@ def _stage1_eval(
     params: nn.ModelParams,
     table: stage1.WeightTable,
     centroids: np.ndarray,
-    cfg: Stage1Config,
     batch_size: int,
 ) -> dict:
     """Held-out per-region cosine between projected 3D features and 2D targets.
@@ -450,7 +434,7 @@ def _stage1_eval(
         for chunk in _batches(bundles, batch_size):
             scenes = []
             for b in chunk:
-                tokens = sam_tokenize(b, min_points=cfg.min_points)
+                tokens = sam_tokenize(b)
                 pooled = stage1.pool_features_by_region(b.feat2d, b.mask)
                 scenes.append(_prepare_scene(b, tokens, pooled, centroids, params.arch))
             _, f3d = _stage1_project(scenes, params)
@@ -496,10 +480,7 @@ def run_stage1(
     InconsistencyError.
     """
     out_dir = Path(out_dir)
-    tokens = [
-        tokenize(b, cfg.tokenizer_mode, cfg.min_points, cfg.knn_tokens, cfg.knn_k)
-        for b in train_bundles
-    ]
+    tokens = [tokenize(b, cfg.tokenizer_mode) for b in train_bundles]
     pooled = [stage1.pool_features_by_region(b.feat2d, b.mask) for b in train_bundles]
     table, centroids = stage1.build_weight_table(
         np.concatenate([p.max for p in pooled]), cfg.k_groups, train_cfg.seed
@@ -546,9 +527,7 @@ def run_stage1(
         "seed": train_cfg.seed,
     }
     if eval_bundles:
-        metrics.update(
-            _stage1_eval(eval_bundles, params, table, centroids, cfg, train_cfg.batch_size)
-        )
+        metrics.update(_stage1_eval(eval_bundles, params, table, centroids, train_cfg.batch_size))
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
     return Stage1Result(
         checkpoint_dir=ckpt_dir, metrics=metrics, table=table, centroids=centroids
@@ -563,8 +542,6 @@ def run_stage1(
 class Stage2Config:
     mask_ratio: float = 0.6
     init_from_teacher: bool = True
-    normalize_targets: bool = False
-    min_points: int = 8
 
 
 @dataclass
@@ -574,10 +551,7 @@ class Stage2Result:
 
 
 class _Stage2Input(NamedTuple):
-    """One scene with the frozen teacher's outputs on it, computed once per run.
-
-    Under ``normalize_targets`` the decoder rows are already L2-normalized.
-    """
+    """One scene with the frozen teacher's outputs on it, computed once per run."""
 
     batch: nn.TokenBatch  # the scene's tokens, packed once
     f_ins_teacher: np.ndarray  # (L,) pooled feature, read-only
@@ -654,17 +628,13 @@ def run_stage2(
 
     def prepare(bundles: list[SceneBundle]) -> list[_Stage2Input]:
         batches = [
-            nn.TokenBatch.of_scene(
-                b, sam_tokenize(b, min_points=cfg.min_points), teacher.arch.max_points_per_token
-            )
+            nn.TokenBatch.of_scene(b, sam_tokenize(b), teacher.arch.max_points_per_token)
             for b in bundles
         ]
         scenes = []
         for chunk in _batches(batches, train_cfg.batch_size):
             stacked = nn.TokenBatch.stack(chunk)
             f_ins, dec_out = stage2.teacher_forward(stacked, teacher)
-            if cfg.normalize_targets:
-                dec_out = stage2.normalize_rows(dec_out)
             bounds = stacked.scene_offsets
             scenes += [
                 _Stage2Input(b, f_ins[s], dec_out[bounds[s] : bounds[s + 1]])

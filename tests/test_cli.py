@@ -104,6 +104,7 @@ def test_full_pipeline_through_cli(tmp_path, config_file, capsys):
     )
     result = json.loads((out / "probe.json").read_text())
     assert 0.0 <= result["accuracy"] <= 1.0
+    assert result["encoder_tag"] == "stage2"
     capsys.readouterr()
 
 
@@ -135,11 +136,18 @@ def test_error_exit_code_on_missing_scenes(tmp_path, capsys):
 
 def test_error_exit_code_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"train": {"unknown_field": 3}}')
-    code = cli.main(
-        ["--config", str(bad), "--out-dir", str(tmp_path), "scene"]
-    )
-    assert code == 2
+    # Unknown keys, among them three that older configs had.
+    for section, key in (
+        ("train", "unknown_field"),
+        ("train", "beta1"),
+        ("stage1", "knn_k"),
+        ("stage2", "normalize_targets"),
+    ):
+        bad.write_text(json.dumps({section: {key: 3}}))
+        code = cli.main(
+            ["--config", str(bad), "--out-dir", str(tmp_path), "scene"]
+        )
+        assert code == 2, key
     capsys.readouterr()
 
 

@@ -539,10 +539,12 @@ class TestFlatStore:
             tokens.region_ids
         )
         batch = _batch(bundle, tokens, params)
+        table, _ = stage1.build_weight_table(f2d, 1, 0)
+        groups = np.zeros(len(f2d), int)
 
         def f():
             f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
-            return stage1.uniform_stage1_loss(f2d, f3d)
+            return stage1.stage1_loss(f2d, f3d, table, groups, reweight=False)
 
         f().backward()
         self._assert_bound(params)

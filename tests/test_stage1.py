@@ -269,7 +269,7 @@ class TestStage1Loss:
         table = _uniform_table(3)
         groups = np.array([0, 1, 2, 0])
         weighted = stage1.stage1_loss(f2d, T.constant(f3d), table, groups, "mean-one")
-        plain = stage1.uniform_stage1_loss(f2d, T.constant(f3d))
+        plain = stage1.stage1_loss(f2d, T.constant(f3d), table, groups, reweight=False)
         assert weighted.item() == pytest.approx(plain.item(), rel=1e-12)
 
     def test_paper_literal_scales_by_one_over_k(self, rng):
@@ -352,12 +352,12 @@ class TestStage1Loss:
         assert T.grad_check(f, inputs) < 1e-4
 
 
-def _per_region_stage1_loss(f2d, f3d, table, groups, scale_mode, beta):
+def _per_region_stage1_loss(f2d, f3d, table, groups, scale_mode):
     """The unfused loss: one smooth-L1 node per region, weighted and chained."""
     scale = float(table.n_groups) if scale_mode == stage1.SCALE_MEAN_ONE else 1.0
     total = None
     for i in range(len(f2d)):
-        term = T.smooth_l1(T.slice_axis(f3d, 0, i, i + 1), T.constant(f2d[i : i + 1]), beta=beta)
+        term = T.smooth_l1(T.slice_axis(f3d, 0, i, i + 1), T.constant(f2d[i : i + 1]))
         term = T.mul(term, scale * float(table.w[groups[i]]))
         total = term if total is None else T.add(total, term)
     return T.mul(total, 1.0 / len(f2d))
@@ -365,10 +365,9 @@ def _per_region_stage1_loss(f2d, f3d, table, groups, scale_mode, beta):
 
 class TestStage1LossOracle:
     @pytest.mark.parametrize(
-        "m,scale_mode,beta",
-        [(1, "mean-one", 1.0), (7, "mean-one", 0.5), (22, "paper-literal", 1.0)],
+        "m,scale_mode", [(1, "mean-one"), (7, "mean-one"), (22, "paper-literal")]
     )
-    def test_matches_per_region_loop_bit_for_bit(self, rng, m, scale_mode, beta):
+    def test_matches_per_region_loop_bit_for_bit(self, rng, m, scale_mode):
         counts = np.array([9, 4, 1])
         kk, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(
@@ -381,7 +380,7 @@ class TestStage1LossOracle:
         results = []
         for loss_fn in (stage1.stage1_loss, _per_region_stage1_loss):
             f3d = T.parameter(data)
-            loss = loss_fn(f2d, f3d, table, groups, scale_mode, beta)
+            loss = loss_fn(f2d, f3d, table, groups, scale_mode)
             # Scaled as in a batch mean, so the upstream gradient is not 1.
             T.mul(loss, 1.0 / 3).backward()
             results.append((loss.data.tobytes(), f3d.grad.tobytes()))
@@ -444,11 +443,7 @@ def _stage1_scene_oracle(scenes, params, table, reweight):
     losses = []
     for batch, f2d, groups in scenes:
         f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
-        losses.append(
-            stage1.stage1_loss(f2d, f3d, table, groups)
-            if reweight
-            else stage1.uniform_stage1_loss(f2d, f3d)
-        )
+        losses.append(stage1.stage1_loss(f2d, f3d, table, groups, reweight=reweight))
     total = losses[0]
     for loss in losses[1:]:
         total = T.add(total, loss)
@@ -459,10 +454,10 @@ def _stage1_packed(scenes, params, table, reweight):
     batch = nn.TokenBatch.stack([b for b, _, _ in scenes])
     f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
     f2d = np.concatenate([f for _, f, _ in scenes])
-    if reweight:
-        groups = np.concatenate([g for _, _, g in scenes])
-        return stage1.stage1_loss(f2d, f3d, table, groups, scene_offsets=batch.scene_offsets)
-    return stage1.uniform_stage1_loss(f2d, f3d, scene_offsets=batch.scene_offsets)
+    groups = np.concatenate([g for _, _, g in scenes])
+    return stage1.stage1_loss(
+        f2d, f3d, table, groups, scene_offsets=batch.scene_offsets, reweight=reweight
+    )
 
 
 def _loss_and_grads(loss_fn, params):

@@ -105,24 +105,11 @@ class TestTeacherForward:
     def test_outputs_are_read_only(self, setup):
         batch, teacher, _ = setup
         f_ins, dec_out = stage2.teacher_forward(batch, teacher)
-        normed = stage2.normalize_rows(dec_out)
-        for arr in (f_ins, dec_out, normed):
+        for arr in (f_ins, dec_out):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(ValueError):
             dec_out *= 2.0
-
-    def test_normalize_all_rows_then_select_equals_select_then_normalize(self, setup):
-        batch, teacher, _ = setup
-        _, dec_out = stage2.teacher_forward(batch, teacher)
-        rng = np.random.default_rng(0)
-        scales = 10.0 ** rng.integers(-6, 6, size=200)
-        cases = [dec_out] + [rng.normal(0.0, scale, (9, 8)) for scale in scales]
-        for rows in cases:
-            masked = np.sort(rng.permutation(len(rows))[: rng.integers(1, len(rows) + 1)])
-            sel = rows[masked]
-            expected = sel / np.maximum(np.linalg.norm(sel, axis=1, keepdims=True), 1e-12)
-            assert stage2.normalize_rows(rows)[masked].tobytes() == expected.tobytes()
 
 
 class TestStudentForward:
@@ -241,16 +228,6 @@ class TestStage2Loss:
         teacher_out = stage2.teacher_forward(batch, teacher)
         _, l_token, _ = _losses(batch, _plan(batch, ratio=0.0), teacher_out, student)
         assert l_token.item() == 0.0
-
-    def test_normalize_targets_flag(self, setup):
-        batch, teacher, student = setup
-        plan = _plan(batch)
-        f_ins_teacher, dec_out = stage2.teacher_forward(batch, teacher)
-        normed = (f_ins_teacher, stage2.normalize_rows(dec_out))
-        _, plain, _ = _losses(batch, plan, (f_ins_teacher, dec_out), student)
-        _, normalized, _ = _losses(batch, plan, normed, student)
-        assert plain.item() != pytest.approx(normalized.item())
-        np.testing.assert_allclose(np.linalg.norm(normed[1], axis=1), 1.0, rtol=1e-12)
 
     def test_no_gradient_leaks_into_teacher(self, setup):
         batch, teacher, student = setup
@@ -454,8 +431,7 @@ class TestPerPlanTeacherOracle:
     reruns it scene by scene, so the runs agree to rounding.
     """
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_run_matches_per_plan_teacher_path(self, tiny_arch, tmp_path, monkeypatch, normalize):
+    def test_run_matches_per_plan_teacher_path(self, tiny_arch, tmp_path, monkeypatch):
         spec = scene.SceneSpec(
             n_objects=3, seed=0, feature_dim=tiny_arch.proj_dim, points_per_object_range=(20, 30)
         )
@@ -463,14 +439,12 @@ class TestPerPlanTeacherOracle:
         teacher = nn.init_params(tiny_arch, seed=1)
         teacher.freeze_all()
         nn.save_checkpoint(tmp_path / "teacher", teacher, 0)
-        cfg = train.Stage2Config(mask_ratio=0.5, normalize_targets=normalize)
+        cfg = train.Stage2Config(mask_ratio=0.5)
 
         def per_plan_batch(scenes, plans, student):
             f_ins_teacher, targets = [], []
             for prepared, plan in zip(scenes, plans):
                 f, rows = _per_plan_teacher_forward(prepared.batch, plan, teacher)
-                if normalize and len(rows):
-                    rows = rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
                 f_ins_teacher.append(f)
                 targets.append(rows)
             batch = nn.TokenBatch.stack([prepared.batch for prepared in scenes])

@@ -255,6 +255,9 @@ class TestLrSchedule:
             train.TrainConfig(base_lr=0.0).validate()
         with pytest.raises(InvalidInputError):
             train.TrainConfig(epochs=5, warmup_epochs=6).validate()
+        for bad in ({"weight_decay": -0.05}, {"min_lr_ratio": -0.1}, {"min_lr_ratio": 1.5}):
+            with pytest.raises(InvalidInputError):
+                train.TrainConfig(**bad).validate()
 
 
 @pytest.fixture(scope="module")
@@ -759,7 +762,10 @@ class TestStage1NodesPerSceneStep:
         h = T.add(embedded, pos)
         encoded = nn.encode(h, params, batch.scene_offsets)
         f3d = stage1.project_3d(encoded, params)
-        loss = stage1.uniform_stage1_loss(np.zeros(f3d.shape), f3d)
+        table, _ = stage1.build_weight_table(np.zeros((1, f3d.shape[1])), 1, 0)
+        loss = stage1.stage1_loss(
+            np.zeros(f3d.shape), f3d, table, np.zeros(len(batch), int), reweight=False
+        )
         totals = [_op_nodes(t) for t in (embedded, pos, h, encoded, f3d, loss)]
         # embed_tokens 1, pos_embed 3, their sum 1, encode 37, project_3d 1, loss 1.
         assert totals == [1, 3, 5, 42, 43, 44]

@@ -1,8 +1,8 @@
 """Model components: token embedder, positional MLP, transformer stacks.
 
 Every forward runs on a :class:`TokenBatch`, the tokens of one or more
-scenes stacked row after row; attention stays within each scene, so the
-scenes of an optimizer batch share one graph.
+scenes stacked row after row; attention stays within each scene of the
+batch's scene layout, so the scenes of an optimizer batch share one graph.
 
 Parameters are named views into one flat float64 buffer, and each leaf's
 ``requires_grad`` says whether it trains, so that a whole model can serve
@@ -230,27 +230,25 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
 class TokenBatch:
     """The tokens of one or more scenes, stacked row after row for one forward.
 
-    Token i's subsampled member points, each minus the token's centroid,
-    are ``members[member_offsets[i]:member_offsets[i + 1]]``; scene s owns
-    the tokens ``scene_offsets[s]:scene_offsets[s + 1]``. A scene's batch is
-    built once with :meth:`of_scene`; :meth:`stack` and :meth:`select` only
-    copy rows.
+    Two layouts describe the rows: ``tokens`` gives each token its segment
+    of ``members`` (its subsampled points minus its centroid) and ``scenes``
+    each scene its segment of token rows. :meth:`of_scene` builds a scene's
+    batch once; :meth:`stack` and :meth:`select` only copy rows and counts.
     """
 
     members: np.ndarray  # (P, 3) float64
-    member_offsets: np.ndarray  # (N + 1,) int64 CSR bounds into members
+    tokens: T.Segments  # one segment of members per token
     centroids: np.ndarray  # (N, 3) float64
-    scene_offsets: np.ndarray  # (B + 1,) int64 CSR bounds into the tokens
+    scenes: T.Segments  # one segment of tokens per scene
 
     @classmethod
     def of_scene(cls, bundle, tokens: TokenSet, max_points: int) -> "TokenBatch":
         """One scene's tokens, each cut to at most ``max_points`` members."""
-        if np.any(tokens.member_counts() == 0):
+        if tokens.segments.any_empty:
             raise InvalidInputError("cannot embed an empty token")
-        indices, offsets = tokens.subsampled(max_points)
-        centroids = np.repeat(tokens.centroids, np.diff(offsets), axis=0)
-        members = np.asarray(bundle.points[indices], dtype=np.float64) - centroids
-        return cls(members, offsets, tokens.centroids, np.array([0, len(tokens)]))
+        indices, segments = tokens.subsampled(max_points)
+        members = bundle.points[indices] - np.repeat(tokens.centroids, segments.counts, axis=0)
+        return cls(members, segments, tokens.centroids, T.Segments.of_counts([len(tokens)]))
 
     @classmethod
     def stack(cls, batches: Sequence["TokenBatch"]) -> "TokenBatch":
@@ -259,43 +257,28 @@ class TokenBatch:
             return batches[0]
         return cls(
             np.concatenate([b.members for b in batches]),
-            _bounds(np.concatenate([np.diff(b.member_offsets) for b in batches])),
+            T.Segments.of_counts(np.concatenate([b.tokens.counts for b in batches])),
             np.concatenate([b.centroids for b in batches]),
-            _bounds([len(b) for b in batches]),
+            T.Segments.of_counts([len(b) for b in batches]),
         )
 
     def __len__(self) -> int:
         return len(self.centroids)
 
-    @property
-    def n_scenes(self) -> int:
-        return len(self.scene_offsets) - 1
-
-    def scene_sizes(self) -> np.ndarray:
-        return np.diff(self.scene_offsets)
-
     def select(self, rows: np.ndarray) -> "TokenBatch":
         """The tokens at ``rows``, in that order; rows must keep the scenes in order."""
         rows = np.asarray(rows, dtype=np.int64)
-        scene = np.repeat(np.arange(self.n_scenes), self.scene_sizes())[rows]
-        if np.any(np.diff(scene) < 0):
+        scene = self.scenes.ids[rows]
+        if np.any(scene[1:] < scene[:-1]):
             raise InvalidInputError("selected rows must keep the scenes in order")
-        counts = self.member_offsets[rows + 1] - self.member_offsets[rows]
-        member_offsets = _bounds(counts)
-        picked = np.repeat(self.member_offsets[rows] - member_offsets[:-1], counts)
+        tokens = T.Segments.of_counts(self.tokens.counts[rows])
+        starts = np.repeat(self.tokens.bounds[rows], tokens.counts)
         return TokenBatch(
-            self.members[picked + np.arange(member_offsets[-1])],
-            member_offsets,
+            self.members[starts + tokens.positions],
+            tokens,
             self.centroids[rows],
-            _bounds(np.bincount(scene, minlength=self.n_scenes)),
+            T.Segments.of_counts(np.bincount(scene, minlength=len(self.scenes))),
         )
-
-
-def _bounds(counts) -> np.ndarray:
-    """CSR bounds of consecutive segments of the given sizes."""
-    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    return bounds
 
 
 def embed_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
@@ -305,11 +288,8 @@ def embed_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
     runs over each token's segment of them, as one engine node whose
     backward touches only each token's argmax rows.
     """
-    p = params.tensors
-    return T.mlp_max_pool(
-        batch.members, p["embed.l1.w"], p["embed.l1.b"], p["embed.l2.w"], p["embed.l2.b"],
-        batch.member_offsets,
-    )
+    weights = [params.tensors[f"embed.{name}"] for name in ("l1.w", "l1.b", "l2.w", "l2.b")]
+    return T.mlp_max_pool(batch.members, *weights, batch.tokens)
 
 
 def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
@@ -320,14 +300,12 @@ def pos_embed(centroids: np.ndarray, params: ModelParams) -> T.Tensor:
     return T.linear(h, p["pos.l2.w"], p["pos.l2.b"])
 
 
-def _attention(
-    x: T.Tensor, params: ModelParams, prefix: str, scene_offsets: np.ndarray
-) -> T.Tensor:
+def _attention(x: T.Tensor, params: ModelParams, prefix: str, scenes: T.Segments) -> T.Tensor:
     p = params.tensors
     q = T.matmul(x, p[f"{prefix}.attn.wq"])
     k = T.matmul(x, p[f"{prefix}.attn.wk"])
     v = T.matmul(x, p[f"{prefix}.attn.wv"])
-    heads = T.attention(q, k, v, params.arch.n_heads, scene_offsets)
+    heads = T.attention(q, k, v, params.arch.n_heads, scenes)
     return T.linear(heads, p[f"{prefix}.attn.wo"], p[f"{prefix}.attn.bo"])
 
 
@@ -338,7 +316,7 @@ def _mlp(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
 
 
 def _transformer(
-    x: T.Tensor, params: ModelParams, name: str, n_layers: int, scene_offsets: np.ndarray
+    x: T.Tensor, params: ModelParams, name: str, n_layers: int, scenes: T.Segments
 ) -> T.Tensor:
     """``n_layers`` pre-norm blocks and a final layer norm; identity when empty."""
     if n_layers == 0:
@@ -347,25 +325,25 @@ def _transformer(
     for i in range(n_layers):
         prefix = f"{name}{i}"
         normed = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
-        x = T.add(x, _attention(normed, params, prefix, scene_offsets))
+        x = T.add(x, _attention(normed, params, prefix, scenes))
         normed = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
         x = T.add(x, _mlp(normed, params, prefix))
     return T.layer_norm(x, p[f"{name}.ln_f.g"], p[f"{name}.ln_f.b"], eps=eps)
 
 
-def encode(features: T.Tensor, params: ModelParams, scene_offsets: np.ndarray) -> T.Tensor:
+def encode(features: T.Tensor, params: ModelParams, scenes: T.Segments) -> T.Tensor:
     """Pre-norm self-attention stack over stacked scenes; each row attends within its scene."""
-    return _transformer(features, params, "enc", params.arch.n_enc_layers, scene_offsets)
+    return _transformer(features, params, "enc", params.arch.n_enc_layers, scenes)
 
 
-def decode(features: T.Tensor, params: ModelParams, scene_offsets: np.ndarray) -> T.Tensor:
-    return _transformer(features, params, "dec", params.arch.n_dec_layers, scene_offsets)
+def decode(features: T.Tensor, params: ModelParams, scenes: T.Segments) -> T.Tensor:
+    return _transformer(features, params, "dec", params.arch.n_dec_layers, scenes)
 
 
 def forward_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
     """Encoder features of every token: token plus positional embedding, then the encoder."""
     h = T.add(embed_tokens(batch, params), pos_embed(batch.centroids, params))
-    return encode(h, params, batch.scene_offsets)
+    return encode(h, params, batch.scenes)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def stage1_loss(
     table: WeightTable,
     groups: np.ndarray,
     scale_mode: str = SCALE_MEAN_ONE,
-    scene_offsets: np.ndarray | None = None,
+    scenes: T.Segments | None = None,
     reweight: bool = True,
 ) -> T.Tensor:
     """Weighted mean of per-region smooth L1 between pooled 2D and projected 3D features.
@@ -277,8 +277,8 @@ def stage1_loss(
     effective learning rate matches the unweighted loss;
     ``paper-literal`` applies the normalized weights as-is. Without
     ``reweight`` (the re-weighting ablation) every region weighs 1. With
-    ``scene_offsets`` (CSR bounds of stacked scenes' rows) the loss is the
-    mean over scenes of each scene's loss.
+    ``scenes``, the layout of stacked scenes' rows, the loss is the mean
+    over scenes of each scene's loss.
     """
     if scale_mode not in (SCALE_MEAN_ONE, SCALE_PAPER_LITERAL):
         raise InvalidInputError(f"unknown scale_mode {scale_mode!r}")
@@ -297,7 +297,7 @@ def stage1_loss(
         weights = scale * table.w[groups]
     else:
         weights = np.ones(m)
-    return T.smooth_l1(f3d, T.constant(targets), 1.0, weights, scene_offsets)
+    return T.smooth_l1(f3d, T.constant(targets), 1.0, weights, scenes)
 
 
 def region_cosines(f2d: np.ndarray, f3d: np.ndarray) -> np.ndarray:

@@ -37,9 +37,9 @@ def teacher_forward(batch: TokenBatch, teacher: ModelParams) -> tuple[np.ndarray
     with T.no_grad():
         pos = nn.pos_embed(batch.centroids, teacher)
         h = T.add(nn.embed_tokens(batch, teacher), pos)
-        enc_out = nn.encode(h, teacher, batch.scene_offsets)
-        f_ins = T.mean_pool(enc_out, batch.scene_offsets).data
-        dec_out = nn.decode(T.add(enc_out, pos), teacher, batch.scene_offsets).data
+        enc_out = nn.encode(h, teacher, batch.scenes)
+        f_ins = T.mean_pool(enc_out, batch.scenes).data
+        dec_out = nn.decode(T.add(enc_out, pos), teacher, batch.scenes).data
     f_ins.setflags(write=False)
     dec_out.setflags(write=False)
     return f_ins, dec_out
@@ -47,14 +47,14 @@ def teacher_forward(batch: TokenBatch, teacher: ModelParams) -> tuple[np.ndarray
 
 def _stack_plans(batch: TokenBatch, plans: Sequence[MaskPlan]) -> tuple[np.ndarray, np.ndarray]:
     """Batch rows of every scene's visible and masked tokens, scene after scene."""
-    if len(plans) != batch.n_scenes:
+    if len(plans) != len(batch.scenes):
         raise InconsistencyError("one mask plan per scene is needed")
-    for plan, n_tokens in zip(plans, batch.scene_sizes()):
+    for plan, n_tokens in zip(plans, batch.scenes.counts):
         if len(plan.visible) == 0:
             raise DegeneratePlanError("mask plan leaves no visible tokens")
         if plan.n_tokens != n_tokens:
             raise InconsistencyError("mask plan does not match the token set")
-    starts = batch.scene_offsets[:-1]
+    starts = batch.scenes.bounds[:-1]
     visible = np.concatenate([s + p.visible for s, p in zip(starts, plans)])
     masked = np.concatenate([s + p.masked for s, p in zip(starts, plans)])
     return visible, masked
@@ -71,14 +71,14 @@ def student_forward(
     visible_rows, masked_rows = _stack_plans(batch, plans)
     visible = batch.select(visible_rows)
     h = T.add(nn.embed_tokens(visible, student), nn.pos_embed(visible.centroids, student))
-    enc_out = nn.encode(h, student, visible.scene_offsets)
-    f_ins = T.mean_pool(enc_out, visible.scene_offsets)
+    enc_out = nn.encode(h, student, visible.scenes)
+    f_ins = T.mean_pool(enc_out, visible.scenes)
 
     dec_in = T.add(
         nn.fill_masked_positions(enc_out, visible_rows, len(batch), student),
         nn.pos_embed(batch.centroids, student),
     )
-    dec_out = nn.decode(dec_in, student, batch.scene_offsets)
+    dec_out = nn.decode(dec_in, student, batch.scenes)
     preds = (
         T.gather_rows(dec_out, masked_rows)
         if len(masked_rows)
@@ -99,14 +99,14 @@ def stage2_loss(
     token_preds: T.Tensor,
     f_ins_teacher: np.ndarray,
     token_targets: np.ndarray,
-    masked_offsets: np.ndarray,
+    scenes: T.Segments,
 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
     """Instance loss + masked token loss, summed with unit weights.
 
     ``pred_ins`` holds the predictor's output and ``f_ins_teacher`` the
     teacher's pooled feature, one row per scene. ``token_targets`` are the
     teacher's decoder rows at the masked positions, scene after scene, and
-    ``masked_offsets`` their CSR bounds per scene. Each term is the mean
+    ``scenes`` gives each scene its segment of them. Each term is the mean
     over scenes of that scene's term; a scene with zero masked tokens has
     a token term of 0.
     """
@@ -120,5 +120,5 @@ def stage2_loss(
             raise InconsistencyError("token predictions misaligned with teacher targets")
         # Per-token MSE averaged over each scene's masked tokens; rows share
         # one length, so this equals the mean over the scene's entries.
-        l_token = T.mse(token_preds, T.constant(token_targets), masked_offsets)
+        l_token = T.mse(token_preds, T.constant(token_targets), scenes)
     return l_ins, l_token, T.add(l_ins, l_token)

@@ -6,17 +6,20 @@ reverse topological order. A closure holds its parents and never its own
 output, so a graph has no reference cycle and is freed as soon as its
 loss is dropped. The op set is what the models and losses here need, with
 two deliberate restrictions: 64-bit floats everywhere, and no
-broadcasting beyond bias addition over the leading axis. Eight ops have
-no caller in the models and stay only because the benchmark declares
-their call counts: ``relu``, ``max_pool``, ``cosine_sim``, ``mul``,
-``softmax``, ``slice_axis``, ``stack`` and ``transpose``. Tests use them
-as unfused oracles; they go when the benchmark's declarations do.
+broadcasting beyond bias addition over the leading axis. Segment ops
+(pooling, attention, losses) take their row groups as one :class:`Segments`.
+Eight ops have no caller in the models and stay only because the benchmark
+declares their call counts: ``relu``, ``max_pool``, ``cosine_sim``, ``mul``,
+``softmax``, ``slice_axis``, ``stack`` and ``transpose``. Tests use them as
+unfused oracles; they go when the benchmark's declarations do.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -270,11 +273,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeMismatchError("concat", ())
     out = _node(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), "concat")
     if out.requires_grad:
-        sizes = [t.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
+        bounds = Segments.of_counts([t.shape[axis] for t in ts]).bounds
 
         def backward(g):
-            for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
+            for t, start, stop in zip(ts, bounds[:-1], bounds[1:]):
                 if t.requires_grad:
                     idx = [slice(None)] * g.ndim
                     idx[axis] = slice(int(start), int(stop))
@@ -338,48 +340,83 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def _segments(op: str, n_rows: int, offsets, allow_empty: bool = False) -> np.ndarray:
-    """Validated CSR bounds over ``n_rows`` rows; ``None`` makes all rows one segment."""
-    if offsets is None:
-        return np.array([0, n_rows], dtype=np.int64)
-    bounds = np.asarray(offsets, dtype=np.int64)
-    if (
-        bounds.ndim != 1
-        or len(bounds) < 2
-        or bounds[0] != 0
-        or bounds[-1] != n_rows
-        or np.any(np.diff(bounds) < (0 if allow_empty else 1))
-    ):
-        raise ShapeMismatchError(op, (n_rows,), bounds.shape)
-    return bounds
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
-def _padded(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Each segment's rows of ``x`` as one slice of a zero-padded (S, longest, ...) array.
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Consecutive segments of rows: segment i owns rows ``bounds[i]:bounds[i + 1]``.
 
-    Trailing zeros change no sum, and with one segment the copy has
-    ``x``'s layout, so reductions over axis 1 run as they would over ``x``.
+    :meth:`of_counts` and :meth:`of_bounds` validate a layout once and note
+    any empty segment. Its arrays are read-only, so one layout serves every
+    op of a batch and builds its row ids, positions and mask at most once.
     """
-    counts = np.diff(bounds)
-    out = np.zeros((len(counts), counts.max(initial=0)) + x.shape[1:])
-    seg = np.repeat(np.arange(len(counts)), counts)
-    out[seg, np.arange(len(x)) - bounds[seg]] = x
-    return out
+
+    bounds: np.ndarray  # (S + 1,) int64, from 0 up to the row count
+    counts: np.ndarray  # (S,) int64 rows per segment
+    any_empty: bool
+
+    @classmethod
+    def of_counts(cls, counts) -> "Segments":
+        counts = _read_only(np.array(counts, dtype=np.int64))
+        least = counts.min(initial=1)
+        if counts.ndim != 1 or least < 0:
+            raise ShapeMismatchError("segments", counts.shape)
+        bounds = _read_only(np.add.accumulate(np.concatenate(([0], counts))))
+        return cls(bounds, counts, bool(least == 0))
+
+    @classmethod
+    def of_bounds(cls, bounds) -> "Segments":
+        """Segments between consecutive ``bounds``, which start at 0 and never decrease."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.ndim != 1 or len(bounds) == 0 or bounds[0] != 0:
+            raise ShapeMismatchError("segments", bounds.shape)
+        return cls.of_counts(np.diff(bounds))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The segment of each row."""
+        return _read_only(np.repeat(np.arange(len(self)), self.counts))
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Each row's position within its segment."""
+        return _read_only(np.arange(self.bounds[-1]) - self.bounds[self.ids])
+
+    @cached_property
+    def same_segment(self) -> np.ndarray:
+        """(R, R) bool: whether two rows lie in one segment."""
+        return _read_only(self.ids[:, None] == self.ids)
+
+    def check(self, op: str, n_rows: int, allow_empty: bool = False) -> None:
+        """Raise ShapeMismatchError unless it spans ``n_rows`` rows, none empty unless allowed."""
+        if self.bounds[-1] != n_rows or (self.any_empty and not allow_empty):
+            raise ShapeMismatchError(op, (n_rows,), (int(self.bounds[-1]),))
+
+    def padded(self, x: np.ndarray) -> np.ndarray:
+        """Each segment's rows of ``x`` as one slice of a zero-padded (S, longest, ...) array.
+
+        Trailing zeros change no sum, and one segment keeps ``x``'s layout.
+        """
+        out = np.zeros((len(self), self.counts.max(initial=0)) + x.shape[1:])
+        out[self.ids, self.positions] = x
+        return out
 
 
-def mean_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
-    """Mean over each segment of rows ``a[offsets[i]:offsets[i + 1]]``.
-
-    ``offsets`` are CSR bounds as for :func:`max_pool`. A one-segment mean
-    has the bits of ``a.mean(axis=0)``.
-    """
+def mean_pool(a: Tensor, segments: Segments) -> Tensor:
+    """Mean over each non-empty segment of rows of ``a``; one has the bits of ``a.mean(0)``."""
     a = _as_tensor(a)
     if a.ndim < 1:
         raise ShapeMismatchError("mean_pool", a.shape)
-    bounds = _segments("mean_pool", a.shape[0], offsets)
-    counts = np.diff(bounds)
+    segments.check("mean_pool", a.shape[0])
+    counts = segments.counts
     per_row = counts.reshape((-1,) + (1,) * (a.ndim - 1))
-    out = _node(np.add.reduce(_padded(a.data, bounds), axis=1) / per_row, (a,), "mean_pool")
+    out = _node(np.add.reduce(segments.padded(a.data), axis=1) / per_row, (a,), "mean_pool")
     if out.requires_grad:
 
         def backward(g):
@@ -389,36 +426,29 @@ def mean_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
     return out
 
 
-def _first_argmax(x: np.ndarray, maxima: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row of the first (lowest-row) argmax of each segment and column of ``x``.
-
-    ``maxima`` are the segment maxima of ``x`` over the CSR ``bounds``; the
-    result has their shape. This is the one tie rule of every max-pool
-    backward.
-    """
+def _first_argmax(x: np.ndarray, maxima: np.ndarray, segments: Segments) -> np.ndarray:
+    """The first (lowest-row) argmax row of each segment and column: every max-pool's tie rule."""
     rows = np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1))
-    at_max = x == np.repeat(maxima, np.diff(bounds), axis=0)
-    return np.minimum.reduceat(np.where(at_max, rows, x.shape[0]), bounds[:-1], axis=0)
+    at_max = x == np.repeat(maxima, segments.counts, axis=0)
+    return np.minimum.reduceat(np.where(at_max, rows, x.shape[0]), segments.bounds[:-1], axis=0)
 
 
-def max_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
-    """Max over each segment of rows ``a[offsets[i]:offsets[i + 1]]``.
+def max_pool(a: Tensor, segments: Segments) -> Tensor:
+    """Max over each non-empty segment of rows of ``a``.
 
-    ``offsets`` are CSR bounds: they start at 0, end at ``len(a)`` and leave
-    no segment empty. The gradient routes to the first (lowest-row) argmax
-    of each segment and column.
+    The gradient routes to the first (lowest-row) argmax of each segment and column.
     """
     a = _as_tensor(a)
     if a.ndim < 1:
         raise ShapeMismatchError("max_pool", a.shape)
-    bounds = _segments("max_pool", a.shape[0], offsets)
-    maxima = np.maximum.reduceat(a.data, bounds[:-1], axis=0)
+    segments.check("max_pool", a.shape[0])
+    maxima = np.maximum.reduceat(a.data, segments.bounds[:-1], axis=0)
     out = _node(maxima, (a,), "max_pool")
     if out.requires_grad:
 
         def backward(g):
             full = np.zeros(a.shape)
-            np.put_along_axis(full, _first_argmax(a.data, maxima, bounds), g, axis=0)
+            np.put_along_axis(full, _first_argmax(a.data, maxima, segments), g, axis=0)
             a._accumulate(full)
 
         out._backward = backward
@@ -426,12 +456,12 @@ def max_pool(a: Tensor, offsets: np.ndarray) -> Tensor:
 
 
 def mlp_max_pool(
-    members: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, offsets: np.ndarray
+    members: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, segments: Segments
 ) -> Tensor:
     """Shared two-layer ReLU MLP over data rows, then the max over each segment of them.
 
     One node with the forward bits of ``max_pool(linear(relu(linear(members,
-    w1, b1)), w2, b2), offsets)``. ``members`` is a plain (P, C) array and
+    w1, b1)), w2, b2), segments)``. ``members`` is a plain (P, C) array and
     gets no gradient. Only the first argmax row of each segment and column
     carries gradient (PointNet's critical points), so a recorded forward
     keeps the members and hidden rows of those rows alone, and the backward
@@ -451,7 +481,7 @@ def mlp_max_pool(
         or b2.shape != w2.shape[1:]
     ):
         raise ShapeMismatchError("mlp_max_pool", x.shape, w1.shape, b1.shape, w2.shape, b2.shape)
-    bounds = _segments("mlp_max_pool", x.shape[0], offsets)
+    segments.check("mlp_max_pool", x.shape[0])
     pre = x @ w1.data + b1.data
     if not np.isfinite(pre).all():
         raise NonFiniteError("mlp_max_pool")
@@ -459,10 +489,10 @@ def mlp_max_pool(
     y = hidden @ w2.data + b2.data
     if not np.isfinite(y).all():
         raise NonFiniteError("mlp_max_pool")
-    maxima = np.maximum.reduceat(y, bounds[:-1], axis=0)
+    maxima = np.maximum.reduceat(y, segments.bounds[:-1], axis=0)
     out = _node(maxima, (w1, b1, w2, b2), "mlp_max_pool")
     if out.requires_grad:
-        first = _first_argmax(y, maxima, bounds)
+        first = _first_argmax(y, maxima, segments)
         critical = np.zeros(x.shape[0], dtype=bool)
         critical[first.ravel()] = True
         rows = np.flatnonzero(critical)
@@ -537,18 +567,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, offsets: np.ndarray | None = None
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments: Segments | None = None
 ) -> Tensor:
     """Multi-head scaled dot-product attention over the rows of ``q``, ``k`` and ``v``.
 
     The columns split into ``n_heads`` contiguous heads of width dh, laid out
     as (H, M, dh); head h gives softmax(q_h k_h^T / sqrt(dh)) v_h, and the
-    heads are concatenated back in column order. ``offsets`` are CSR bounds
-    of the scenes stacked in the rows: a block-diagonal -inf mask on the
-    scores keeps each row to its own scene's keys, and with one scene (or
-    None) no mask is applied. One node: the backward reuses the forward's
-    softmax, and each head's products are the ones a per-head graph of
-    matmul, scale and softmax nodes would compute.
+    heads are concatenated back in column order. ``segments`` lays out the
+    scenes stacked in the rows; its same-segment mask puts -inf on other
+    scenes' scores, and with one scene (or None) no mask is applied. One
+    node: the backward reuses the forward's softmax, and each head's
+    products are the ones a per-head graph of matmul, scale and softmax
+    nodes would compute.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -556,7 +586,8 @@ def attention(
     m, width = q.shape
     if n_heads < 1 or width % n_heads:
         raise ShapeMismatchError("attention", q.shape, n_heads)
-    bounds = _segments("attention", m, offsets, allow_empty=True)
+    if segments is not None:
+        segments.check("attention", m, allow_empty=True)
     dh = width // n_heads
     c = 1.0 / math.sqrt(dh)
 
@@ -568,9 +599,8 @@ def attention(
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.transpose(0, 2, 1)) * c
-    if len(bounds) > 2:
-        scene = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        scores = np.where(scene[:, None] == scene, scores, -np.inf)
+    if segments is not None and len(segments) > 1:
+        scores = np.where(segments.same_segment, scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = _node(merge(y @ vh), (q, k, v), "attention")
@@ -649,23 +679,24 @@ def layer_norm(
 # Fused scalar losses
 
 
-def mse(a: Tensor, b: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+def mse(a: Tensor, b: Tensor, segments: Segments | None = None) -> Tensor:
     """Mean squared error.
 
-    ``offsets`` are CSR bounds over the leading axis: the loss is then the
-    mean over segments of each segment's MSE, and an empty segment counts
-    as 0. Without them all rows are one segment.
+    With ``segments`` over the leading axis the loss is the mean over
+    segments of each segment's MSE, and an empty segment counts as 0.
+    Without them all rows are one segment.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape or a.ndim < 1:
         raise ShapeMismatchError("mse", a.shape, b.shape)
-    bounds = _segments("mse", a.shape[0], offsets, allow_empty=True)
+    segments = Segments.of_counts([a.shape[0]]) if segments is None else segments
+    segments.check("mse", a.shape[0], allow_empty=True)
     d = a.data - b.data
-    sizes = np.diff(bounds) * (d[:1].size)
-    sums = np.add.reduce(_padded(d * d, bounds).reshape(len(sizes), -1), axis=1)
+    sizes = segments.counts * (d[:1].size)
+    sums = np.add.reduce(segments.padded(d * d).reshape(len(sizes), -1), axis=1)
     out = _node(np.mean(sums / np.maximum(sizes, 1)), (a, b), "mse")
     if out.requires_grad:
-        row_sizes = np.repeat(sizes, np.diff(bounds)).reshape((-1,) + (1,) * (d.ndim - 1))
+        row_sizes = np.repeat(sizes, segments.counts).reshape((-1,) + (1,) * (d.ndim - 1))
 
         def backward(g):
             g = g / len(sizes) * 2.0 * d / row_sizes
@@ -683,14 +714,14 @@ def smooth_l1(
     b: Tensor,
     beta: float = 1.0,
     weights: np.ndarray | None = None,
-    offsets: np.ndarray | None = None,
+    segments: Segments | None = None,
 ) -> Tensor:
     """Mean smooth L1: 0.5 d^2 / beta inside the kink, |d| - 0.5 beta outside.
 
-    ``offsets`` are CSR bounds over the leading axis, such as one segment
-    per scene (default: all rows are one segment); the loss is the mean over segments of
-    each segment's loss. A segment's loss is the mean of its elements, or
-    with ``weights`` (one per row of 2-D inputs) the mean over its rows of
+    The loss is the mean over the non-empty ``segments`` of the leading
+    axis, such as one per scene (default: all rows are one segment), of
+    each segment's loss. That is the mean of its elements, or with
+    ``weights`` (one per row of 2-D inputs) the mean over its rows of
     weight times row mean, with the weighted row means summed in row
     order, so it equals a chain of per-row terms bit for bit.
     """
@@ -699,21 +730,22 @@ def smooth_l1(
         raise ShapeMismatchError("smooth_l1", a.shape, b.shape)
     if beta <= 0:
         raise InvalidInputError("smooth_l1 beta must be > 0")
-    bounds = _segments("smooth_l1", a.shape[0], offsets)
-    counts = np.diff(bounds)
+    segments = Segments.of_counts([a.shape[0]]) if segments is None else segments
+    segments.check("smooth_l1", a.shape[0])
+    counts = segments.counts
     d = a.data - b.data
     quad = np.abs(d) < beta
     elems = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
     if weights is None:
         sizes = counts * elems[:1].size
-        sums = np.add.reduce(_padded(elems, bounds).reshape(len(counts), -1), axis=1)
+        sums = np.add.reduce(segments.padded(elems).reshape(len(counts), -1), axis=1)
         per_segment = sums / sizes
     else:
         w = np.asarray(weights, dtype=np.float64)
         if d.ndim != 2 or w.shape != (d.shape[0],):
             raise ShapeMismatchError("smooth_l1", d.shape, w.shape)
         inv_rows = 1.0 / counts
-        per_segment = np.cumsum(_padded(elems.mean(axis=1) * w, bounds), axis=1)[:, -1] * inv_rows
+        per_segment = np.cumsum(segments.padded(elems.mean(axis=1) * w), axis=1)[:, -1] * inv_rows
     out = _node(np.mean(per_segment), (a, b), "smooth_l1")
     if out.requires_grad:
 

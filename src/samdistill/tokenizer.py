@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import EmptyTokenizationError, InvalidCountError, InvalidInputError
 from .scene import SceneBundle, pixel_round, project
+from .tensor import Segments
 
 # Tokenizer modes, as stored in TokenSet.mode, configs and run metrics.
 MODE_SAM = "sam"
@@ -24,16 +25,16 @@ MODE_KNN = "knn"
 
 @dataclass(eq=False)
 class TokenSet:
-    """The tokens of one scene as a struct of arrays in CSR form.
+    """The tokens of one scene as a struct of arrays.
 
-    Token i owns the point indices ``indices[offsets[i]:offsets[i + 1]]``;
-    ``centroids[i]`` is their mean and ``region_ids[i]`` their mask region
-    (-1 for baseline tokens). ``dropped_points`` are the scene points the
-    tokenizer left out.
+    Token i owns the point indices in segment i of ``indices``, as laid out
+    by ``segments``; ``centroids[i]`` is their mean and ``region_ids[i]``
+    their mask region (-1 for baseline tokens). ``dropped_points`` are the
+    scene points the tokenizer left out.
     """
 
     indices: np.ndarray  # int64 member indices into the bundle's points, token after token
-    offsets: np.ndarray  # (M + 1,) int64 segment bounds into indices
+    segments: Segments  # one segment of indices per token
     centroids: np.ndarray  # (M, 3) float64
     region_ids: np.ndarray  # (M,) int64
     mode: str
@@ -51,11 +52,9 @@ class TokenSet:
         """Pack per-token member index arrays; each centroid is its members' mean."""
         pts = np.asarray(points, dtype=np.float64)
         members = [np.asarray(m, dtype=np.int64) for m in members]
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(m) for m in members], dtype=np.int64)
         return cls(
             indices=np.concatenate(members) if members else np.empty(0, dtype=np.int64),
-            offsets=offsets,
+            segments=Segments.of_counts([len(m) for m in members]),
             centroids=np.array([pts[m].mean(axis=0) for m in members]).reshape(-1, 3),
             region_ids=np.asarray(region_ids, dtype=np.int64),
             mode=mode,
@@ -65,35 +64,26 @@ class TokenSet:
         )
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.segments)
 
-    def member_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def segment_ids(self) -> np.ndarray:
-        """The token of each entry of ``indices``."""
-        return np.repeat(np.arange(len(self)), self.member_counts())
-
-    def subsampled(self, max_points: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(indices, offsets)`` with at most ``max_points`` members per token.
+    def subsampled(self, max_points: int) -> tuple[np.ndarray, Segments]:
+        """``(indices, segments)`` with at most ``max_points`` members per token.
 
         Each token's members are sorted, and a token with n > max_points
         keeps every ceil(n / max_points)-th one.
         """
-        counts, seg = self.member_counts(), self.segment_ids()
+        counts, seg = self.segments.counts, self.segments.ids
         ordered = self.indices[np.lexsort((self.indices, seg))]
         stride = np.maximum(-(-counts // max_points), 1)
-        rank = np.arange(len(ordered)) - np.repeat(self.offsets[:-1], counts)
-        offsets = np.zeros_like(self.offsets)
-        np.cumsum(-(-counts // stride), out=offsets[1:])
-        return ordered[rank % stride[seg] == 0], offsets
+        kept = ordered[self.segments.positions % stride[seg] == 0]
+        return kept, Segments.of_counts(-(-counts // stride))
 
 
 def _label_counts(
     tokens: TokenSet, labels: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct member labels and an (M, U) count of each label in each token."""
-    seg = tokens.segment_ids()
+    seg = tokens.segments.ids
     if keep is not None:
         seg, labels = seg[keep], labels[keep]
     ids, inverse = np.unique(labels, return_inverse=True)
@@ -152,8 +142,8 @@ def knn_tokenize(
     """
     pts = _as_points(points)
     n_points = len(pts)
-    if k > n_points:
-        raise InvalidCountError(f"k={k} exceeds {n_points} points")
+    if not (1 <= k <= n_points):
+        raise InvalidCountError(f"cannot take k={k} neighbors from {n_points} points")
     if start_index is None:
         start_index = nearest_to_mean(pts)
     centers = fps(pts, n, start_index)
@@ -256,4 +246,4 @@ def purity(tokens: TokenSet, gt_region: np.ndarray) -> float:
     if len(tokens) == 0:
         raise InvalidInputError("purity of an empty token set is undefined")
     _, counts = _label_counts(tokens, np.asarray(gt_region)[tokens.indices])
-    return float(np.mean(counts.max(axis=1) / tokens.member_counts()))
+    return float(np.mean(counts.max(axis=1) / tokens.segments.counts))

@@ -410,7 +410,7 @@ def _stage1_batch_loss(
         table,
         np.concatenate([s.groups for s in scenes]),
         cfg.scale_mode,
-        batch.scene_offsets,
+        batch.scenes,
         cfg.reweight,
     )
 
@@ -566,9 +566,9 @@ def _stage2_batch(
     f_ins, token_preds = stage2.student_forward(batch, plans, student)
     pred_ins = stage2.predict_instance(f_ins, student)
     targets = np.concatenate([s.dec_out_teacher[p.masked] for s, p in zip(scenes, plans)])
-    masked_offsets = np.cumsum([0] + [len(p.masked) for p in plans])
+    masked = T.Segments.of_counts([len(p.masked) for p in plans])
     f_ins_teacher = np.stack([s.f_ins_teacher for s in scenes])
-    losses = stage2.stage2_loss(pred_ins, token_preds, f_ins_teacher, targets, masked_offsets)
+    losses = stage2.stage2_loss(pred_ins, token_preds, f_ins_teacher, targets, masked)
     return f_ins, pred_ins, losses
 
 
@@ -635,11 +635,8 @@ def run_stage2(
         for chunk in _batches(batches, train_cfg.batch_size):
             stacked = nn.TokenBatch.stack(chunk)
             f_ins, dec_out = stage2.teacher_forward(stacked, teacher)
-            bounds = stacked.scene_offsets
-            scenes += [
-                _Stage2Input(b, f_ins[s], dec_out[bounds[s] : bounds[s + 1]])
-                for s, b in enumerate(chunk)
-            ]
+            rows = np.split(dec_out, stacked.scenes.bounds[1:-1])
+            scenes += [_Stage2Input(*inputs) for inputs in zip(chunk, f_ins, rows)]
         return scenes
 
     def plan(scene: _Stage2Input, scene_id: int, epoch: int) -> nn.MaskPlan:

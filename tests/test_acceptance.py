@@ -215,9 +215,7 @@ def test_c4_gradient_checks_stage1():
 
         def f():
             f3d = stage1.project_3d(nn.forward_tokens(batch, params), params)
-            return stage1.stage1_loss(
-                targets, f3d, table, groups, scene_offsets=batch.scene_offsets
-            )
+            return stage1.stage1_loss(targets, f3d, table, groups, scenes=batch.scenes)
 
         worst = max(worst, T.grad_check(f, inputs, h=1e-4, refine_above=1e-5))
     assert worst < 1e-4
@@ -234,7 +232,7 @@ def test_c4_gradient_checks_stage2():
         plan = nn.make_mask_plan(len(tokens), 0.6, seed=seed, scene_id=0, epoch=0)
         inputs = [student.tensors[n] for n in student.trainable_names()]
         batch = nn.TokenBatch.of_scene(bundle, tokens, GRAD_ARCH.max_points_per_token)
-        masked_offsets = np.array([0, len(plan.masked)])
+        masked = T.Segments.of_counts([len(plan.masked)])
         # The frozen teacher's outputs do not depend on the inputs, so they stay outside f.
         f_ins_teacher, dec_out = stage2.teacher_forward(batch, teacher)
 
@@ -242,7 +240,7 @@ def test_c4_gradient_checks_stage2():
             f_ins, preds = stage2.student_forward(batch, [plan], student)
             pred_ins = stage2.predict_instance(f_ins, student)
             return stage2.stage2_loss(
-                pred_ins, preds, f_ins_teacher, dec_out[plan.masked], masked_offsets
+                pred_ins, preds, f_ins_teacher, dec_out[plan.masked], masked
             )[2]
 
         worst = max(worst, T.grad_check(f, inputs, h=1e-4, refine_above=1e-5))

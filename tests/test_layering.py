@@ -85,3 +85,53 @@ def test_only_blobio_touches_raw_blobs():
     violations = {p.name: uses for p in modules if (uses := _blob_io_uses(p))}
     assert violations == {}
     assert _blob_io_uses(PACKAGE_DIR / "blobio.py")
+
+
+def _offsets_names(path: Path) -> list[str]:
+    """Function parameters and class fields named ``offsets`` or ``*_offsets``.
+
+    A segment layout is one ``tensor.Segments`` value under every name, so
+    no signature or field carries raw CSR offsets beside it.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            names = [(arg.lineno, arg.arg) for arg in every if arg is not None]
+        elif isinstance(node, ast.ClassDef):
+            fields = [s for s in node.body if isinstance(s, (ast.AnnAssign, ast.Assign))]
+            names = [
+                (field.lineno, getattr(target, "id", ""))
+                for field in fields
+                for target in getattr(field, "targets", [getattr(field, "target", None)])
+            ]
+        else:
+            continue
+        found += [
+            f"line {line}: {name}"
+            for line, name in names
+            if name == "offsets" or name.endswith("_offsets")
+        ]
+    return found
+
+
+def test_no_parameter_or_field_is_named_offsets():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 5
+    violations = {p.name: names for p in modules if (names := _offsets_names(p))}
+    assert violations == {}
+
+
+def test_offsets_checker_catches_parameters_and_fields(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(x, *, scene_offsets=None):\n    offsets = x\n\n"
+        "class C:\n    offsets: int\n    bounds = 0\n    member_offsets = None\n"
+    )
+    assert _offsets_names(module) == [
+        "line 1: scene_offsets",
+        "line 5: offsets",
+        "line 7: member_offsets",
+    ]

@@ -32,7 +32,7 @@ def _embed(bundle, tokens, params):
 
 
 def _one_scene(x):
-    return np.array([0, x.shape[0]])
+    return T.Segments.of_counts([x.shape[0]])
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +75,15 @@ class TestEmbedder:
     def test_oversized_token_subsampled_to_cap(self, params, rng):
         max_pts = params.arch.max_points_per_token
         tokens = _tokens(np.zeros((3 * max_pts, 3)), np.arange(3 * max_pts), np.arange(5))
-        _, offsets = tokens.subsampled(max_pts)
-        assert np.diff(offsets)[0] <= max_pts
-        assert np.diff(offsets)[1] == 5
+        _, segments = tokens.subsampled(max_pts)
+        assert segments.counts[0] <= max_pts
+        assert segments.counts[1] == 5
 
     def test_empty_token_rejected(self, params):
         pts = np.zeros((2, 3))
         tok = TokenSet(
             indices=np.array([], dtype=np.int64),
-            offsets=np.array([0, 0]),
+            segments=T.Segments.of_counts([0]),
             centroids=np.zeros((1, 3)),
             region_ids=np.zeros(1, dtype=np.int64),
             mode=MODE_SAM,
@@ -98,14 +98,14 @@ def _per_token_embed(bundle, tokens, params):
     max_points = params.arch.max_points_per_token
     points = np.asarray(bundle.points, dtype=np.float64)
     rows = []
-    for i, members in enumerate(np.split(tokens.indices, tokens.offsets[1:-1])):
+    for i, members in enumerate(np.split(tokens.indices, tokens.segments.bounds[1:-1])):
         idx = np.sort(members)
         if len(idx) > max_points:
             idx = idx[:: math.ceil(len(idx) / max_points)]
         local = T.constant(points[idx] - tokens.centroids[i])
         h = T.relu(T.add(T.matmul(local, p["embed.l1.w"]), p["embed.l1.b"]))
         h = T.add(T.matmul(h, p["embed.l2.w"]), p["embed.l2.b"])
-        rows.append(T.max_pool(h, np.array([0, len(idx)])))
+        rows.append(T.max_pool(h, T.Segments.of_counts([len(idx)])))
     return T.concat(rows, axis=0)
 
 
@@ -117,7 +117,7 @@ class TestPackedEmbedOracle:
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=5, seed=21))
         tokens = tokenizer.tokenize(bundle, mode)
         # The tiny arch keeps 16 points per token, so every token is subsampled.
-        assert tokens.member_counts().min() > tiny_arch.max_points_per_token
+        assert tokens.segments.counts.min() > tiny_arch.max_points_per_token
         names = ["embed.l1.w", "embed.l1.b", "embed.l2.w", "embed.l2.b"]
         target = T.constant(np.random.default_rng(0).normal(0, 1, (len(tokens), 8)))
         results = []
@@ -146,7 +146,7 @@ def _unfused_embed(batch, params):
     p = params.tensors
     h = T.relu(T.linear(T.constant(batch.members), p["embed.l1.w"], p["embed.l1.b"]))
     h = T.linear(h, p["embed.l2.w"], p["embed.l2.b"])
-    return T.max_pool(h, batch.member_offsets)
+    return T.max_pool(h, batch.tokens)
 
 
 class TestFusedEmbedder:
@@ -194,21 +194,21 @@ class TestTokenBatch:
         rows = np.array([2, 0, n + 1]) if n > 2 else np.array([0, n])
         picked = batch.select(rows)
         assert len(picked) == len(rows)
-        np.testing.assert_array_equal(picked.scene_offsets, [0, np.sum(rows < n), len(rows)])
+        np.testing.assert_array_equal(picked.scenes.bounds, [0, np.sum(rows < n), len(rows)])
         np.testing.assert_array_equal(picked.centroids, batch.centroids[rows])
         for i, row in enumerate(rows):
-            got = picked.members[picked.member_offsets[i] : picked.member_offsets[i + 1]]
-            lo, hi = batch.member_offsets[row], batch.member_offsets[row + 1]
+            got = picked.members[picked.tokens.bounds[i] : picked.tokens.bounds[i + 1]]
+            lo, hi = batch.tokens.bounds[row], batch.tokens.bounds[row + 1]
             assert got.tobytes() == batch.members[lo:hi].tobytes()
 
     def test_stack_keeps_each_scene(self, tiny_arch, params):
         bundles, token_sets = _scenes(tiny_arch, 3)
         parts = [_batch(b, t, params) for b, t in zip(bundles, token_sets)]
         batch = nn.TokenBatch.stack(parts)
-        assert batch.n_scenes == 3
-        np.testing.assert_array_equal(batch.scene_sizes(), [len(t) for t in token_sets])
+        assert len(batch.scenes) == 3
+        np.testing.assert_array_equal(batch.scenes.counts, [len(t) for t in token_sets])
         np.testing.assert_array_equal(batch.members, np.concatenate([b.members for b in parts]))
-        assert batch.member_offsets[-1] == len(batch.members)
+        assert batch.tokens.bounds[-1] == len(batch.members)
 
     def test_select_must_keep_scene_order(self, small_bundle, params):
         one = _batch(small_bundle, tokenizer.sam_tokenize(small_bundle), params)
@@ -236,7 +236,7 @@ class TestPackedForward:
         batch = nn.TokenBatch.stack(parts)
         before = nn.forward_tokens(batch, params).data
         after = nn.forward_tokens(nn.TokenBatch.stack(moved_parts), params).data
-        lo, hi = batch.scene_offsets[1], batch.scene_offsets[2]
+        lo, hi = batch.scenes.bounds[1], batch.scenes.bounds[2]
         assert np.delete(after, np.s_[lo:hi], 0).tobytes() == np.delete(
             before, np.s_[lo:hi], 0
         ).tobytes()
@@ -314,7 +314,7 @@ class TestEncoderDecoder:
 
 
 
-def _unfused_encode(x, params, scene_offsets):
+def _unfused_encode(x, params, scenes):
     """The encoder with each linear layer as a matmul node plus a bias add node."""
     p, eps = params.tensors, params.arch.ln_eps
 
@@ -325,7 +325,7 @@ def _unfused_encode(x, params, scene_offsets):
         pre = f"enc{i}"
         normed = T.layer_norm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"], eps=eps)
         q, k, v = (T.matmul(normed, p[f"{pre}.attn.{w}"]) for w in ("wq", "wk", "wv"))
-        heads = T.attention(q, k, v, params.arch.n_heads, scene_offsets)
+        heads = T.attention(q, k, v, params.arch.n_heads, scenes)
         x = T.add(x, affine(heads, f"{pre}.attn.wo", f"{pre}.attn.bo"))
         normed = T.layer_norm(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"], eps=eps)
         h = T.gelu(affine(normed, f"{pre}.mlp.l1.w", f"{pre}.mlp.l1.b"))
@@ -343,7 +343,7 @@ class TestFusedLinearLayers:
             pointnet_hidden=4, mlp_ratio=2, proj_dim=3,
         )
         params = nn.init_params(arch, seed=1)
-        offsets = np.array(offsets)
+        scenes = T.Segments.of_bounds(offsets)
         x = T.parameter(rng.normal(0, 1, (offsets[-1], 6)))
         target = T.constant(rng.normal(0, 1, (offsets[-1], 6)))
         names = [n for n in params.trainable_names() if n.startswith("enc")]
@@ -351,14 +351,14 @@ class TestFusedLinearLayers:
         for encode in (nn.encode, _unfused_encode):
             params.zero_grad()
             x.zero_grad()
-            out = encode(x, params, offsets)
+            out = encode(x, params, scenes)
             T.mse(out, target).backward()
             grads = [x.grad] + [params.tensors[n].grad for n in names]
             results.append([out.data.tobytes()] + [g.tobytes() for g in grads])
         assert results[0] == results[1]
 
         def f():
-            return T.mse(nn.encode(x, params, offsets), target)
+            return T.mse(nn.encode(x, params, scenes), target)
 
         assert T.grad_check(f, [x] + [params.tensors[n] for n in names]) < 1e-4
 
@@ -593,5 +593,5 @@ class TestEndToEndForward:
         tokens = tokenizer.sam_tokenize(bundle)
         batch = _batch(bundle, tokens, params)
         h = T.add(nn.embed_tokens(batch, params), nn.pos_embed(batch.centroids, params))
-        out = nn.encode(h, params, batch.scene_offsets)
+        out = nn.encode(h, params, batch.scenes)
         assert out.shape == (len(tokens), tiny_arch.embed_dim)

@@ -456,7 +456,7 @@ def _stage1_packed(scenes, params, table, reweight):
     f2d = np.concatenate([f for _, f, _ in scenes])
     groups = np.concatenate([g for _, _, g in scenes])
     return stage1.stage1_loss(
-        f2d, f3d, table, groups, scene_offsets=batch.scene_offsets, reweight=reweight
+        f2d, f3d, table, groups, scenes=batch.scenes, reweight=reweight
     )
 
 

@@ -38,12 +38,12 @@ def _per_plan_teacher_forward(batch, plan, teacher):
     Kept as an oracle; it computes the positional embedding twice.
     """
     with T.no_grad():
-        centroids, offsets = batch.centroids, batch.scene_offsets
+        centroids, scenes = batch.centroids, batch.scenes
         h = T.add(nn.embed_tokens(batch, teacher), nn.pos_embed(centroids, teacher))
-        enc_out = nn.encode(h, teacher, offsets)
-        f_ins = T.mean_pool(enc_out, offsets)
+        enc_out = nn.encode(h, teacher, scenes)
+        f_ins = T.mean_pool(enc_out, scenes)
         dec_in = T.add(enc_out, nn.pos_embed(centroids, teacher))
-        dec_out = nn.decode(dec_in, teacher, offsets)
+        dec_out = nn.decode(dec_in, teacher, scenes)
     return f_ins.data.copy(), dec_out.data[plan.masked].copy()
 
 
@@ -52,13 +52,13 @@ def _losses(batch, plan, teacher_out, student):
     f_ins_teacher, dec_out = teacher_out
     f_ins, preds = stage2.student_forward(batch, [plan], student)
     pred_ins = stage2.predict_instance(f_ins, student)
-    offsets = np.array([0, len(plan.masked)])
-    return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, dec_out[plan.masked], offsets)
+    masked = T.Segments.of_counts([len(plan.masked)])
+    return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, dec_out[plan.masked], masked)
 
 
 def _token_loss(pred_ins, preds, f_ins_teacher, targets):
-    offsets = np.array([0, len(targets)])
-    return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, targets, offsets)
+    masked = T.Segments.of_counts([len(targets)])
+    return stage2.stage2_loss(pred_ins, preds, f_ins_teacher, targets, masked)
 
 
 class TestTeacherForward:
@@ -146,7 +146,7 @@ class TestStudentForward:
         f_ins, preds = stage2.student_forward(batch, [plan], student)
         with T.no_grad():
             h = T.add(nn.embed_tokens(batch, student), nn.pos_embed(batch.centroids, student))
-            expected = T.mean_pool(nn.encode(h, student, batch.scene_offsets), batch.scene_offsets)
+            expected = T.mean_pool(nn.encode(h, student, batch.scenes), batch.scenes)
         np.testing.assert_allclose(f_ins.data, expected.data, atol=1e-12)
         assert preds.shape[0] == 0
 
@@ -321,8 +321,8 @@ def _packed(scenes, student):
     pred_ins = stage2.predict_instance(f_ins, student)
     f_teacher = np.concatenate([t[0] for _, t, _ in scenes])
     targets = np.concatenate([t[1][p.masked] for _, t, p in scenes])
-    offsets = np.cumsum([0] + [len(p.masked) for p in plans])
-    return f_ins, preds, stage2.stage2_loss(pred_ins, preds, f_teacher, targets, offsets)
+    masked = T.Segments.of_counts([len(p.masked) for p in plans])
+    return f_ins, preds, stage2.stage2_loss(pred_ins, preds, f_teacher, targets, masked)
 
 
 def _scene_oracle(scenes, student):
@@ -450,9 +450,9 @@ class TestPerPlanTeacherOracle:
             batch = nn.TokenBatch.stack([prepared.batch for prepared in scenes])
             f_ins, preds = stage2.student_forward(batch, plans, student)
             pred_ins = stage2.predict_instance(f_ins, student)
-            offsets = np.cumsum([0] + [len(t) for t in targets])
+            masked = T.Segments.of_counts([len(t) for t in targets])
             losses = stage2.stage2_loss(
-                pred_ins, preds, np.concatenate(f_ins_teacher), np.concatenate(targets), offsets
+                pred_ins, preds, np.concatenate(f_ins_teacher), np.concatenate(targets), masked
             )
             return f_ins, pred_ins, losses
 

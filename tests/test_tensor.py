@@ -11,9 +11,12 @@ from hypothesis.extra.numpy import arrays
 from samdistill import tensor as T
 from samdistill.errors import InvalidInputError, NonFiniteError, ShapeMismatchError
 
+_layout = T.Segments.of_bounds
+
+
 def _mean(x):
     """Mean of every element of ``x``, as one (1, 1) node chain."""
-    return T.mean_pool(T.reshape(x, (x.size, 1)), np.array([0, x.size]))
+    return T.mean_pool(T.reshape(x, (x.size, 1)), _layout([0, x.size]))
 
 
 finite_matrices = arrays(
@@ -62,7 +65,7 @@ def test_add_bias_broadcast_over_leading_axis():
     b = T.parameter(np.array([1.0, 2.0]))
     out = T.add(a, b)
     np.testing.assert_allclose(out.data, [[2.0, 3.0]] * 3)
-    _mean(T.mean_pool(out, np.array([0, 3]))).backward()
+    _mean(T.mean_pool(out, _layout([0, 3]))).backward()
     np.testing.assert_allclose(b.grad, [0.5, 0.5])
 
 
@@ -84,26 +87,26 @@ def test_non_finite_forward_signals_op():
 
 def test_max_pool_tie_routes_to_lowest_index():
     x = T.parameter(np.array([[3.0, 1.0], [3.0, 2.0]]))
-    out = T.max_pool(x, np.array([0, 2]))
+    out = T.max_pool(x, _layout([0, 2]))
     _mean(out).backward()
     np.testing.assert_allclose(x.grad, [[0.5, 0.0], [0.0, 0.5]])
 
 
 def test_mean_pool_segments():
     x = T.parameter(np.array([[1.0, 3.0], [2.0, 4.0], [6.0, -1.0]]))
-    out = T.mean_pool(x, np.array([0, 2, 3]))
+    out = T.mean_pool(x, _layout([0, 2, 3]))
     np.testing.assert_array_equal(out.data, [[1.5, 3.5], [6.0, -1.0]])
     T.mse(out, T.constant(np.zeros((2, 2)))).backward()
     g = out.data / 2.0  # d mse / d out, 4 elements
     np.testing.assert_array_equal(x.grad, [g[0] / 2.0, g[0] / 2.0, g[1]])
     with pytest.raises(ShapeMismatchError):
-        T.mean_pool(x, np.array([0, 0, 3]))
+        T.mean_pool(x, _layout([0, 0, 3]))
 
 
 @pytest.mark.parametrize("m,width", [(1, 3), (7, 64), (12, 64), (40, 5)])
 def test_one_segment_mean_pool_matches_numpy_mean_bit_for_bit(m, width, rng):
     x = rng.normal(0.0, 3.0, (m, width))
-    out = T.mean_pool(T.constant(x), np.array([0, m]))
+    out = T.mean_pool(T.constant(x), _layout([0, m]))
     assert out.data.tobytes() == x.mean(axis=0, keepdims=True).tobytes()
 
 
@@ -210,16 +213,16 @@ def test_grad_check_smooth_l1_away_from_kink(rng):
 @pytest.mark.parametrize(
     "builder",
     [
-        lambda x: T.mean_pool(T.relu(x), np.array([0, 1, 3])),
-        lambda x: T.mean_pool(T.gelu(x), np.array([0, 3])),
-        lambda x: T.mean_pool(T.softmax(x, axis=1), np.array([0, 2, 3])),
-        lambda x: T.mean_pool(T.layer_norm(x, eps=1e-5), np.array([0, 3])),
-        lambda x: T.max_pool(x, np.array([0, 3])),
-        lambda x: T.mean_pool(T.transpose(x), np.array([0, 1, 4])),
-        lambda x: T.mean_pool(T.reshape(x, (x.size,)), np.array([0, 5, 12])),
-        lambda x: T.mean_pool(T.slice_axis(x, 1, 1, 3), np.array([0, 3])),
-        lambda x: T.mean_pool(T.gather_rows(x, np.array([1, 0, 1])), np.array([0, 1, 3])),
-        lambda x: T.mean_pool(T.concat([x, x], axis=1), np.array([0, 3])),
+        lambda x: T.mean_pool(T.relu(x), _layout([0, 1, 3])),
+        lambda x: T.mean_pool(T.gelu(x), _layout([0, 3])),
+        lambda x: T.mean_pool(T.softmax(x, axis=1), _layout([0, 2, 3])),
+        lambda x: T.mean_pool(T.layer_norm(x, eps=1e-5), _layout([0, 3])),
+        lambda x: T.max_pool(x, _layout([0, 3])),
+        lambda x: T.mean_pool(T.transpose(x), _layout([0, 1, 4])),
+        lambda x: T.mean_pool(T.reshape(x, (x.size,)), _layout([0, 5, 12])),
+        lambda x: T.mean_pool(T.slice_axis(x, 1, 1, 3), _layout([0, 3])),
+        lambda x: T.mean_pool(T.gather_rows(x, np.array([1, 0, 1])), _layout([0, 1, 3])),
+        lambda x: T.mean_pool(T.concat([x, x], axis=1), _layout([0, 3])),
     ],
 )
 def test_grad_check_elementwise_and_structural_ops(builder, rng):
@@ -274,7 +277,7 @@ def test_grad_check_refine_skips_kink_window():
 
     def f():
         # One segment per row of x: the max along each row.
-        rows = T.max_pool(T.reshape(x, (4, 1)), np.array([0, 2, 4]))
+        rows = T.max_pool(T.reshape(x, (4, 1)), _layout([0, 2, 4]))
         return T.mse(rows, T.constant([[3.0], [1.0]]))
 
     plain = T.grad_check(f, [x], h=1e-4)
@@ -373,8 +376,7 @@ def test_max_pool_segments_ties_and_single_rows():
     x = T.parameter(
         np.array([[4.0, -1.0], [5.0, 0.0], [5.0, 2.0], [1.0, 2.0], [4.0, -1.0], [0.5, -1.0]])
     )
-    offsets = np.array([0, 1, 4, 6])
-    out = T.max_pool(x, offsets)
+    out = T.max_pool(x, _layout([0, 1, 4, 6]))
     np.testing.assert_array_equal(out.data, [[4.0, -1.0], [5.0, 2.0], [4.0, -1.0]])
     T.mse(out, T.constant(np.zeros((3, 2)))).backward()
     expected = np.zeros((6, 2))
@@ -394,7 +396,7 @@ def test_grad_check_segment_max_pool(offsets, rng):
 
     def f():
         nonlocal target
-        out = T.max_pool(x, np.array(offsets))
+        out = T.max_pool(x, _layout(offsets))
         if target is None:
             target = rng.normal(0.0, 1.0, out.shape)
         return T.mse(out, T.constant(target))
@@ -404,8 +406,83 @@ def test_grad_check_segment_max_pool(offsets, rng):
 
 @pytest.mark.parametrize("offsets", [[0, 2], [1, 3], [0, 0, 3], [0, 2, 1, 3], [[0, 3]]])
 def test_max_pool_rejects_bad_offsets(offsets):
+    # Malformed bounds fail when the layout is built, a wrong row count or an
+    # empty segment when max_pool checks it.
     with pytest.raises(ShapeMismatchError):
-        T.max_pool(T.constant(np.ones((3, 2))), np.array(offsets))
+        T.max_pool(T.constant(np.ones((3, 2))), _layout(offsets))
+
+
+class TestSegments:
+    @pytest.mark.parametrize("bounds", [[], [1, 3], [0, 2, 1, 3], [[0, 3]]])
+    def test_of_bounds_rejects_malformed_bounds(self, bounds):
+        with pytest.raises(ShapeMismatchError):
+            T.Segments.of_bounds(bounds)
+
+    @pytest.mark.parametrize("counts", [[2, -1], [[1, 2]]])
+    def test_of_counts_rejects_negative_or_nested_counts(self, counts):
+        with pytest.raises(ShapeMismatchError):
+            T.Segments.of_counts(counts)
+
+    def test_layout_and_its_row_indexes(self):
+        segments = T.Segments.of_counts([2, 0, 3])
+        np.testing.assert_array_equal(segments.bounds, [0, 2, 2, 5])
+        np.testing.assert_array_equal(segments.counts, [2, 0, 3])
+        assert (len(segments), segments.any_empty) == (3, True)
+        np.testing.assert_array_equal(segments.ids, [0, 0, 2, 2, 2])
+        np.testing.assert_array_equal(segments.positions, [0, 1, 0, 1, 2])
+        np.testing.assert_array_equal(segments.same_segment, segments.ids[:, None] == segments.ids)
+        np.testing.assert_array_equal(
+            segments.padded(np.arange(5.0)), [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 3.0, 4.0]]
+        )
+        again = T.Segments.of_bounds(segments.bounds)
+        np.testing.assert_array_equal(again.counts, segments.counts)
+        assert again.any_empty and not T.Segments.of_bounds([0, 1, 3]).any_empty
+        assert segments.ids is segments.ids and segments.same_segment is segments.same_segment
+
+    def test_layout_is_read_only_and_owns_its_arrays(self):
+        counts = np.array([2, 3])
+        segments = T.Segments.of_counts(counts)
+        counts[0] = 4
+        np.testing.assert_array_equal(segments.bounds, [0, 2, 5])
+        # One layout is shared by every block of a batch, and its cached
+        # mask and indexes were derived from these arrays.
+        for array in (
+            segments.bounds, segments.counts, segments.ids, segments.positions,
+            segments.same_segment,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(AttributeError):
+            segments.counts = np.array([5])
+
+
+def _mlp_max_pool_ones(x, segments):
+    weights = (T.constant(np.ones(shape)) for shape in ((2, 3), (3,), (3, 2), (2,)))
+    return T.mlp_max_pool(x.data, *weights, segments)
+
+
+_SEGMENT_OPS = {
+    "mean_pool": T.mean_pool,
+    "max_pool": T.max_pool,
+    "mlp_max_pool": _mlp_max_pool_ones,
+    "smooth_l1": lambda x, segments: T.smooth_l1(x, x, segments=segments),
+    "attention": lambda x, segments: T.attention(x, x, x, 1, segments),
+    "mse": lambda x, segments: T.mse(x, x, segments),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SEGMENT_OPS))
+def test_segment_ops_check_the_layout_against_their_rows(op):
+    run, x = _SEGMENT_OPS[op], T.constant(np.ones((3, 2)))
+    run(x, _layout([0, 1, 3]))
+    for other_rows in ([0, 2], [0, 1, 4]):
+        with pytest.raises(ShapeMismatchError):
+            run(x, _layout(other_rows))
+    if op in ("attention", "mse"):
+        run(x, _layout([0, 0, 3]))  # an empty scene, or a scene with nothing masked
+    else:
+        with pytest.raises(ShapeMismatchError):
+            run(x, _layout([0, 0, 3]))
 
 
 def _old_layer_norm(x, gain, bias, g, eps=1e-5):
@@ -440,23 +517,24 @@ def test_layer_norm_matches_the_old_formula_byte_for_byte(rng):
             assert a.tobytes() == b.tobytes(), (trial, name)
 
 
-def _scene_attention(q, k, v, n_heads, offsets):
+def _scene_attention(q, k, v, n_heads, segments):
     """Attention scene by scene: the oracle of the block-diagonal mask."""
+    bounds = segments.bounds
     outs = [
         T.attention(*(T.gather_rows(t, np.arange(lo, hi)) for t in (q, k, v)), n_heads)
-        for lo, hi in zip(offsets[:-1], offsets[1:])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     return T.concat(outs, axis=0)
 
 
 def test_attention_mask_keeps_rows_to_their_scene(rng):
-    offsets = np.array([0, 3, 4, 9])
+    segments = _layout([0, 3, 4, 9])
     data = [rng.normal(0.0, 1.0, (9, 6)) for _ in range(3)]
     target = T.constant(rng.normal(0.0, 1.0, (9, 6)))
     results = []
     for op in (T.attention, _scene_attention):
         qkv = [T.parameter(x) for x in data]
-        out = op(*qkv, 2, offsets)
+        out = op(*qkv, 2, segments)
         T.mse(out, target).backward()
         results.append([out.data] + [t.grad for t in qkv])
     for a, b in zip(*results):
@@ -464,8 +542,8 @@ def test_attention_mask_keeps_rows_to_their_scene(rng):
     # Changing one scene's rows leaves every other scene's output bytes alone.
     moved = [x.copy() for x in data]
     moved[2][5] += 1.0  # a value row of the last scene
-    before = T.attention(*map(T.constant, data), 2, offsets).data
-    after = T.attention(*map(T.constant, moved), 2, offsets).data
+    before = T.attention(*map(T.constant, data), 2, segments).data
+    after = T.attention(*map(T.constant, moved), 2, segments).data
     assert after[:4].tobytes() == before[:4].tobytes()
     assert not np.any(after[4:] == before[4:])
 
@@ -473,18 +551,18 @@ def test_attention_mask_keeps_rows_to_their_scene(rng):
 def test_grad_check_masked_attention(rng):
     q, k, v = (T.parameter(rng.normal(0.0, 1.0, (5, 4))) for _ in range(3))
     target = T.constant(rng.normal(0.0, 1.0, (5, 4)))
-    offsets = np.array([0, 2, 5])
-    assert T.grad_check(lambda: T.mse(T.attention(q, k, v, 2, offsets), target), [q, k, v]) < 1e-4
+    segments = _layout([0, 2, 5])
+    assert T.grad_check(lambda: T.mse(T.attention(q, k, v, 2, segments), target), [q, k, v]) < 1e-4
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_segment_losses_are_means_of_per_segment_losses(weighted, rng):
-    offsets = np.array([0, 4, 5, 11])
+    segments = _layout([0, 4, 5, 11])
     a = rng.uniform(-3.0, 3.0, (11, 5))
     b = rng.uniform(-3.0, 3.0, (11, 5))
     w = rng.uniform(0.5, 2.0, 11) if weighted else None
-    pairs = list(zip(offsets[:-1], offsets[1:]))
-    loss = T.smooth_l1(T.constant(a), T.constant(b), 0.7, w, offsets).item()
+    pairs = list(zip(segments.bounds[:-1], segments.bounds[1:]))
+    loss = T.smooth_l1(T.constant(a), T.constant(b), 0.7, w, segments).item()
     per_scene = [
         T.smooth_l1(
             T.constant(a[lo:hi]), T.constant(b[lo:hi]), 0.7, None if w is None else w[lo:hi]
@@ -493,8 +571,7 @@ def test_segment_losses_are_means_of_per_segment_losses(weighted, rng):
     ]
     assert loss == pytest.approx(np.mean(per_scene), rel=1e-14)
     # An empty segment counts 0 in the mean-squared error.
-    mse_offsets = np.array([0, 4, 4, 11])
-    mse = T.mse(T.constant(a), T.constant(b), mse_offsets).item()
+    mse = T.mse(T.constant(a), T.constant(b), _layout([0, 4, 4, 11])).item()
     expected = [np.mean((a[:4] - b[:4]) ** 2), 0.0, np.mean((a[4:] - b[4:]) ** 2)]
     assert mse == pytest.approx(np.mean(expected), rel=1e-14)
 
@@ -503,10 +580,10 @@ def test_grad_check_segment_losses(rng):
     a = T.parameter(rng.uniform(-3.0, 3.0, (6, 4)))
     b = T.constant(np.zeros((6, 4)))
     w = rng.uniform(0.5, 2.0, 6)
-    offsets = np.array([0, 1, 6])
-    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, w, offsets), [a]) < 1e-4
-    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, None, offsets), [a]) < 1e-4
-    assert T.grad_check(lambda: T.mse(a, b, np.array([0, 0, 2, 6])), [a]) < 1e-4
+    segments = _layout([0, 1, 6])
+    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, w, segments), [a]) < 1e-4
+    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, None, segments), [a]) < 1e-4
+    assert T.grad_check(lambda: T.mse(a, b, _layout([0, 0, 2, 6])), [a]) < 1e-4
 
 
 @pytest.mark.parametrize("m,k,n", [(1, 3, 2), (4, 1, 5), (12, 64, 256), (7, 256, 64)])
@@ -551,10 +628,10 @@ def test_grad_check_linear(rng):
     assert T.grad_check(lambda: T.mse(T.linear(x, w, b), target), [x, w, b]) < 1e-4
 
 
-def _unfused_mlp_max_pool(members, w1, b1, w2, b2, offsets):
+def _unfused_mlp_max_pool(members, w1, b1, w2, b2, segments):
     """The four-node graph that ``mlp_max_pool`` fuses: the test oracle."""
     h = T.relu(T.linear(T.constant(members), w1, b1))
-    return T.max_pool(T.linear(h, w2, b2), offsets)
+    return T.max_pool(T.linear(h, w2, b2), segments)
 
 
 def _mlp_weights(rng, c, hidden, d):
@@ -572,7 +649,7 @@ def test_mlp_max_pool_matches_the_unfused_graph(offsets, rng):
     results = []
     for op in (T.mlp_max_pool, _unfused_mlp_max_pool):
         params = [T.parameter(w) for w in weights]
-        out = op(members, *params, np.array(offsets))
+        out = op(members, *params, _layout(offsets))
         T.mse(out, target).backward()
         results.append((out.data.tobytes(), [p.grad for p in params]))
     (fused, fused_grads), (oracle, oracle_grads) = results
@@ -587,7 +664,7 @@ def test_mlp_max_pool_tie_routes_to_the_lowest_row():
     members = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 5.0], [-1.0, 0.0, 0.0]])
     w1 = T.parameter([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
     b1, w2, b2 = T.parameter([0.5, 0.5]), T.parameter([[1.0], [1.0]]), T.parameter([0.0])
-    T.mlp_max_pool(members, w1, b1, w2, b2, np.array([0, 3])).backward()
+    T.mlp_max_pool(members, w1, b1, w2, b2, _layout([0, 3])).backward()
     # d out / d w1[i, j] = members[0, i] * w2[j], from row 0 alone.
     np.testing.assert_array_equal(w1.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     np.testing.assert_array_equal(b1.grad, [1.0, 1.0])
@@ -596,9 +673,9 @@ def test_mlp_max_pool_tie_routes_to_the_lowest_row():
 def test_grad_check_mlp_max_pool(rng):
     members = rng.normal(0.0, 1.0, (9, 3))
     params = [T.parameter(w) for w in _mlp_weights(rng, 3, 6, 4)]
-    offsets = np.array([0, 1, 5, 9])
+    segments = _layout([0, 1, 5, 9])
     target = T.constant(rng.normal(0.0, 1.0, (3, 4)))
-    f = lambda: T.mse(T.mlp_max_pool(members, *params, offsets), target)  # noqa: E731
+    f = lambda: T.mse(T.mlp_max_pool(members, *params, segments), target)  # noqa: E731
     assert T.grad_check(f, params, refine_above=1e-4) < 1e-4
 
 
@@ -609,35 +686,34 @@ def test_mlp_max_pool_non_finite_raises_naming_the_op(rng):
         bad = [w.copy() for w in weights]
         bad[i][r, c] = np.nan
         with pytest.raises(NonFiniteError) as err:
-            T.mlp_max_pool(members, *[T.parameter(w) for w in bad], np.array([0, 4]))
+            T.mlp_max_pool(members, *[T.parameter(w) for w in bad], _layout([0, 4]))
         assert "mlp_max_pool" in str(err.value)
     huge = [w.copy() for w in weights]
     huge[2][:] = 1e308  # finite hidden rows, overflowing second layer
     with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-        T.mlp_max_pool(members * 1e3, *[T.constant(w) for w in huge], np.array([0, 4]))
+        T.mlp_max_pool(members * 1e3, *[T.constant(w) for w in huge], _layout([0, 4]))
 
 
 def test_mlp_max_pool_is_one_node_and_records_nothing_under_no_grad(rng):
     members = rng.normal(0.0, 1.0, (5, 3))
     params = [T.parameter(w) for w in _mlp_weights(rng, 3, 4, 2)]
-    out = T.mlp_max_pool(members, *params, np.array([0, 2, 5]))
+    out = T.mlp_max_pool(members, *params, _layout([0, 2, 5]))
     assert out._op == "mlp_max_pool" and out._parents == tuple(params)
     with T.no_grad():
-        frozen = T.mlp_max_pool(members, *params, np.array([0, 2, 5]))
+        frozen = T.mlp_max_pool(members, *params, _layout([0, 2, 5]))
     assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
     assert frozen.data.tobytes() == out.data.tobytes()
 
 
 def test_mlp_max_pool_validation():
-    members, offsets = np.ones((3, 2)), np.array([0, 3])
+    members, segments = np.ones((3, 2)), _layout([0, 3])
     w1, b1, w2, b2 = (T.constant(np.ones(s)) for s in ((2, 4), (4,), (4, 5), (5,)))
     for args in (
-        (np.ones((3, 3)), w1, b1, w2, b2, offsets),
-        (np.ones(3), w1, b1, w2, b2, offsets),
-        (members, w1, T.constant(np.ones(5)), w2, b2, offsets),
-        (members, w1, b1, T.constant(np.ones((5, 5))), b2, offsets),
-        (members, w1, b1, w2, T.constant(np.ones(4)), offsets),
-        (members, w1, b1, w2, b2, np.array([0, 0, 3])),
+        (np.ones((3, 3)), w1, b1, w2, b2, segments),
+        (np.ones(3), w1, b1, w2, b2, segments),
+        (members, w1, T.constant(np.ones(5)), w2, b2, segments),
+        (members, w1, b1, T.constant(np.ones((5, 5))), b2, segments),
+        (members, w1, b1, w2, T.constant(np.ones(4)), segments),
     ):
         with pytest.raises(ShapeMismatchError):
             T.mlp_max_pool(*args)

@@ -15,7 +15,7 @@ from samdistill.errors import (
 
 def members(ts):
     """Each token's member indices, token by token."""
-    return np.split(ts.indices, ts.offsets[1:-1])
+    return np.split(ts.indices, ts.segments.bounds[1:-1])
 
 
 def brute_force_fps(points: np.ndarray, n: int, start: int) -> list[int]:
@@ -115,8 +115,10 @@ class TestKnnTokenize:
         assert all(ts.region_ids == -1)
 
     def test_k_too_large(self):
-        with pytest.raises(InvalidCountError):
-            tokenizer.knn_tokenize(np.zeros((3, 3)), n=1, k=4)
+        # k outside [1, n_points]: k = 0 would build empty tokens with NaN centroids.
+        for k in (4, 0):
+            with pytest.raises(InvalidCountError):
+                tokenizer.knn_tokenize(np.zeros((3, 3)), n=1, k=k)
 
 
 class TestSamTokenize:
@@ -244,7 +246,7 @@ class TestPackedTokenSet:
                 ts, bundle.gt_region
             )
             np.testing.assert_array_equal(
-                ts.member_counts(), [len(tok) for tok in members(ts)]
+                ts.segments.counts, [len(tok) for tok in members(ts)]
             )
             if all((regions[tok] >= 0).any() for tok in members(ts)):
                 np.testing.assert_array_equal(
@@ -283,9 +285,9 @@ class TestPackedTokenSet:
             [np.arange(39, -1, -1), np.array([7, 3]), np.arange(10)], pts, [0, 1, 2],
             tokenizer.MODE_KNN,
         )
-        indices, offsets = ts.subsampled(8)
+        indices, segments = ts.subsampled(8)
         # 40 members at stride ceil(40 / 8) = 5; the others fit as they are.
-        np.testing.assert_array_equal(offsets, [0, 8, 10, 15])
+        np.testing.assert_array_equal(segments.bounds, [0, 8, 10, 15])
         np.testing.assert_array_equal(indices[:8], np.arange(0, 40, 5))
         np.testing.assert_array_equal(indices[8:10], [3, 7])
         np.testing.assert_array_equal(indices[10:], np.arange(0, 10, 2))

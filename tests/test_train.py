@@ -760,7 +760,7 @@ class TestStage1NodesPerSceneStep:
         embedded = nn.embed_tokens(batch, params)
         pos = nn.pos_embed(batch.centroids, params)
         h = T.add(embedded, pos)
-        encoded = nn.encode(h, params, batch.scene_offsets)
+        encoded = nn.encode(h, params, batch.scenes)
         f3d = stage1.project_3d(encoded, params)
         table, _ = stage1.build_weight_table(np.zeros((1, f3d.shape[1])), 1, 0)
         loss = stage1.stage1_loss(
@@ -787,7 +787,7 @@ def test_stage2_student_forward_nodes():
     )
     plans = [
         nn.make_mask_plan(int(m), 0.6, seed=0, scene_id=i, epoch=0)
-        for i, m in enumerate(batch.scene_sizes())
+        for i, m in enumerate(batch.scenes.counts)
     ]
     f_ins, preds = stage2.student_forward(batch, plans, params)
     # embed_tokens 1, two pos_embed 3 each, two sums 1 each, encode 37,

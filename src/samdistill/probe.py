@@ -52,17 +52,23 @@ def extract_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen encoder features and type labels for every token across scenes.
 
-    One scene per forward, so a probe's features do not depend on how
-    scenes would be grouped.
+    The scenes run in packed forwards of at most ``nn.EVAL_CHUNK`` scenes.
+    Attention stays within each scene, and scenes with one token count (as
+    in the mask-guided acceptance datasets, 12 tokens each) get the bits of
+    one forward per scene; with unequal counts a padded softmax sum may
+    round differently in the last bits.
     """
     max_points = params.arch.max_points_per_token
     feats, labels = [], []
     with T.no_grad():
-        for bundle in bundles:
-            tokens = sam_tokenize(bundle)
-            batch = nn.TokenBatch.of_scene(bundle, tokens, max_points)
+        for start in range(0, len(bundles), nn.EVAL_CHUNK):
+            chunk = bundles[start : start + nn.EVAL_CHUNK]
+            tokens = [sam_tokenize(bundle) for bundle in chunk]
+            batch = nn.TokenBatch.stack(
+                [nn.TokenBatch.of_scene(b, t, max_points) for b, t in zip(chunk, tokens)]
+            )
             feats.append(nn.forward_tokens(batch, params).data)
-            labels.append(token_type_labels(bundle, tokens))
+            labels += [token_type_labels(b, t) for b, t in zip(chunk, tokens)]
     return np.concatenate(feats), np.concatenate(labels)
 
 

@@ -7,7 +7,10 @@ output, so a graph has no reference cycle and is freed as soon as its
 loss is dropped. The op set is what the models and losses here need, with
 two deliberate restrictions: 64-bit floats everywhere, and no
 broadcasting beyond bias addition over the leading axis. Segment ops
-(pooling, attention, losses) take their row groups as one :class:`Segments`.
+(pooling, attention, losses) take their row groups as one :class:`Segments`;
+attention pads each segment to the longest one and scores each segment's
+own block, and the fused embedder runs in cache-sized blocks of rows, so a
+forward over many packed scenes costs less than one forward per scene.
 Eight ops have no caller in the models and stay only because the benchmark
 declares their call counts: ``relu``, ``max_pool``, ``cosine_sim``, ``mul``,
 ``softmax``, ``slice_axis``, ``stack`` and ``transpose``. Tests use them as
@@ -351,7 +354,7 @@ class Segments:
 
     :meth:`of_counts` and :meth:`of_bounds` validate a layout once and note
     any empty segment. Its arrays are read-only, so one layout serves every
-    op of a batch and builds its row ids, positions and mask at most once.
+    op of a batch and builds its row ids and positions at most once.
     """
 
     bounds: np.ndarray  # (S + 1,) int64, from 0 up to the row count
@@ -389,9 +392,14 @@ class Segments:
         return _read_only(np.arange(self.bounds[-1]) - self.bounds[self.ids])
 
     @cached_property
-    def same_segment(self) -> np.ndarray:
-        """(R, R) bool: whether two rows lie in one segment."""
-        return _read_only(self.ids[:, None] == self.ids)
+    def longest(self) -> int:
+        """Rows in the longest segment (0 without segments)."""
+        return int(self.counts.max(initial=0))
+
+    @property
+    def uniform(self) -> bool:
+        """Whether every segment has the longest segment's length."""
+        return len(self) * self.longest == self.bounds[-1]
 
     def check(self, op: str, n_rows: int, allow_empty: bool = False) -> None:
         """Raise ShapeMismatchError unless it spans ``n_rows`` rows, none empty unless allowed."""
@@ -401,11 +409,21 @@ class Segments:
     def padded(self, x: np.ndarray) -> np.ndarray:
         """Each segment's rows of ``x`` as one slice of a zero-padded (S, longest, ...) array.
 
-        Trailing zeros change no sum, and one segment keeps ``x``'s layout.
+        Trailing zeros change no sum over the padded axis. Segments of one
+        length are a reshape of ``x``, with no copy.
         """
-        out = np.zeros((len(self), self.counts.max(initial=0)) + x.shape[1:])
+        shape = (len(self), self.longest) + x.shape[1:]
+        if self.uniform:
+            return x.reshape(shape)
+        out = np.zeros(shape)
         out[self.ids, self.positions] = x
         return out
+
+    def unpadded(self, x: np.ndarray) -> np.ndarray:
+        """The rows of a (S, longest, ...) array that :meth:`padded` filled, in row order."""
+        if self.uniform:
+            return x.reshape((-1,) + x.shape[2:])
+        return x[self.ids, self.positions]
 
 
 def mean_pool(a: Tensor, segments: Segments) -> Tensor:
@@ -426,11 +444,16 @@ def mean_pool(a: Tensor, segments: Segments) -> Tensor:
     return out
 
 
-def _first_argmax(x: np.ndarray, maxima: np.ndarray, segments: Segments) -> np.ndarray:
-    """The first (lowest-row) argmax row of each segment and column: every max-pool's tie rule."""
+def _first_argmax(
+    x: np.ndarray, maxima: np.ndarray, counts: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """The first (lowest-row) argmax row of each segment and column: every max-pool's tie rule.
+
+    The segments of ``x`` have ``counts`` rows and start at rows ``starts``.
+    """
     rows = np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1))
-    at_max = x == np.repeat(maxima, segments.counts, axis=0)
-    return np.minimum.reduceat(np.where(at_max, rows, x.shape[0]), segments.bounds[:-1], axis=0)
+    at_max = x == np.repeat(maxima, counts, axis=0)
+    return np.minimum.reduceat(np.where(at_max, rows, x.shape[0]), starts, axis=0)
 
 
 def max_pool(a: Tensor, segments: Segments) -> Tensor:
@@ -442,17 +465,34 @@ def max_pool(a: Tensor, segments: Segments) -> Tensor:
     if a.ndim < 1:
         raise ShapeMismatchError("max_pool", a.shape)
     segments.check("max_pool", a.shape[0])
-    maxima = np.maximum.reduceat(a.data, segments.bounds[:-1], axis=0)
+    starts = segments.bounds[:-1]
+    maxima = np.maximum.reduceat(a.data, starts, axis=0)
     out = _node(maxima, (a,), "max_pool")
     if out.requires_grad:
 
         def backward(g):
             full = np.zeros(a.shape)
-            np.put_along_axis(full, _first_argmax(a.data, maxima, segments), g, axis=0)
+            first = _first_argmax(a.data, maxima, segments.counts, starts)
+            np.put_along_axis(full, first, g, axis=0)
             a._accumulate(full)
 
         out._backward = backward
     return out
+
+
+# Member rows per block of the embedder's forward: each block's 64-wide
+# intermediates (256 KB each) stay in a 2 MB L2 cache.
+_MLP_BLOCK_ROWS = 512
+
+
+def _row_blocks(segments: Segments, size: int) -> list[tuple[int, int]]:
+    """Runs ``(first, stop)`` of whole segments, each of at most ``size`` rows or one segment."""
+    bounds, blocks, lo = segments.bounds, [], 0
+    while lo < len(segments):
+        hi = int(np.searchsorted(bounds, bounds[lo] + size, side="right")) - 1
+        blocks.append((lo, max(hi, lo + 1)))
+        lo = blocks[-1][1]
+    return blocks
 
 
 def mlp_max_pool(
@@ -462,12 +502,14 @@ def mlp_max_pool(
 
     One node with the forward bits of ``max_pool(linear(relu(linear(members,
     w1, b1)), w2, b2), segments)``. ``members`` is a plain (P, C) array and
-    gets no gradient. Only the first argmax row of each segment and column
-    carries gradient (PointNet's critical points), so a recorded forward
-    keeps the members and hidden rows of those rows alone, and the backward
-    runs its products, ReLU mask and bias sums on them. The backward bits
-    differ from the unfused graph's in the last places: its sums skip the
-    rows whose gradient is zero.
+    gets no gradient. The forward runs in blocks of about 512 rows that
+    never split a segment, so its intermediates stay in cache; each row's
+    products are the ones a single pass computes. Only the first argmax row
+    of each segment and column carries gradient (PointNet's critical
+    points), so a recorded forward keeps the members and hidden rows of
+    those rows alone, and one backward runs its products, ReLU mask and
+    bias sums on them. The backward bits differ from the unfused graph's in
+    the last places: its sums skip the rows whose gradient is zero.
     """
     x = np.asarray(members, dtype=np.float64)
     w1, b1, w2, b2 = (_as_tensor(t) for t in (w1, b1, w2, b2))
@@ -482,23 +524,34 @@ def mlp_max_pool(
     ):
         raise ShapeMismatchError("mlp_max_pool", x.shape, w1.shape, b1.shape, w2.shape, b2.shape)
     segments.check("mlp_max_pool", x.shape[0])
-    pre = x @ w1.data + b1.data
-    if not np.isfinite(pre).all():
-        raise NonFiniteError("mlp_max_pool")
-    hidden = np.maximum(pre, 0.0)
-    y = hidden @ w2.data + b2.data
-    if not np.isfinite(y).all():
-        raise NonFiniteError("mlp_max_pool")
-    maxima = np.maximum.reduceat(y, segments.bounds[:-1], axis=0)
+    record = _GRAD_ENABLED and any(t.requires_grad for t in (w1, b1, w2, b2))
+    bounds, n_cols = segments.bounds, w2.shape[1]
+    maxima = np.empty((len(segments), n_cols))
+    kept, cells, n_kept = [], [], 0
+    for lo, hi in _row_blocks(segments, _MLP_BLOCK_ROWS):
+        start = bounds[lo]
+        pre = x[start : bounds[hi]] @ w1.data + b1.data
+        if not np.isfinite(pre).all():
+            raise NonFiniteError("mlp_max_pool")
+        hidden = np.maximum(pre, 0.0)
+        y = hidden @ w2.data + b2.data
+        if not np.isfinite(y).all():
+            raise NonFiniteError("mlp_max_pool")
+        starts = bounds[lo:hi] - start
+        maxima[lo:hi] = np.maximum.reduceat(y, starts, axis=0)
+        if record:
+            first = _first_argmax(y, maxima[lo:hi], segments.counts[lo:hi], starts)
+            critical = np.zeros(len(y), dtype=bool)
+            critical[first.ravel()] = True
+            rows = np.flatnonzero(critical)
+            # Each (segment, column) pair owns one cell of the critical rows.
+            cells.append((np.cumsum(critical) - 1)[first] + n_kept)
+            kept.append((rows + start, hidden[rows], pre[rows] > 0.0))
+            n_kept += len(rows)
     out = _node(maxima, (w1, b1, w2, b2), "mlp_max_pool")
     if out.requires_grad:
-        first = _first_argmax(y, maxima, segments)
-        critical = np.zeros(x.shape[0], dtype=bool)
-        critical[first.ravel()] = True
-        rows = np.flatnonzero(critical)
-        # Each (segment, column) pair owns one cell of the critical rows.
-        cell = (np.cumsum(critical) - 1)[first], np.arange(y.shape[1])
-        x_rows, h_rows, active = x[rows], hidden[rows], pre[rows] > 0.0
+        rows, h_rows, active = (np.concatenate(parts) for parts in zip(*kept))
+        x_rows, cell = x[rows], (np.concatenate(cells), np.arange(n_cols))
 
         def backward(g):
             gy = np.zeros((len(x_rows), g.shape[1]))
@@ -569,16 +622,20 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments: Segments | None = None
 ) -> Tensor:
-    """Multi-head scaled dot-product attention over the rows of ``q``, ``k`` and ``v``.
+    """Multi-head scaled dot-product attention within each scene stacked in the rows.
 
-    The columns split into ``n_heads`` contiguous heads of width dh, laid out
-    as (H, M, dh); head h gives softmax(q_h k_h^T / sqrt(dh)) v_h, and the
-    heads are concatenated back in column order. ``segments`` lays out the
-    scenes stacked in the rows; its same-segment mask puts -inf on other
-    scenes' scores, and with one scene (or None) no mask is applied. One
-    node: the backward reuses the forward's softmax, and each head's
-    products are the ones a per-head graph of matmul, scale and softmax
-    nodes would compute.
+    The columns split into ``n_heads`` contiguous heads of width dh; head h
+    gives softmax(q_h k_h^T / sqrt(dh)) v_h, and the heads are concatenated
+    back in column order. ``segments`` lays out the S scenes stacked in the
+    rows (None: one scene). Each scene's rows are padded to the longest
+    scene's n rows and laid out as (S, H, n, dh), so each scene scores only
+    its own n x n block and the cost grows with S, not S squared. Scenes
+    shorter than n put -inf on their padding keys, and the real rows are
+    gathered back. With one scene, or scenes of one length, the padding is
+    a reshape and no mask is applied. One node: the backward
+    reuses the forward's softmax and the same padded products, and with one
+    scene each head's products are the ones a per-head graph of matmul,
+    scale and softmax nodes would compute.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -586,21 +643,23 @@ def attention(
     m, width = q.shape
     if n_heads < 1 or width % n_heads:
         raise ShapeMismatchError("attention", q.shape, n_heads)
-    if segments is not None:
-        segments.check("attention", m, allow_empty=True)
-    dh = width // n_heads
+    segments = Segments.of_counts([m]) if segments is None else segments
+    segments.check("attention", m, allow_empty=True)
+    s, n, dh = len(segments), segments.longest, width // n_heads
     c = 1.0 / math.sqrt(dh)
 
     def split(x: np.ndarray) -> np.ndarray:
-        return x.reshape(m, n_heads, dh).transpose(1, 0, 2)
+        return segments.padded(x).reshape(s, n, n_heads, dh).transpose(0, 2, 1, 3)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(1, 0, 2).reshape(m, width)
+        return segments.unpadded(x.transpose(0, 2, 1, 3).reshape(s, n, width))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.transpose(0, 2, 1)) * c
-    if segments is not None and len(segments) > 1:
-        scores = np.where(segments.same_segment, scores, -np.inf)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    if not segments.uniform:
+        # An empty scene keeps its first (zero) key, so no softmax row is all -inf.
+        keys = np.arange(n) < np.maximum(segments.counts, 1)[:, None]
+        scores = np.where(keys[:, None, None, :], scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = _node(merge(y @ vh), (q, k, v), "attention")
@@ -608,14 +667,14 @@ def attention(
 
         def backward(g):
             gh = np.ascontiguousarray(split(g))
-            gy = gh @ vh.transpose(0, 2, 1)
+            gy = gh @ vh.transpose(0, 1, 3, 2)
             gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * c
             if q.requires_grad:
                 q._accumulate(merge(gs @ kh))
             if k.requires_grad:
-                k._accumulate(merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)))
+                k._accumulate(merge((qh.transpose(0, 1, 3, 2) @ gs).transpose(0, 1, 3, 2)))
             if v.requires_grad:
-                v._accumulate(merge(y.transpose(0, 2, 1) @ gh))
+                v._accumulate(merge(y.transpose(0, 1, 3, 2) @ gh))
 
         out._backward = backward
     return out

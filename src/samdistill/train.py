@@ -3,7 +3,8 @@
 Each optimizer step builds one graph over its whole batch of scenes,
 stacked into one :class:`~samdistill.nn.TokenBatch`; dataset metrics,
 held-out evals and stage-2 teacher forwards run the same packed forward
-on chunks of at most ``batch_size`` scenes.
+without gradients on chunks of at most :data:`~samdistill.nn.EVAL_CHUNK`
+scenes, so they do not depend on ``batch_size``.
 
 Runs are deterministic given (dataset, seed) and the BLAS thread count:
 initialization, epoch shuffles, and mask plans all derive from the seed,
@@ -81,7 +82,7 @@ _ADAMW_BLOCK = 16384
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: float) -> None:
+def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: float) -> float:
     """One AdamW update with bias correction; frozen parameters are untouched.
 
     The update is Adam in Kingma & Ba's efficient order (ICLR 2015, end of
@@ -92,15 +93,21 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
     Runs in place over the flat buffers, block by block; each element sees
     the same operations in the same order as a per-tensor update, so the
     result is bit-identical to one. Layer-norm affines and the mask query
-    are excluded from decay. Raises DivergedRunError on a non-finite
-    gradient before it writes anything, the step count included.
+    are excluded from decay. Returns the gradient's :func:`grad_norm`.
+
+    Raises DivergedRunError on a non-finite gradient before it writes
+    anything, the step count included. A finite norm means every element
+    is finite, as NaN and inf carry through its dot, so only a non-finite
+    norm runs the elementwise check: finite elements above about 1e154
+    square to inf.
     """
     t = state["t"] + 1
-    if params.grad is not None and not np.isfinite(params.grad).all():
+    norm = grad_norm(params)
+    if not math.isfinite(norm) and not np.isfinite(params.grad).all():
         raise DivergedRunError(t)
     state["t"] = t
     if params.grad is None:
-        return
+        return norm
     bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     step_size, eps_hat = lr * math.sqrt(bc2) / bc1, _EPS * math.sqrt(bc2)
     data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
@@ -126,6 +133,7 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
             if wd:
                 p *= 1.0 - lr * wd
             p -= a
+    return norm
 
 
 def grad_norm(params: nn.ModelParams) -> float:
@@ -318,14 +326,14 @@ def _fit(
                 del loss  # free this graph before the next forward builds one
                 t2 = time.perf_counter()
                 lr = lr_at(step, total_steps, train_cfg)
-                adamw_step(params, opt_state, lr, train_cfg.weight_decay)
+                norm = adamw_step(params, opt_state, lr, train_cfg.weight_decay)
                 t3 = time.perf_counter()
                 writer.row(
                     epoch=epoch,
                     step=step,
                     lr=f"{lr:.10g}",
                     **{name: f"{value:.10g}" for name, value in fields.items()},
-                    grad_norm=f"{grad_norm(params):.10g}",
+                    grad_norm=f"{norm:.10g}",
                     wall_ms=f"{(time.perf_counter() - t0) * 1e3:.3f}",
                     fwd_ms=f"{(t1 - t0) * 1e3:.3f}",
                     bwd_ms=f"{(t2 - t1) * 1e3:.3f}",
@@ -420,18 +428,17 @@ def _stage1_eval(
     params: nn.ModelParams,
     table: stage1.WeightTable,
     centroids: np.ndarray,
-    batch_size: int,
 ) -> dict:
     """Held-out per-region cosine between projected 3D features and 2D targets.
 
     Held-out scenes always use mask-guided tokens, whatever the training
     tokenizer, so every run is scored on the same regions. The forward
-    runs on chunks of at most ``batch_size`` scenes.
+    runs on chunks of at most ``EVAL_CHUNK`` scenes.
     """
     cosines: list[np.ndarray] = []
     groups: list[np.ndarray] = []
     with T.no_grad():
-        for chunk in _batches(bundles, batch_size):
+        for chunk in _batches(bundles, nn.EVAL_CHUNK):
             scenes = []
             for b in chunk:
                 tokens = sam_tokenize(b)
@@ -497,7 +504,7 @@ def run_stage1(
 
     def dataset_metrics(params: nn.ModelParams) -> dict:
         with T.no_grad():
-            chunks = _batches(prepared, train_cfg.batch_size)
+            chunks = _batches(prepared, nn.EVAL_CHUNK)
             losses = [_stage1_batch_loss(chunk, params, table, cfg).item() for chunk in chunks]
         return {"loss": _scene_mean(losses, [len(chunk) for chunk in chunks])}
 
@@ -527,7 +534,7 @@ def run_stage1(
         "seed": train_cfg.seed,
     }
     if eval_bundles:
-        metrics.update(_stage1_eval(eval_bundles, params, table, centroids, train_cfg.batch_size))
+        metrics.update(_stage1_eval(eval_bundles, params, table, centroids))
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
     return Stage1Result(
         checkpoint_dir=ckpt_dir, metrics=metrics, table=table, centroids=centroids
@@ -573,18 +580,15 @@ def _stage2_batch(
 
 
 def _stage2_dataset_eval(
-    scenes: list[_Stage2Input],
-    plans: list[nn.MaskPlan],
-    student: nn.ModelParams,
-    batch_size: int,
+    scenes: list[_Stage2Input], plans: list[nn.MaskPlan], student: nn.ModelParams
 ) -> dict:
     """Loss components plus pooled-feature cosines, averaged over scenes.
 
-    The student forward runs on chunks of at most ``batch_size`` scenes.
+    The student forward runs on chunks of at most ``EVAL_CHUNK`` scenes.
     """
     losses, sizes, raw_cos, ins_cos = [], [], [], []
     with T.no_grad():
-        for chunk in _batches(list(zip(scenes, plans)), batch_size):
+        for chunk in _batches(list(zip(scenes, plans)), nn.EVAL_CHUNK):
             chunk_scenes, chunk_plans = map(list, zip(*chunk))
             f_ins, pred_ins, parts = _stage2_batch(chunk_scenes, chunk_plans, student)
             losses.append([part.item() for part in parts])
@@ -614,7 +618,7 @@ def run_stage2(
 ) -> Stage2Result:
     """Masked token prediction against a frozen stage-1 teacher.
 
-    The teacher runs once per chunk of at most ``batch_size`` train or
+    The teacher runs once per chunk of at most ``EVAL_CHUNK`` train or
     held-out scenes, before training, and each step selects its targets
     from those outputs. Each step's loss is the mean over its batch's
     scenes of each scene's loss, from one packed graph. Resuming against a
@@ -632,7 +636,7 @@ def run_stage2(
             for b in bundles
         ]
         scenes = []
-        for chunk in _batches(batches, train_cfg.batch_size):
+        for chunk in _batches(batches, nn.EVAL_CHUNK):
             stacked = nn.TokenBatch.stack(chunk)
             f_ins, dec_out = stage2.teacher_forward(stacked, teacher)
             rows = np.split(dec_out, stacked.scenes.bounds[1:-1])
@@ -674,9 +678,7 @@ def run_stage2(
         len(train_bundles),
         fresh_student,
         batch_loss,
-        lambda student: _stage2_dataset_eval(
-            train_scenes, train_plans, student, train_cfg.batch_size
-        ),
+        lambda student: _stage2_dataset_eval(train_scenes, train_plans, student),
         resume,
         stop_after_epochs,
         {
@@ -700,7 +702,7 @@ def run_stage2(
         "seed": train_cfg.seed,
     }
     if eval_scenes:
-        heldout = _stage2_dataset_eval(eval_scenes, eval_plans, student, train_cfg.batch_size)
+        heldout = _stage2_dataset_eval(eval_scenes, eval_plans, student)
         metrics["heldout_pooled_cosine"] = heldout["pooled_cosine"]
         metrics["heldout_instance_cosine"] = heldout["instance_cosine"]
         metrics["heldout_l_final"] = heldout["l_final"]

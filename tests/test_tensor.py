@@ -430,14 +430,22 @@ class TestSegments:
         assert (len(segments), segments.any_empty) == (3, True)
         np.testing.assert_array_equal(segments.ids, [0, 0, 2, 2, 2])
         np.testing.assert_array_equal(segments.positions, [0, 1, 0, 1, 2])
-        np.testing.assert_array_equal(segments.same_segment, segments.ids[:, None] == segments.ids)
-        np.testing.assert_array_equal(
-            segments.padded(np.arange(5.0)), [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 3.0, 4.0]]
-        )
+        assert (segments.longest, segments.uniform) == (3, False)
+        padded = segments.padded(np.arange(5.0))
+        np.testing.assert_array_equal(padded, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(segments.unpadded(padded), np.arange(5.0))
         again = T.Segments.of_bounds(segments.bounds)
         np.testing.assert_array_equal(again.counts, segments.counts)
         assert again.any_empty and not T.Segments.of_bounds([0, 1, 3]).any_empty
-        assert segments.ids is segments.ids and segments.same_segment is segments.same_segment
+        assert segments.ids is segments.ids and segments.positions is segments.positions
+
+    def test_segments_of_one_length_pad_by_reshaping(self):
+        segments, x = T.Segments.of_counts([2, 2, 2]), np.arange(12.0).reshape(6, 2)
+        assert segments.uniform
+        padded = segments.padded(x)
+        assert padded.shape == (3, 2, 2) and np.shares_memory(padded, x)
+        np.testing.assert_array_equal(padded[1], x[2:4])
+        assert segments.unpadded(padded).tobytes() == x.tobytes()
 
     def test_layout_is_read_only_and_owns_its_arrays(self):
         counts = np.array([2, 3])
@@ -445,11 +453,8 @@ class TestSegments:
         counts[0] = 4
         np.testing.assert_array_equal(segments.bounds, [0, 2, 5])
         # One layout is shared by every block of a batch, and its cached
-        # mask and indexes were derived from these arrays.
-        for array in (
-            segments.bounds, segments.counts, segments.ids, segments.positions,
-            segments.same_segment,
-        ):
+        # indexes were derived from these arrays.
+        for array in (segments.bounds, segments.counts, segments.ids, segments.positions):
             with pytest.raises(ValueError):
                 array[0] = 1
         with pytest.raises(AttributeError):
@@ -518,11 +523,12 @@ def test_layer_norm_matches_the_old_formula_byte_for_byte(rng):
 
 
 def _scene_attention(q, k, v, n_heads, segments):
-    """Attention scene by scene: the oracle of the block-diagonal mask."""
+    """Attention scene by scene, skipping empty scenes: the oracle of per-scene padding."""
     bounds = segments.bounds
     outs = [
         T.attention(*(T.gather_rows(t, np.arange(lo, hi)) for t in (q, k, v)), n_heads)
         for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
     ]
     return T.concat(outs, axis=0)
 
@@ -553,6 +559,49 @@ def test_grad_check_masked_attention(rng):
     target = T.constant(rng.normal(0.0, 1.0, (5, 4)))
     segments = _layout([0, 2, 5])
     assert T.grad_check(lambda: T.mse(T.attention(q, k, v, 2, segments), target), [q, k, v]) < 1e-4
+
+
+# Scenes of 4, 1, 0 and 6 rows: padding keys to mask, a one-row scene, and an
+# empty scene whose padded block has no real key.
+_RAGGED = [0, 4, 5, 5, 11]
+
+
+def test_padded_attention_matches_per_scene_attention(rng):
+    segments = _layout(_RAGGED)
+    data = [rng.normal(0.0, 1.0, (11, 6)) for _ in range(3)]
+    target = T.constant(rng.normal(0.0, 1.0, (11, 6)))
+    results = []
+    # A softmax row with no real key would divide 0 by 0 and raise here.
+    with np.errstate(all="raise"):
+        for op in (T.attention, _scene_attention):
+            qkv = [T.parameter(x) for x in data]
+            out = op(*qkv, 2, segments)
+            T.mse(out, target).backward()
+            results.append([out.data] + [t.grad for t in qkv])
+    for a, b in zip(*results):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+def test_grad_check_padded_attention(rng):
+    q, k, v = (T.parameter(rng.normal(0.0, 1.0, (11, 4))) for _ in range(3))
+    target = T.constant(rng.normal(0.0, 1.0, (11, 4)))
+    segments = _layout(_RAGGED)
+    with np.errstate(all="raise"):
+        err = T.grad_check(lambda: T.mse(T.attention(q, k, v, 2, segments), target), [q, k, v])
+    assert err < 1e-4
+
+
+def test_attention_over_scenes_of_one_length_is_per_scene_bit_for_bit(rng):
+    segments = _layout([0, 5, 10, 15])
+    data = [rng.normal(0.0, 1.0, (15, 8)) for _ in range(3)]
+    target = T.constant(rng.normal(0.0, 1.0, (15, 8)))
+    results = []
+    for op in (T.attention, _scene_attention):
+        qkv = [T.parameter(x) for x in data]
+        out = op(*qkv, 2, segments)
+        T.mse(out, target).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in qkv])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -656,6 +705,32 @@ def test_mlp_max_pool_matches_the_unfused_graph(offsets, rng):
     assert fused == oracle
     for a, b in zip(fused_grads, oracle_grads):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_row_blocks_keep_segments_whole():
+    segments = _layout([0, 300, 500, 520, 1400, 1401, 1700])
+    blocks = T._row_blocks(segments, 512)
+    assert blocks == [(0, 2), (2, 3), (3, 4), (4, 6)]
+    bounds = segments.bounds
+    for lo, hi in blocks:
+        assert bounds[hi] - bounds[lo] <= 512 or hi == lo + 1
+    assert T._row_blocks(_layout([0]), 512) == []
+
+
+def test_mlp_max_pool_blocks_match_one_pass(rng, monkeypatch):
+    # 1,700 rows in four blocks, one of them a single 880-row segment.
+    segments = _layout([0, 300, 500, 520, 1400, 1401, 1700])
+    members = rng.normal(0.0, 1.0, (1700, 3))
+    weights = _mlp_weights(rng, 3, 64, 64)
+    target = T.constant(rng.normal(0.0, 1.0, (6, 64)))
+    results = []
+    for block_rows in (512, 10**9):
+        monkeypatch.setattr(T, "_MLP_BLOCK_ROWS", block_rows)
+        params = [T.parameter(w) for w in weights]
+        out = T.mlp_max_pool(members, *params, segments)
+        T.mse(out, target).backward()
+        results.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
 
 
 def test_mlp_max_pool_tie_routes_to_the_lowest_row():

@@ -72,6 +72,28 @@ class TestAdamW:
         assert state["t"] == 0
         assert [a.tobytes() for a in (params.data, state["m"], state["v"])] == before
 
+    def test_huge_finite_gradient_is_not_divergence(self):
+        # 1e200 squares to inf in the norm's dot; only the elementwise check
+        # that a non-finite norm triggers can tell it from a NaN or inf.
+        params = nn.ModelParams.from_arrays({"w": np.array([1.0, 2.0])}, nn.Arch())
+        params.tensors["w"].grad[...] = [1e200, 0.5]
+        state = train.init_opt_state(params)
+        with np.errstate(over="ignore"):
+            norm = train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
+        assert norm == math.inf and state["t"] == 1
+        assert np.isfinite(params.data).all()
+        params.tensors["w"].grad[1] = np.nan
+        with pytest.raises(DivergedRunError), np.errstate(over="ignore"):
+            train.adamw_step(params, state, lr=0.1, weight_decay=0.0)
+        assert state["t"] == 1
+
+    def test_returns_the_gradient_norm(self):
+        params = nn.init_params(nn.Arch(), seed=3)
+        params.grad[...] = np.random.default_rng(0).normal(0.0, 1.0, params.grad.size)
+        expected = train.grad_norm(params)
+        norm = train.adamw_step(params, train.init_opt_state(params), lr=0.1, weight_decay=0.05)
+        assert norm == expected and norm > 0.0
+
     def test_missing_grad_treated_as_zero(self):
         params = _one_param(1.0)
         state = train.init_opt_state(params)
@@ -121,6 +143,7 @@ def _per_tensor_adamw(params, state, lr, weight_decay, betas=(0.9, 0.999), eps=1
         if weight_decay and not nn.no_decay(name):
             p.data *= 1.0 - lr * weight_decay
         p.data -= step_size * (m / (np.sqrt(v) + eps_hat))
+    return train.grad_norm(params)
 
 
 def _textbook_adamw(params, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
@@ -580,8 +603,9 @@ class TestRunStage2:
         train.run_stage2(
             tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), tmp_path / "r"
         )
-        # Chunks of at most batch_size = 2 scenes: two of the 4 train scenes, one of the 2 held out.
-        assert len(calls) == 3
+        # One chunk of at most EVAL_CHUNK scenes each, whatever the batch_size:
+        # the 4 train scenes, then the 2 held out.
+        assert len(calls) == 2
         expected = [tokenizer.sam_tokenize(b).centroids for b in tb + eb]
         np.testing.assert_array_equal(np.concatenate(calls), np.concatenate(expected))
 
@@ -635,7 +659,7 @@ class TestResumeAfterAFailureAtEveryStep:
                 calls.append(k)
                 if len(calls) == k:
                     params.grad[0] = np.nan
-                adamw_step(params, *args)
+                return adamw_step(params, *args)
 
             out = tmp_path / f"nan_at_{k}"
             with monkeypatch.context() as patch, pytest.raises(DivergedRunError) as err:

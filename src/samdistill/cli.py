@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import blobio, nn, probe, report, stage1, train
+from . import blobio, nn, probe, report, train
 from .errors import SamDistillError
 from .scene import generate_dataset, read_scene_dir, write_scene_dir
 from .tokenizer import MODE_KNN, MODE_SAM, purity, tokenize
@@ -49,19 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-scenes", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="run directory (default OUT_DIR/stage1)")
     p.add_argument("--k-groups", type=int, default=None)
-    p.add_argument(
-        "--scale-mode",
-        choices=(stage1.SCALE_MEAN_ONE, stage1.SCALE_PAPER_LITERAL),
-        default=None,
-    )
     p.add_argument("--no-reweight", action="store_true", help="ablation: uniform loss")
     p.add_argument("--tokenizer", choices=(MODE_SAM, MODE_KNN), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--wd", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--paper-defaults", action="store_true",
-                   help="start from the reference preset (batch 64) instead of desk-scale")
+    p.add_argument("--batch", type=int, default=None, help="scenes per step (the paper's: 64)")
     p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("stage2", help="masked token prediction against a frozen teacher")
@@ -72,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-from-teacher", choices=("on", "off"), default=None)
     p.add_argument("--mask-ratio", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--paper-defaults", action="store_true",
-                   help="start from the reference preset (batch 64) instead of desk-scale")
     p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("probe", help="linear probe of a frozen encoder")
@@ -98,7 +89,6 @@ def _load_config(args) -> report.PipelineConfig:
         cfg = replace(
             cfg,
             seed=args.seed,
-            scene=replace(cfg.scene, seed=args.seed),
             train=replace(cfg.train, seed=args.seed),
         )
     return cfg
@@ -152,8 +142,6 @@ def _cmd_tokenize(args, cfg: report.PipelineConfig) -> int:
 
 def _train_cfg(args, cfg: report.PipelineConfig) -> train.TrainConfig:
     tc = cfg.train
-    if getattr(args, "paper_defaults", False):
-        tc = replace(train.PAPER_DEFAULTS, epochs=tc.epochs, seed=tc.seed)
     if args.epochs is not None:
         tc = replace(tc, epochs=args.epochs)
     if getattr(args, "lr", None) is not None:
@@ -171,8 +159,6 @@ def _cmd_stage1(args, cfg: report.PipelineConfig) -> int:
     s1 = cfg.stage1
     if args.k_groups is not None:
         s1 = replace(s1, k_groups=args.k_groups)
-    if args.scale_mode is not None:
-        s1 = replace(s1, scale_mode=args.scale_mode)
     if args.no_reweight:
         s1 = replace(s1, reweight=False)
     if args.tokenizer is not None:

@@ -360,7 +360,6 @@ def forward_tokens(batch: TokenBatch, params: ModelParams) -> T.Tensor:
 class MaskPlan:
     visible: np.ndarray  # sorted token indices
     masked: np.ndarray
-    ratio: float
 
     @property
     def n_tokens(self) -> int:
@@ -386,7 +385,6 @@ def make_mask_plan(m: int, r_w: float, seed: int, scene_id: int, epoch: int) -> 
     return MaskPlan(
         visible=np.sort(perm[n_masked:]).astype(np.int64),
         masked=np.sort(perm[:n_masked]).astype(np.int64),
-        ratio=r_w,
     )
 
 

@@ -130,7 +130,7 @@ def run_matrix(
         )
         blobio.dump_manifest(scratch_dir / "probe.json", result.to_json())
 
-    stage1_cache: dict[tuple[str, bool], train_mod.Stage1Result] = {}
+    stage1_cache: dict[tuple[str, bool], train_mod.RunResult] = {}
     for tokenizer, reweight, stage2_on in cells or matrix_cells():
         cell = cell_name(tokenizer, reweight, stage2_on)
         cell_dir = runs_dir / cell
@@ -176,7 +176,7 @@ def run_matrix(
         blobio.dump_manifest(cell_dir / "probe.json", result.to_json())
 
 
-def _link_run(result: train_mod.Stage1Result, dest: Path) -> None:
+def _link_run(result: train_mod.RunResult, dest: Path) -> None:
     """Record where a shared stage-1 run lives instead of re-running it."""
     dest.mkdir(parents=True, exist_ok=True)
     blobio.dump_manifest(

@@ -168,23 +168,14 @@ class SceneSpec:
 
 
 @dataclass
-class FeatureField:
-    """Per-region feature prototypes behind the synthetic 2D feature raster."""
-
-    prototypes: np.ndarray  # region_count x L float64, unit rows
-    noise_sigma: float
-
-    def validate(self) -> None:
-        norms = np.linalg.norm(self.prototypes, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise InconsistencyError("feature prototypes must have unit norm")
-        if self.noise_sigma < 0:
-            raise InconsistencyError("noise_sigma must be >= 0")
-
-
-@dataclass
 class SceneBundle:
-    """One synthetic frame: points, camera, mask oracle, and 2D feature raster."""
+    """One synthetic frame: points, camera, mask oracle, and 2D feature raster.
+
+    The raster holds what a 2D feature extractor would give. The values
+    that generated it are not stored: region r's pixels are
+    ``type_prototype(region_types[r], feature_dim)`` plus noise of the
+    spec's ``noise_sigma``, and every stage reads only the raster.
+    """
 
     points: np.ndarray  # N x 3 float32
     colors: np.ndarray | None  # N x 3 float32 in [0, 1]
@@ -194,7 +185,6 @@ class SceneBundle:
     feat2d: np.ndarray  # H x W x L float32
     region_count: int
     region_types: np.ndarray  # region_count int32, global object-type ids
-    field: FeatureField
 
     @property
     def n_points(self) -> int:
@@ -221,7 +211,6 @@ class SceneBundle:
             raise DimensionMismatchError("region_types length != region_count")
         if not np.all(np.isfinite(self.feat2d)):
             raise InconsistencyError("feat2d contains non-finite values")
-        self.field.validate()
 
     def equals(self, other: "SceneBundle") -> bool:
         """Bit-exact equality across every stored field."""
@@ -244,8 +233,6 @@ class SceneBundle:
             and np.array_equal(self.feat2d, other.feat2d)
             and self.region_count == other.region_count
             and np.array_equal(self.region_types, other.region_types)
-            and np.array_equal(self.field.prototypes, other.field.prototypes)
-            and self.field.noise_sigma == other.field.noise_sigma
         )
 
 
@@ -450,7 +437,6 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
         feat2d=feat2d,
         region_count=spec.n_objects,
         region_types=types,
-        field=FeatureField(prototypes=prototypes, noise_sigma=spec.noise_sigma),
     )
     bundle.validate()
     return bundle
@@ -513,7 +499,6 @@ def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
         "gt_region": np.asarray(bundle.gt_region, np.int32),
         "mask": np.asarray(bundle.mask, np.int32),
         "feat2d": np.asarray(bundle.feat2d, np.float32),
-        "prototypes": np.asarray(bundle.field.prototypes, np.float64),
     }
     if bundle.colors is not None:
         arrays["colors"] = np.asarray(bundle.colors, np.float32)
@@ -523,7 +508,6 @@ def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
         "height": bundle.camera.height,
         "feature_dim": bundle.feature_dim,
         "region_count": bundle.region_count,
-        "noise_sigma": bundle.field.noise_sigma,
         "region_types": [int(t) for t in bundle.region_types],
         "camera": _camera_to_json(bundle.camera),
     }
@@ -532,7 +516,7 @@ def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
 
 _BUNDLE_KEYS = (
     "n_points", "width", "height", "feature_dim",
-    "region_count", "noise_sigma", "region_types", "camera",
+    "region_count", "region_types", "camera",
 )
 
 
@@ -545,7 +529,6 @@ def _bundle_blob_shapes(manifest: dict) -> dict[str, list[int]]:
         "gt_region": [n],
         "mask": [height, width],
         "feat2d": [height, width, dim],
-        "prototypes": [int(manifest["region_count"]), dim],
     }
     if "colors" in manifest["blobs"]:
         shapes["colors"] = [n, 3]
@@ -565,10 +548,6 @@ def read_bundle(path: str | Path) -> SceneBundle:
             feat2d=arrays["feat2d"],
             region_count=int(manifest["region_count"]),
             region_types=np.array(manifest["region_types"], dtype=np.int32),
-            field=FeatureField(
-                prototypes=arrays["prototypes"],
-                noise_sigma=float(manifest["noise_sigma"]),
-            ),
         )
         bundle.validate()
     return bundle

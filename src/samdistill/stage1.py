@@ -19,9 +19,6 @@ from . import tensor as T
 from .errors import InconsistencyError, InvalidCountError, InvalidInputError
 from .nn import ModelParams
 
-SCALE_MEAN_ONE = "mean-one"
-SCALE_PAPER_LITERAL = "paper-literal"
-
 
 class RegionFeatures(NamedTuple):
     """A scene's pooled 2D features: mean rows are stage-1 targets, max rows the k-means input."""
@@ -118,7 +115,6 @@ class KMeansResult:
     centroids: np.ndarray  # K x L
     assignment: np.ndarray  # N int64
     sse: float
-    n_iter: int
     converged: bool
 
 
@@ -142,8 +138,7 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> KMeansResult:
         centroids = _plusplus_seed(x, k, rng)
         assignment = _assign(x, centroids)
         converged = False
-        it = 0
-        for it in range(1, _KMEANS_MAX_ITER + 1):
+        for _ in range(_KMEANS_MAX_ITER):
             for j in range(k):
                 members = assignment == j
                 if members.any():
@@ -161,7 +156,6 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> KMeansResult:
             centroids=centroids,
             assignment=assignment.astype(np.int64),
             sse=_sse(x, centroids, assignment),
-            n_iter=it,
             converged=converged,
         )
         if best is None or result.sse < best.sse - 1e-12:
@@ -267,21 +261,19 @@ def stage1_loss(
     f3d: T.Tensor,
     table: WeightTable,
     groups: np.ndarray,
-    scale_mode: str = SCALE_MEAN_ONE,
     scenes: T.Segments | None = None,
     reweight: bool = True,
 ) -> T.Tensor:
     """Weighted mean of per-region smooth L1 between pooled 2D and projected 3D features.
 
-    ``mean-one`` scales weights by K so their average stays 1 and the
-    effective learning rate matches the unweighted loss;
-    ``paper-literal`` applies the normalized weights as-is. Without
-    ``reweight`` (the re-weighting ablation) every region weighs 1. With
-    ``scenes``, the layout of stacked scenes' rows, the loss is the mean
-    over scenes of each scene's loss.
+    Region i weighs ``K * w[group_i]``: the paper's normalized weights
+    times K, so they average 1 and the logged loss stays on the scale of
+    the unweighted loss. The factor is not a learning-rate choice, as
+    AdamW ignores a constant loss scale except through its epsilon.
+    Without ``reweight`` (the re-weighting ablation) every region weighs
+    1. With ``scenes``, the layout of stacked scenes' rows, the loss is
+    the mean over scenes of each scene's loss.
     """
-    if scale_mode not in (SCALE_MEAN_ONE, SCALE_PAPER_LITERAL):
-        raise InvalidInputError(f"unknown scale_mode {scale_mode!r}")
     targets = np.asarray(f2d, dtype=np.float64)
     groups = np.asarray(groups, dtype=np.int64)
     m = targets.shape[0]
@@ -292,12 +284,8 @@ def stage1_loss(
     if groups.min() < 0 or groups.max() >= table.n_groups:
         raise InconsistencyError("region group index outside the weight table")
 
-    if reweight:
-        scale = float(table.n_groups) if scale_mode == SCALE_MEAN_ONE else 1.0
-        weights = scale * table.w[groups]
-    else:
-        weights = np.ones(m)
-    return T.smooth_l1(f3d, T.constant(targets), 1.0, weights, scenes)
+    weights = float(table.n_groups) * table.w[groups] if reweight else np.ones(m)
+    return T.smooth_l1(f3d, T.constant(targets), weights, scenes)
 
 
 def region_cosines(f2d: np.ndarray, f3d: np.ndarray) -> np.ndarray:

@@ -771,11 +771,10 @@ def mse(a: Tensor, b: Tensor, segments: Segments | None = None) -> Tensor:
 def smooth_l1(
     a: Tensor,
     b: Tensor,
-    beta: float = 1.0,
     weights: np.ndarray | None = None,
     segments: Segments | None = None,
 ) -> Tensor:
-    """Mean smooth L1: 0.5 d^2 / beta inside the kink, |d| - 0.5 beta outside.
+    """Mean smooth L1 with its kink at 1: 0.5 d^2 for |d| < 1, |d| - 0.5 beyond.
 
     The loss is the mean over the non-empty ``segments`` of the leading
     axis, such as one per scene (default: all rows are one segment), of
@@ -787,14 +786,12 @@ def smooth_l1(
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape or a.ndim < 1:
         raise ShapeMismatchError("smooth_l1", a.shape, b.shape)
-    if beta <= 0:
-        raise InvalidInputError("smooth_l1 beta must be > 0")
     segments = Segments.of_counts([a.shape[0]]) if segments is None else segments
     segments.check("smooth_l1", a.shape[0])
     counts = segments.counts
     d = a.data - b.data
-    quad = np.abs(d) < beta
-    elems = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
+    quad = np.abs(d) < 1.0
+    elems = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
     if weights is None:
         sizes = counts * elems[:1].size
         sums = np.add.reduce(segments.padded(elems).reshape(len(counts), -1), axis=1)
@@ -810,7 +807,7 @@ def smooth_l1(
 
         def backward(g):
             g = g / len(counts)
-            slope = np.where(quad, d / beta, np.sign(d))
+            slope = np.where(quad, d, np.sign(d))
             if weights is None:
                 row_sizes = np.repeat(sizes, counts).reshape((-1,) + (1,) * (d.ndim - 1))
                 g = g * (slope / row_sizes)

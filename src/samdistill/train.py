@@ -42,7 +42,7 @@ from .tokenizer import (
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule defaults at desk scale (paper-scale batch in PAPER_DEFAULTS)."""
+    """Optimizer and schedule defaults at desk scale; the paper's batch is 64."""
 
     base_lr: float = 0.001
     weight_decay: float = 0.05
@@ -63,9 +63,6 @@ class TrainConfig:
             raise InvalidInputError("weight_decay must be >= 0")
         if not (0 <= self.min_lr_ratio <= 1):
             raise InvalidInputError("min_lr_ratio must be in [0, 1]")
-
-
-PAPER_DEFAULTS = TrainConfig(batch_size=64)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +255,13 @@ def _run_fingerprint(
     }
 
 
+class RunResult(NamedTuple):
+    """Where a stage run saved its last checkpoint, and its ``metrics.json`` contents."""
+
+    checkpoint_dir: Path
+    metrics: dict
+
+
 def _fit(
     train_cfg: TrainConfig,
     out_dir: Path,
@@ -281,11 +285,15 @@ def _fit(
     initial and final dataset metrics.
 
     A checkpoint at step k holds the state before step k ran, so a resume
-    may start mid-epoch; it skips that epoch's batches already taken. A
-    non-finite gradient or value inside a step raises before the step
-    changes that state, so the run saves it and raises DivergedRunError. A
-    non-finite final dataset metric saves the state after the last step and
-    raises DivergedRunError at that step; a resume fails the same way.
+    may start mid-epoch; it skips that epoch's batches already taken. Any
+    exception, an interrupt or an ``OSError`` included, that comes before
+    AdamW starts writing step k saves the state before step k and
+    propagates; once AdamW has started writing, the step must finish
+    before a failure saves anything. A non-finite gradient or value
+    inside a step raises before AdamW writes, and surfaces as
+    DivergedRunError. A non-finite final dataset metric saves the state
+    after the last step and raises DivergedRunError at that step; a
+    resume fails the same way.
     """
     train_cfg.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,9 +349,12 @@ def _fit(
                 )
                 step += 1
         final = dataset_metrics(params)
-    except (DivergedRunError, NonFiniteError) as exc:
-        nn.save_checkpoint(ckpt_dir, params, step, opt_state, fingerprint)
-        if isinstance(exc, DivergedRunError):
+    except BaseException as exc:
+        # AdamW counts the step just before it writes, so t == step means
+        # no update is half applied.
+        if opt_state["t"] == step:
+            nn.save_checkpoint(ckpt_dir, params, step, opt_state, fingerprint)
+        if not isinstance(exc, NonFiniteError):
             raise
         # A non-finite final eval is charged to the last step taken.
         raise DivergedRunError(min(step + 1, end_epoch * steps_per_epoch), exc.op) from exc
@@ -361,7 +372,6 @@ def _fit(
 @dataclass(frozen=True)
 class Stage1Config:
     k_groups: int = 16
-    scale_mode: str = stage1.SCALE_MEAN_ONE
     reweight: bool = True
     tokenizer_mode: str = MODE_SAM
 
@@ -390,14 +400,6 @@ def _prepare_scene(
     )
 
 
-@dataclass
-class Stage1Result:
-    checkpoint_dir: Path
-    metrics: dict
-    table: stage1.WeightTable
-    centroids: np.ndarray
-
-
 def _stage1_project(scenes: list[_PreparedScene], params: nn.ModelParams):
     """One packed forward: the scenes' stacked tokens and their projected 3D features."""
     batch = nn.TokenBatch.stack([s.batch for s in scenes])
@@ -417,7 +419,6 @@ def _stage1_batch_loss(
         f3d,
         table,
         np.concatenate([s.groups for s in scenes]),
-        cfg.scale_mode,
         batch.scenes,
         cfg.reweight,
     )
@@ -475,7 +476,7 @@ def run_stage1(
     out_dir: str | Path,
     resume: bool = False,
     stop_after_epochs: int | None = None,
-) -> Stage1Result:
+) -> RunResult:
     """Dense distillation run: offline weight table, then weighted smooth-L1 training.
 
     Each step's loss is the mean over its batch's scenes of each scene's
@@ -536,9 +537,7 @@ def run_stage1(
     if eval_bundles:
         metrics.update(_stage1_eval(eval_bundles, params, table, centroids))
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
-    return Stage1Result(
-        checkpoint_dir=ckpt_dir, metrics=metrics, table=table, centroids=centroids
-    )
+    return RunResult(ckpt_dir, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +548,6 @@ def run_stage1(
 class Stage2Config:
     mask_ratio: float = 0.6
     init_from_teacher: bool = True
-
-
-@dataclass
-class Stage2Result:
-    checkpoint_dir: Path
-    metrics: dict
 
 
 class _Stage2Input(NamedTuple):
@@ -615,7 +608,7 @@ def run_stage2(
     out_dir: str | Path,
     resume: bool = False,
     stop_after_epochs: int | None = None,
-) -> Stage2Result:
+) -> RunResult:
     """Masked token prediction against a frozen stage-1 teacher.
 
     The teacher runs once per chunk of at most ``EVAL_CHUNK`` train or
@@ -707,4 +700,4 @@ def run_stage2(
         metrics["heldout_instance_cosine"] = heldout["instance_cosine"]
         metrics["heldout_l_final"] = heldout["l_final"]
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
-    return Stage2Result(checkpoint_dir=ckpt_dir, metrics=metrics)
+    return RunResult(ckpt_dir, metrics)

@@ -136,11 +136,12 @@ def test_error_exit_code_on_missing_scenes(tmp_path, capsys):
 
 def test_error_exit_code_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    # Unknown keys, among them three that older configs had.
+    # Unknown keys, among them four that older configs had.
     for section, key in (
         ("train", "unknown_field"),
         ("train", "beta1"),
         ("stage1", "knn_k"),
+        ("stage1", "scale_mode"),
         ("stage2", "normalize_targets"),
     ):
         bad.write_text(json.dumps({section: {key: 3}}))
@@ -149,6 +150,21 @@ def test_error_exit_code_on_bad_config(tmp_path, capsys):
         )
         assert code == 2, key
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stage1", "--scenes", "s", "--scale-mode", "paper-literal"],
+        ["stage1", "--scenes", "s", "--paper-defaults"],
+        ["stage2", "--scenes", "s", "--teacher-ckpt", "t", "--paper-defaults"],
+    ],
+)
+def test_removed_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scene_flag_overrides_config(tmp_path, config_file, capsys):

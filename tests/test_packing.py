@@ -3,7 +3,12 @@
 On the seed-0 balanced scenes of the acceptance criteria every scene has
 12 mask-guided tokens, so the per-scene attention padding is a reshape
 and each row's products are the ones a one-scene forward computes.
+Scenes of other token counts take the padded path, whose bits may differ
+from a one-scene forward; the dataset metrics still must not depend on
+``batch_size``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,15 +68,45 @@ def test_probe_features(bundles, chunk, monkeypatch):
     assert labels.tobytes() == np.concatenate([y for _, y in single]).tobytes()
 
 
-def test_stage1_initial_metrics_do_not_depend_on_batch_size(bundles, tmp_path):
-    heldout = scene.generate_dataset(SPEC_BALANCED, 2, 1_000_003)
+@pytest.fixture(scope="module")
+def mixed_bundles(bundles):
+    """The 12-token scenes plus one scene of 3 and one of 6 mask-guided tokens."""
+    short = [
+        scene.generate_scene(replace(SPEC_BALANCED, n_objects=n, seed=n)) for n in (3, 6)
+    ]
+    mixed = bundles[:4] + short[:1] + bundles[4:] + short[1:]
+    counts = [len(tokenizer.sam_tokenize(b)) for b in mixed]
+    assert counts == [12] * 4 + [3] + [12] * 4 + [6]
+    return mixed
+
+
+def _initial_metrics(run, tmp_path) -> list[bytes]:
     written = []
     for batch_size in (1, 4):
         out = tmp_path / str(batch_size)
-        train.run_stage1(
-            bundles, heldout, nn.Arch(),
-            train.TrainConfig(epochs=1, warmup_epochs=1, batch_size=batch_size, seed=0),
-            train.Stage1Config(k_groups=4), out,
-        )
+        run(train.TrainConfig(epochs=1, warmup_epochs=1, batch_size=batch_size, seed=0), out)
         written.append((out / "initial_metrics.json").read_bytes())
+    return written
+
+
+def test_stage1_initial_metrics_do_not_depend_on_batch_size(mixed_bundles, tmp_path):
+    heldout = scene.generate_dataset(SPEC_BALANCED, 2, 1_000_003)
+
+    def run(cfg, out):
+        train.run_stage1(
+            mixed_bundles, heldout, nn.Arch(), cfg, train.Stage1Config(k_groups=4), out
+        )
+
+    written = _initial_metrics(run, tmp_path)
+    assert written[0] == written[1]
+
+
+def test_stage2_initial_metrics_do_not_depend_on_batch_size(mixed_bundles, tmp_path):
+    teacher = tmp_path / "teacher"
+    nn.save_checkpoint(teacher, nn.init_params(nn.Arch(), seed=1), 0)
+
+    def run(cfg, out):
+        train.run_stage2(mixed_bundles, [], teacher, cfg, train.Stage2Config(), out)
+
+    written = _initial_metrics(run, tmp_path)
     assert written[0] == written[1]

@@ -70,6 +70,13 @@ class TestPixelRound:
         )
 
 
+def _region_prototypes(bundle):
+    """Row r: the type prototype of region r, the raster's noise-free value."""
+    return np.stack(
+        [scene.type_prototype(int(t), bundle.feature_dim) for t in bundle.region_types]
+    )
+
+
 class TestGenerateScene:
     def test_single_object_single_region(self):
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=1, seed=7))
@@ -117,7 +124,7 @@ class TestGenerateScene:
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=5, noise_sigma=0.0))
         ys, xs = np.nonzero(bundle.mask >= 0)
         feats = bundle.feat2d[ys, xs].astype(np.float64)
-        protos = bundle.field.prototypes[bundle.mask[ys, xs]]
+        protos = _region_prototypes(bundle)[bundle.mask[ys, xs]]
         cos = (feats * protos).sum(axis=1) / (
             np.linalg.norm(feats, axis=1) * np.linalg.norm(protos, axis=1)
         )
@@ -130,7 +137,7 @@ class TestGenerateScene:
         )
         ys, xs = np.nonzero(bundle.mask >= 0)
         feats = bundle.feat2d[ys, xs].astype(np.float64)
-        protos = bundle.field.prototypes[bundle.mask[ys, xs]]
+        protos = _region_prototypes(bundle)[bundle.mask[ys, xs]]
         cos = (feats * protos).sum(axis=1) / (
             np.linalg.norm(feats, axis=1) * np.linalg.norm(protos, axis=1)
         )

@@ -83,6 +83,21 @@ def test_blob_entries_must_match_the_format(stored, edit):
         scene.read_bundle(stored)
 
 
+def test_bundle_with_a_prototypes_blob_is_refused(tmp_path, small_bundle):
+    # Bundles once stored each region's type prototype and the noise level.
+    (stored,) = scene.write_scene_dir([small_bundle], tmp_path / "scenes")
+    prototypes = np.stack(
+        [scene.type_prototype(int(t), small_bundle.feature_dim) for t in small_bundle.region_types]
+    )
+    blobio.write_blob(stored / "prototypes.bin", prototypes)
+    manifest = json.loads((stored / "manifest.json").read_text())
+    manifest["blobs"]["prototypes"] = {"dtype": "<f8", "shape": list(prototypes.shape)}
+    manifest["noise_sigma"] = 0.02
+    (stored / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(MalformedManifestError, match="unknown blob 'prototypes'"):
+        scene.read_scene_dir(tmp_path / "scenes")
+
+
 def test_other_format_rejected(tmp_path):
     counts = np.array([3, 1])
     k, tau, w = stage1.weights_from_counts(counts)

@@ -92,7 +92,8 @@ class TestPooling:
         means, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(region_ids)
         for row, rid in zip(means, region_ids):
             np.testing.assert_allclose(
-                row, bundle.field.prototypes[rid], atol=1e-6
+                row, scene.type_prototype(int(bundle.region_types[rid]), bundle.feature_dim),
+                atol=1e-6,
             )
 
     def test_region_without_pixels_is_inconsistent(self):
@@ -268,18 +269,9 @@ class TestStage1Loss:
         f3d = rng.normal(0, 1, (4, 5))
         table = _uniform_table(3)
         groups = np.array([0, 1, 2, 0])
-        weighted = stage1.stage1_loss(f2d, T.constant(f3d), table, groups, "mean-one")
+        weighted = stage1.stage1_loss(f2d, T.constant(f3d), table, groups)
         plain = stage1.stage1_loss(f2d, T.constant(f3d), table, groups, reweight=False)
         assert weighted.item() == pytest.approx(plain.item(), rel=1e-12)
-
-    def test_paper_literal_scales_by_one_over_k(self, rng):
-        f2d = rng.normal(0, 1, (4, 5))
-        f3d = rng.normal(0, 1, (4, 5))
-        table = _uniform_table(4)
-        groups = np.arange(4)
-        literal = stage1.stage1_loss(f2d, T.constant(f3d), table, groups, "paper-literal")
-        mean_one = stage1.stage1_loss(f2d, T.constant(f3d), table, groups, "mean-one")
-        assert literal.item() * 4 == pytest.approx(mean_one.item(), rel=1e-12)
 
     def test_permutation_invariance(self, rng):
         f2d = rng.normal(0, 1, (5, 3))
@@ -352,9 +344,9 @@ class TestStage1Loss:
         assert T.grad_check(f, inputs) < 1e-4
 
 
-def _per_region_stage1_loss(f2d, f3d, table, groups, scale_mode):
+def _per_region_stage1_loss(f2d, f3d, table, groups):
     """The unfused loss: one smooth-L1 node per region, weighted and chained."""
-    scale = float(table.n_groups) if scale_mode == stage1.SCALE_MEAN_ONE else 1.0
+    scale = float(table.n_groups)
     total = None
     for i in range(len(f2d)):
         term = T.smooth_l1(T.slice_axis(f3d, 0, i, i + 1), T.constant(f2d[i : i + 1]))
@@ -364,10 +356,8 @@ def _per_region_stage1_loss(f2d, f3d, table, groups, scale_mode):
 
 
 class TestStage1LossOracle:
-    @pytest.mark.parametrize(
-        "m,scale_mode", [(1, "mean-one"), (7, "mean-one"), (22, "paper-literal")]
-    )
-    def test_matches_per_region_loop_bit_for_bit(self, rng, m, scale_mode):
+    @pytest.mark.parametrize("m", [1, 7, 22])
+    def test_matches_per_region_loop_bit_for_bit(self, rng, m):
         counts = np.array([9, 4, 1])
         kk, tau, w = stage1.weights_from_counts(counts)
         table = stage1.WeightTable(
@@ -380,7 +370,7 @@ class TestStage1LossOracle:
         results = []
         for loss_fn in (stage1.stage1_loss, _per_region_stage1_loss):
             f3d = T.parameter(data)
-            loss = loss_fn(f2d, f3d, table, groups, scale_mode)
+            loss = loss_fn(f2d, f3d, table, groups)
             # Scaled as in a batch mean, so the upstream gradient is not 1.
             T.mul(loss, 1.0 / 3).backward()
             results.append((loss.data.tobytes(), f3d.grad.tobytes()))

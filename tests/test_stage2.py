@@ -118,7 +118,6 @@ class TestStudentForward:
         bad = nn.MaskPlan(
             visible=np.array([], dtype=np.int64),
             masked=np.arange(len(batch)),
-            ratio=0.99,
         )
         with pytest.raises(DegeneratePlanError):
             stage2.student_forward(batch, [bad], student)
@@ -161,7 +160,6 @@ class TestStudentForward:
         perm_plan = nn.MaskPlan(
             visible=np.sort(inv[plan.visible]),
             masked=np.sort(inv[plan.masked]),
-            ratio=plan.ratio,
         )
         _, preds_perm = stage2.student_forward(permuted, [perm_plan], student)
 

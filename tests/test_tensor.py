@@ -27,13 +27,18 @@ finite_matrices = arrays(
 
 
 def test_smooth_l1_linear_branch_value():
-    loss = T.smooth_l1(T.constant([0.0]), T.constant([2.0]), beta=1.0)
+    loss = T.smooth_l1(T.constant([0.0]), T.constant([2.0]))
     assert loss.item() == pytest.approx(1.5, abs=1e-12)
+
+
+def test_smooth_l1_quadratic_branch_value():
+    loss = T.smooth_l1(T.constant([0.0]), T.constant([0.5]))
+    assert loss.item() == 0.125
 
 
 def test_smooth_l1_identical_inputs_zero_loss_zero_grad():
     x = T.parameter([1.0, -2.0, 3.0])
-    loss = T.smooth_l1(x, T.constant(x.data.copy()), beta=0.5)
+    loss = T.smooth_l1(x, T.constant(x.data.copy()))
     loss.backward()
     assert loss.item() == 0.0
     np.testing.assert_array_equal(x.grad, np.zeros(3))
@@ -80,7 +85,8 @@ def test_no_general_broadcasting():
 
 def test_non_finite_forward_signals_op():
     big = T.constant([1e308])
-    with pytest.raises(NonFiniteError) as err:
+    # The overflow is the point of the test, so numpy's warning about it is expected.
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
         T.mul(big, 1e308)
     assert "scale" in str(err.value)
 
@@ -203,10 +209,9 @@ def test_grad_check_mse_of_linear_map(rng):
 
 
 def test_grad_check_smooth_l1_away_from_kink(rng):
-    beta = 1.0
-    a = T.parameter(rng.uniform(2.0, 3.0, 6))  # |d| ~ 2.5, far from the kink
+    a = T.parameter(rng.uniform(2.0, 3.0, 6))  # |d| ~ 2.5, far from the kink at 1
     b = T.constant(np.zeros(6))
-    err = T.grad_check(lambda: T.smooth_l1(a, b, beta=beta), [a])
+    err = T.grad_check(lambda: T.smooth_l1(a, b), [a])
     assert err < 1e-5
 
 
@@ -364,10 +369,11 @@ def test_weighted_smooth_l1_value_and_validation():
 
 
 def test_grad_check_weighted_smooth_l1(rng):
-    a = T.parameter(rng.uniform(-3.0, 3.0, (4, 5)))  # both branches of the kink
+    a = T.parameter(rng.uniform(-3.0, 3.0, (4, 5)))  # both branches of the kink at 1
+    assert np.any(np.abs(a.data) < 1.0) and np.any(np.abs(a.data) > 1.0)
     b = T.constant(np.zeros((4, 5)))
     w = rng.uniform(0.5, 2.0, 4)
-    assert T.grad_check(lambda: T.smooth_l1(a, b, beta=0.7, weights=w), [a]) < 1e-4
+    assert T.grad_check(lambda: T.smooth_l1(a, b, weights=w), [a]) < 1e-4
 
 
 def test_max_pool_segments_ties_and_single_rows():
@@ -611,10 +617,10 @@ def test_segment_losses_are_means_of_per_segment_losses(weighted, rng):
     b = rng.uniform(-3.0, 3.0, (11, 5))
     w = rng.uniform(0.5, 2.0, 11) if weighted else None
     pairs = list(zip(segments.bounds[:-1], segments.bounds[1:]))
-    loss = T.smooth_l1(T.constant(a), T.constant(b), 0.7, w, segments).item()
+    loss = T.smooth_l1(T.constant(a), T.constant(b), w, segments).item()
     per_scene = [
         T.smooth_l1(
-            T.constant(a[lo:hi]), T.constant(b[lo:hi]), 0.7, None if w is None else w[lo:hi]
+            T.constant(a[lo:hi]), T.constant(b[lo:hi]), None if w is None else w[lo:hi]
         ).item()
         for lo, hi in pairs
     ]
@@ -626,12 +632,13 @@ def test_segment_losses_are_means_of_per_segment_losses(weighted, rng):
 
 
 def test_grad_check_segment_losses(rng):
-    a = T.parameter(rng.uniform(-3.0, 3.0, (6, 4)))
+    a = T.parameter(rng.uniform(-3.0, 3.0, (6, 4)))  # both sides of the kink at 1
+    assert np.any(np.abs(a.data) < 1.0) and np.any(np.abs(a.data) > 1.0)
     b = T.constant(np.zeros((6, 4)))
     w = rng.uniform(0.5, 2.0, 6)
     segments = _layout([0, 1, 6])
-    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, w, segments), [a]) < 1e-4
-    assert T.grad_check(lambda: T.smooth_l1(a, b, 0.7, None, segments), [a]) < 1e-4
+    assert T.grad_check(lambda: T.smooth_l1(a, b, w, segments), [a]) < 1e-4
+    assert T.grad_check(lambda: T.smooth_l1(a, b, None, segments), [a]) < 1e-4
     assert T.grad_check(lambda: T.mse(a, b, _layout([0, 0, 2, 6])), [a]) < 1e-4
 
 

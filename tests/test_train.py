@@ -644,34 +644,42 @@ def _run_artifacts(out_dir: Path) -> dict:
 
 
 class TestResumeAfterAFailureAtEveryStep:
-    """A NaN gradient at step k saves the state before step k, and a resume finishes the run."""
+    """A failure at step k before AdamW writes saves the state before step k.
+
+    A resume from that checkpoint finishes the run as if nothing had failed.
+    """
 
     STEPS = 6  # 3 epochs of two uneven batches, 3 and 1 of the 4 train scenes
 
-    def _sweep(self, run, tmp_path, monkeypatch):
+    def _sweep(self, run, tmp_path, monkeypatch, fault=None):
+        """Fail each step in turn: a NaN gradient, or ``fault`` raised before AdamW."""
         run(tmp_path / "full", resume=False)
         expected = _run_artifacts(tmp_path / "full")
         adamw_step = train.adamw_step
         for k in range(1, self.STEPS + 1):
             calls = []
 
-            def poisoned(params, *args):
+            def failing(params, *args):
                 calls.append(k)
                 if len(calls) == k:
+                    if fault is not None:
+                        raise fault(f"injected before AdamW at step {k}")
                     params.grad[0] = np.nan
                 return adamw_step(params, *args)
 
-            out = tmp_path / f"nan_at_{k}"
-            with monkeypatch.context() as patch, pytest.raises(DivergedRunError) as err:
-                patch.setattr(train, "adamw_step", poisoned)
+            out = tmp_path / f"fail_at_{k}"
+            with monkeypatch.context() as patch, pytest.raises(fault or DivergedRunError) as err:
+                patch.setattr(train, "adamw_step", failing)
                 run(out, resume=False)
-            assert err.value.step == k
+            if fault is None:
+                assert err.value.step == k
             ckpt = nn.load_checkpoint(out / "checkpoint")
             assert ckpt.step == ckpt.opt_state["t"] == k - 1
             run(out, resume=True)
-            assert _run_artifacts(out) == expected, f"NaN at step {k}"
+            assert _run_artifacts(out) == expected, f"{fault or 'NaN'} at step {k}"
 
-    def test_stage1(self, tiny_dataset, tiny_arch, tmp_path, monkeypatch):
+    @pytest.fixture()
+    def stage1_run(self, tiny_dataset, tiny_arch):
         tb, eb = tiny_dataset
 
         def run(out, resume):
@@ -680,9 +688,10 @@ class TestResumeAfterAFailureAtEveryStep:
                 resume=resume,
             )
 
-        self._sweep(run, tmp_path, monkeypatch)
+        return run
 
-    def test_stage2(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
+    @pytest.fixture()
+    def stage2_run(self, tiny_dataset, teacher_ckpt):
         tb, eb = tiny_dataset
 
         def run(out, resume):
@@ -691,7 +700,38 @@ class TestResumeAfterAFailureAtEveryStep:
                 out, resume=resume,
             )
 
-        self._sweep(run, tmp_path, monkeypatch)
+        return run
+
+    def test_stage1(self, stage1_run, tmp_path, monkeypatch):
+        self._sweep(stage1_run, tmp_path, monkeypatch)
+
+    def test_stage2(self, stage2_run, tmp_path, monkeypatch):
+        self._sweep(stage2_run, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, OSError])
+    def test_stage1_interrupted(self, stage1_run, tmp_path, monkeypatch, fault):
+        self._sweep(stage1_run, tmp_path, monkeypatch, fault)
+
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, OSError])
+    def test_stage2_interrupted(self, stage2_run, tmp_path, monkeypatch, fault):
+        self._sweep(stage2_run, tmp_path, monkeypatch, fault)
+
+    def test_interrupt_once_adamw_counted_the_step_saves_nothing(
+        self, stage1_run, tmp_path, monkeypatch
+    ):
+        # The buffers may be half written then, so no checkpoint is better than a torn one.
+        adamw_step = train.adamw_step
+
+        def interrupted(params, state, *args):
+            norm = adamw_step(params, state, *args)
+            if state["t"] == 2:
+                raise KeyboardInterrupt
+            return norm
+
+        monkeypatch.setattr(train, "adamw_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            stage1_run(tmp_path / "run", resume=False)
+        assert not (tmp_path / "run" / "checkpoint").exists()
 
 
 def _graph_nodes(*outs: T.Tensor) -> list[T.Tensor]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import BadSplitError, InvalidInputError
+from .errors import BadSplitError, InvalidInputError, NonFiniteError, ShapeMismatchError
 from .scene import SceneBundle
 from .tokenizer import TokenSet, sam_tokenize, token_regions
 from .train import TrainConfig, adamw_step, init_opt_state, lr_at
@@ -81,12 +81,28 @@ def fit_linear_probe(
     epochs: int,
     seed: int,
 ) -> tuple[float, list[float]]:
-    """Train a single linear classifier full-batch and score the held-out tokens."""
+    """Train a single linear classifier full-batch and score the held-out tokens.
+
+    Each epoch computes the mean softmax cross-entropy gradient in closed
+    form, ``(softmax(logits) - onehot) / n``, and builds no graph. The
+    steps repeat the arithmetic of ``tensor.linear`` and
+    ``tensor.cross_entropy`` and their backwards op for op, so the weights
+    have the bits of the graph-based fit: ``p - 0.0`` is exact off the label
+    column and the loss's seed gradient is 1.0. Non-finite logits raise
+    NonFiniteError as the engine's per-op check would; finite logits give a
+    finite loss, which nothing reads and so is not computed.
+    """
     if epochs < 1:
         raise InvalidInputError("probe epochs must be >= 1")
     missing = sorted(set(np.unique(test_y)) - set(np.unique(train_y)))
     if missing:
         raise BadSplitError(f"classes {missing} absent from the probe training split")
+    y = np.asarray(train_y, dtype=np.int64)
+    n = len(train_x)
+    if y.shape != (n,):
+        raise ShapeMismatchError("fit_linear_probe", np.shape(train_x), y.shape)
+    if n and (y.min() < 0 or y.max() >= n_classes):
+        raise InvalidInputError("probe labels out of range")
 
     mean = train_x.mean(axis=0)
     std = np.maximum(train_x.std(axis=0), 1e-6)
@@ -102,11 +118,18 @@ def fit_linear_probe(
         base_lr=_PROBE_LR, weight_decay=0.0, epochs=epochs, warmup_epochs=0, seed=seed
     )
     state = init_opt_state(params)
-    x_const = T.constant(xt)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
     for epoch in range(epochs):
-        params.zero_grad()
-        loss = T.cross_entropy(T.linear(x_const, w, b), train_y)
-        loss.backward()
+        logits = xt @ w.data + b.data
+        if not np.isfinite(logits).all():
+            raise NonFiniteError("linear")
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+        p -= onehot
+        p /= n
+        np.matmul(xt.T, p, out=w.grad)
+        np.sum(p, axis=0, out=b.grad)
         adamw_step(params, state, lr_at(epoch, epochs, cfg), 0.0)
 
     logits = xe @ w.data + b.data
@@ -128,10 +151,15 @@ def linear_probe(
     seed: int = 0,
     encoder_tag: str = ENCODER_STAGE1,
 ) -> ProbeResult:
-    """Probe a frozen encoder (a ModelParams or a checkpoint path)."""
+    """Probe a frozen encoder (a ModelParams or a checkpoint path).
+
+    The features come from forwards without gradients, so a ModelParams
+    passed in keeps its trainability and gradient buffer. An encoder loaded
+    here is frozen, which frees the gradient buffer the load allocated.
+    """
     if not isinstance(encoder, nn.ModelParams):
         encoder = nn.load_checkpoint(encoder).params
-    encoder.freeze_all()
+        encoder.freeze_all()
 
     train_x, train_y = extract_features(train_bundles, encoder)
     test_x, test_y = extract_features(test_bundles, encoder)

@@ -9,7 +9,7 @@ persisted artifacts alone.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import blobio, nn, probe
@@ -36,12 +36,27 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "PipelineConfig":
+        """Config from its JSON shape; a key that nothing would read is refused.
+
+        ``scene.seed`` is refused too: ``generate_dataset`` derives every
+        scene's seed from the dataset seed (``seed``).
+        """
         cfg = PipelineConfig()
+        unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise InvalidInputError(f"bad config: unknown keys {unknown}")
+        not_objects = [
+            k for k, v in obj.items() if is_dataclass(getattr(cfg, k)) and not isinstance(v, dict)
+        ]
+        if not_objects:
+            raise InvalidInputError(f"bad config: sections {not_objects} are not objects")
         scene_obj = dict(obj.get("scene", {}))
-        for key in ("points_per_object_range", "depth_range"):
-            if key in scene_obj:
-                scene_obj[key] = tuple(scene_obj[key])
+        if "seed" in scene_obj:
+            raise InvalidInputError("bad config: scene.seed is unused; set the top-level seed")
         try:
+            for key in ("points_per_object_range", "depth_range"):
+                if key in scene_obj:
+                    scene_obj[key] = tuple(scene_obj[key])
             return replace(
                 cfg,
                 seed=obj.get("seed", cfg.seed),
@@ -64,6 +79,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         out = asdict(self)
+        del out["scene"]["seed"]
         out["scene"]["points_per_object_range"] = list(out["scene"]["points_per_object_range"])
         out["scene"]["depth_range"] = list(out["scene"]["depth_range"])
         return out
@@ -120,6 +136,7 @@ def run_matrix(
         scratch_dir = runs_dir / "scratch"
         scratch_dir.mkdir(exist_ok=True)
         encoder = nn.init_params(config.arch, config.train.seed)
+        encoder.freeze_all()  # frees the gradient buffer; the probe's forwards need none
         result = probe.linear_probe(
             encoder,
             train_bundles,

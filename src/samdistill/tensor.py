@@ -11,10 +11,11 @@ broadcasting beyond bias addition over the leading axis. Segment ops
 attention pads each segment to the longest one and scores each segment's
 own block, and the fused embedder runs in cache-sized blocks of rows, so a
 forward over many packed scenes costs less than one forward per scene.
-Eight ops have no caller in the models and stay only because the benchmark
+Nine ops have no caller in the library and stay only because the benchmark
 declares their call counts: ``relu``, ``max_pool``, ``cosine_sim``, ``mul``,
-``softmax``, ``slice_axis``, ``stack`` and ``transpose``. Tests use them as
-unfused oracles; they go when the benchmark's declarations do.
+``softmax``, ``slice_axis``, ``stack``, ``transpose`` and ``cross_entropy``.
+Tests use them as unfused oracles (``cross_entropy`` for the linear probe's
+closed-form fit); they go when the benchmark's declarations do.
 """
 
 from __future__ import annotations
@@ -846,7 +847,7 @@ def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy for integer labels (used by the linear probe)."""
+    """Mean softmax cross-entropy for integer labels (the linear probe's test oracle)."""
     logits = _as_tensor(logits)
     y = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or y.shape != (logits.shape[0],):

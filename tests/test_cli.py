@@ -153,6 +153,31 @@ def test_error_exit_code_on_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config",
+    [
+        {"seeed": 5},  # a misspelt top-level key
+        {"probe_epoch": 3},
+        {"scene": {"seed": 7}},  # generate_dataset derives every scene seed
+        {"scene": 5},  # sections and their tuples must have their JSON shape
+        {"scene": "ab"},
+        {"train": [1]},
+        {"scene": {"depth_range": 5}},
+    ],
+)
+def test_config_keys_nothing_reads_and_malformed_sections_are_refused(tmp_path, config, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert cli.main(["--config", str(bad), "--out-dir", str(tmp_path), "scene"]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj", [{}, QUICK_CONFIG])
+def test_config_round_trips_through_its_json(obj):
+    cfg = report.PipelineConfig.from_dict(obj)
+    assert report.PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["stage1", "--scenes", "s", "--scale-mode", "paper-literal"],
@@ -205,6 +230,7 @@ def test_report_matrix_and_recompute(tmp_path, capsys):
     report.run_matrix(
         cfg, out, cells=[("sam", True, False), ("sam", True, True)], include_scratch=True
     )
+    assert report.PipelineConfig.from_file(out / "config.json") == cfg
     rows = report.report_ablation(out)
     by_cell = {r["cell"]: r for r in rows}
     assert by_cell["scratch"]["status"] == "ok"

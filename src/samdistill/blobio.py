@@ -108,7 +108,8 @@ def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.nda
     """Write ``arrays`` as ``<name>.bin`` blobs plus ``manifest.json``, replacing ``path``.
 
     The directory is built under a dot-prefixed sibling name and renamed
-    into place; an existing one is moved aside first and deleted afterwards.
+    into place; an existing one is moved aside first and deleted afterwards,
+    or moved back if the new one does not reach its place.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -128,6 +129,8 @@ def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.nda
         os.rename(tmp, path)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        if old.exists() and not path.exists():
+            os.rename(old, path)
         raise
     shutil.rmtree(old, ignore_errors=True)
 

@@ -209,7 +209,6 @@ def _cmd_probe(args, cfg: report.PipelineConfig) -> int:
         # Only a stage-2 run fingerprints a teacher.
         from_stage2 = "teacher_hash" in (ckpt.fingerprint or {})
         tag = probe.ENCODER_STAGE2 if from_stage2 else probe.ENCODER_STAGE1
-    encoder.freeze_all()  # frees the gradient buffer; the probe's forwards need none
     result = probe.linear_probe(
         encoder, train_bundles, test_bundles, epochs=epochs, seed=cfg.seed, encoder_tag=tag
     )

@@ -5,11 +5,12 @@ scenes stacked row after row; attention stays within each scene of the
 batch's scene layout, so the scenes of an optimizer batch share one graph,
 and a forward without gradients packs up to :data:`EVAL_CHUNK` scenes.
 
-Parameters are named views into one flat float64 buffer, and each leaf's
-``requires_grad`` says whether it trains, so that a whole model can serve
-as a frozen teacher. A checkpoint is a JSON manifest plus one raw float64
-blob per flat buffer (the parameters and, if saved, the two AdamW
-moments) and round-trips bit-exact, optimizer state included.
+Parameters are named views into one flat float64 buffer. Every model is
+frozen when it is built, copied or loaded, with no gradient buffer; only
+a training loop makes one trainable. A checkpoint holds weights only: a
+JSON manifest plus one raw float64 blob per flat buffer (the parameters
+and, if saved, the two AdamW moments). It round-trips bit-exact,
+optimizer state included.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ def no_decay(name: str) -> bool:
 class ModelParams:
     """Named parameters stored as views into one flat float64 buffer.
 
-    ``data`` holds every parameter and ``grad`` every gradient; each
-    named ``Tensor`` is a reshaped view of its slice of both. The buffer
-    puts decayed parameters before the :func:`no_decay` ones, so AdamW
-    runs over at most two contiguous ranges. A leaf's ``requires_grad`` is
-    the one record of trainability: :meth:`set_trainable` sets it and
-    binds the leaf's ``grad`` to its view, or sets it to None when frozen.
-    ``grad`` is allocated while any parameter is trainable.
+    ``data`` holds every parameter; each named ``Tensor`` is a reshaped
+    view of its slice. The buffer puts decayed parameters before the
+    :func:`no_decay` ones, so AdamW runs over at most two contiguous
+    ranges. A new model is frozen and has no ``grad`` buffer. A leaf's
+    ``requires_grad`` is the one record of trainability, and
+    :meth:`set_trainable` is the one switch: it allocates ``grad`` while
+    any parameter is trainable and binds each trainable leaf's ``grad`` to
+    its view of it.
     """
 
     def __init__(
@@ -88,7 +90,6 @@ class ModelParams:
         shapes: dict[str, tuple[int, ...]],
         arch: Arch | None = None,
         data: np.ndarray | None = None,
-        frozen: Iterable[str] = (),
     ):
         self.arch = arch
         # Buffer order: stable sort, decayed names first.
@@ -101,13 +102,12 @@ class ModelParams:
         self.n_decay = sum(math.prod(shape) for n, shape in shapes.items() if not no_decay(n))
         self.data = np.zeros(offset) if data is None else data
         self.grad: np.ndarray | None = None
-        views, frozen = self.views(self.data), set(frozen)
-        self.tensors = {name: T.Tensor(views[name], name not in frozen) for name in shapes}
-        self._bind_grads()
+        views = self.views(self.data)
+        self.tensors = {name: T.Tensor(views[name]) for name in shapes}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], arch: Arch | None = None) -> "ModelParams":
-        """Trainable parameters holding copies of ``arrays``."""
+        """Frozen parameters holding copies of ``arrays``."""
         params = cls({name: np.shape(a) for name, a in arrays.items()}, arch)
         for name, a in arrays.items():
             params.tensors[name].data[...] = a
@@ -137,12 +137,9 @@ class ModelParams:
         return runs
 
     def set_trainable(self, trainable: bool, names: Iterable[str] | None = None) -> None:
-        """Make ``names`` (default: all) trainable or frozen."""
+        """Make ``names`` (default: all) trainable or frozen, and bind the gradients."""
         for name in self.tensors if names is None else names:
             self.tensors[name].requires_grad = trainable
-        self._bind_grads()
-
-    def _bind_grads(self) -> None:
         if not self.trainable_names():
             self.grad = None
         elif self.grad is None:
@@ -164,9 +161,9 @@ class ModelParams:
             self.grad.fill(0.0)
 
     def copy(self) -> "ModelParams":
+        """A frozen model with a copy of ``data``."""
         shapes = {n: t.shape for n, t in self.tensors.items()}
-        frozen = [n for n, t in self.tensors.items() if not t.requires_grad]
-        return ModelParams(shapes, self.arch, self.data.copy(), frozen)
+        return ModelParams(shapes, self.arch, self.data.copy())
 
     def byte_hash(self) -> str:
         digest = hashlib.sha256()
@@ -434,10 +431,7 @@ def save_checkpoint(
     meta = {
         "arch": params.arch.to_json(),
         "step": int(step),
-        "params": [
-            {"name": name, "shape": list(t.shape), "frozen": not t.requires_grad}
-            for name, t in params.tensors.items()
-        ],
+        "params": [{"name": name, "shape": list(t.shape)} for name, t in params.tensors.items()],
         "optimizer": None if opt_state is None else {"t": int(opt_state["t"])},
     }
     if fingerprint is not None:
@@ -445,19 +439,22 @@ def save_checkpoint(
     blobio.save_arrays(path, "model-checkpoint", meta, arrays)
 
 
-def _param_records(manifest: dict) -> dict[str, tuple[list[int], bool]]:
-    """``{name: (shape, frozen)}`` from the manifest's ``params`` list, in order."""
+def _param_records(manifest: dict) -> dict[str, list[int]]:
+    """``{name: shape}`` from the manifest's ``params`` list, in order.
+
+    A ``frozen`` key, which checkpoints held until trainability stopped
+    being saved, is ignored.
+    """
     records = manifest["params"]
     if not isinstance(records, list) or not all(
         isinstance(rec, dict)
         and isinstance(rec.get("name"), str)
         and isinstance(rec.get("shape"), list)
         and all(type(d) is int and d >= 0 for d in rec["shape"])
-        and type(rec.get("frozen")) is bool
         for rec in records
     ):
-        raise MalformedManifestError("checkpoint params must be {name, shape, frozen} records")
-    parsed = {rec["name"]: (rec["shape"], rec["frozen"]) for rec in records}
+        raise MalformedManifestError("checkpoint params must be {name, shape} records")
+    parsed = {rec["name"]: rec["shape"] for rec in records}
     if len(parsed) != len(records):
         raise MalformedManifestError("checkpoint params repeat a name")
     return parsed
@@ -467,14 +464,14 @@ def _checkpoint_blobs(manifest: dict) -> dict[str, list[int]]:
     """The flat buffers, each as long as all parameters together, all ``<f8``."""
     if any(rec["dtype"] != "<f8" for rec in manifest["blobs"].values()):
         raise MalformedManifestError("checkpoint blobs must be <f8")
-    total = [sum(math.prod(shape) for shape, _ in _param_records(manifest).values())]
+    total = [sum(math.prod(shape) for shape in _param_records(manifest).values())]
     if manifest["optimizer"] is None:
         return {"params": total}
     return {"params": total, "m": total, "v": total}
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; its blobs become the flat buffers as they are."""
+    """Read a checkpoint; its blobs become the flat buffers of a frozen model."""
     manifest, arrays = blobio.load_arrays(
         path, "model-checkpoint", ("arch", "step", "params", "optimizer"), _checkpoint_blobs
     )
@@ -483,11 +480,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         arch = Arch.from_json(manifest["arch"])
         step = int(manifest["step"])
         t = None if manifest["optimizer"] is None else int(manifest["optimizer"]["t"])
-    params = ModelParams(
-        {name: shape for name, (shape, _) in records.items()},
-        arch,
-        data=arrays["params"],
-        frozen=[name for name, (_, frozen) in records.items() if frozen],
-    )
+    params = ModelParams(records, arch, data=arrays["params"])
     opt_state = None if t is None else {"t": t, "m": arrays["m"], "v": arrays["v"]}
     return Checkpoint(params, step, opt_state, manifest.get("fingerprint"))

@@ -113,6 +113,7 @@ def fit_linear_probe(
     params = nn.ModelParams.from_arrays(
         {"probe.w": rng.normal(0.0, 0.01, (xt.shape[1], n_classes)), "probe.b": np.zeros(n_classes)}
     )
+    params.set_trainable(True)
     w, b = params.tensors["probe.w"], params.tensors["probe.b"]
     cfg = TrainConfig(
         base_lr=_PROBE_LR, weight_decay=0.0, epochs=epochs, warmup_epochs=0, seed=seed
@@ -154,12 +155,10 @@ def linear_probe(
     """Probe a frozen encoder (a ModelParams or a checkpoint path).
 
     The features come from forwards without gradients, so a ModelParams
-    passed in keeps its trainability and gradient buffer. An encoder loaded
-    here is frozen, which frees the gradient buffer the load allocated.
+    passed in keeps its trainability and gradient buffer.
     """
     if not isinstance(encoder, nn.ModelParams):
         encoder = nn.load_checkpoint(encoder).params
-        encoder.freeze_all()
 
     train_x, train_y = extract_features(train_bundles, encoder)
     test_x, test_y = extract_features(test_bundles, encoder)

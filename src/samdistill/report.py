@@ -119,7 +119,6 @@ def run_matrix(
     config: PipelineConfig,
     out_dir: str | Path,
     cells: list[tuple[str, bool, bool]] | None = None,
-    include_scratch: bool = True,
 ) -> None:
     """Execute the requested matrix cells, sharing datasets and stage-1 runs."""
     out_dir = Path(out_dir)
@@ -132,20 +131,18 @@ def run_matrix(
         config.scene, config.n_eval_scenes, config.seed + 1_000_003
     )
 
-    if include_scratch:
-        scratch_dir = runs_dir / "scratch"
-        scratch_dir.mkdir(exist_ok=True)
-        encoder = nn.init_params(config.arch, config.train.seed)
-        encoder.freeze_all()  # frees the gradient buffer; the probe's forwards need none
-        result = probe.linear_probe(
-            encoder,
-            train_bundles,
-            eval_bundles,
-            epochs=config.probe_epochs,
-            seed=config.seed,
-            encoder_tag=probe.ENCODER_SCRATCH,
-        )
-        blobio.dump_manifest(scratch_dir / "probe.json", result.to_json())
+    scratch_dir = runs_dir / "scratch"
+    scratch_dir.mkdir(exist_ok=True)
+    encoder = nn.init_params(config.arch, config.train.seed)
+    result = probe.linear_probe(
+        encoder,
+        train_bundles,
+        eval_bundles,
+        epochs=config.probe_epochs,
+        seed=config.seed,
+        encoder_tag=probe.ENCODER_SCRATCH,
+    )
+    blobio.dump_manifest(scratch_dir / "probe.json", result.to_json())
 
     stage1_cache: dict[tuple[str, bool], train_mod.RunResult] = {}
     for tokenizer, reweight, stage2_on in cells or matrix_cells():

@@ -897,6 +897,8 @@ def grad_check(
     if not (1e-7 <= h <= 1e-3):
         raise InvalidInputError(f"step h={h} outside [1e-7, 1e-3]")
     inputs = list(inputs)
+    if not inputs:
+        raise InvalidInputError("grad_check needs at least one input; it would check nothing")
 
     for t in inputs:
         # In-place perturbation below requires a contiguous buffer.

@@ -275,9 +275,11 @@ def _fit(
 ) -> tuple[Path, nn.ModelParams, int, dict, dict]:
     """The run loop both stages share.
 
-    ``batch_loss(params, batch, epoch)`` returns the loss to minimize, one
-    graph over the batch of scene indices, and the numeric ``metrics.csv``
-    fields of that batch;
+    ``fresh_params()`` builds a new run's model; that model, or the one a
+    resume loads, is frozen until this loop makes every parameter
+    trainable. ``batch_loss(params, batch, epoch)`` returns the loss to
+    minimize, one graph over the batch of scene indices, and the numeric
+    ``metrics.csv`` fields of that batch;
     ``dataset_metrics(params)`` is measured at step 0 and after the last
     step. Every checkpoint records ``fingerprint``, and resuming from a
     checkpoint with another one raises InconsistencyError. Returns the
@@ -315,6 +317,7 @@ def _fit(
         step = 0
         initial = dataset_metrics(params)
         blobio.dump_manifest(out_dir / _INITIAL_METRICS, initial)
+    params.set_trainable(True)
 
     start_epoch = step // steps_per_epoch
     end_epoch = train_cfg.epochs
@@ -425,32 +428,20 @@ def _stage1_batch_loss(
 
 
 def _stage1_eval(
-    bundles: list[SceneBundle],
-    params: nn.ModelParams,
-    table: stage1.WeightTable,
-    centroids: np.ndarray,
+    scenes: list[_PreparedScene], params: nn.ModelParams, table: stage1.WeightTable
 ) -> dict:
     """Held-out per-region cosine between projected 3D features and 2D targets.
 
-    Held-out scenes always use mask-guided tokens, whatever the training
-    tokenizer, so every run is scored on the same regions. The forward
-    runs on chunks of at most ``EVAL_CHUNK`` scenes.
+    The forward runs on chunks of at most ``EVAL_CHUNK`` scenes.
     """
     cosines: list[np.ndarray] = []
-    groups: list[np.ndarray] = []
     with T.no_grad():
-        for chunk in _batches(bundles, nn.EVAL_CHUNK):
-            scenes = []
-            for b in chunk:
-                tokens = sam_tokenize(b)
-                pooled = stage1.pool_features_by_region(b.feat2d, b.mask)
-                scenes.append(_prepare_scene(b, tokens, pooled, centroids, params.arch))
-            _, f3d = _stage1_project(scenes, params)
-            targets = np.concatenate([s.targets for s in scenes])
+        for chunk in _batches(scenes, nn.EVAL_CHUNK):
+            _, f3d = _stage1_project(chunk, params)
+            targets = np.concatenate([s.targets for s in chunk])
             cosines.append(stage1.region_cosines(targets, f3d.data))
-            groups += [s.groups for s in scenes]
     cos = np.concatenate(cosines)
-    grp = np.concatenate(groups)
+    grp = np.concatenate([s.groups for s in scenes])
     per_group = [
         float(cos[grp == g].mean()) if np.any(grp == g) else float("nan")
         for g in range(table.n_groups)
@@ -497,6 +488,14 @@ def run_stage1(
         _prepare_scene(b, t, p, centroids, arch)
         for b, t, p in zip(train_bundles, tokens, pooled)
     ]
+    # Held-out scenes always use mask-guided tokens, whatever the training
+    # tokenizer, so every run is scored on the same regions.
+    heldout = [
+        _prepare_scene(
+            b, sam_tokenize(b), stage1.pool_features_by_region(b.feat2d, b.mask), centroids, arch
+        )
+        for b in eval_bundles
+    ]
     stage1.save_weight_table(out_dir / "weight_table", table, centroids)
 
     def batch_loss(params: nn.ModelParams, batch: np.ndarray, epoch: int):
@@ -534,8 +533,8 @@ def run_stage1(
         "steps": step,
         "seed": train_cfg.seed,
     }
-    if eval_bundles:
-        metrics.update(_stage1_eval(eval_bundles, params, table, centroids))
+    if heldout:
+        metrics.update(_stage1_eval(heldout, params, table))
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
     return RunResult(ckpt_dir, metrics)
 
@@ -620,7 +619,6 @@ def run_stage2(
     """
     out_dir = Path(out_dir)
     teacher = nn.load_checkpoint(teacher_ckpt).params
-    teacher.freeze_all()
     teacher_hash_before = teacher.byte_hash()
 
     def prepare(bundles: list[SceneBundle]) -> list[_Stage2Input]:
@@ -646,11 +644,9 @@ def run_stage2(
     eval_plans = [plan(s, len(train_scenes) + i, 0) for i, s in enumerate(eval_scenes)]
 
     def fresh_student() -> nn.ModelParams:
-        if not cfg.init_from_teacher:
-            return nn.init_params(teacher.arch, train_cfg.seed)
-        student = teacher.copy()
-        student.set_trainable(True)
-        return student
+        if cfg.init_from_teacher:
+            return teacher.copy()
+        return nn.init_params(teacher.arch, train_cfg.seed)
 
     def batch_loss(student: nn.ModelParams, batch: np.ndarray, epoch: int):
         plans = [plan(train_scenes[i], int(i), epoch) for i in batch]

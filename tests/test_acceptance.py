@@ -199,6 +199,7 @@ def test_c4_gradient_checks_stage1():
     for seed in range(20):
         bundle, tokens = _grad_seed_setup(seed)
         params = nn.init_params(GRAD_ARCH, seed=seed + 100)
+        params.set_trainable(True)
         targets, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
         )
@@ -227,8 +228,8 @@ def test_c4_gradient_checks_stage2():
     for seed in range(20):
         bundle, tokens = _grad_seed_setup(seed + 50)
         teacher = nn.init_params(GRAD_ARCH, seed=seed + 200)
-        teacher.freeze_all()
         student = nn.init_params(GRAD_ARCH, seed=seed + 300)
+        student.set_trainable(True)
         plan = nn.make_mask_plan(len(tokens), 0.6, seed=seed, scene_id=0, epoch=0)
         inputs = [student.tensors[n] for n in student.trainable_names()]
         batch = nn.TokenBatch.of_scene(bundle, tokens, GRAD_ARCH.max_points_per_token)

@@ -227,9 +227,7 @@ def test_report_matrix_and_recompute(tmp_path, capsys):
     cfg = report.PipelineConfig.from_dict(QUICK_CONFIG)
     out = tmp_path / "matrix"
     # One non-stage2 cell plus one stage2 cell keeps the runtime small.
-    report.run_matrix(
-        cfg, out, cells=[("sam", True, False), ("sam", True, True)], include_scratch=True
-    )
+    report.run_matrix(cfg, out, cells=[("sam", True, False), ("sam", True, True)])
     assert report.PipelineConfig.from_file(out / "config.json") == cfg
     rows = report.report_ablation(out)
     by_cell = {r["cell"]: r for r in rows}

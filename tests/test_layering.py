@@ -135,3 +135,45 @@ def test_offsets_checker_catches_parameters_and_fields(tmp_path):
         "line 5: offsets",
         "line 7: member_offsets",
     ]
+
+
+TRAINABILITY = ("set_trainable", "freeze_all")
+
+
+def _trainability_calls(path: Path) -> list[str]:
+    """Calls that change a model's trainability, other than a model's calls on ``self``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"line {node.lineno}: {node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in TRAINABILITY
+        and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self")
+    ]
+
+
+def test_only_the_training_loops_make_a_model_trainable():
+    """Every model is built, copied and loaded frozen, so nothing in the package freezes one.
+
+    The stages' shared run loop in ``train`` and the probe's fit in
+    ``probe`` are the only places that make a model trainable.
+    """
+    calls = {p.name: _trainability_calls(p) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    setters = {name for name, found in calls.items() if any("set_trainable" in c for c in found)}
+    freezes = {name: c for name, found in calls.items() for c in found if "freeze_all" in c}
+    assert setters == {"train.py", "probe.py"}
+    assert freezes == {}
+
+
+def test_trainability_checker_skips_calls_on_self(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "params.set_trainable(True)\n"
+        "class M:\n"
+        "    def freeze_all(self):\n"
+        "        self.set_trainable(False)\n"
+        "teacher.freeze_all()\n"
+        "set_trainable = None\n"
+    )
+    assert _trainability_calls(module) == ["line 1: set_trainable", "line 5: freeze_all"]

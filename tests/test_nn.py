@@ -1,6 +1,7 @@
 """Model components: embedder invariances, transformer properties, mask plans, checkpoints."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -123,6 +124,7 @@ class TestPackedEmbedOracle:
         results = []
         for embed in (_embed, _per_token_embed):
             params = nn.init_params(tiny_arch, seed=4)
+            params.set_trainable(True)
             out = embed(bundle, tokens, params)
             T.mse(out, target).backward()
             results.append((out.data.tobytes(), [params.tensors[n].grad.copy() for n in names]))
@@ -155,6 +157,7 @@ class TestFusedEmbedder:
     @pytest.mark.parametrize("n_scenes", [1, 2])
     def test_matches_the_unfused_graph(self, n_scenes):
         params = nn.init_params(nn.Arch(), seed=0)
+        params.set_trainable(True)
         parts = []
         for seed in range(n_scenes):
             bundle = scene.generate_scene(scene.SceneSpec(n_objects=5, seed=30 + seed))
@@ -303,6 +306,7 @@ class TestEncoderDecoder:
             pointnet_hidden=4, mlp_ratio=1, proj_dim=3,
         )
         params = nn.init_params(arch, seed=1)
+        params.set_trainable(True)
         x = T.constant(rng.normal(0, 1, (3, 6)))
         target = rng.normal(0, 1, (3, 6))
         inputs = [params.tensors[n] for n in params.trainable_names() if n.startswith("enc")]
@@ -343,6 +347,7 @@ class TestFusedLinearLayers:
             pointnet_hidden=4, mlp_ratio=2, proj_dim=3,
         )
         params = nn.init_params(arch, seed=1)
+        params.set_trainable(True)
         scenes = T.Segments.of_bounds(offsets)
         x = T.parameter(rng.normal(0, 1, (offsets[-1], 6)))
         target = T.constant(rng.normal(0, 1, (offsets[-1], 6)))
@@ -436,6 +441,7 @@ class TestParamsAndCheckpoints:
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
+        params.set_trainable(True)
         params.set_trainable(False, ["proj.w"])
         n = params.data.size
         opt = {
@@ -447,10 +453,29 @@ class TestParamsAndCheckpoints:
         loaded = nn.load_checkpoint(tmp_path / "ckpt")
         assert loaded.step == 42
         assert loaded.params.byte_hash() == params.byte_hash()
-        assert loaded.params.trainable_names() == params.trainable_names()
+        # Checkpoints hold weights only: a loaded model is frozen.
+        assert "frozen" not in (tmp_path / "ckpt" / "manifest.json").read_text()
+        assert loaded.params.trainable_names() == []
+        assert loaded.params.grad is None
         assert loaded.opt_state["t"] == 17
         np.testing.assert_array_equal(loaded.opt_state["m"], opt["m"])
         np.testing.assert_array_equal(loaded.opt_state["v"], opt["v"])
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_checkpoint_with_frozen_records_loads_frozen(self, tmp_path, tiny_arch, frozen):
+        """Checkpoints written while trainability was saved hold a ``frozen`` bool per record."""
+        params = nn.init_params(tiny_arch, seed=8)
+        nn.save_checkpoint(tmp_path / "ckpt", params, step=5)
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for rec in manifest["params"]:
+            rec["frozen"] = frozen
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = nn.load_checkpoint(tmp_path / "ckpt")
+        assert loaded.step == 5
+        assert loaded.params.byte_hash() == params.byte_hash()
+        assert loaded.params.trainable_names() == []
+        assert loaded.params.grad is None
 
     def test_checkpoint_without_optimizer(self, tmp_path, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
@@ -504,6 +529,39 @@ class TestParamsAndCheckpoints:
         assert loaded.params.byte_hash() == old.byte_hash()
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
+    def test_built_frozen_without_a_gradient_buffer(self, tiny_arch):
+        params = nn.init_params(tiny_arch, seed=8)
+        assert params.trainable_names() == []
+        assert params.grad is None
+        probe = nn.ModelParams.from_arrays({"w": np.ones((2, 3))})
+        assert probe.trainable_names() == [] and probe.grad is None
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_rename_into_place_restores_previous_checkpoint(
+        self, tmp_path, tiny_arch, monkeypatch, error
+    ):
+        """The old directory is already moved aside when the new one's rename fails."""
+        old = nn.init_params(tiny_arch, seed=8)
+        nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
+        new = nn.init_params(tiny_arch, seed=9)
+        rename, calls = blobio.os.rename, []
+
+        def failing_rename(src, dst):
+            calls.append(src)
+            if len(calls) == 2:
+                raise error("rename failed")
+            rename(src, dst)
+
+        monkeypatch.setattr(blobio.os, "rename", failing_rename)
+        with pytest.raises(error):
+            nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
+        monkeypatch.undo()
+        assert len(calls) == 3  # aside, into place (fails), back
+        loaded = nn.load_checkpoint(tmp_path / "ckpt")
+        assert loaded.step == 3
+        assert loaded.params.byte_hash() == old.byte_hash()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
     def test_copy_is_deep(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
         clone = params.copy()
@@ -512,7 +570,9 @@ class TestParamsAndCheckpoints:
 
     def test_freeze_all_disables_grad(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
+        params.set_trainable(True)
         params.freeze_all()
+        assert params.grad is None
         assert params.trainable_names() == []
         assert not any(t.requires_grad for t in params.tensors.values())
 
@@ -531,6 +591,7 @@ class TestFlatStore:
 
     def test_grads_stay_views_through_backward_zero_grad_and_grad_check(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=2)
+        params.set_trainable(True)
         bundle = scene.generate_scene(
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
@@ -558,18 +619,21 @@ class TestFlatStore:
 
     def test_copy_owns_its_buffers(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
+        params.set_trainable(True)
         params.set_trainable(False, ["proj.w"])
         clone = params.copy()
         self._assert_bound(clone)
-        assert clone.trainable_names() == params.trainable_names()
+        # A copy is frozen, whatever its source.
+        assert clone.trainable_names() == []
+        assert clone.grad is None
         assert not np.shares_memory(clone.data, params.data)
+        clone.set_trainable(True)
         assert not np.shares_memory(clone.grad, params.grad)
         clone.grad[...] = 1.0
         assert not np.any(params.grad)
 
     def test_frozen_leaves_have_no_grad(self, tiny_arch):
         teacher = nn.init_params(tiny_arch, seed=1)
-        teacher.freeze_all()
         assert teacher.grad is None
         self._assert_bound(teacher)
         student = teacher.copy()

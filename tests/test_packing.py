@@ -50,7 +50,6 @@ def test_forward_tokens(batches):
 
 def test_teacher_forward(batches):
     teacher = nn.init_params(nn.Arch(), seed=1)
-    teacher.freeze_all()
     f_ins, dec_out = stage2.teacher_forward(nn.TokenBatch.stack(batches), teacher)
     single = [stage2.teacher_forward(b, teacher) for b in batches]
     assert f_ins.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
@@ -60,7 +59,6 @@ def test_teacher_forward(batches):
 @pytest.mark.parametrize("chunk", [nn.EVAL_CHUNK, 3])
 def test_probe_features(bundles, chunk, monkeypatch):
     params = nn.init_params(nn.Arch(), seed=2)
-    params.freeze_all()
     monkeypatch.setattr(nn, "EVAL_CHUNK", chunk)
     feats, labels = probe.extract_features(bundles, params)
     single = [probe.extract_features([b], params) for b in bundles]

@@ -79,6 +79,7 @@ def _graph_fit(train_x, train_y, test_x, test_y, n_classes, epochs, seed):
     params = nn.ModelParams.from_arrays(
         {"probe.w": rng.normal(0.0, 0.01, (xt.shape[1], n_classes)), "probe.b": np.zeros(n_classes)}
     )
+    params.set_trainable(True)
     w, b = params.tensors["probe.w"], params.tensors["probe.b"]
     cfg = TrainConfig(
         base_lr=probe._PROBE_LR, weight_decay=0.0, epochs=epochs, warmup_epochs=0, seed=seed
@@ -219,6 +220,7 @@ def test_linear_probe_end_to_end_deterministic(probe_data, tiny_arch):
 def test_probe_leaves_a_trainable_encoder_as_it_was(probe_data, tiny_arch):
     train_b, test_b = probe_data
     encoder = nn.init_params(tiny_arch, seed=5)
+    encoder.set_trainable(True)
     names, grad, data_hash = encoder.trainable_names(), encoder.grad, encoder.byte_hash()
     assert names and grad is not None
     result = probe.linear_probe(encoder, train_b, test_b, epochs=50, seed=1)
@@ -227,7 +229,7 @@ def test_probe_leaves_a_trainable_encoder_as_it_was(probe_data, tiny_arch):
     assert all(encoder.tensors[n].grad is not None for n in names)
     assert encoder.byte_hash() == data_hash
     frozen = encoder.copy()
-    frozen.freeze_all()
+    assert frozen.grad is None
     again = probe.linear_probe(frozen, train_b, test_b, epochs=50, seed=1)
     assert again.to_json() == result.to_json()
 

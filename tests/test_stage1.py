@@ -319,6 +319,7 @@ class TestStage1Loss:
 
     def test_gradient_against_finite_differences(self, rng, tiny_arch):
         params = nn.init_params(tiny_arch, seed=2)
+        params.set_trainable(True)
         bundle = scene.generate_scene(
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
@@ -378,6 +379,7 @@ class TestStage1LossOracle:
 
     def test_scene_graph_freed_without_the_garbage_collector(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=2)
+        params.set_trainable(True)
         bundle = scene.generate_scene(
             scene.SceneSpec(n_objects=3, seed=5, feature_dim=tiny_arch.proj_dim)
         )
@@ -465,6 +467,7 @@ class TestPackedStage1Loss:
         scenes = _packed_scenes(GRAD_ARCH, 3)
         assert len({len(b) for b, _, _ in scenes}) == 3
         params, table = nn.init_params(GRAD_ARCH, seed=7), _uniform_table(3)
+        params.set_trainable(True)
         packed, packed_grad = _loss_and_grads(
             lambda: _stage1_packed(scenes, params, table, reweight), params
         )
@@ -478,6 +481,7 @@ class TestPackedStage1Loss:
     def test_one_scene_is_bit_identical_to_the_oracle(self, reweight):
         scenes = _packed_scenes(GRAD_ARCH, 1)
         params, table = nn.init_params(GRAD_ARCH, seed=7), _uniform_table(3)
+        params.set_trainable(True)
         packed = _loss_and_grads(lambda: _stage1_packed(scenes, params, table, reweight), params)
         oracle = _loss_and_grads(
             lambda: _stage1_scene_oracle(scenes, params, table, reweight), params
@@ -489,6 +493,7 @@ class TestPackedStage1Loss:
         scenes = _packed_scenes(GRAD_ARCH, 2)
         assert len(scenes[0][0]) != len(scenes[1][0])
         params, table = nn.init_params(GRAD_ARCH, seed=8), _uniform_table(3)
+        params.set_trainable(True)
         inputs = [params.tensors[n] for n in params.trainable_names()]
         err = T.grad_check(
             lambda: _stage1_packed(scenes, params, table, True),

@@ -23,8 +23,8 @@ def setup(tiny_arch):
     )
     batch = _batch(bundle, tiny_arch)
     teacher = nn.init_params(tiny_arch, seed=1)
-    teacher.freeze_all()
     student = nn.init_params(tiny_arch, seed=2)
+    student.set_trainable(True)
     return batch, teacher, student
 
 
@@ -230,7 +230,7 @@ class TestStage2Loss:
     def test_no_gradient_leaks_into_teacher(self, setup):
         batch, teacher, student = setup
         student = student.copy()
-        student.zero_grad()
+        student.set_trainable(True)
         teacher_out = stage2.teacher_forward(batch, teacher)
         before = teacher.byte_hash()
         _, _, l_final = _losses(batch, _plan(batch), teacher_out, student)
@@ -245,7 +245,6 @@ class TestStage2Loss:
     def test_identical_student_at_zero_ratio_isolates_predictor_gap(self, setup):
         batch, teacher, _ = setup
         student = teacher.copy()
-        student.set_trainable(True)
         plan = _plan(batch, ratio=0.0)
         f_ins_teacher, dec_out = stage2.teacher_forward(batch, teacher)
         l_ins, l_token, _ = _losses(batch, plan, (f_ins_teacher, dec_out), student)
@@ -268,8 +267,8 @@ class TestStage2Loss:
         )
         batch = _batch(bundle, arch)
         teacher = nn.init_params(arch, seed=1)
-        teacher.freeze_all()
         student = nn.init_params(arch, seed=2)
+        student.set_trainable(True)
         plan = _plan(batch)
         inputs = [student.tensors[n] for n in student.trainable_names()]
         # The teacher is frozen, so its outputs stay outside f.
@@ -341,9 +340,9 @@ class TestPackedStage2:
 
     @pytest.fixture(scope="class")
     def models(self):
-        teacher = nn.init_params(GRAD_ARCH, seed=1)
-        teacher.freeze_all()
-        return teacher, nn.init_params(GRAD_ARCH, seed=2)
+        student = nn.init_params(GRAD_ARCH, seed=2)
+        student.set_trainable(True)
+        return nn.init_params(GRAD_ARCH, seed=1), student
 
     @pytest.mark.parametrize("ratios", [None, [0.6, 0.0, 0.5]])
     def test_three_scenes_match_the_per_scene_oracle(self, models, ratios):
@@ -393,6 +392,7 @@ class TestPackedStage2:
     def test_grad_check_two_scenes(self, models):
         teacher, _ = models
         student = nn.init_params(GRAD_ARCH, seed=5)
+        student.set_trainable(True)
         scenes = _scenes(GRAD_ARCH, 2, teacher)
         assert len(scenes[0][0]) != len(scenes[1][0])
         inputs = [student.tensors[n] for n in student.trainable_names()]
@@ -435,7 +435,6 @@ class TestPerPlanTeacherOracle:
         )
         tb, eb = scene.generate_dataset(spec, 4, 7), scene.generate_dataset(spec, 2, 9)
         teacher = nn.init_params(tiny_arch, seed=1)
-        teacher.freeze_all()
         nn.save_checkpoint(tmp_path / "teacher", teacher, 0)
         cfg = train.Stage2Config(mask_ratio=0.5)
 

@@ -191,6 +191,15 @@ def test_grad_check_validates_step():
         T.grad_check(lambda: T.mul(x, x), [x], h=1e-2)
 
 
+def test_grad_check_refuses_an_empty_input_list():
+    """A gate over no inputs would pass while checking nothing, e.g. a frozen model's."""
+    x = T.parameter([1.0])
+    with pytest.raises(InvalidInputError):
+        T.grad_check(lambda: T.mul(x, x), [])
+    with pytest.raises(InvalidInputError):
+        T.grad_check(lambda: T.mul(x, x), (t for t in [x] if not t.requires_grad))
+
+
 def test_grad_check_constant_function():
     x = T.parameter([1.0, 2.0])
     err = T.grad_check(lambda: T.mse(T.constant([0.0]), T.constant([0.0])), [x])

@@ -17,8 +17,13 @@ from samdistill.errors import (
 )
 
 
+def _trainable(params: nn.ModelParams) -> nn.ModelParams:
+    params.set_trainable(True)
+    return params
+
+
 def _one_param(value, name="w") -> nn.ModelParams:
-    return nn.ModelParams.from_arrays({name: np.array([value])}, nn.Arch())
+    return _trainable(nn.ModelParams.from_arrays({name: np.array([value])}, nn.Arch()))
 
 
 class TestAdamW:
@@ -51,8 +56,10 @@ class TestAdamW:
         np.testing.assert_array_equal(params.tensors["w"].data, before)
 
     def test_no_decay_for_layer_norms_and_mask_query(self):
-        params = nn.ModelParams.from_arrays(
-            {"enc0.ln1.g": np.array([1.0]), "mask_query": np.array([1.0])}, nn.Arch()
+        params = _trainable(
+            nn.ModelParams.from_arrays(
+                {"enc0.ln1.g": np.array([1.0]), "mask_query": np.array([1.0])}, nn.Arch()
+            )
         )
         t1, t2 = params.tensors["enc0.ln1.g"], params.tensors["mask_query"]
         state = train.init_opt_state(params)
@@ -75,7 +82,7 @@ class TestAdamW:
     def test_huge_finite_gradient_is_not_divergence(self):
         # 1e200 squares to inf in the norm's dot; only the elementwise check
         # that a non-finite norm triggers can tell it from a NaN or inf.
-        params = nn.ModelParams.from_arrays({"w": np.array([1.0, 2.0])}, nn.Arch())
+        params = _trainable(nn.ModelParams.from_arrays({"w": np.array([1.0, 2.0])}, nn.Arch()))
         params.tensors["w"].grad[...] = [1e200, 0.5]
         state = train.init_opt_state(params)
         with np.errstate(over="ignore"):
@@ -88,7 +95,7 @@ class TestAdamW:
         assert state["t"] == 1
 
     def test_returns_the_gradient_norm(self):
-        params = nn.init_params(nn.Arch(), seed=3)
+        params = _trainable(nn.init_params(nn.Arch(), seed=3))
         params.grad[...] = np.random.default_rng(0).normal(0.0, 1.0, params.grad.size)
         expected = train.grad_norm(params)
         norm = train.adamw_step(params, train.init_opt_state(params), lr=0.1, weight_decay=0.05)
@@ -103,7 +110,7 @@ class TestAdamW:
 
 class TestGradNorm:
     def test_equals_per_tensor_sum_with_frozen_parameters(self):
-        params = nn.init_params(nn.Arch(), seed=3)
+        params = _trainable(nn.init_params(nn.Arch(), seed=3))
         rng = np.random.default_rng(1)
         for t in params.tensors.values():
             t.grad[...] = rng.normal(0.0, 1.0, t.shape)
@@ -114,7 +121,6 @@ class TestGradNorm:
 
     def test_zero_when_nothing_trains(self):
         params = nn.init_params(nn.Arch(), seed=3)
-        params.freeze_all()
         assert train.grad_norm(params) == 0.0
 
 
@@ -182,8 +188,9 @@ class TestAdamWOracle:
         The gradients span nine decades and hold +0 and -0 entries.
         """
         flat = nn.init_params(nn.Arch(), seed=3)
-        flat.set_trainable(False, ["embed.l1.w"])
+        flat.set_trainable(True, [name for name in flat.names() if name != "embed.l1.w"])
         ref = flat.copy()
+        ref.set_trainable(True, flat.trainable_names())
         frozen_before = flat.tensors["embed.l1.w"].data.copy()
         flat_state, ref_state = train.init_opt_state(flat), train.init_opt_state(ref)
         rng = np.random.default_rng(0)
@@ -555,7 +562,6 @@ class TestRunStage2:
         tb, eb = tiny_dataset
         for seed in (1, 2):
             teacher = nn.init_params(tiny_arch, seed)
-            teacher.freeze_all()
             nn.save_checkpoint(tmp_path / f"teacher{seed}", teacher, 0)
         cfg = train.Stage2Config(mask_ratio=0.5)
         run = tmp_path / "run"
@@ -817,7 +823,7 @@ class TestStage1NodesPerSceneStep:
 
     def test_per_layer(self):
         bundle = scene.generate_scene(self.SPEC)
-        params = nn.init_params(nn.Arch(), seed=0)
+        params = _trainable(nn.init_params(nn.Arch(), seed=0))
         batch = nn.TokenBatch.of_scene(
             bundle, tokenizer.sam_tokenize(bundle), params.arch.max_points_per_token
         )
@@ -841,7 +847,7 @@ def test_stage2_student_forward_nodes():
     A change that moves the count updates this pin and logs old -> new in
     CHANGES.md.
     """
-    params = nn.init_params(nn.Arch(), seed=0)
+    params = _trainable(nn.init_params(nn.Arch(), seed=0))
     bundles = scene.generate_dataset(TestStage1NodesPerSceneStep.SPEC, 8, 5)
     batch = nn.TokenBatch.stack(
         [

@@ -125,6 +125,9 @@ def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.nda
         meta = {**meta, "format": fmt, "version": FORMAT_VERSION, "blobs": blobs}
         dump_manifest(tmp / "manifest.json", meta)
         if path.exists():
+            # An ``old`` here was left by a process with this pid killed
+            # between the two renames; ``path`` is newer than it.
+            shutil.rmtree(old, ignore_errors=True)
             os.rename(path, old)
         os.rename(tmp, path)
     except BaseException:

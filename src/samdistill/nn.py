@@ -81,8 +81,10 @@ class ModelParams:
     ranges. A new model is frozen and has no ``grad`` buffer. A leaf's
     ``requires_grad`` is the one record of trainability, and
     :meth:`set_trainable` is the one switch: it allocates ``grad`` while
-    any parameter is trainable and binds each trainable leaf's ``grad`` to
-    its view of it.
+    any parameter is trainable, binds each trainable leaf's ``grad`` to
+    its view of it, zeroes the frozen slots and records the
+    :meth:`trainable_ranges`. Nothing writes to a frozen slot afterwards,
+    so ``grad`` is zero outside those ranges.
     """
 
     def __init__(
@@ -102,6 +104,7 @@ class ModelParams:
         self.n_decay = sum(math.prod(shape) for n, shape in shapes.items() if not no_decay(n))
         self.data = np.zeros(offset) if data is None else data
         self.grad: np.ndarray | None = None
+        self._ranges: tuple[tuple[int, int, bool], ...] = ()
         views = self.views(self.data)
         self.tensors = {name: T.Tensor(views[name]) for name in shapes}
 
@@ -123,18 +126,12 @@ class ModelParams:
     def trainable_names(self) -> list[str]:
         return [n for n, t in self.tensors.items() if t.requires_grad]
 
-    def trainable_ranges(self) -> list[tuple[int, int, bool]]:
-        """Maximal runs of trainable elements of ``data`` as (start, stop, decays)."""
-        runs: list[tuple[int, int, bool]] = []
-        for name, (sl, _) in self._slices.items():
-            decays = sl.start < self.n_decay
-            if not self.tensors[name].requires_grad or sl.start == sl.stop:
-                continue
-            if runs and runs[-1][1] == sl.start and runs[-1][2] == decays:
-                runs[-1] = (runs[-1][0], sl.stop, decays)
-            else:
-                runs.append((sl.start, sl.stop, decays))
-        return runs
+    def trainable_ranges(self) -> tuple[tuple[int, int, bool], ...]:
+        """Maximal runs of trainable elements of ``data`` as (start, stop, decays).
+
+        Recorded by :meth:`set_trainable`, which alone changes trainability.
+        """
+        return self._ranges
 
     def set_trainable(self, trainable: bool, names: Iterable[str] | None = None) -> None:
         """Make ``names`` (default: all) trainable or frozen, and bind the gradients."""
@@ -145,20 +142,29 @@ class ModelParams:
         elif self.grad is None:
             self.grad = np.zeros(self.data.size)
         views = {} if self.grad is None else self.views(self.grad)
-        for name, t in self.tensors.items():
-            if t.requires_grad:
-                t.grad = views[name]
-            else:
+        runs: list[tuple[int, int, bool]] = []
+        for name, (sl, _) in self._slices.items():
+            t = self.tensors[name]
+            if not t.requires_grad:
                 t.grad = None
                 if views:
-                    views[name][...] = 0.0  # a stale gradient must not reach AdamW's check
+                    views[name][...] = 0.0  # zero_grad skips it; grad_norm sums it
+                continue
+            t.grad = views[name]
+            decays = sl.start < self.n_decay
+            if runs and runs[-1][1] == sl.start and runs[-1][2] == decays:
+                runs[-1] = (runs[-1][0], sl.stop, decays)
+            elif sl.start < sl.stop:
+                runs.append((sl.start, sl.stop, decays))
+        self._ranges = tuple(runs)
 
     def freeze_all(self) -> None:
         self.set_trainable(False)
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        """Zero the trainable ranges of ``grad``; the frozen slots hold zeros already."""
+        for start, stop, _ in self._ranges:
+            self.grad[start:stop].fill(0.0)
 
     def copy(self) -> "ModelParams":
         """A frozen model with a copy of ``data``."""

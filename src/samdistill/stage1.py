@@ -70,6 +70,16 @@ def project_3d(h: T.Tensor, params: ModelParams) -> T.Tensor:
     return T.linear(h, p["proj.w"], p["proj.b"])
 
 
+def trains(name: str) -> bool:
+    """Whether stage 1 trains parameter ``name``: whether its loss reaches it.
+
+    The loss reaches the token and positional embedders, the encoder and
+    the projection head. The decoder, the predictor and the mask query
+    come into play only in stage 2.
+    """
+    return name.startswith(("embed.", "pos.", "enc", "proj."))
+
+
 # ---------------------------------------------------------------------------
 # k-means with deterministic k-means++ seeding
 

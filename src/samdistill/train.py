@@ -108,7 +108,7 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
     bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     step_size, eps_hat = lr * math.sqrt(bc2) / bc1, _EPS * math.sqrt(bc2)
     data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
-    scratch = np.empty(_ADAMW_BLOCK)
+    scratch = np.empty(min(_ADAMW_BLOCK, data.size))
     for start, stop, decays in params.trainable_ranges():
         wd = weight_decay if decays else 0.0
         for lo in range(start, stop, _ADAMW_BLOCK):
@@ -267,6 +267,7 @@ def _fit(
     out_dir: Path,
     n_scenes: int,
     fresh_params: Callable[[], nn.ModelParams],
+    trains: Callable[[str], bool],
     batch_loss: Callable[[nn.ModelParams, np.ndarray, int], tuple[T.Tensor, dict]],
     dataset_metrics: Callable[[nn.ModelParams], dict],
     resume: bool,
@@ -276,8 +277,10 @@ def _fit(
     """The run loop both stages share.
 
     ``fresh_params()`` builds a new run's model; that model, or the one a
-    resume loads, is frozen until this loop makes every parameter
-    trainable. ``batch_loss(params, batch, epoch)`` returns the loss to
+    resume loads, is frozen until this loop makes the parameters whose
+    names ``trains`` accepts trainable. The others stay frozen: AdamW
+    neither updates nor decays them, and their moments stay as they were.
+    ``batch_loss(params, batch, epoch)`` returns the loss to
     minimize, one graph over the batch of scene indices, and the numeric
     ``metrics.csv`` fields of that batch;
     ``dataset_metrics(params)`` is measured at step 0 and after the last
@@ -317,7 +320,7 @@ def _fit(
         step = 0
         initial = dataset_metrics(params)
         blobio.dump_manifest(out_dir / _INITIAL_METRICS, initial)
-    params.set_trainable(True)
+    params.set_trainable(True, [name for name in params.names() if trains(name)])
 
     start_epoch = step // steps_per_epoch
     end_epoch = train_cfg.epochs
@@ -513,6 +516,7 @@ def run_stage1(
         out_dir,
         len(train_bundles),
         lambda: nn.init_params(arch, train_cfg.seed),
+        stage1.trains,
         batch_loss,
         dataset_metrics,
         resume,
@@ -666,6 +670,7 @@ def run_stage2(
         out_dir,
         len(train_bundles),
         fresh_student,
+        lambda name: True,
         batch_loss,
         lambda student: _stage2_dataset_eval(train_scenes, train_plans, student),
         resume,

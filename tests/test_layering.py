@@ -177,3 +177,49 @@ def test_trainability_checker_skips_calls_on_self(tmp_path):
         "set_trainable = None\n"
     )
     assert _trainability_calls(module) == ["line 1: set_trainable", "line 5: freeze_all"]
+
+
+def _requires_grad_writes(path: Path) -> list[str]:
+    """Lines that assign an attribute named ``requires_grad``, whatever the object.
+
+    ``ModelParams`` records its trainable ranges when ``set_trainable``
+    changes a flag, so a direct write elsewhere would leave them stale.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    found = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Attribute) and target.attr == "requires_grad":
+            found.append(f"line {target.lineno}: {ast.unparse(target)}")
+    return sorted(found)
+
+
+def test_only_the_engine_and_the_parameter_store_set_requires_grad():
+    writers = {p.name for p in PACKAGE_DIR.glob("*.py") if _requires_grad_writes(p)}
+    assert writers == {"tensor.py", "nn.py"}
+
+
+def test_requires_grad_checker_catches_every_assignment_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "t.requires_grad = True\n"
+        "a, params.tensors[n].requires_grad = 1, False\n"
+        "x.requires_grad |= y\n"
+        "self.requires_grad: bool = False\n"
+        "flag = t.requires_grad\n"
+        "requires_grad = True\n"
+    )
+    assert _requires_grad_writes(module) == [
+        "line 1: t.requires_grad",
+        "line 2: params.tensors[n].requires_grad",
+        "line 3: x.requires_grad",
+        "line 4: self.requires_grad",
+    ]

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -562,6 +564,23 @@ class TestParamsAndCheckpoints:
         assert loaded.params.byte_hash() == old.byte_hash()
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
+    def test_save_over_a_stale_old_directory(self, tmp_path, tiny_arch):
+        """A process killed between the two renames leaves ``.<name>.<pid>.old`` behind.
+
+        That directory is older than the checkpoint in place, so a later
+        save from a process with the same pid removes it and succeeds.
+        """
+        old = nn.init_params(tiny_arch, seed=8)
+        nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
+        stale = tmp_path / f".ckpt.{os.getpid()}.old"
+        shutil.copytree(tmp_path / "ckpt", stale)
+        new = nn.init_params(tiny_arch, seed=9)
+        nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
+        loaded = nn.load_checkpoint(tmp_path / "ckpt")
+        assert loaded.step == 7
+        assert loaded.params.byte_hash() == new.byte_hash()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
     def test_copy_is_deep(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=8)
         clone = params.copy()
@@ -642,6 +661,53 @@ class TestFlatStore:
         self._assert_bound(teacher)
         student.set_trainable(False, ["mask_query"])
         self._assert_bound(student)
+
+    @staticmethod
+    def _ranges_from_scratch(params):
+        """Maximal runs of trainable elements as (start, stop, decays), from each leaf's flag."""
+        index = params.views(np.arange(params.data.size))
+        spans = sorted(
+            (int(index[name].min()), int(index[name].max()) + 1, not nn.no_decay(name))
+            for name, t in params.tensors.items()
+            if t.requires_grad and t.size
+        )
+        runs = []
+        for start, stop, decays in spans:
+            if runs and runs[-1][1] == start and runs[-1][2] == decays:
+                runs[-1] = (runs[-1][0], stop, decays)
+            else:
+                runs.append((start, stop, decays))
+        return tuple(runs)
+
+    @given(data=st.data())
+    def test_cached_ranges_match_a_recompute(self, tiny_arch, data):
+        """After any sequence of switches: the cached ranges, zeroed frozen slots, zero_grad."""
+        params = nn.init_params(tiny_arch, seed=0)
+        names = params.names()
+        calls = data.draw(
+            st.lists(
+                st.tuples(
+                    st.booleans(),
+                    st.none() | st.lists(st.sampled_from(names), unique=True, max_size=12),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        for trainable, chosen in calls:
+            for name in params.trainable_names():
+                params.tensors[name].grad[...] = 1.0  # what a backward leaves
+            params.set_trainable(trainable, chosen)
+            assert params.trainable_ranges() == self._ranges_from_scratch(params)
+            if params.grad is None:
+                assert params.trainable_names() == []
+                continue
+            inside = np.zeros(params.data.size, bool)
+            for start, stop, _ in params.trainable_ranges():
+                inside[start:stop] = True
+            assert not np.any(params.grad[~inside])
+            params.zero_grad()
+            assert not np.any(params.grad)
 
     def test_decayed_parameters_come_first(self, tiny_arch):
         params = nn.init_params(tiny_arch, seed=1)

@@ -1,5 +1,6 @@
 """Optimizer, schedule, and run-loop determinism."""
 
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -839,6 +840,61 @@ class TestStage1NodesPerSceneStep:
         totals = [_op_nodes(t) for t in (embedded, pos, h, encoded, f3d, loss)]
         # embed_tokens 1, pos_embed 3, their sum 1, encode 37, project_3d 1, loss 1.
         assert totals == [1, 3, 5, 42, 43, 44]
+
+
+class _FitCaptured(Exception):
+    pass
+
+
+class TestStage1TrainableSet:
+    """Stage 1 trains exactly the parameters its loss reaches."""
+
+    @staticmethod
+    def _fit_arguments(monkeypatch, tiny_dataset, tiny_arch, tmp_path) -> dict:
+        """The arguments ``run_stage1`` passes to ``train._fit``, which then does not run."""
+        captured, signature = {}, inspect.signature(train._fit)
+
+        def fit(*args, **kwargs):
+            captured.update(signature.bind(*args, **kwargs).arguments)
+            raise _FitCaptured
+
+        monkeypatch.setattr(train, "_fit", fit)
+        tb, eb = tiny_dataset
+        with pytest.raises(_FitCaptured):
+            train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), tmp_path
+            )
+        return captured
+
+    def test_trainable_set_is_what_a_batch_loss_reaches(
+        self, tiny_dataset, tiny_arch, tmp_path, monkeypatch
+    ):
+        fit = self._fit_arguments(monkeypatch, tiny_dataset, tiny_arch, tmp_path)
+        params = _trainable(fit["fresh_params"]())
+        loss, _ = fit["batch_loss"](params, np.array([0, 1]), 0)
+        names = {id(t): name for name, t in params.tensors.items()}
+        reached = {names[id(node)] for node in _graph_nodes(loss) if id(node) in names}
+        assert reached == {name for name in params.names() if fit["trains"](name)}
+        assert reached.isdisjoint({"mask_query", "dec.ln_f.g", "pred.l1.w", "dec0.attn.wq"})
+
+    def test_run_leaves_the_other_parameters_and_their_moments_untouched(
+        self, tiny_dataset, tiny_arch, tmp_path
+    ):
+        tb, eb = tiny_dataset
+        run = train.run_stage1(
+            tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), tmp_path
+        )
+        ckpt = nn.load_checkpoint(run.checkpoint_dir)
+        init = nn.init_params(tiny_arch, seed=0)
+        moments = [ckpt.params.views(ckpt.opt_state[key]) for key in ("m", "v")]
+        frozen = [name for name in ckpt.params.names() if not stage1.trains(name)]
+        assert frozen and all(name.startswith(("dec", "pred.", "mask_query")) for name in frozen)
+        for name, t in ckpt.params.tensors.items():
+            if stage1.trains(name):
+                assert t.data.tobytes() != init.tensors[name].data.tobytes(), name
+            else:
+                assert t.data.tobytes() == init.tensors[name].data.tobytes(), name
+                assert not any(np.any(m[name]) for m in moments), name
 
 
 def test_stage2_student_forward_nodes():

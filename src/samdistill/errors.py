@@ -80,7 +80,7 @@ class DivergedRunError(SamDistillError):
 
 
 class BadSplitError(SamDistillError):
-    """Probe evaluation split contains a class absent from the probe training split."""
+    """A probe split is empty, or its evaluation split holds a class its training split lacks."""
 
 
 class InconsistencyError(SamDistillError):

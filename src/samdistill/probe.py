@@ -88,9 +88,12 @@ def fit_linear_probe(
     steps repeat the arithmetic of ``tensor.linear`` and
     ``tensor.cross_entropy`` and their backwards op for op, so the weights
     have the bits of the graph-based fit: ``p - 0.0`` is exact off the label
-    column and the loss's seed gradient is 1.0. Non-finite logits raise
-    NonFiniteError as the engine's per-op check would; finite logits give a
-    finite loss, which nothing reads and so is not computed.
+    column and the loss's seed gradient is 1.0. Every epoch overwrites
+    buffers allocated once. Non-finite features, and non-finite logits in
+    any epoch, raise NonFiniteError("linear") as the engine's per-op check
+    would; finite logits give a finite loss, which nothing reads and so is
+    not computed. The logit check is elementwise, because a sum of the
+    logits warns on +inf and -inf together.
     """
     if epochs < 1:
         raise InvalidInputError("probe epochs must be >= 1")
@@ -103,6 +106,8 @@ def fit_linear_probe(
         raise ShapeMismatchError("fit_linear_probe", np.shape(train_x), y.shape)
     if n and (y.min() < 0 or y.max() >= n_classes):
         raise InvalidInputError("probe labels out of range")
+    if not (np.isfinite(train_x).all() and np.isfinite(test_x).all()):
+        raise NonFiniteError("linear", "probe features")
 
     mean = train_x.mean(axis=0)
     std = np.maximum(train_x.std(axis=0), 1e-6)
@@ -121,16 +126,26 @@ def fit_linear_probe(
     state = init_opt_state(params)
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
+    logits, p = np.empty((n, n_classes)), np.empty((n, n_classes))
+    row_max, row_log_sum = np.empty((n, 1)), np.empty((n, 1))
+    finite = np.empty((n, n_classes), dtype=bool)
+    xt_t = xt.T
     for epoch in range(epochs):
-        logits = xt @ w.data + b.data
-        if not np.isfinite(logits).all():
+        np.matmul(xt, w.data, out=logits)
+        logits += b.data
+        if not np.logical_and.reduce(np.isfinite(logits, out=finite), axis=None):
             raise NonFiniteError("linear")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+        np.maximum.reduce(logits, axis=1, keepdims=True, out=row_max)
+        logits -= row_max  # the shifted logits
+        np.exp(logits, out=p)
+        np.add.reduce(p, axis=1, keepdims=True, out=row_log_sum)
+        np.log(row_log_sum, out=row_log_sum)
+        np.subtract(logits, row_log_sum, out=p)
+        np.exp(p, out=p)
         p -= onehot
         p /= n
-        np.matmul(xt.T, p, out=w.grad)
-        np.sum(p, axis=0, out=b.grad)
+        np.matmul(xt_t, p, out=w.grad)
+        np.add.reduce(p, axis=0, out=b.grad)
         adamw_step(params, state, lr_at(epoch, epochs, cfg), 0.0)
 
     logits = xe @ w.data + b.data
@@ -155,8 +170,12 @@ def linear_probe(
     """Probe a frozen encoder (a ModelParams or a checkpoint path).
 
     The features come from forwards without gradients, so a ModelParams
-    passed in keeps its trainability and gradient buffer.
+    passed in keeps its trainability and gradient buffer. An empty split
+    raises BadSplitError before any scene is tokenized.
     """
+    for split, bundles in (("train", train_bundles), ("test", test_bundles)):
+        if not bundles:
+            raise BadSplitError(f"the probe {split} split has no scenes")
     if not isinstance(encoder, nn.ModelParams):
         encoder = nn.load_checkpoint(encoder).params
 

@@ -45,23 +45,18 @@ def pool_features_by_region(feat2d: np.ndarray, mask: np.ndarray) -> RegionFeatu
 
     One stable sort groups the labelled pixels by region, in raster order
     within each, and every region pools at once. Each max row has the bits
-    of ``feat[mask == rid].max(0)``, and each mean row those of
-    ``.mean(0)`` for features wider than one column: the mean sums with
-    ``np.bincount``, which adds each region's rows in turn as ``.mean(0)``
-    does on a matrix (``np.add.reduceat`` sums in another order, and numpy
-    sums a single column pairwise).
+    of ``feat[mask == rid].max(0)``, and each mean row those of ``.mean(0)``
+    for features wider than one column (:meth:`tensor.Segments.mean_rows`).
     """
     feat = np.asarray(feat2d)
     labels = np.asarray(mask).reshape(-1)
     pixels = np.flatnonzero(labels >= 0)
     pixels = pixels[np.argsort(labels[pixels], kind="stable")]
-    ids, starts, counts = np.unique(labels[pixels], return_index=True, return_counts=True)
+    ids, counts = np.unique(labels[pixels], return_counts=True)
+    regions = T.Segments.of_counts(counts)
     rows = feat.reshape(labels.size, -1)[pixels].astype(np.float64, copy=False)
-    width = rows.shape[1]
-    cells = np.repeat(np.arange(len(ids)) * width, counts)[:, None] + np.arange(width)
-    sums = np.bincount(cells.reshape(-1), rows.reshape(-1), len(ids) * width)
-    means = sums.reshape(-1, width) / counts[:, None]
-    return RegionFeatures(ids, means, np.maximum.reduceat(rows, starts, axis=0))
+    maxima = np.maximum.reduceat(rows, regions.bounds[:-1], axis=0)
+    return RegionFeatures(ids, regions.mean_rows(rows), maxima)
 
 
 def project_3d(h: T.Tensor, params: ModelParams) -> T.Tensor:

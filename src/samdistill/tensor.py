@@ -402,6 +402,19 @@ class Segments:
         """Whether every segment has the longest segment's length."""
         return len(self) * self.longest == self.bounds[-1]
 
+    def mean_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Each segment's mean row of a 2-D ``rows``, as an (S, width) float64 array.
+
+        ``np.bincount`` adds each segment's rows in turn, as ``.mean(0)`` does
+        on a matrix, so a segment's mean has the bits of ``rows[seg].mean(0)``
+        for rows wider than one column (``np.add.reduceat`` sums in another
+        order, and numpy sums a single column pairwise).
+        """
+        width = rows.shape[1]
+        cells = (self.ids * width)[:, None] + np.arange(width)
+        sums = np.bincount(cells.reshape(-1), rows.reshape(-1), len(self) * width)
+        return sums.reshape(-1, width) / self.counts[:, None]
+
     def check(self, op: str, n_rows: int, allow_empty: bool = False) -> None:
         """Raise ShapeMismatchError unless it spans ``n_rows`` rows, none empty unless allowed."""
         if self.bounds[-1] != n_rows or (self.any_empty and not allow_empty):

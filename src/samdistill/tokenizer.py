@@ -52,10 +52,12 @@ class TokenSet:
         """Pack per-token member index arrays; each centroid is its members' mean."""
         pts = np.asarray(points, dtype=np.float64)
         members = [np.asarray(m, dtype=np.int64) for m in members]
+        indices = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+        segments = Segments.of_counts([len(m) for m in members])
         return cls(
-            indices=np.concatenate(members) if members else np.empty(0, dtype=np.int64),
-            segments=Segments.of_counts([len(m) for m in members]),
-            centroids=np.array([pts[m].mean(axis=0) for m in members]).reshape(-1, 3),
+            indices=indices,
+            segments=segments,
+            centroids=segments.mean_rows(pts[indices]),
             region_ids=np.asarray(region_ids, dtype=np.int64),
             mode=mode,
             dropped_points=(
@@ -188,24 +190,31 @@ def sam_tokenize(bundle: SceneBundle, min_points: int = 8) -> TokenSet:
     A point joins the token of the region its rounded projection lands
     on. Points that fall behind the camera, outside the raster, on
     unmasked pixels, or in regions below ``min_points`` are dropped.
-    Tokens are ordered by region id.
+
+    One stable sort groups the labelled points by region: tokens follow
+    region id, each token's members ascend, and ``dropped_points``
+    ascend. Each centroid has the bits of its members' ``.mean(0)``.
     """
     pts = np.asarray(bundle.points, dtype=np.float64)
     region_of_point = point_regions(bundle)
-
-    members, region_ids = [], []
-    dropped = list(np.nonzero(region_of_point < 0)[0])
-    for rid in np.unique(region_of_point[region_of_point >= 0]):
-        group = np.nonzero(region_of_point == rid)[0].astype(np.int64)
-        if len(group) < min_points:
-            dropped.extend(group)
-            continue
-        members.append(group)
-        region_ids.append(rid)
-    if not members:
+    labelled = np.flatnonzero(region_of_point >= 0)
+    labelled = labelled[np.argsort(region_of_point[labelled], kind="stable")]
+    ids, counts = np.unique(region_of_point[labelled], return_counts=True)
+    keep = counts >= min_points
+    if not keep.any():
         raise EmptyTokenizationError("no region produced a token; skip this scene")
-    dropped_arr = np.array(sorted(int(i) for i in dropped), dtype=np.int64)
-    return TokenSet.from_members(members, pts, region_ids, MODE_SAM, dropped_arr)
+    kept = np.repeat(keep, counts)
+    dropped = np.concatenate((np.flatnonzero(region_of_point < 0), labelled[~kept]))
+    indices = labelled[kept]
+    segments = Segments.of_counts(counts[keep])
+    return TokenSet(
+        indices=indices,
+        segments=segments,
+        centroids=segments.mean_rows(pts[indices]),
+        region_ids=ids[keep],
+        mode=MODE_SAM,
+        dropped_points=np.sort(dropped),
+    )
 
 
 def tokenize(

@@ -165,11 +165,46 @@ def test_closed_form_fit_builds_no_graph_and_steps_once_per_epoch(rng, monkeypat
     assert steps == 37
 
 
-def test_non_finite_features_raise(rng):
-    train_x, train_y, test_x, test_y = _class_data(rng, 30, 10, 4, [0, 1])
-    train_x[5, 2] = np.nan
-    with pytest.raises(NonFiniteError):
-        probe.fit_linear_probe(train_x, train_y, test_x, test_y, 2, epochs=5, seed=0)
+def test_non_finite_features_raise(rng, monkeypatch):
+    steps = []
+    monkeypatch.setattr(probe, "adamw_step", lambda *args: steps.append(args))
+    for split in (0, 2):
+        for bad in (np.nan, np.inf, -np.inf):
+            data = list(_class_data(rng, 30, 10, 4, [0, 1]))
+            data[split][5, 2] = bad
+            with pytest.raises(NonFiniteError) as err:
+                probe.fit_linear_probe(*data, 2, epochs=5, seed=0)
+            assert err.value.op == "linear"
+    assert steps == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_logits_raise_in_the_epoch_they_appear(rng, monkeypatch, bad):
+    steps = []
+
+    def poisoning_step(params, *rest):
+        steps.append(adamw_step(params, *rest))
+        params.tensors["probe.w"].data[1, 0] = bad
+
+    monkeypatch.setattr(probe, "adamw_step", poisoning_step)
+    data = _class_data(rng, 30, 10, 4, [0, 1])
+    with pytest.raises(NonFiniteError) as err:
+        probe.fit_linear_probe(*data, 2, epochs=5, seed=0)
+    assert err.value.op == "linear"
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_empty_split_raises_before_tokenizing(probe_data, tiny_arch, monkeypatch, empty):
+    train_b, test_b = probe_data
+    splits = {"train": train_b, "test": test_b, empty: []}
+
+    def no_tokenizing(bundle):
+        raise AssertionError("tokenized a scene of a split that cannot be probed")
+
+    monkeypatch.setattr(probe, "sam_tokenize", no_tokenizing)
+    with pytest.raises(BadSplitError, match=empty):
+        probe.linear_probe(nn.init_params(tiny_arch, seed=5), splits["train"], splits["test"])
 
 
 @pytest.mark.parametrize("bad_label", [-1, 3])

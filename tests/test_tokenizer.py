@@ -1,8 +1,10 @@
 """Tokenizers: FPS greediness, KNN grouping, mask-guided partition, purity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samdistill import scene, tokenizer
@@ -182,6 +184,103 @@ class TestSamTokenize:
         bundle = dataclasses.replace(small_bundle, camera=flipped)
         with pytest.raises(EmptyTokenizationError):
             tokenizer.sam_tokenize(bundle)
+
+
+def _per_region_sam_tokenize(bundle, min_points):
+    """The per-region loop that sam_tokenize's one sort replaced: its oracle.
+
+    Returns the member indices, the member count and centroid of each
+    token, the region ids and the dropped points.
+    """
+    pts = np.asarray(bundle.points, dtype=np.float64)
+    region_of_point = tokenizer.point_regions(bundle)
+    members, region_ids = [], []
+    dropped = list(np.nonzero(region_of_point < 0)[0])
+    for rid in np.unique(region_of_point[region_of_point >= 0]):
+        group = np.nonzero(region_of_point == rid)[0].astype(np.int64)
+        if len(group) < min_points:
+            dropped.extend(group)
+            continue
+        members.append(group)
+        region_ids.append(rid)
+    if not members:
+        raise EmptyTokenizationError("no region produced a token; skip this scene")
+    return (
+        np.concatenate(members),
+        np.array([len(m) for m in members], dtype=np.int64),
+        np.array([pts[m].mean(axis=0) for m in members]),
+        np.asarray(region_ids, dtype=np.int64),
+        np.array(sorted(int(i) for i in dropped), dtype=np.int64),
+    )
+
+
+def _rough_scene(seed):
+    """A scene with small carved regions, a hole in the mask and points off the raster."""
+    rng = np.random.default_rng(seed)
+    bundle = scene.generate_scene(
+        scene.SceneSpec(
+            n_objects=int(rng.integers(1, 6)), seed=seed, points_per_object_range=(12, 60)
+        )
+    )
+    mask = bundle.mask.copy()
+    h, w = mask.shape
+    for new_id in range(bundle.region_count, bundle.region_count + int(rng.integers(0, 5))):
+        r, c = rng.integers(0, h), rng.integers(0, w)
+        mask[r : r + rng.integers(1, 12), c : c + rng.integers(1, 12)] = new_id
+    r, c = rng.integers(0, h), rng.integers(0, w)
+    mask[r : r + rng.integers(0, 30), c : c + rng.integers(0, 30)] = -1
+    # Move some points sideways off the raster and some behind the camera.
+    points = bundle.points.copy()
+    moved = rng.random(len(points)) < rng.uniform(0.0, 0.3)
+    points[moved, 0] += np.where(rng.random(moved.sum()) < 0.5, -10.0, 10.0)
+    behind = rng.random(len(points)) < 0.05
+    points[behind, 2] *= -1.0
+    # Float32 coordinates sum exactly in float64 in any order; jitter
+    # below float32's precision makes a centroid's bits depend on the order.
+    points = points.astype(np.float64) + rng.normal(0.0, 1e-6, points.shape)
+    return dataclasses.replace(bundle, points=points, mask=mask)
+
+
+MIN_POINTS = (1, 8, 20, 45)
+
+
+class TestSamTokenizeOracle:
+    @settings(max_examples=150)
+    @given(st.integers(0, 100_000))
+    def test_one_sort_matches_the_per_region_loop_byte_for_byte(self, seed):
+        bundle = _rough_scene(seed)
+        for min_points in MIN_POINTS:
+            try:
+                want = _per_region_sam_tokenize(bundle, min_points)
+            except EmptyTokenizationError:
+                with pytest.raises(EmptyTokenizationError):
+                    tokenizer.sam_tokenize(bundle, min_points)
+                continue
+            ts = tokenizer.sam_tokenize(bundle, min_points)
+            got = (
+                ts.indices, ts.segments.counts, ts.centroids, ts.region_ids, ts.dropped_points
+            )
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_rough_scenes_reach_every_case(self):
+        # The sweep above checks something only if its scenes drop points
+        # off the raster and in small regions, and sometimes drop every region.
+        off_raster = small_dropped = empty = 0
+        for seed in range(30):
+            bundle = _rough_scene(seed)
+            regions = tokenizer.point_regions(bundle)
+            status = scene.project(bundle.points, bundle.camera).status
+            off_raster += bool((status == scene.PROJ_OUTSIDE).any())
+            for min_points in MIN_POINTS:
+                try:
+                    ts = tokenizer.sam_tokenize(bundle, min_points)
+                except EmptyTokenizationError:
+                    empty += 1
+                    continue
+                small_dropped += bool((regions[ts.dropped_points] >= 0).any())
+        assert off_raster and small_dropped and empty
 
 
 class TestPurity:

@@ -217,6 +217,32 @@ class TestAdamWOracle:
         flat, ref = self._run_pair(train.adamw_step, _per_tensor_adamw)
         assert flat.data.tobytes() == ref.data.tobytes()
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_one_block_update_matches_per_tensor_loop(self, weight_decay):
+        """The probe's shape: one trainable range in one block, updated on the buffers themselves."""
+
+        def probe_params():
+            rng = np.random.default_rng(1)
+            arrays = {"probe.w": rng.normal(0.0, 0.01, (64, 4)), "probe.b": np.zeros(4)}
+            return _trainable(nn.ModelParams.from_arrays(arrays))
+
+        flat, ref = probe_params(), probe_params()
+        assert flat.trainable_ranges() == ((0, 260, True),)
+        flat_state, ref_state = train.init_opt_state(flat), train.init_opt_state(ref)
+        rng = np.random.default_rng(0)
+        for step in range(30):
+            g = rng.normal(0.0, 1.0, 260) * 10.0 ** rng.integers(-6, 3)
+            g[rng.random(g.size) < 0.1] = 0.0
+            g[rng.random(g.size) < 0.05] = -0.0
+            flat.grad[...] = ref.grad[...] = g
+            lr = 0.05 * (step + 1) / 30
+            train.adamw_step(flat, flat_state, lr, weight_decay)
+            _per_tensor_adamw(ref, ref_state, lr, weight_decay)
+        assert flat.data.tobytes() == ref.data.tobytes()
+        assert flat_state["m"].tobytes() == ref_state["m"].tobytes()
+        assert flat_state["v"].tobytes() == ref_state["v"].tobytes()
+        assert flat_state["t"] == ref_state["t"] == 30
+
     def test_update_agrees_with_the_textbook_formula(self):
         flat, ref = self._run_pair(train.adamw_step, _textbook_adamw)
         # Relative to each parameter, or to the largest step (lr 1e-3) for a

@@ -128,12 +128,11 @@ def fit_linear_probe(
     onehot[np.arange(n), y] = 1.0
     logits, p = np.empty((n, n_classes)), np.empty((n, n_classes))
     row_max, row_log_sum = np.empty((n, 1)), np.empty((n, 1))
-    finite = np.empty((n, n_classes), dtype=bool)
     xt_t = xt.T
     for epoch in range(epochs):
         np.matmul(xt, w.data, out=logits)
         logits += b.data
-        if not np.logical_and.reduce(np.isfinite(logits, out=finite), axis=None):
+        if not np.isfinite(logits).all():
             raise NonFiniteError("linear")
         np.maximum.reduce(logits, axis=1, keepdims=True, out=row_max)
         logits -= row_max  # the shifted logits

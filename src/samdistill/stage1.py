@@ -50,10 +50,7 @@ def pool_features_by_region(feat2d: np.ndarray, mask: np.ndarray) -> RegionFeatu
     """
     feat = np.asarray(feat2d)
     labels = np.asarray(mask).reshape(-1)
-    pixels = np.flatnonzero(labels >= 0)
-    pixels = pixels[np.argsort(labels[pixels], kind="stable")]
-    ids, counts = np.unique(labels[pixels], return_counts=True)
-    regions = T.Segments.of_counts(counts)
+    pixels, ids, regions = T.Segments.group_labels(labels)
     rows = feat.reshape(labels.size, -1)[pixels].astype(np.float64, copy=False)
     maxima = np.maximum.reduceat(rows, regions.bounds[:-1], axis=0)
     return RegionFeatures(ids, regions.mean_rows(rows), maxima)

@@ -379,6 +379,24 @@ class Segments:
             raise ShapeMismatchError("segments", bounds.shape)
         return cls.of_counts(np.diff(bounds))
 
+    @classmethod
+    def group_labels(cls, labels) -> tuple[np.ndarray, np.ndarray, "Segments"]:
+        """Group the items of a label vector that have a label >= 0, one segment per label.
+
+        Returns ``(order, ids, segments)``: ``order`` holds the labelled
+        items' indices after one stable sort by label, so each group's
+        indices ascend; ``ids`` holds the labels ascending, with the labels'
+        dtype; segment i spans group ``ids[i]`` in ``order``.
+        """
+        labels = np.asarray(labels)
+        order = np.flatnonzero(labels >= 0)
+        order = order[np.argsort(labels[order], kind="stable")]
+        sorted_labels = labels[order]
+        starts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+        bounds = np.concatenate(([0], starts, [order.size])) if order.size else [0]
+        segments = cls.of_bounds(bounds)
+        return order, sorted_labels[segments.bounds[:-1]], segments
+
     def __len__(self) -> int:
         return len(self.counts)
 

@@ -197,9 +197,8 @@ def sam_tokenize(bundle: SceneBundle, min_points: int = 8) -> TokenSet:
     """
     pts = np.asarray(bundle.points, dtype=np.float64)
     region_of_point = point_regions(bundle)
-    labelled = np.flatnonzero(region_of_point >= 0)
-    labelled = labelled[np.argsort(region_of_point[labelled], kind="stable")]
-    ids, counts = np.unique(region_of_point[labelled], return_counts=True)
+    labelled, ids, regions = Segments.group_labels(region_of_point)
+    counts = regions.counts
     keep = counts >= min_points
     if not keep.any():
         raise EmptyTokenizationError("no region produced a token; skip this scene")

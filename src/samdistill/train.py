@@ -76,7 +76,6 @@ def init_opt_state(params: nn.ModelParams) -> dict:
 
 # Elements per in-place AdamW pass; the scratch block stays in cache.
 _ADAMW_BLOCK = 16384
-_ADAMW_SCRATCH = np.empty(_ADAMW_BLOCK)  # every step's temporary, allocated once
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
@@ -88,9 +87,7 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
     ``p *= 1 - lr * wd``, then ``p -= (lr * sqrt(bc2) / bc1) * m / (sqrt(v) +
     eps * sqrt(bc2))``. That is the textbook ``p -= lr * (m_hat / (sqrt(v_hat)
     + eps) + wd * p)`` rearranged, with no pass for ``m_hat`` or ``v_hat``.
-    Runs in place over the flat buffers, block by block, with one scratch
-    block allocated once per process; a block that spans the whole buffer,
-    as the probe's does, runs on the buffers themselves. Each element sees
+    Runs in place over the flat buffers, block by block; each element sees
     the same operations in the same order as a per-tensor update, so the
     result is bit-identical to one. Layer-norm affines and the mask query
     are excluded from decay. Returns the gradient's :func:`grad_norm`.
@@ -111,15 +108,13 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
     bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     step_size, eps_hat = lr * math.sqrt(bc2) / bc1, _EPS * math.sqrt(bc2)
     data, grad, m_all, v_all = params.data, params.grad, state["m"], state["v"]
+    scratch = np.empty(min(_ADAMW_BLOCK, data.size))
     for start, stop, decays in params.trainable_ranges():
         wd = weight_decay if decays else 0.0
         for lo in range(start, stop, _ADAMW_BLOCK):
             hi = min(lo + _ADAMW_BLOCK, stop)
-            if hi - lo == data.size:
-                p, g, m, v = data, grad, m_all, v_all
-            else:
-                p, g, m, v = data[lo:hi], grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
-            a = _ADAMW_SCRATCH[: hi - lo]
+            p, g, m, v = data[lo:hi], grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            a = scratch[: hi - lo]
             m *= _BETA1
             np.multiply(g, 1.0 - _BETA1, out=a)
             m += a

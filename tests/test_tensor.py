@@ -116,6 +116,19 @@ def test_one_segment_mean_pool_matches_numpy_mean_bit_for_bit(m, width, rng):
     assert out.data.tobytes() == x.mean(axis=0, keepdims=True).tobytes()
 
 
+@given(st.lists(st.integers(-2, 6), max_size=30))
+def test_group_labels_matches_unique(values):
+    labels = np.array(values, dtype=np.int32)
+    order, ids, segments = T.Segments.group_labels(labels)
+    want_ids, want_counts = np.unique(labels[labels >= 0], return_counts=True)
+    assert ids.dtype == labels.dtype
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(segments.counts, want_counts)
+    for rid, lo, hi in zip(ids, segments.bounds[:-1], segments.bounds[1:]):
+        np.testing.assert_array_equal(order[lo:hi], np.flatnonzero(labels == rid))
+    assert order.size == segments.bounds[-1]
+
+
 @given(finite_matrices)
 def test_softmax_rows_sum_to_one(data):
     y = T.softmax(T.constant(data), axis=1)

@@ -219,7 +219,7 @@ class TestAdamWOracle:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_one_block_update_matches_per_tensor_loop(self, weight_decay):
-        """The probe's shape: one trainable range in one block, updated on the buffers themselves."""
+        """The probe's shape: one trainable range that fits in one block."""
 
         def probe_params():
             rng = np.random.default_rng(1)

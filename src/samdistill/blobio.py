@@ -1,11 +1,11 @@
-"""Raw binary blob and JSON manifest I/O, and the one artifact directory format.
+"""Artifact files and JSON manifests, each put in place by one ``os.replace``.
 
-Blobs are little-endian arrays prefixed by 8 magic bytes and a 4-byte
-version, so corrupt or foreign files fail loudly instead of decoding
-into garbage. Scene bundles, weight tables and model checkpoints are
-all directories written by :func:`save_arrays` and read by
-:func:`load_arrays`: a ``manifest.json`` naming the format plus one
-``<name>.bin`` blob per array, side by side in the one directory.
+Scene bundles, weight tables and model checkpoints are each one file,
+written by :func:`save_arrays` and read by :func:`load_arrays`: the magic
+bytes ``S3DBLOB\\0``, a uint32 format version and a uint64 header length,
+a JSON header (``format``, ``version``, the format's own keys and ``blobs:
+{name: {dtype, shape}}``), then each array's bytes in header order, each
+padded to 8 bytes. Everything is little-endian.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,73 +28,73 @@ from .errors import (
 )
 
 MAGIC = b"S3DBLOB\x00"
-BLOB_VERSION = 1
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_HEADER_LEN = len(MAGIC) + 4
-
-
-def write_blob(path: str | Path, arr: np.ndarray) -> None:
-    """Write ``arr`` as magic + version + raw little-endian bytes."""
-    arr = np.ascontiguousarray(arr)
-    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", BLOB_VERSION))
-        fh.write(le.data)
+_PREFIX = struct.Struct("<8sIQ")  # magic, format version, header length
 
 
-def _check_payload(path: Path, n_bytes: int, dtype: np.dtype, shape: tuple[int, ...]) -> None:
-    expected = math.prod(shape) * dtype.itemsize
-    if n_bytes < expected:
-        raise TruncatedBlobError(f"{path}: expected {expected} payload bytes, got {n_bytes}")
-    if n_bytes > expected:
-        raise DimensionMismatchError(f"{path}: blob larger than manifest shape {shape}")
-
-
-def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a blob written by :func:`write_blob` as a native-order array; validates its size."""
-    path = Path(path)
-    if not path.exists():
-        raise TruncatedBlobError(f"missing blob file: {path}")
-    raw = path.read_bytes()
-    if len(raw) < _HEADER_LEN:
-        raise TruncatedBlobError(f"{path}: too short for a blob header")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise MagicMismatchError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack("<I", raw[len(MAGIC) : _HEADER_LEN])
-    if version != BLOB_VERSION:
-        raise MalformedManifestError(f"{path}: unsupported blob version {version}")
-    dt = np.dtype(dtype).newbyteorder("<")
-    _check_payload(path, len(raw) - _HEADER_LEN, dt, shape)
-    arr = np.frombuffer(raw, dtype=dt, offset=_HEADER_LEN).reshape(shape)
-    # Native byte order, writable copy.
-    return arr.astype(arr.dtype.newbyteorder("="))
-
-
-def dump_manifest(path: str | Path, manifest: dict) -> None:
-    """Write ``manifest`` as JSON, replacing ``path`` atomically."""
-    path = Path(path)
+def _replace_with(path: Path, write: Callable[[Path], None]) -> None:
+    """Run ``write`` on a dot-prefixed sibling of ``path``, then move it over ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_blob(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write one artifact file: ``header`` plus the arrays' records, then their bytes."""
+    arrays = {
+        k: np.ascontiguousarray(a, a.dtype.newbyteorder("<")) for k, a in sorted(arrays.items())
+    }
+    blobs = {k: {"dtype": a.dtype.str, "shape": list(a.shape)} for k, a in arrays.items()}
+    text = json.dumps({**header, "blobs": blobs}, sort_keys=True).encode()
+    text += b" " * (-(_PREFIX.size + len(text)) % 8)  # so the first array starts aligned
+    with open(path, "wb") as fh:
+        fh.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(text)))
+        fh.write(text)
+        for arr in arrays.values():
+            fh.write(arr.data)
+            fh.write(bytes(-arr.nbytes % 8))
+
+
+def read_blob(path: str | Path, records: dict, offset: int) -> dict[str, np.ndarray]:
+    """Read the arrays ``records`` gives as ``{name: (dtype, shape)}``, the first at ``offset``."""
+    arrays = {}
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for name, (dtype, shape) in records.items():
+            arr = np.empty(shape, dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise TruncatedBlobError(f"{path}: ends inside blob {name!r}")
+            fh.seek(-arr.nbytes % 8, os.SEEK_CUR)
+            arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)  # native order
+    return arrays
+
+
+def dump_manifest(path: str | Path, manifest: dict) -> None:
+    """Write ``manifest`` as JSON, replacing ``path`` atomically."""
+
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    _replace_with(Path(path), write)
+
+
 def load_manifest(path: str | Path, required_keys: tuple[str, ...] = ()) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MalformedManifestError(f"missing manifest: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedManifestError(f"{path}: {exc}") from exc
+    return _with_keys(path, manifest, required_keys)
+
+
+def _with_keys(path: Path, manifest, required_keys: tuple[str, ...]) -> dict:
     if not isinstance(manifest, dict):
         raise MalformedManifestError(f"{path}: manifest is not a JSON object")
     missing = [k for k in required_keys if k not in manifest]
@@ -105,37 +104,15 @@ def load_manifest(path: str | Path, required_keys: tuple[str, ...] = ()) -> dict
 
 
 def save_arrays(path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` as ``<name>.bin`` blobs plus ``manifest.json``, replacing ``path``.
+    """Write ``meta`` and ``arrays`` as one ``fmt`` artifact file, replacing ``path``.
 
-    The directory is built under a dot-prefixed sibling name and renamed
-    into place; an existing one is moved aside first and deleted afterwards,
-    or moved back if the new one does not reach its place.
+    The file is written under a dot-prefixed sibling name and moved over
+    ``path`` by one ``os.replace``, so ``path`` holds the old or the new file.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    old = tmp.with_suffix(".old")
     path.parent.mkdir(parents=True, exist_ok=True)
-    shutil.rmtree(tmp, ignore_errors=True)  # left behind by a killed process with this pid
-    tmp.mkdir()
-    try:
-        blobs = {}
-        for name, arr in arrays.items():
-            write_blob(tmp / f"{name}.bin", arr)
-            blobs[name] = {"dtype": arr.dtype.newbyteorder("<").str, "shape": list(arr.shape)}
-        meta = {**meta, "format": fmt, "version": FORMAT_VERSION, "blobs": blobs}
-        dump_manifest(tmp / "manifest.json", meta)
-        if path.exists():
-            # An ``old`` here was left by a process with this pid killed
-            # between the two renames; ``path`` is newer than it.
-            shutil.rmtree(old, ignore_errors=True)
-            os.rename(path, old)
-        os.rename(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if old.exists() and not path.exists():
-            os.rename(old, path)
-        raise
-    shutil.rmtree(old, ignore_errors=True)
+    header = {**meta, "format": fmt, "version": FORMAT_VERSION}
+    _replace_with(path, lambda tmp: write_blob(tmp, header, arrays))
 
 
 @contextmanager
@@ -149,36 +126,62 @@ def manifest_fields(path: str | Path):
 
 def _blob_record(path: Path, name: str, meta) -> tuple[np.dtype, tuple[int, ...]]:
     """The dtype and shape of a ``blobs`` entry: a numeric dtype and non-negative ints."""
-    if isinstance(meta, dict) and isinstance(meta.get("dtype"), str):
-        try:
-            dtype = np.dtype(meta["dtype"])
-        except (TypeError, ValueError):
-            dtype = None
-        shape = meta.get("shape")
+    try:
+        dtype, shape = np.dtype(meta["dtype"]), meta["shape"]
         if (
-            dtype is not None
+            isinstance(meta["dtype"], str)
             and dtype.kind in "biuf"
             and isinstance(shape, list)
             and all(type(d) is int and d >= 0 for d in shape)
         ):
             return dtype.newbyteorder("<"), tuple(shape)
+    except (KeyError, TypeError, ValueError):
+        pass
     raise MalformedManifestError(f"{path}: bad record for blob {name!r}: {meta!r}")
+
+
+def _read_header(path: Path) -> tuple[object, int, int]:
+    """An artifact file's parsed header, the offset of its first array and the file's size."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(_PREFIX.size)
+            if len(prefix) < _PREFIX.size:
+                raise TruncatedBlobError(f"{path}: too short for an artifact header")
+            magic, version, n_header = _PREFIX.unpack(prefix)
+            if magic != MAGIC:
+                raise MagicMismatchError(f"{path}: bad magic bytes")
+            if version != FORMAT_VERSION:
+                raise MalformedManifestError(f"{path}: unsupported artifact version {version}")
+            if _PREFIX.size + n_header > size:
+                raise TruncatedBlobError(f"{path}: ends inside its {n_header}-byte header")
+            text = fh.read(n_header)
+    except IsADirectoryError as exc:
+        raise MalformedManifestError(
+            f"{path} is a directory: it predates the one-file artifact format; regenerate it"
+        ) from exc
+    except OSError as exc:
+        raise MalformedManifestError(f"{path}: {exc}") from exc
+    try:
+        return json.loads(text), _PREFIX.size + n_header, size
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise MalformedManifestError(f"{path}: {exc}") from exc
 
 
 def load_arrays(
     path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a directory written by :func:`save_arrays`; returns (manifest, arrays).
+    """Read a file written by :func:`save_arrays`; returns (header, arrays).
 
-    ``expect(manifest)`` maps every blob the format holds to its shape, or
-    to None for any shape; it runs after every ``blobs`` record is checked.
-    The blob list, the expected shapes and each blob file's size are
-    checked before any blob is read.
+    ``expect(header)`` maps every blob the format holds to its shape, or to
+    None for any shape; it runs after every ``blobs`` record is checked. The
+    blob list, the shapes and the file's size are checked before any read.
     """
     path = Path(path)
-    manifest = load_manifest(path / "manifest.json", ("format", "version", "blobs", *required_keys))
+    header, offset, size = _read_header(path)
+    manifest = _with_keys(path, header, ("format", "version", "blobs", *required_keys))
     if manifest["format"] != fmt or manifest["version"] != FORMAT_VERSION:
-        raise MalformedManifestError(f"{path}: not a {fmt} version {FORMAT_VERSION} manifest")
+        raise MalformedManifestError(f"{path}: not a {fmt} version {FORMAT_VERSION} artifact")
     if not isinstance(manifest["blobs"], dict):
         raise MalformedManifestError(f"{path}: blobs is not an object")
     records = {name: _blob_record(path, name, meta) for name, meta in manifest["blobs"].items()}
@@ -188,19 +191,14 @@ def load_arrays(
         if name not in expected:
             raise MalformedManifestError(f"{path}: unknown blob {name!r}")
         if expected[name] is not None and list(shape) != list(expected[name]):
-            raise DimensionMismatchError(
-                f"{path}: blob {name!r} shape {list(shape)} != expected {expected[name]}"
-            )
+            raise DimensionMismatchError(f"{path}: blob {name!r} shape {shape} != {expected[name]}")
     missing = [name for name in expected if name not in records]
     if missing:
         raise MalformedManifestError(f"{path}: missing blob entries {missing}")
-    for name, (dtype, shape) in records.items():
-        blob = path / f"{name}.bin"
-        if not blob.is_file():
-            raise TruncatedBlobError(f"missing blob file: {blob}")
-        _check_payload(blob, blob.stat().st_size - _HEADER_LEN, dtype, shape)
-    arrays = {
-        name: read_blob(path / f"{name}.bin", dtype.str, shape)
-        for name, (dtype, shape) in records.items()
-    }
-    return manifest, arrays
+    nbytes = [math.prod(shape) * dtype.itemsize for dtype, shape in records.values()]
+    end = offset + sum(n - n % -8 for n in nbytes)
+    if size < end:
+        raise TruncatedBlobError(f"{path}: {size} bytes, its records need {end}")
+    if size > end:
+        raise DimensionMismatchError(f"{path}: {size} bytes, longer than its records' {end}")
+    return manifest, read_blob(path, records, offset)

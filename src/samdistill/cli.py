@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("probe", help="linear probe of a frozen encoder")
-    p.add_argument("--encoder-ckpt", default="scratch", help="checkpoint dir or 'scratch'")
+    p.add_argument("--encoder-ckpt", default="scratch", help="checkpoint file or 'scratch'")
     p.add_argument("--train-scenes", type=Path, required=True)
     p.add_argument("--test-scenes", type=Path, required=True)
     p.add_argument("--epochs", type=int, default=None)

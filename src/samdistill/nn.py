@@ -7,10 +7,10 @@ and a forward without gradients packs up to :data:`EVAL_CHUNK` scenes.
 
 Parameters are named views into one flat float64 buffer. Every model is
 frozen when it is built, copied or loaded, with no gradient buffer; only
-a training loop makes one trainable. A checkpoint holds weights only: a
-JSON manifest plus one raw float64 blob per flat buffer (the parameters
-and, if saved, the two AdamW moments). It round-trips bit-exact,
-optimizer state included.
+a training loop makes one trainable. A checkpoint holds weights only: one
+artifact file with a JSON header and one raw float64 blob per flat buffer
+(the parameters and, if saved, the two AdamW moments). It round-trips
+bit-exact, optimizer state included.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ def save_checkpoint(
     opt_state: dict | None = None,
     fingerprint: dict | None = None,
 ) -> None:
-    """Write ``params.data``, and the AdamW moments if given, as one blob each."""
+    """Write ``params.data``, and the AdamW moments if given, as one blob each of one file."""
     arrays = {"params": params.data}
     if opt_state is not None:
         arrays |= {"m": opt_state["m"], "v": opt_state["v"]}

@@ -69,12 +69,17 @@ class Camera:
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Checked once, here: the rotation and translation become read-only float64 copies."""
+        for name in ("rotation", "translation"):
+            value = np.array(getattr(self, name), dtype=np.float64)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidInputError("camera focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInputError("camera principal point must lie inside the raster")
-        rot = np.asarray(self.rotation, dtype=np.float64)
+        rot = self.rotation
         if rot.shape != (3, 3):
             raise InvalidInputError("camera rotation must be 3x3")
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
@@ -83,9 +88,7 @@ class Camera:
             raise InvalidInputError("camera rotation must have determinant +1")
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        trans = np.asarray(self.translation, dtype=np.float64)
-        return points @ rot.T + trans
+        return points @ self.rotation.T + self.translation
 
 
 def default_camera(width: int = 128, height: int = 128) -> Camera:
@@ -112,7 +115,6 @@ def project(points: np.ndarray, camera: Camera) -> Projection:
     ``outside`` when its continuous pixel coordinates leave
     [0, width) x [0, height).
     """
-    camera.validate()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidInputError(f"points must be N x 3, got {pts.shape}")
@@ -457,7 +459,7 @@ def generate_dataset(template: SceneSpec, n_scenes: int, dataset_seed: int) -> l
 
 
 # ---------------------------------------------------------------------------
-# Bundle directory format
+# Bundle files
 
 
 def _camera_to_json(camera: Camera) -> dict:
@@ -475,7 +477,7 @@ def _camera_to_json(camera: Camera) -> dict:
 
 def _camera_from_json(obj: dict) -> Camera:
     try:
-        camera = Camera(
+        return Camera(
             fx=float(obj["fx"]),
             fy=float(obj["fy"]),
             cx=float(obj["cx"]),
@@ -487,8 +489,6 @@ def _camera_from_json(obj: dict) -> Camera:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedManifestError(f"bad camera record: {exc}") from exc
-    camera.validate()
-    return camera
 
 
 def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
@@ -536,7 +536,7 @@ def _bundle_blob_shapes(manifest: dict) -> dict[str, list[int]]:
 
 
 def read_bundle(path: str | Path) -> SceneBundle:
-    """Load a bundle directory, validating manifest and blob consistency."""
+    """Load a bundle file, validating its header and blob consistency."""
     manifest, arrays = blobio.load_arrays(path, "scene-bundle", _BUNDLE_KEYS, _bundle_blob_shapes)
     with blobio.manifest_fields(path):
         bundle = SceneBundle(
@@ -568,8 +568,8 @@ def read_scene_dir(path: str | Path) -> list[SceneBundle]:
     path = Path(path)
     if not path.is_dir():
         raise MalformedManifestError(f"{path}: not a scene directory")
-    scene_paths = sorted(p for p in path.iterdir() if p.is_dir() and p.name.startswith("scene_"))
+    scene_paths = sorted(path.glob("scene_*"))
     if not scene_paths:
-        raise MalformedManifestError(f"{path}: no scene_* bundle directories")
+        raise MalformedManifestError(f"{path}: no scene_* bundle files")
     return [read_bundle(p) for p in scene_paths]
 

@@ -92,15 +92,14 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
     result is bit-identical to one. Layer-norm affines and the mask query
     are excluded from decay. Returns the gradient's :func:`grad_norm`.
 
-    Raises DivergedRunError on a non-finite gradient before it writes
-    anything, the step count included. A finite norm means every element
-    is finite, as NaN and inf carry through its dot, so only a non-finite
-    norm runs the elementwise check: finite elements above about 1e154
-    square to inf.
+    Raises DivergedRunError whenever the norm is not finite, before it
+    writes anything, the step count included: a NaN or inf element, or
+    finite elements so large (above about 1e154) that their squares
+    overflow, which would overflow the second moment too.
     """
     t = state["t"] + 1
     norm = grad_norm(params)
-    if not math.isfinite(norm) and not np.isfinite(params.grad).all():
+    if not math.isfinite(norm):
         raise DivergedRunError(t)
     state["t"] = t
     if params.grad is None:
@@ -133,6 +132,7 @@ def adamw_step(params: nn.ModelParams, state: dict, lr: float, weight_decay: flo
     return norm
 
 
+@np.errstate(over="ignore")  # an overflowing dot gives inf, on which adamw_step raises
 def grad_norm(params: nn.ModelParams) -> float:
     """L2 norm of the trainable gradients, one dot over the flat buffer.
 
@@ -258,7 +258,7 @@ def _run_fingerprint(
 class RunResult(NamedTuple):
     """Where a stage run saved its last checkpoint, and its ``metrics.json`` contents."""
 
-    checkpoint_dir: Path
+    checkpoint_dir: Path  # the checkpoint file; the benchmark reads this field by name
     metrics: dict
 
 
@@ -286,7 +286,7 @@ def _fit(
     ``dataset_metrics(params)`` is measured at step 0 and after the last
     step. Every checkpoint records ``fingerprint``, and resuming from a
     checkpoint with another one raises InconsistencyError. Returns the
-    checkpoint directory, the trained parameters, the step count and the
+    checkpoint file, the trained parameters, the step count and the
     initial and final dataset metrics.
 
     A checkpoint at step k holds the state before step k ran, so a resume
@@ -302,15 +302,15 @@ def _fit(
     """
     train_cfg.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = out_dir / "checkpoint"
+    ckpt_path = out_dir / "checkpoint"
     steps_per_epoch = math.ceil(n_scenes / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 
     if resume:
-        ckpt = nn.load_checkpoint(ckpt_dir)
+        ckpt = nn.load_checkpoint(ckpt_path)
         if ckpt.fingerprint != fingerprint:
             raise InconsistencyError(
-                f"{ckpt_dir} was written by another run: {ckpt.fingerprint} != {fingerprint}"
+                f"{ckpt_path} was written by another run: {ckpt.fingerprint} != {fingerprint}"
             )
         params, opt_state, step = ckpt.params, ckpt.opt_state, ckpt.step
         initial = blobio.load_manifest(out_dir / _INITIAL_METRICS)
@@ -359,7 +359,7 @@ def _fit(
         # AdamW counts the step just before it writes, so t == step means
         # no update is half applied.
         if opt_state["t"] == step:
-            nn.save_checkpoint(ckpt_dir, params, step, opt_state, fingerprint)
+            nn.save_checkpoint(ckpt_path, params, step, opt_state, fingerprint)
         if not isinstance(exc, NonFiniteError):
             raise
         # A non-finite final eval is charged to the last step taken.
@@ -367,8 +367,8 @@ def _fit(
     finally:
         writer.close()
 
-    nn.save_checkpoint(ckpt_dir, params, step, opt_state, fingerprint)
-    return ckpt_dir, params, step, initial, final
+    nn.save_checkpoint(ckpt_path, params, step, opt_state, fingerprint)
+    return ckpt_path, params, step, initial, final
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def run_stage1(
             losses = [_stage1_batch_loss(chunk, params, table, cfg).item() for chunk in chunks]
         return {"loss": _scene_mean(losses, [len(chunk) for chunk in chunks])}
 
-    ckpt_dir, params, step, initial, final = _fit(
+    ckpt_path, params, step, initial, final = _fit(
         train_cfg,
         out_dir,
         len(train_bundles),
@@ -540,7 +540,7 @@ def run_stage1(
     if heldout:
         metrics.update(_stage1_eval(heldout, params, table))
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
-    return RunResult(ckpt_dir, metrics)
+    return RunResult(ckpt_path, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +665,7 @@ def run_stage2(
             "n_masked": sum(len(p.masked) for p in plans),
         }
 
-    ckpt_dir, student, step, initial, final = _fit(
+    ckpt_path, student, step, initial, final = _fit(
         train_cfg,
         out_dir,
         len(train_bundles),
@@ -701,4 +701,4 @@ def run_stage2(
         metrics["heldout_instance_cosine"] = heldout["instance_cosine"]
         metrics["heldout_l_final"] = heldout["l_final"]
     blobio.dump_manifest(out_dir / "metrics.json", metrics)
-    return RunResult(ckpt_dir, metrics)
+    return RunResult(ckpt_path, metrics)

@@ -1,12 +1,12 @@
-"""Malformed artifact directories of every format fail with typed errors only."""
+"""Malformed artifact files of every format fail with typed errors only."""
 
-import json
 import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import edit_header, read_artifact, write_artifact
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -57,7 +57,7 @@ def _draw_path(data, manifest: dict) -> list:
 
 
 def _mutate(data, root: Path) -> None:
-    manifest = json.loads((root / "manifest.json").read_text())
+    manifest, payload = read_artifact(root)
     blob = data.draw(st.sampled_from(sorted(manifest["blobs"])), label="blob")
     kind = data.draw(
         st.sampled_from(["drop", "retype", "dtype", "shape", "truncate", "extend"]), label="kind"
@@ -79,14 +79,12 @@ def _mutate(data, root: Path) -> None:
             shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(st.integers(-5, -1))
         else:
             shape.append(data.draw(st.integers(-5, 3), label="extra dim"))
-    else:
-        path = root / f"{blob}.bin"
-        raw = path.read_bytes()
-        if kind == "truncate":
-            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
-        else:
-            path.write_bytes(raw + b"\0" * data.draw(st.integers(1, 16), label="pad"))
-    (root / "manifest.json").write_text(json.dumps(manifest))
+    elif kind == "extend":
+        payload += b"\0" * data.draw(st.integers(1, 16), label="pad")
+    write_artifact(root, manifest, payload)
+    if kind == "truncate":  # anywhere, the prefix and the header included
+        raw = root.read_bytes()
+        root.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
 
 
 @pytest.mark.parametrize("fmt", sorted(LOADERS))
@@ -94,7 +92,7 @@ def _mutate(data, root: Path) -> None:
 def test_only_typed_errors_escape(artifacts, fmt, data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / fmt
-        shutil.copytree(artifacts / fmt, root)
+        shutil.copy(artifacts / fmt, root)
         _mutate(data, root)
         try:
             LOADERS[fmt](root)
@@ -115,10 +113,8 @@ def test_only_typed_errors_escape(artifacts, fmt, data):
 )
 def test_bad_blob_records_are_malformed(artifacts, tmp_path, mutation):
     root = tmp_path / "bundle"
-    shutil.copytree(artifacts / "scene-bundle", root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    mutation(manifest)
-    (root / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(artifacts / "scene-bundle", root)
+    edit_header(root, mutation)
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(root)
 
@@ -140,20 +136,17 @@ def test_bad_blob_records_are_malformed(artifacts, tmp_path, mutation):
 )
 def test_bad_param_records_are_malformed(artifacts, tmp_path, mutation, error):
     root = tmp_path / "ckpt"
-    shutil.copytree(artifacts / "model-checkpoint", root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    mutation(manifest)
-    (root / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(artifacts / "model-checkpoint", root)
+    edit_header(root, mutation)
     with pytest.raises(error):
         nn.load_checkpoint(root)
 
 
 def test_integer_checkpoint_blob_is_refused(artifacts, tmp_path):
     root = tmp_path / "ckpt"
-    shutil.copytree(artifacts / "model-checkpoint", root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    manifest["blobs"]["params"]["dtype"] = "<i8"  # same size, so only the dtype is wrong
-    (root / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(artifacts / "model-checkpoint", root)
+    # Same size, so only the dtype is wrong.
+    edit_header(root, lambda m: m["blobs"]["params"].update(dtype="<i8"))
     with pytest.raises(MalformedManifestError):
         nn.load_checkpoint(root)
 
@@ -175,10 +168,8 @@ def test_per_parameter_checkpoint_is_refused(tmp_path, with_shapes):
 
 def test_cli_exits_2_on_a_malformed_checkpoint(artifacts, tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
-    shutil.copytree(artifacts / "model-checkpoint", ckpt)
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["blobs"]["params"] = "f8"
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(artifacts / "model-checkpoint", ckpt)
+    edit_header(ckpt, lambda m: m["blobs"].update(params="f8"))
     scenes = tmp_path / "scenes"
     make_scene = ["--out-dir", str(tmp_path), "scene", "--out", str(scenes), "--n-scenes", "1"]
     assert cli.main(make_scene) == 0
@@ -190,3 +181,29 @@ def test_cli_exits_2_on_a_malformed_checkpoint(artifacts, tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", sorted(LOADERS))
+def test_a_directory_artifact_predates_the_format(tmp_path, fmt):
+    # Every artifact written before the one-file format is a directory.
+    (tmp_path / fmt).mkdir()
+    (tmp_path / fmt / "manifest.json").write_text('{"format": "%s", "version": 1}' % fmt)
+    with pytest.raises(MalformedManifestError, match="predates the one-file artifact format"):
+        LOADERS[fmt](tmp_path / fmt)
+
+
+def test_cli_exits_2_on_a_directory_teacher(artifacts, tmp_path, capsys):
+    old = tmp_path / "old_checkpoint"
+    old.mkdir()
+    (old / "manifest.json").write_text('{"format": "model-checkpoint", "version": 1}')
+    scenes = tmp_path / "scenes"
+    make_scene = ["--out-dir", str(tmp_path), "scene", "--out", str(scenes), "--n-scenes", "1"]
+    assert cli.main(make_scene) == 0
+    code = cli.main(
+        [
+            "--out-dir", str(tmp_path), "stage2", "--scenes", str(scenes),
+            "--teacher-ckpt", str(old), "--epochs", "1",
+        ]
+    )
+    assert code == 2
+    assert "predates the one-file artifact format" in capsys.readouterr().err

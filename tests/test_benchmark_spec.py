@@ -5,7 +5,8 @@ import json
 import re
 from pathlib import Path
 
-from samdistill import tensor
+# The tracer wraps every layer module, so each must be imported; train imports the rest.
+from samdistill import nn, probe, tensor, train  # noqa: F401 (probe)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +48,20 @@ def test_every_engine_op_is_called_or_declared():
     }
     dead = set(_tracing().engine_ops(tensor)) - called - _declared_ops()
     assert dead == set()
+
+
+def test_traced_blobio_bytes_are_the_artifact_size(tmp_path, tiny_arch):
+    # The tracer finds blobio's file traffic by function name, so a rename
+    # would zero blobio.bytes_written and blobio.bytes_read without a failure.
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    params = nn.init_params(tiny_arch, seed=0)
+    path = tmp_path / "ckpt"
+    with tracer.installed(), tracer.root(tracing.CALL_ROOT):
+        nn.save_checkpoint(path, params, 3, train.init_opt_state(params))
+        nn.load_checkpoint(path)
+    writes = [s for s in tracer.spans if s.name in tracing.WRITES]
+    reads = [s for s in tracer.spans if s.name in tracing.READS]
+    assert [s.name for s in writes] == ["blobio.write_blob"]
+    assert [s.name for s in reads] == ["blobio.read_blob"]
+    assert writes[0].nbytes == reads[0].nbytes == path.stat().st_size > 0

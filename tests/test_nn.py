@@ -4,10 +4,10 @@ import dataclasses
 import json
 import math
 import os
-import shutil
 
 import numpy as np
 import pytest
+from conftest import blob_spans, edit_header, read_artifact
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -456,7 +456,7 @@ class TestParamsAndCheckpoints:
         assert loaded.step == 42
         assert loaded.params.byte_hash() == params.byte_hash()
         # Checkpoints hold weights only: a loaded model is frozen.
-        assert "frozen" not in (tmp_path / "ckpt" / "manifest.json").read_text()
+        assert "frozen" not in json.dumps(read_artifact(tmp_path / "ckpt")[0])
         assert loaded.params.trainable_names() == []
         assert loaded.params.grad is None
         assert loaded.opt_state["t"] == 17
@@ -468,11 +468,12 @@ class TestParamsAndCheckpoints:
         """Checkpoints written while trainability was saved hold a ``frozen`` bool per record."""
         params = nn.init_params(tiny_arch, seed=8)
         nn.save_checkpoint(tmp_path / "ckpt", params, step=5)
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        for rec in manifest["params"]:
-            rec["frozen"] = frozen
-        manifest_path.write_text(json.dumps(manifest))
+
+        def add_frozen(manifest):
+            for rec in manifest["params"]:
+                rec["frozen"] = frozen
+
+        edit_header(tmp_path / "ckpt", add_frozen)
         loaded = nn.load_checkpoint(tmp_path / "ckpt")
         assert loaded.step == 5
         assert loaded.params.byte_hash() == params.byte_hash()
@@ -495,35 +496,36 @@ class TestParamsAndCheckpoints:
         opt = train.init_opt_state(params)
         opt["m"] += np.arange(params.data.size)
         opt["v"] += 0.5
-        nn.save_checkpoint(tmp_path / "ckpt", params, step=1, opt_state=opt)
-        files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
-        assert files == ["m.bin", "manifest.json", "params.bin", "v.bin"]
+        path = tmp_path / "ckpt"
+        nn.save_checkpoint(path, params, step=1, opt_state=opt)
+        raw, spans = path.read_bytes(), blob_spans(path)
+        assert list(spans) == ["m", "params", "v"]
         for blob, flat in [("params", params.data), ("m", opt["m"]), ("v", opt["v"])]:
-            assert (tmp_path / "ckpt" / f"{blob}.bin").read_bytes()[12:] == flat.tobytes()
-        nn.save_checkpoint(tmp_path / "ckpt", params, step=1)
-        files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
-        assert files == ["manifest.json", "params.bin"]
+            start, stop = spans[blob]
+            assert start % 8 == 0 and raw[start:stop] == flat.tobytes()
+        assert spans["v"][1] == len(raw)
+        nn.save_checkpoint(path, params, step=1)
+        assert list(blob_spans(path)) == ["params"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
-    @pytest.mark.parametrize(
-        "fails", [("write_blob", 1), ("write_blob", 2), ("write_blob", 3), ("dump_manifest", 1)],
-        ids=["params", "m", "v", "manifest"],
-    )
+    @pytest.mark.parametrize("fails", ["params", "m", "v", "manifest"])
     def test_failed_save_leaves_previous_checkpoint(
         self, tmp_path, tiny_arch, monkeypatch, fails
     ):
+        """The disk fills up while the new file's header, or one of its arrays, is written."""
         old = nn.init_params(tiny_arch, seed=8)
         nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
         new = nn.init_params(tiny_arch, seed=9)
-        failing, nth = fails
-        write, calls = getattr(blobio, failing), []
+        write = blobio.write_blob
 
-        def failing_write(path, obj):
-            calls.append(path)
-            if len(calls) == nth:
-                raise OSError("disk full")
-            write(path, obj)
+        def disk_full(path, header, arrays):
+            write(path, header, arrays)
+            stop = 40 if fails == "manifest" else blob_spans(path)[fails][0] + 8
+            with open(path, "r+b") as fh:
+                fh.truncate(stop)
+            raise OSError("disk full")
 
-        monkeypatch.setattr(blobio, failing, failing_write)
+        monkeypatch.setattr(blobio, "write_blob", disk_full)
         with pytest.raises(OSError):
             nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
         loaded = nn.load_checkpoint(tmp_path / "ckpt")
@@ -539,41 +541,33 @@ class TestParamsAndCheckpoints:
         assert probe.trainable_names() == [] and probe.grad is None
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
-    def test_failed_rename_into_place_restores_previous_checkpoint(
-        self, tmp_path, tiny_arch, monkeypatch, error
-    ):
-        """The old directory is already moved aside when the new one's rename fails."""
+    def test_failed_replace_keeps_old_checkpoint(self, tmp_path, tiny_arch, monkeypatch, error):
+        """The new file is complete, but the ``os.replace`` that puts it in place fails."""
         old = nn.init_params(tiny_arch, seed=8)
         nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
         new = nn.init_params(tiny_arch, seed=9)
-        rename, calls = blobio.os.rename, []
 
-        def failing_rename(src, dst):
-            calls.append(src)
-            if len(calls) == 2:
-                raise error("rename failed")
-            rename(src, dst)
+        def failing_replace(src, dst):
+            raise error("replace failed")
 
-        monkeypatch.setattr(blobio.os, "rename", failing_rename)
+        monkeypatch.setattr(blobio.os, "replace", failing_replace)
         with pytest.raises(error):
             nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
         monkeypatch.undo()
-        assert len(calls) == 3  # aside, into place (fails), back
         loaded = nn.load_checkpoint(tmp_path / "ckpt")
         assert loaded.step == 3
         assert loaded.params.byte_hash() == old.byte_hash()
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
-    def test_save_over_a_stale_old_directory(self, tmp_path, tiny_arch):
-        """A process killed between the two renames leaves ``.<name>.<pid>.old`` behind.
+    def test_save_over_a_stale_tmp_file(self, tmp_path, tiny_arch):
+        """A writer killed before its ``os.replace`` leaves a part-written ``.<name>.<pid>.tmp``.
 
-        That directory is older than the checkpoint in place, so a later
-        save from a process with the same pid removes it and succeeds.
+        A later save from a process with the same pid writes over it.
         """
         old = nn.init_params(tiny_arch, seed=8)
         nn.save_checkpoint(tmp_path / "ckpt", old, step=3, opt_state=train.init_opt_state(old))
-        stale = tmp_path / f".ckpt.{os.getpid()}.old"
-        shutil.copytree(tmp_path / "ckpt", stale)
+        stale = tmp_path / f".ckpt.{os.getpid()}.tmp"
+        stale.write_bytes((tmp_path / "ckpt").read_bytes()[:100])
         new = nn.init_params(tiny_arch, seed=9)
         nn.save_checkpoint(tmp_path / "ckpt", new, step=7, opt_state=train.init_opt_state(new))
         loaded = nn.load_checkpoint(tmp_path / "ckpt")

@@ -52,15 +52,24 @@ class TestProject:
         np.testing.assert_allclose(a.uv, b.uv, atol=1e-9)
 
     def test_camera_validation(self):
+        # A camera is checked once, when it is built.
         with pytest.raises(InvalidInputError):
-            scene.Camera(fx=-1, fy=1, cx=0, cy=0, width=10, height=10).validate()
+            scene.Camera(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
         with pytest.raises(InvalidInputError):
-            scene.Camera(fx=1, fy=1, cx=10, cy=0, width=10, height=10).validate()
-        bad_rot = scene.Camera(
-            fx=1, fy=1, cx=0, cy=0, width=10, height=10, rotation=np.eye(3) * 2
-        )
+            scene.Camera(fx=1, fy=1, cx=10, cy=0, width=10, height=10)
         with pytest.raises(InvalidInputError):
-            bad_rot.validate()
+            scene.Camera(fx=1, fy=1, cx=0, cy=0, width=10, height=10, rotation=np.eye(3) * 2)
+        with pytest.raises(InvalidInputError):
+            scene.Camera(fx=1, fy=1, cx=0, cy=0, width=10, height=10, rotation=np.eye(2))
+        # The checked pose cannot change afterwards, nor through the arrays it was given.
+        rotation = np.eye(3)
+        cam = scene.Camera(fx=1, fy=1, cx=0, cy=0, width=10, height=10, rotation=rotation)
+        rotation[0, 0] = 2.0
+        assert cam.rotation[0, 0] == 1.0
+        for pose in (cam.rotation, cam.translation):
+            assert pose.dtype == np.float64
+            with pytest.raises(ValueError):
+                pose[0] = 5.0
 
 
 class TestPixelRound:

@@ -1,10 +1,10 @@
 """Bundle storage: lossless round trips and distinct failure modes."""
 
-import json
 import struct
 
 import numpy as np
 import pytest
+from conftest import blob_spans, edit_header, read_artifact, write_artifact
 
 from samdistill import blobio, scene, stage1
 from samdistill.errors import (
@@ -34,51 +34,53 @@ def test_double_round_trip(stored, tmp_path):
 
 
 def test_wrong_magic(stored):
-    blob = stored / "points.bin"
-    raw = bytearray(blob.read_bytes())
+    raw = bytearray(stored.read_bytes())
     raw[:8] = b"BADMAGIC"
-    blob.write_bytes(bytes(raw))
+    stored.write_bytes(bytes(raw))
     with pytest.raises(MagicMismatchError):
         scene.read_bundle(stored)
 
 
 def test_truncated_blob(stored):
-    blob = stored / "feat2d.bin"
-    raw = blob.read_bytes()
-    blob.write_bytes(raw[: len(raw) // 2])
+    start, stop = blob_spans(stored)["feat2d"]
+    stored.write_bytes(stored.read_bytes()[: (start + stop) // 2])
     with pytest.raises(TruncatedBlobError):
         scene.read_bundle(stored)
 
 
 def test_oversized_blob(stored):
-    blob = stored / "mask.bin"
-    blob.write_bytes(blob.read_bytes() + b"\x00" * 16)
+    stored.write_bytes(stored.read_bytes() + b"\x00" * 16)
     with pytest.raises(DimensionMismatchError):
         scene.read_bundle(stored)
 
 
 def test_missing_blob_file(stored):
-    (stored / "gt_region.bin").unlink()
+    # The file ends where its last array should start.
+    start, _ = blob_spans(stored)["points"]
+    assert list(read_artifact(stored)[0]["blobs"])[-1] == "points"
+    stored.write_bytes(stored.read_bytes()[:start])
     with pytest.raises(TruncatedBlobError):
         scene.read_bundle(stored)
 
 
 def test_mask_feat2d_dimension_inconsistency(stored):
-    manifest = json.loads((stored / "manifest.json").read_text())
-    manifest["blobs"]["feat2d"]["shape"][0] += 1
-    (stored / "manifest.json").write_text(json.dumps(manifest))
+    def grow_feat2d(header):
+        header["blobs"]["feat2d"]["shape"][0] += 1
+
+    edit_header(stored, grow_feat2d)
     with pytest.raises(DimensionMismatchError):
         scene.read_bundle(stored)
 
 
 @pytest.mark.parametrize("edit", ["unknown", "missing"])
 def test_blob_entries_must_match_the_format(stored, edit):
-    manifest = json.loads((stored / "manifest.json").read_text())
-    if edit == "unknown":
-        manifest["blobs"]["extra"] = {"dtype": "<f4", "shape": [1]}
-    else:
-        del manifest["blobs"]["gt_region"]
-    (stored / "manifest.json").write_text(json.dumps(manifest))
+    def change(header):
+        if edit == "unknown":
+            header["blobs"]["extra"] = {"dtype": "<f4", "shape": [1]}
+        else:
+            del header["blobs"]["gt_region"]
+
+    edit_header(stored, change)
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(stored)
 
@@ -89,11 +91,10 @@ def test_bundle_with_a_prototypes_blob_is_refused(tmp_path, small_bundle):
     prototypes = np.stack(
         [scene.type_prototype(int(t), small_bundle.feature_dim) for t in small_bundle.region_types]
     )
-    blobio.write_blob(stored / "prototypes.bin", prototypes)
-    manifest = json.loads((stored / "manifest.json").read_text())
-    manifest["blobs"]["prototypes"] = {"dtype": "<f8", "shape": list(prototypes.shape)}
-    manifest["noise_sigma"] = 0.02
-    (stored / "manifest.json").write_text(json.dumps(manifest))
+    header, payload = read_artifact(stored)
+    header["blobs"]["prototypes"] = {"dtype": "<f8", "shape": list(prototypes.shape)}
+    header["noise_sigma"] = 0.02
+    write_artifact(stored, header, payload + prototypes.astype("<f8").tobytes())
     with pytest.raises(MalformedManifestError, match="unknown blob 'prototypes'"):
         scene.read_scene_dir(tmp_path / "scenes")
 
@@ -109,12 +110,14 @@ def test_other_format_rejected(tmp_path):
         scene.read_bundle(tmp_path / "table")
 
 
-def test_rewrite_replaces_directory_whole(stored, tmp_path):
+def test_rewrite_replaces_directory_whole(stored, tmp_path, small_bundle):
+    # The new file has fewer and smaller arrays; nothing of the old one is left.
     other = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=5))
-    (stored / "stray.txt").write_text("left by an older writer")
+    other.colors = None
+    assert small_bundle.colors is not None
     scene.write_bundle(other, stored)
     assert scene.read_bundle(stored).equals(other)
-    assert not (stored / "stray.txt").exists()
+    assert "colors" not in read_artifact(stored)[0]["blobs"]
     assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
 
 
@@ -128,33 +131,34 @@ def test_failed_manifest_write_keeps_old_file(tmp_path):
 
 
 def test_malformed_manifest_json(stored):
-    (stored / "manifest.json").write_text("{not json")
+    _, payload = read_artifact(stored)
+    text = b"{not json"
+    stored.write_bytes(blobio.MAGIC + struct.pack("<IQ", 2, len(text)) + text + payload)
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(stored)
 
 
 def test_missing_manifest_key(stored):
-    manifest = json.loads((stored / "manifest.json").read_text())
-    del manifest["region_count"]
-    (stored / "manifest.json").write_text(json.dumps(manifest))
+    edit_header(stored, lambda h: h.pop("region_count"))
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(stored)
 
 
 def test_unsupported_blob_version(stored):
-    blob = stored / "points.bin"
-    raw = bytearray(blob.read_bytes())
+    raw = bytearray(stored.read_bytes())
     raw[8:12] = struct.pack("<I", 99)
-    blob.write_bytes(bytes(raw))
+    stored.write_bytes(bytes(raw))
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(stored)
 
 
-def test_blob_header_too_short(tmp_path):
-    path = tmp_path / "tiny.bin"
-    path.write_bytes(b"S3D")
-    with pytest.raises(TruncatedBlobError):
-        blobio.read_blob(path, "f4", (1,))
+def test_blob_header_too_short(stored):
+    # The file ends inside the 20-byte prefix, or inside the JSON header.
+    raw = stored.read_bytes()
+    for cut in (3, 19, 40):
+        stored.write_bytes(raw[:cut])
+        with pytest.raises(TruncatedBlobError):
+            scene.read_bundle(stored)
 
 
 def test_scene_dir_round_trip(tmp_path):

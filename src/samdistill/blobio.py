@@ -16,7 +16,7 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -31,6 +31,7 @@ MAGIC = b"S3DBLOB\x00"
 FORMAT_VERSION = 2
 
 _PREFIX = struct.Struct("<8sIQ")  # magic, format version, header length
+_PREDATES = "{} is a directory: it predates the one-file artifact format; regenerate it"
 
 
 def _replace_with(path: Path, write: Callable[[Path], None]) -> None:
@@ -39,8 +40,10 @@ def _replace_with(path: Path, write: Callable[[Path], None]) -> None:
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, IsADirectoryError):  # an artifact of the directory layout
+            raise MalformedManifestError(_PREDATES.format(path)) from exc
         raise
 
 
@@ -60,17 +63,16 @@ def write_blob(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) ->
             fh.write(bytes(-arr.nbytes % 8))
 
 
-def read_blob(path: str | Path, records: dict, offset: int) -> dict[str, np.ndarray]:
-    """Read the arrays ``records`` gives as ``{name: (dtype, shape)}``, the first at ``offset``."""
+def read_blob(path: str | Path, fh: BinaryIO, records: dict, offset: int) -> dict[str, np.ndarray]:
+    """Read from ``fh``, open on ``path``, the arrays ``records`` gives from ``offset`` on."""
     arrays = {}
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for name, (dtype, shape) in records.items():
-            arr = np.empty(shape, dtype)
-            if fh.readinto(arr) != arr.nbytes:
-                raise TruncatedBlobError(f"{path}: ends inside blob {name!r}")
-            fh.seek(-arr.nbytes % 8, os.SEEK_CUR)
-            arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)  # native order
+    fh.seek(offset)
+    for name, (dtype, shape) in records.items():
+        arr = np.empty(shape, dtype)
+        if fh.readinto(arr) != arr.nbytes:
+            raise TruncatedBlobError(f"{path}: ends inside blob {name!r}")
+        fh.seek(-arr.nbytes % 8, os.SEEK_CUR)
+        arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)  # native order
     return arrays
 
 
@@ -140,34 +142,6 @@ def _blob_record(path: Path, name: str, meta) -> tuple[np.dtype, tuple[int, ...]
     raise MalformedManifestError(f"{path}: bad record for blob {name!r}: {meta!r}")
 
 
-def _read_header(path: Path) -> tuple[object, int, int]:
-    """An artifact file's parsed header, the offset of its first array and the file's size."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            prefix = fh.read(_PREFIX.size)
-            if len(prefix) < _PREFIX.size:
-                raise TruncatedBlobError(f"{path}: too short for an artifact header")
-            magic, version, n_header = _PREFIX.unpack(prefix)
-            if magic != MAGIC:
-                raise MagicMismatchError(f"{path}: bad magic bytes")
-            if version != FORMAT_VERSION:
-                raise MalformedManifestError(f"{path}: unsupported artifact version {version}")
-            if _PREFIX.size + n_header > size:
-                raise TruncatedBlobError(f"{path}: ends inside its {n_header}-byte header")
-            text = fh.read(n_header)
-    except IsADirectoryError as exc:
-        raise MalformedManifestError(
-            f"{path} is a directory: it predates the one-file artifact format; regenerate it"
-        ) from exc
-    except OSError as exc:
-        raise MalformedManifestError(f"{path}: {exc}") from exc
-    try:
-        return json.loads(text), _PREFIX.size + n_header, size
-    except ValueError as exc:  # a UnicodeDecodeError too
-        raise MalformedManifestError(f"{path}: {exc}") from exc
-
-
 def load_arrays(
     path: str | Path, fmt: str, required_keys: tuple[str, ...], expect: Callable[[dict], dict]
 ) -> tuple[dict, dict[str, np.ndarray]]:
@@ -176,9 +150,35 @@ def load_arrays(
     ``expect(header)`` maps every blob the format holds to its shape, or to
     None for any shape; it runs after every ``blobs`` record is checked. The
     blob list, the shapes and the file's size are checked before any read.
+    The header and the arrays come from one open file, whatever replaces ``path``.
     """
     path = Path(path)
-    header, offset, size = _read_header(path)
+    try:
+        with open(path, "rb") as fh:
+            return _read_artifact(path, fh, fmt, required_keys, expect)
+    except IsADirectoryError as exc:
+        raise MalformedManifestError(_PREDATES.format(path)) from exc
+    except OSError as exc:
+        raise MalformedManifestError(f"{path}: {exc}") from exc
+
+
+def _read_artifact(path: Path, fh: BinaryIO, fmt: str, required_keys, expect) -> tuple:
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(_PREFIX.size)
+    if len(prefix) < _PREFIX.size:
+        raise TruncatedBlobError(f"{path}: too short for an artifact header")
+    magic, version, n_header = _PREFIX.unpack(prefix)
+    if magic != MAGIC:
+        raise MagicMismatchError(f"{path}: bad magic bytes")
+    if version != FORMAT_VERSION:
+        raise MalformedManifestError(f"{path}: unsupported artifact version {version}")
+    offset = _PREFIX.size + n_header
+    if offset > size:
+        raise TruncatedBlobError(f"{path}: ends inside its {n_header}-byte header")
+    try:
+        header = json.loads(fh.read(n_header))
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise MalformedManifestError(f"{path}: {exc}") from exc
     manifest = _with_keys(path, header, ("format", "version", "blobs", *required_keys))
     if manifest["format"] != fmt or manifest["version"] != FORMAT_VERSION:
         raise MalformedManifestError(f"{path}: not a {fmt} version {FORMAT_VERSION} artifact")
@@ -201,4 +201,4 @@ def load_arrays(
         raise TruncatedBlobError(f"{path}: {size} bytes, its records need {end}")
     if size > end:
         raise DimensionMismatchError(f"{path}: {size} bytes, longer than its records' {end}")
-    return manifest, read_blob(path, records, offset)
+    return manifest, read_blob(path, fh, records, offset)

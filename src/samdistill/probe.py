@@ -53,10 +53,9 @@ def extract_features(
     """Frozen encoder features and type labels for every token across scenes.
 
     The scenes run in packed forwards of at most ``nn.EVAL_CHUNK`` scenes.
-    Attention stays within each scene, and scenes with one token count (as
-    in the mask-guided acceptance datasets, 12 tokens each) get the bits of
-    one forward per scene; with unequal counts a padded softmax sum may
-    round differently in the last bits.
+    Attention stays within each scene, and each scene of two or more tokens
+    gets the bits of one forward per scene, whatever the other scenes'
+    token counts.
     """
     max_points = params.arch.max_points_per_token
     feats, labels = [], []

@@ -7,10 +7,10 @@ output, so a graph has no reference cycle and is freed as soon as its
 loss is dropped. The op set is what the models and losses here need, with
 two deliberate restrictions: 64-bit floats everywhere, and no
 broadcasting beyond bias addition over the leading axis. Segment ops
-(pooling, attention, losses) take their row groups as one :class:`Segments`;
-attention pads each segment to the longest one and scores each segment's
-own block, and the fused embedder runs in cache-sized blocks of rows, so a
-forward over many packed scenes costs less than one forward per scene.
+(pooling, attention, losses) take their row groups as one :class:`Segments`
+and run one block per segment length, so each segment has the bits of a
+one-segment call, and the fused embedder runs in cache-sized blocks of
+rows; a forward over many packed scenes costs less than one per scene.
 Nine ops have no caller in the library and stay only because the benchmark
 declares their call counts: ``relu``, ``max_pool``, ``cosine_sim``, ``mul``,
 ``softmax``, ``slice_axis``, ``stack``, ``transpose`` and ``cross_entropy``.
@@ -355,7 +355,7 @@ class Segments:
 
     :meth:`of_counts` and :meth:`of_bounds` validate a layout once and note
     any empty segment. Its arrays are read-only, so one layout serves every
-    op of a batch and builds its row ids and positions at most once.
+    op of a batch and builds its row ids, positions and length groups once.
     """
 
     bounds: np.ndarray  # (S + 1,) int64, from 0 up to the row count
@@ -411,14 +411,29 @@ class Segments:
         return _read_only(np.arange(self.bounds[-1]) - self.bounds[self.ids])
 
     @cached_property
-    def longest(self) -> int:
-        """Rows in the longest segment (0 without segments)."""
-        return int(self.counts.max(initial=0))
+    def by_length(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(ids, rows)`` per distinct non-zero segment length n, ascending: the
+        segments of length n, in order, and their (S_n, n) row indices."""
+        groups = []
+        for n in np.unique(self.counts[self.counts > 0]):
+            ids = np.flatnonzero(self.counts == n)
+            groups.append((_read_only(ids), _read_only(self.bounds[ids][:, None] + np.arange(n))))
+        return tuple(groups)
 
-    @property
-    def uniform(self) -> bool:
-        """Whether every segment has the longest segment's length."""
-        return len(self) * self.longest == self.bounds[-1]
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The rows of ``x`` as an (S_n, n, ...) block per length; one reshape if all are n."""
+        if len(self.by_length) == 1 and not self.any_empty:
+            return [x.reshape(self.by_length[0][1].shape + x.shape[1:])]
+        return [x[rows] for _, rows in self.by_length]
+
+    def from_blocks(self, blocks: list[np.ndarray], width: int) -> np.ndarray:
+        """The (rows, ``width``) array whose :meth:`blocks` are ``blocks``, each row flattened."""
+        if len(self.by_length) == 1 and not self.any_empty:
+            return blocks[0].reshape(-1, width)
+        out = np.empty((self.bounds[-1], width))
+        for (_, rows), block in zip(self.by_length, blocks):
+            out[rows] = block.reshape(rows.shape + (width,))
+        return out
 
     def mean_rows(self, rows: np.ndarray) -> np.ndarray:
         """Each segment's mean row of a 2-D ``rows``, as an (S, width) float64 array.
@@ -438,24 +453,12 @@ class Segments:
         if self.bounds[-1] != n_rows or (self.any_empty and not allow_empty):
             raise ShapeMismatchError(op, (n_rows,), (int(self.bounds[-1]),))
 
-    def padded(self, x: np.ndarray) -> np.ndarray:
-        """Each segment's rows of ``x`` as one slice of a zero-padded (S, longest, ...) array.
-
-        Trailing zeros change no sum over the padded axis. Segments of one
-        length are a reshape of ``x``, with no copy.
-        """
-        shape = (len(self), self.longest) + x.shape[1:]
-        if self.uniform:
-            return x.reshape(shape)
-        out = np.zeros(shape)
-        out[self.ids, self.positions] = x
+    def per_segment(self, x: np.ndarray, reduce: Callable, shape: tuple = ()) -> np.ndarray:
+        """``reduce`` of each of :meth:`blocks` of ``x``: an (S,) + ``shape`` array, 0 if empty."""
+        out = np.zeros((len(self),) + shape)
+        for (ids, _), block in zip(self.by_length, self.blocks(x)):
+            out[ids] = reduce(block)
         return out
-
-    def unpadded(self, x: np.ndarray) -> np.ndarray:
-        """The rows of a (S, longest, ...) array that :meth:`padded` filled, in row order."""
-        if self.uniform:
-            return x.reshape((-1,) + x.shape[2:])
-        return x[self.ids, self.positions]
 
 
 def mean_pool(a: Tensor, segments: Segments) -> Tensor:
@@ -464,13 +467,13 @@ def mean_pool(a: Tensor, segments: Segments) -> Tensor:
     if a.ndim < 1:
         raise ShapeMismatchError("mean_pool", a.shape)
     segments.check("mean_pool", a.shape[0])
-    counts = segments.counts
-    per_row = counts.reshape((-1,) + (1,) * (a.ndim - 1))
-    out = _node(np.add.reduce(segments.padded(a.data), axis=1) / per_row, (a,), "mean_pool")
+    per_row = segments.counts.reshape((-1,) + (1,) * (a.ndim - 1))
+    sums = segments.per_segment(a.data, lambda block: np.add.reduce(block, axis=1), a.shape[1:])
+    out = _node(sums / per_row, (a,), "mean_pool")
     if out.requires_grad:
 
         def backward(g):
-            a._accumulate(np.repeat(g / per_row, counts, axis=0))
+            a._accumulate(np.repeat(g / per_row, segments.counts, axis=0))
 
         out._backward = backward
     return out
@@ -658,16 +661,13 @@ def attention(
 
     The columns split into ``n_heads`` contiguous heads of width dh; head h
     gives softmax(q_h k_h^T / sqrt(dh)) v_h, and the heads are concatenated
-    back in column order. ``segments`` lays out the S scenes stacked in the
-    rows (None: one scene). Each scene's rows are padded to the longest
-    scene's n rows and laid out as (S, H, n, dh), so each scene scores only
-    its own n x n block and the cost grows with S, not S squared. Scenes
-    shorter than n put -inf on their padding keys, and the real rows are
-    gathered back. With one scene, or scenes of one length, the padding is
-    a reshape and no mask is applied. One node: the backward
-    reuses the forward's softmax and the same padded products, and with one
-    scene each head's products are the ones a per-head graph of matmul,
-    scale and softmax nodes would compute.
+    back in column order. ``segments`` lays out the scenes stacked in the
+    rows (None: one scene). The scenes of each length n form one (S_n, H,
+    n, dh) block, so each scene scores only its own n x n block, the cost
+    grows with the scene count, not its square, and each scene's output
+    and input gradients have the bits of a one-scene call. One node: the
+    backward reuses the forward's softmax and blocks, and with one scene
+    each head's products are those of a per-head matmul-softmax graph.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -677,36 +677,33 @@ def attention(
         raise ShapeMismatchError("attention", q.shape, n_heads)
     segments = Segments.of_counts([m]) if segments is None else segments
     segments.check("attention", m, allow_empty=True)
-    s, n, dh = len(segments), segments.longest, width // n_heads
+    dh = width // n_heads
     c = 1.0 / math.sqrt(dh)
 
-    def split(x: np.ndarray) -> np.ndarray:
-        return segments.padded(x).reshape(s, n, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(x: np.ndarray) -> list[np.ndarray]:
+        return [b.transpose(0, 2, 1, 3) for b in segments.blocks(x.reshape(m, n_heads, dh))]
 
-    def merge(x: np.ndarray) -> np.ndarray:
-        return segments.unpadded(x.transpose(0, 2, 1, 3).reshape(s, n, width))
+    def merge(blocks: Iterable[np.ndarray]) -> np.ndarray:
+        return segments.from_blocks([b.transpose(0, 2, 1, 3) for b in blocks], width)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
-    if not segments.uniform:
-        # An empty scene keeps its first (zero) key, so no softmax row is all -inf.
-        keys = np.arange(n) < np.maximum(segments.counts, 1)[:, None]
-        scores = np.where(keys[:, None, None, :], scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _node(merge(y @ vh), (q, k, v), "attention")
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    scores = [(qh @ kh.transpose(0, 1, 3, 2)) * c for qh, kh in zip(qs, ks)]
+    es = [np.exp(x - x.max(axis=-1, keepdims=True)) for x in scores]
+    ys = [e / e.sum(axis=-1, keepdims=True) for e in es]
+    out = _node(merge(y @ vh for y, vh in zip(ys, vs)), (q, k, v), "attention")
     if out.requires_grad:
 
         def backward(g):
-            gh = np.ascontiguousarray(split(g))
-            gy = gh @ vh.transpose(0, 1, 3, 2)
-            gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * c
-            if q.requires_grad:
-                q._accumulate(merge(gs @ kh))
-            if k.requires_grad:
-                k._accumulate(merge((qh.transpose(0, 1, 3, 2) @ gs).transpose(0, 1, 3, 2)))
-            if v.requires_grad:
-                v._accumulate(merge(y.transpose(0, 1, 3, 2) @ gh))
+            gq, gk, gv = [], [], []
+            for qh, kh, vh, y, gh in zip(qs, ks, vs, ys, map(np.ascontiguousarray, split(g))):
+                gy = gh @ vh.transpose(0, 1, 3, 2)
+                gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * c
+                gq.append(gs @ kh)
+                gk.append((qh.transpose(0, 1, 3, 2) @ gs).transpose(0, 1, 3, 2))
+                gv.append(y.transpose(0, 1, 3, 2) @ gh)
+            for t, blocks in ((q, gq), (k, gk), (v, gv)):
+                if t.requires_grad:
+                    t._accumulate(merge(blocks))
 
         out._backward = backward
     return out
@@ -784,7 +781,7 @@ def mse(a: Tensor, b: Tensor, segments: Segments | None = None) -> Tensor:
     segments.check("mse", a.shape[0], allow_empty=True)
     d = a.data - b.data
     sizes = segments.counts * (d[:1].size)
-    sums = np.add.reduce(segments.padded(d * d).reshape(len(sizes), -1), axis=1)
+    sums = segments.per_segment(d * d, lambda r: np.add.reduce(r.reshape(len(r), -1), axis=1))
     out = _node(np.mean(sums / np.maximum(sizes, 1)), (a, b), "mse")
     if out.requires_grad:
         row_sizes = np.repeat(sizes, segments.counts).reshape((-1,) + (1,) * (d.ndim - 1))
@@ -826,14 +823,15 @@ def smooth_l1(
     elems = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
     if weights is None:
         sizes = counts * elems[:1].size
-        sums = np.add.reduce(segments.padded(elems).reshape(len(counts), -1), axis=1)
+        sums = segments.per_segment(elems, lambda r: np.add.reduce(r.reshape(len(r), -1), axis=1))
         per_segment = sums / sizes
     else:
         w = np.asarray(weights, dtype=np.float64)
         if d.ndim != 2 or w.shape != (d.shape[0],):
             raise ShapeMismatchError("smooth_l1", d.shape, w.shape)
         inv_rows = 1.0 / counts
-        per_segment = np.cumsum(segments.padded(elems.mean(axis=1) * w), axis=1)[:, -1] * inv_rows
+        sums = segments.per_segment(elems.mean(axis=1) * w, lambda r: np.cumsum(r, axis=1)[:, -1])
+        per_segment = sums * inv_rows
     out = _node(np.mean(per_segment), (a, b), "smooth_l1")
     if out.requires_grad:
 

@@ -195,7 +195,7 @@ _INITIAL_METRICS = "initial_metrics.json"
 
 
 class _MetricsWriter:
-    """On resume, drops the rows from ``resume_step`` on.
+    """On resume, drops the rows from ``resume_step`` on and a cut last row.
 
     A run that saved its checkpoint logged none of them; they come only
     from a run that died without saving.
@@ -204,8 +204,9 @@ class _MetricsWriter:
     def __init__(self, path: Path, resume_step: int | None):
         kept = []
         if resume_step is not None and path.exists():
-            with open(path, newline="") as fh:
-                kept = [row for row in csv.DictReader(fh) if int(row["step"]) < resume_step]
+            with open(path, newline="") as fh:  # a kill can cut the last row before its line end
+                lines = [line for line in fh if line.endswith("\n")]
+            kept = [row for row in csv.DictReader(lines) if int(row["step"]) < resume_step]
         self._fh = open(path, "w", newline="")
         self._writer = csv.DictWriter(self._fh, fieldnames=_METRIC_COLUMNS)
         self._writer.writeheader()

@@ -1,5 +1,6 @@
 """Malformed artifact files of every format fail with typed errors only."""
 
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -207,3 +208,50 @@ def test_cli_exits_2_on_a_directory_teacher(artifacts, tmp_path, capsys):
     )
     assert code == 2
     assert "predates the one-file artifact format" in capsys.readouterr().err
+
+
+def test_a_load_reads_the_file_it_opened(tmp_path, monkeypatch):
+    # Another seed's checkpoint is moved over the path between the header
+    # and the arrays; the load must not pair one file's header with the other's arrays.
+    path, other = tmp_path / "ckpt", tmp_path / "other"
+    first = nn.init_params(SMALL_ARCH, seed=0)
+    nn.save_checkpoint(path, first, 1)
+    nn.save_checkpoint(other, nn.init_params(SMALL_ARCH, seed=1), 2)
+    expect = nn._checkpoint_blobs
+
+    def replace_then_expect(manifest):
+        os.replace(other, path)
+        return expect(manifest)
+
+    monkeypatch.setattr(nn, "_checkpoint_blobs", replace_then_expect)
+    loaded = nn.load_checkpoint(path)
+    assert not other.exists()
+    assert (loaded.step, loaded.params.byte_hash()) == (1, first.byte_hash())
+
+
+def test_saving_over_a_directory_artifact_is_malformed(tmp_path):
+    old = tmp_path / "checkpoint"
+    old.mkdir()
+    (old / "manifest.json").write_text('{"format": "model-checkpoint", "version": 1}')
+    with pytest.raises(MalformedManifestError, match="predates the one-file artifact format"):
+        nn.save_checkpoint(old, nn.init_params(SMALL_ARCH, seed=0), 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]  # no temporary file
+
+
+def test_cli_exits_2_on_an_old_layout_run_directory(tmp_path, capsys):
+    run = tmp_path / "old_run"
+    for name in ("weight_table", "checkpoint"):
+        (run / name).mkdir(parents=True)
+        (run / name / "manifest.json").write_text("{}")
+    scenes = tmp_path / "scenes"
+    make_scene = ["--out-dir", str(tmp_path), "scene", "--out", str(scenes), "--n-scenes", "1"]
+    assert cli.main(make_scene) == 0
+    code = cli.main(
+        [
+            "--out-dir", str(tmp_path), "stage1", "--scenes", str(scenes), "--out", str(run),
+            "--k-groups", "2", "--epochs", "1",
+        ]
+    )
+    assert code == 2
+    assert "predates the one-file artifact format" in capsys.readouterr().err
+    assert not list(run.glob(".*.tmp"))

@@ -1,11 +1,9 @@
 """Packed forwards without gradients equal one forward per scene, bit for bit.
 
-On the seed-0 balanced scenes of the acceptance criteria every scene has
-12 mask-guided tokens, so the per-scene attention padding is a reshape
-and each row's products are the ones a one-scene forward computes.
-Scenes of other token counts take the padded path, whose bits may differ
-from a one-scene forward; the dataset metrics still must not depend on
-``batch_size``.
+Attention runs one block per token count, so this holds for any mix of
+counts: the seed-0 balanced scenes, where every scene has 12 mask-guided
+tokens, and the mixed scenes, which add one scene of 3 tokens and one of
+6. The dataset metrics then do not depend on ``batch_size`` either.
 """
 
 from dataclasses import replace
@@ -31,39 +29,65 @@ def bundles():
     return scene.generate_dataset(SPEC_BALANCED, 8, 0)
 
 
-@pytest.fixture(scope="module")
-def batches(bundles):
+def _batches(bundles):
     max_points = nn.Arch().max_points_per_token
     return [nn.TokenBatch.of_scene(b, tokenizer.sam_tokenize(b), max_points) for b in bundles]
 
 
-def test_forward_tokens(batches):
+@pytest.fixture(scope="module")
+def batches(bundles):
+    return _batches(bundles)
+
+
+@pytest.fixture(scope="module")
+def mixed_batches(mixed_bundles):
+    return _batches(mixed_bundles)
+
+
+def test_forward_tokens(batches, mixed_batches):
     params = nn.init_params(nn.Arch(), seed=0)
     stacked = nn.TokenBatch.stack(batches)
     # Over 4,000 member rows, so the embedder runs in several row blocks.
     assert len(stacked.members) > 4000 and set(stacked.scenes.counts) == {12}
-    with T.no_grad():
-        packed = nn.forward_tokens(stacked, params).data
-        single = [nn.forward_tokens(b, params).data for b in batches]
-    assert packed.tobytes() == np.concatenate(single).tobytes()
+    for group in (batches, mixed_batches):
+        with T.no_grad():
+            packed = nn.forward_tokens(nn.TokenBatch.stack(group), params).data
+            single = [nn.forward_tokens(b, params).data for b in group]
+        assert packed.tobytes() == np.concatenate(single).tobytes()
 
 
-def test_teacher_forward(batches):
+def test_teacher_forward(batches, mixed_batches):
     teacher = nn.init_params(nn.Arch(), seed=1)
-    f_ins, dec_out = stage2.teacher_forward(nn.TokenBatch.stack(batches), teacher)
-    single = [stage2.teacher_forward(b, teacher) for b in batches]
-    assert f_ins.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
-    assert dec_out.tobytes() == np.concatenate([d for _, d in single]).tobytes()
+    for group in (batches, mixed_batches):
+        f_ins, dec_out = stage2.teacher_forward(nn.TokenBatch.stack(group), teacher)
+        single = [stage2.teacher_forward(b, teacher) for b in group]
+        assert f_ins.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
+        assert dec_out.tobytes() == np.concatenate([d for _, d in single]).tobytes()
+
+
+def test_student_forward_with_unequal_visible_counts(mixed_batches):
+    # Every scene keeps two or more visible tokens: BLAS computes a one-row
+    # product with a matrix-vector kernel, so a one-token scene's dense
+    # layers round differently alone than inside a packed product.
+    student = nn.init_params(nn.Arch(), seed=3)
+    plans = [nn.make_mask_plan(len(b), 0.3, 0, i, 0) for i, b in enumerate(mixed_batches)]
+    assert {len(p.visible) for p in plans} == {2, 4, 8}
+    with T.no_grad():
+        f_ins, preds = stage2.student_forward(nn.TokenBatch.stack(mixed_batches), plans, student)
+        single = [stage2.student_forward(b, [p], student) for b, p in zip(mixed_batches, plans)]
+    assert f_ins.data.tobytes() == np.concatenate([f.data for f, _ in single]).tobytes()
+    assert preds.data.tobytes() == np.concatenate([p.data for _, p in single]).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [nn.EVAL_CHUNK, 3])
-def test_probe_features(bundles, chunk, monkeypatch):
+def test_probe_features(bundles, mixed_bundles, chunk, monkeypatch):
     params = nn.init_params(nn.Arch(), seed=2)
     monkeypatch.setattr(nn, "EVAL_CHUNK", chunk)
-    feats, labels = probe.extract_features(bundles, params)
-    single = [probe.extract_features([b], params) for b in bundles]
-    assert feats.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
-    assert labels.tobytes() == np.concatenate([y for _, y in single]).tobytes()
+    for group in (bundles, mixed_bundles):
+        feats, labels = probe.extract_features(group, params)
+        single = [probe.extract_features([b], params) for b in group]
+        assert feats.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
+        assert labels.tobytes() == np.concatenate([y for _, y in single]).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -452,28 +452,38 @@ class TestSegments:
             T.Segments.of_counts(counts)
 
     def test_layout_and_its_row_indexes(self):
-        segments = T.Segments.of_counts([2, 0, 3])
-        np.testing.assert_array_equal(segments.bounds, [0, 2, 2, 5])
-        np.testing.assert_array_equal(segments.counts, [2, 0, 3])
-        assert (len(segments), segments.any_empty) == (3, True)
-        np.testing.assert_array_equal(segments.ids, [0, 0, 2, 2, 2])
-        np.testing.assert_array_equal(segments.positions, [0, 1, 0, 1, 2])
-        assert (segments.longest, segments.uniform) == (3, False)
-        padded = segments.padded(np.arange(5.0))
-        np.testing.assert_array_equal(padded, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 3.0, 4.0]])
-        np.testing.assert_array_equal(segments.unpadded(padded), np.arange(5.0))
+        segments = T.Segments.of_counts([2, 0, 3, 2])
+        np.testing.assert_array_equal(segments.bounds, [0, 2, 2, 5, 7])
+        np.testing.assert_array_equal(segments.counts, [2, 0, 3, 2])
+        assert (len(segments), segments.any_empty) == (4, True)
+        np.testing.assert_array_equal(segments.ids, [0, 0, 2, 2, 2, 3, 3])
+        np.testing.assert_array_equal(segments.positions, [0, 1, 0, 1, 2, 0, 1])
+        # One group per non-zero length, ascending; the empty segment is in none.
+        (ids2, rows2), (ids3, rows3) = segments.by_length
+        np.testing.assert_array_equal(ids2, [0, 3])
+        np.testing.assert_array_equal(rows2, [[0, 1], [5, 6]])
+        np.testing.assert_array_equal(ids3, [2])
+        np.testing.assert_array_equal(rows3, [[2, 3, 4]])
+        x = np.arange(14.0).reshape(7, 2)
+        blocks = segments.blocks(x)
+        assert [b.shape for b in blocks] == [(2, 2, 2), (1, 3, 2)]
+        np.testing.assert_array_equal(blocks[0][1], x[5:7])
+        assert segments.from_blocks(blocks, 2).tobytes() == x.tobytes()
+        sums = segments.per_segment(x, lambda block: block.sum(axis=1), (2,))
+        np.testing.assert_array_equal(sums, [[2.0, 4.0], [0.0, 0.0], [18.0, 21.0], [22.0, 24.0]])
         again = T.Segments.of_bounds(segments.bounds)
         np.testing.assert_array_equal(again.counts, segments.counts)
         assert again.any_empty and not T.Segments.of_bounds([0, 1, 3]).any_empty
         assert segments.ids is segments.ids and segments.positions is segments.positions
+        assert segments.by_length is segments.by_length
+        assert T.Segments.of_counts([0, 0]).by_length == ()
 
-    def test_segments_of_one_length_pad_by_reshaping(self):
+    def test_segments_of_one_length_are_one_reshape(self):
         segments, x = T.Segments.of_counts([2, 2, 2]), np.arange(12.0).reshape(6, 2)
-        assert segments.uniform
-        padded = segments.padded(x)
-        assert padded.shape == (3, 2, 2) and np.shares_memory(padded, x)
-        np.testing.assert_array_equal(padded[1], x[2:4])
-        assert segments.unpadded(padded).tobytes() == x.tobytes()
+        (blocks,) = segments.blocks(x)
+        assert blocks.shape == (3, 2, 2) and np.shares_memory(blocks, x)
+        np.testing.assert_array_equal(blocks[1], x[2:4])
+        assert segments.from_blocks([blocks], 2).tobytes() == x.tobytes()
 
     def test_layout_is_read_only_and_owns_its_arrays(self):
         counts = np.array([2, 3])
@@ -482,7 +492,9 @@ class TestSegments:
         np.testing.assert_array_equal(segments.bounds, [0, 2, 5])
         # One layout is shared by every block of a batch, and its cached
         # indexes were derived from these arrays.
-        for array in (segments.bounds, segments.counts, segments.ids, segments.positions):
+        ids, rows = segments.by_length[0]
+        arrays = (segments.bounds, segments.counts, segments.ids, segments.positions, ids, rows)
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 1
         with pytest.raises(AttributeError):
@@ -551,7 +563,7 @@ def test_layer_norm_matches_the_old_formula_byte_for_byte(rng):
 
 
 def _scene_attention(q, k, v, n_heads, segments):
-    """Attention scene by scene, skipping empty scenes: the oracle of per-scene padding."""
+    """Attention scene by scene, skipping empty scenes: the oracle of packed attention."""
     bounds = segments.bounds
     outs = [
         T.attention(*(T.gather_rows(t, np.arange(lo, hi)) for t in (q, k, v)), n_heads)
@@ -570,9 +582,8 @@ def test_attention_mask_keeps_rows_to_their_scene(rng):
         qkv = [T.parameter(x) for x in data]
         out = op(*qkv, 2, segments)
         T.mse(out, target).backward()
-        results.append([out.data] + [t.grad for t in qkv])
-    for a, b in zip(*results):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in qkv])
+    assert results[0] == results[1]
     # Changing one scene's rows leaves every other scene's output bytes alone.
     moved = [x.copy() for x in data]
     moved[2][5] += 1.0  # a value row of the last scene
@@ -589,28 +600,26 @@ def test_grad_check_masked_attention(rng):
     assert T.grad_check(lambda: T.mse(T.attention(q, k, v, 2, segments), target), [q, k, v]) < 1e-4
 
 
-# Scenes of 4, 1, 0 and 6 rows: padding keys to mask, a one-row scene, and an
-# empty scene whose padded block has no real key.
+# Scenes of 4, 1, 0 and 6 rows: three lengths, a one-row scene and an
+# empty scene.
 _RAGGED = [0, 4, 5, 5, 11]
 
 
-def test_padded_attention_matches_per_scene_attention(rng):
+def test_ragged_attention_matches_per_scene_attention(rng):
     segments = _layout(_RAGGED)
     data = [rng.normal(0.0, 1.0, (11, 6)) for _ in range(3)]
     target = T.constant(rng.normal(0.0, 1.0, (11, 6)))
     results = []
-    # A softmax row with no real key would divide 0 by 0 and raise here.
     with np.errstate(all="raise"):
         for op in (T.attention, _scene_attention):
             qkv = [T.parameter(x) for x in data]
             out = op(*qkv, 2, segments)
             T.mse(out, target).backward()
-            results.append([out.data] + [t.grad for t in qkv])
-    for a, b in zip(*results):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in qkv])
+    assert results[0] == results[1]
 
 
-def test_grad_check_padded_attention(rng):
+def test_grad_check_ragged_attention(rng):
     q, k, v = (T.parameter(rng.normal(0.0, 1.0, (11, 4))) for _ in range(3))
     target = T.constant(rng.normal(0.0, 1.0, (11, 4)))
     segments = _layout(_RAGGED)
@@ -646,11 +655,64 @@ def test_segment_losses_are_means_of_per_segment_losses(weighted, rng):
         ).item()
         for lo, hi in pairs
     ]
-    assert loss == pytest.approx(np.mean(per_scene), rel=1e-14)
+    assert loss == np.mean(per_scene)
     # An empty segment counts 0 in the mean-squared error.
     mse = T.mse(T.constant(a), T.constant(b), _layout([0, 4, 4, 11])).item()
     expected = [np.mean((a[:4] - b[:4]) ** 2), 0.0, np.mean((a[4:] - b[4:]) ** 2)]
-    assert mse == pytest.approx(np.mean(expected), rel=1e-14)
+    assert mse == np.mean(expected)
+
+
+# Each segment op as (run(inputs, weights, segments), input count, output
+# kind): one row per input row, one row per segment, or a scalar loss.
+_PER_SEGMENT_OPS = {
+    "attention": (lambda x, w, s: T.attention(*x, 2, s), 3, "rows"),
+    "mean_pool": (lambda x, w, s: T.mean_pool(x[0], s), 1, "segments"),
+    "mse": (lambda x, w, s: T.mse(*x, s), 2, "scalar"),
+    "smooth_l1": (lambda x, w, s: T.smooth_l1(*x, None, s), 2, "scalar"),
+    "smooth_l1_weighted": (lambda x, w, s: T.smooth_l1(*x, w, s), 2, "scalar"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_PER_SEGMENT_OPS))
+@given(counts=st.lists(st.integers(0, 19), min_size=1, max_size=5), seed=st.integers(0, 2**32))
+def test_segment_ops_equal_per_segment_calls_bit_for_bit(op, counts, seed):
+    """Any mix of lengths: the value and input gradients of one call per segment.
+
+    A loss is the mean over segments, so each segment's call gets the
+    upstream gradient divided by the segment count.
+    """
+    run, n_inputs, kind = _PER_SEGMENT_OPS[op]
+    if op not in ("attention", "mse"):  # the ops that take empty segments
+        counts = [n for n in counts if n] or [1]
+    rng = np.random.default_rng(seed)
+    segments, m = T.Segments.of_counts(counts), sum(counts)
+    data = [rng.uniform(-3.0, 3.0, (m, 6)) for _ in range(n_inputs)]  # both smooth-L1 branches
+    weights = rng.uniform(0.5, 2.0, m)
+
+    def call(lo, hi, segments):
+        inputs = [T.parameter(x[lo:hi]) for x in data]
+        return inputs, run(inputs, weights[lo:hi], segments)
+
+    inputs, out = call(0, m, segments)
+    g = np.asarray(rng.normal(0.0, 1.0, out.shape))
+    out._backward(g)
+    values, grads = [], [[np.empty((0, 6))] for _ in data]
+    for i, (lo, hi) in enumerate(zip(segments.bounds[:-1], segments.bounds[1:])):
+        if lo == hi:  # no rows; the mean-squared error counts it 0
+            values += [0.0] if kind == "scalar" else []
+            continue
+        parts, part = call(lo, hi, T.Segments.of_counts([hi - lo]))
+        if kind == "scalar":
+            part._backward(g / len(counts))
+        else:
+            part._backward(g[lo:hi] if kind == "rows" else g[i : i + 1])
+        values.append(part.data)
+        for grad, t in zip(grads, parts):
+            grad.append(t.grad)
+    expected = np.mean(values) if kind == "scalar" else np.concatenate([np.empty((0, 6))] + values)
+    assert out.data.tobytes() == np.asarray(expected).tobytes()
+    for t, parts in zip(inputs, grads):
+        assert t.grad.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_grad_check_segment_losses(rng):

@@ -184,6 +184,24 @@ def _csv_without_timings(path: Path) -> list[dict]:
     return [{k: v for k, v in row.items() if not k.endswith("_ms")} for row in rows]
 
 
+@pytest.mark.parametrize("cut", ["3,2", "3"])
+def test_resume_drops_a_cut_last_metrics_row(tmp_path, cut):
+    # A kill inside step 25's row leaves its start, which parses as step 2
+    # or as a row without a step.
+    import csv
+
+    path = tmp_path / "metrics.csv"
+    writer = train._MetricsWriter(path, None)
+    for step in range(25):
+        writer.row(epoch=step // 8, step=step, loss="0.5")
+    writer.close()
+    with open(path, "a", newline="") as fh:
+        fh.write(cut)
+    train._MetricsWriter(path, 24).close()
+    with open(path, newline="") as fh:
+        assert [int(row["step"]) for row in csv.DictReader(fh)] == list(range(24))
+
+
 class TestAdamWOracle:
     @staticmethod
     def _run_pair(update, ref_update):

@@ -80,7 +80,7 @@ class DivergedRunError(SamDistillError):
 
 
 class BadSplitError(SamDistillError):
-    """A probe split is empty, or its evaluation split holds a class its training split lacks."""
+    """A split is empty, or a probe's evaluation split holds a class its training split lacks."""
 
 
 class InconsistencyError(SamDistillError):

@@ -3,7 +3,7 @@
 Every forward runs on a :class:`TokenBatch`, the tokens of one or more
 scenes stacked row after row; attention stays within each scene of the
 batch's scene layout, so the scenes of an optimizer batch share one graph,
-and a forward without gradients packs up to :data:`EVAL_CHUNK` scenes.
+and a forward without gradients packs a whole split of scenes.
 
 Parameters are named views into one flat float64 buffer. Every model is
 frozen when it is built, copied or loaded, with no gradient buffer; only
@@ -28,11 +28,6 @@ from .errors import InvalidInputError, MalformedManifestError
 from .tokenizer import TokenSet
 
 _MASK_STREAM = 0x3A5C
-
-# Scenes per packed forward without gradients: dataset metrics, held-out
-# evals, stage-2 teacher targets and probe features, whatever a run's
-# batch_size. A packed forward is cheaper than one forward per scene.
-EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)

@@ -52,23 +52,18 @@ def extract_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen encoder features and type labels for every token across scenes.
 
-    The scenes run in packed forwards of at most ``nn.EVAL_CHUNK`` scenes.
-    Attention stays within each scene, and each scene of two or more tokens
-    gets the bits of one forward per scene, whatever the other scenes'
-    token counts.
+    The scenes run in one packed forward. Attention stays within each
+    scene, and each scene of two or more tokens gets the bits of one
+    forward per scene, whatever the other scenes' token counts.
     """
     max_points = params.arch.max_points_per_token
-    feats, labels = [], []
+    tokens = [sam_tokenize(bundle) for bundle in bundles]
+    batch = nn.TokenBatch.stack(
+        [nn.TokenBatch.of_scene(b, t, max_points) for b, t in zip(bundles, tokens)]
+    )
     with T.no_grad():
-        for start in range(0, len(bundles), nn.EVAL_CHUNK):
-            chunk = bundles[start : start + nn.EVAL_CHUNK]
-            tokens = [sam_tokenize(bundle) for bundle in chunk]
-            batch = nn.TokenBatch.stack(
-                [nn.TokenBatch.of_scene(b, t, max_points) for b, t in zip(chunk, tokens)]
-            )
-            feats.append(nn.forward_tokens(batch, params).data)
-            labels += [token_type_labels(b, t) for b, t in zip(chunk, tokens)]
-    return np.concatenate(feats), np.concatenate(labels)
+        feats = nn.forward_tokens(batch, params).data
+    return feats, np.concatenate([token_type_labels(b, t) for b, t in zip(bundles, tokens)])
 
 
 def fit_linear_probe(

@@ -38,40 +38,16 @@ class PipelineConfig:
     def from_dict(obj: dict) -> "PipelineConfig":
         """Config from its JSON shape; a key that nothing would read is refused.
 
-        ``scene.seed`` is refused too: ``generate_dataset`` derives every
-        scene's seed from the dataset seed (``seed``).
+        Each value must have its field's type: an int field takes an int
+        but not a bool, a float field an int or a float, and bool and str
+        fields only their own type. A range takes a two-item list, each item
+        checked against the default's. ``scene.seed`` is refused too:
+        ``generate_dataset`` derives every scene's seed from the dataset
+        seed (``seed``).
         """
-        cfg = PipelineConfig()
-        unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
-        if unknown:
-            raise InvalidInputError(f"bad config: unknown keys {unknown}")
-        not_objects = [
-            k for k, v in obj.items() if is_dataclass(getattr(cfg, k)) and not isinstance(v, dict)
-        ]
-        if not_objects:
-            raise InvalidInputError(f"bad config: sections {not_objects} are not objects")
-        scene_obj = dict(obj.get("scene", {}))
-        if "seed" in scene_obj:
+        if isinstance(obj.get("scene"), dict) and "seed" in obj["scene"]:
             raise InvalidInputError("bad config: scene.seed is unused; set the top-level seed")
-        try:
-            for key in ("points_per_object_range", "depth_range"):
-                if key in scene_obj:
-                    scene_obj[key] = tuple(scene_obj[key])
-            return replace(
-                cfg,
-                seed=obj.get("seed", cfg.seed),
-                n_train_scenes=obj.get("n_train_scenes", cfg.n_train_scenes),
-                n_eval_scenes=obj.get("n_eval_scenes", cfg.n_eval_scenes),
-                scene=replace(cfg.scene, **scene_obj),
-                arch=replace(cfg.arch, **obj.get("arch", {})),
-                train=replace(cfg.train, **obj.get("train", {})),
-                stage1=replace(cfg.stage1, **obj.get("stage1", {})),
-                stage2=replace(cfg.stage2, **obj.get("stage2", {})),
-                stage2_epochs=obj.get("stage2_epochs", cfg.stage2_epochs),
-                probe_epochs=obj.get("probe_epochs", cfg.probe_epochs),
-            )
-        except TypeError as exc:
-            raise InvalidInputError(f"bad config: {exc}") from exc
+        return _from_json(PipelineConfig(), obj)
 
     @staticmethod
     def from_file(path: str | Path) -> "PipelineConfig":
@@ -83,6 +59,41 @@ class PipelineConfig:
         out["scene"]["points_per_object_range"] = list(out["scene"]["points_per_object_range"])
         out["scene"]["depth_range"] = list(out["scene"]["depth_range"])
         return out
+
+
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the type a field with default ``default`` takes."""
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
+def _from_json(defaults, obj, section: str = ""):
+    """``defaults`` with the entries of ``obj``, the JSON of ``section``, each checked."""
+    where = section or "the config"
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"bad config: {where} is not an object")
+    unknown = sorted(set(obj) - {f.name for f in fields(defaults)})
+    if unknown:
+        raise InvalidInputError(f"bad config: unknown keys {unknown} in {where}")
+    values = {}
+    for key, value in obj.items():
+        default, name = getattr(defaults, key), f"{section}.{key}" if section else key
+        if is_dataclass(default):
+            value = _from_json(default, value, name)
+        elif isinstance(default, tuple):
+            if not (
+                isinstance(value, (list, tuple))
+                and len(value) == len(default)
+                and all(map(_fits, default, value))
+            ):
+                raise InvalidInputError(f"bad config: {name} must be a list like {list(default)}")
+            value = tuple(value)
+        elif not _fits(default, value):
+            kind = type(default).__name__
+            raise InvalidInputError(f"bad config: {name} must be of type {kind}, not {value!r}")
+        values[key] = value
+    return replace(defaults, **values)
 
 
 def matrix_cells() -> list[tuple[str, bool, bool]]:

@@ -1,10 +1,10 @@
 """Teacher-student masked token prediction.
 
 The frozen stage-1 model sees every token, so its outputs depend on the
-scene alone: a run calls :func:`teacher_forward` once per chunk of scenes
-and keeps each scene's instance-level pooled feature and every decoder
-row. A mask plan only picks which of those rows become targets. The
-student sees only visible tokens and must predict the pooled feature and
+scene alone: a run calls :func:`teacher_forward` once over all its
+scenes and keeps each scene's instance-level pooled feature and every
+decoder row. A mask plan only picks which of those rows become targets.
+The student sees only visible tokens and must predict the pooled feature and
 the masked rows; the final loss is the unweighted sum of the instance and
 token terms. Every function takes a :class:`~samdistill.nn.TokenBatch` of
 one or more stacked scenes and runs one graph for all of them; each loss

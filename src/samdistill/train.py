@@ -2,9 +2,9 @@
 
 Each optimizer step builds one graph over its whole batch of scenes,
 stacked into one :class:`~samdistill.nn.TokenBatch`; dataset metrics,
-held-out evals and stage-2 teacher forwards run the same packed forward
-without gradients on chunks of at most :data:`~samdistill.nn.EVAL_CHUNK`
-scenes, so they do not depend on ``batch_size``.
+held-out evals and the stage-2 teacher run the same packed forward
+without gradients, once over a whole split, so they do not depend on
+``batch_size``.
 
 Runs are deterministic given (dataset, seed) and the BLAS thread count:
 initialization, epoch shuffles, and mask plans all derive from the seed,
@@ -28,7 +28,13 @@ import numpy as np
 
 from . import blobio, nn, stage1, stage2
 from . import tensor as T
-from .errors import DivergedRunError, InconsistencyError, InvalidInputError, NonFiniteError
+from .errors import (
+    BadSplitError,
+    DivergedRunError,
+    InconsistencyError,
+    InvalidInputError,
+    NonFiniteError,
+)
 from .scene import SceneBundle
 from .tokenizer import (
     MODE_SAM,
@@ -222,11 +228,6 @@ class _MetricsWriter:
 def _batches(items, batch_size: int) -> list:
     """Consecutive slices of at most ``batch_size`` items."""
     return [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
-
-
-def _scene_mean(values, sizes) -> float:
-    """Mean over scenes of per-batch means, each weighted by its batch's scene count."""
-    return float(np.sum(np.multiply(values, sizes)) / np.sum(sizes))
 
 
 def _run_fingerprint(
@@ -434,17 +435,10 @@ def _stage1_batch_loss(
 def _stage1_eval(
     scenes: list[_PreparedScene], params: nn.ModelParams, table: stage1.WeightTable
 ) -> dict:
-    """Held-out per-region cosine between projected 3D features and 2D targets.
-
-    The forward runs on chunks of at most ``EVAL_CHUNK`` scenes.
-    """
-    cosines: list[np.ndarray] = []
+    """Held-out per-region cosine between projected 3D features and 2D targets."""
     with T.no_grad():
-        for chunk in _batches(scenes, nn.EVAL_CHUNK):
-            _, f3d = _stage1_project(chunk, params)
-            targets = np.concatenate([s.targets for s in chunk])
-            cosines.append(stage1.region_cosines(targets, f3d.data))
-    cos = np.concatenate(cosines)
+        _, f3d = _stage1_project(scenes, params)
+    cos = stage1.region_cosines(np.concatenate([s.targets for s in scenes]), f3d.data)
     grp = np.concatenate([s.groups for s in scenes])
     per_group = [
         float(cos[grp == g].mean()) if np.any(grp == g) else float("nan")
@@ -480,8 +474,11 @@ def run_stage1(
     resumes mid-epoch (the schedule still spans the configured total);
     rerun with ``resume=True`` to continue bit-exactly.
     Resuming with another train or stage config, arch or dataset raises
-    InconsistencyError.
+    InconsistencyError, and leaves the run directory as it was. An empty
+    train split raises BadSplitError.
     """
+    if not train_bundles:
+        raise BadSplitError("the stage-1 train split has no scenes")
     out_dir = Path(out_dir)
     tokens = [tokenize(b, cfg.tokenizer_mode) for b in train_bundles]
     pooled = [stage1.pool_features_by_region(b.feat2d, b.mask) for b in train_bundles]
@@ -500,7 +497,8 @@ def run_stage1(
         )
         for b in eval_bundles
     ]
-    stage1.save_weight_table(out_dir / "weight_table", table, centroids)
+    if not resume:  # a resume keeps the table that its checkpoint's fingerprint vouches for
+        stage1.save_weight_table(out_dir / "weight_table", table, centroids)
 
     def batch_loss(params: nn.ModelParams, batch: np.ndarray, epoch: int):
         loss = _stage1_batch_loss([prepared[i] for i in batch], params, table, cfg)
@@ -508,9 +506,7 @@ def run_stage1(
 
     def dataset_metrics(params: nn.ModelParams) -> dict:
         with T.no_grad():
-            chunks = _batches(prepared, nn.EVAL_CHUNK)
-            losses = [_stage1_batch_loss(chunk, params, table, cfg).item() for chunk in chunks]
-        return {"loss": _scene_mean(losses, [len(chunk) for chunk in chunks])}
+            return {"loss": _stage1_batch_loss(prepared, params, table, cfg).item()}
 
     ckpt_path, params, step, initial, final = _fit(
         train_cfg,
@@ -579,27 +575,16 @@ def _stage2_batch(
 def _stage2_dataset_eval(
     scenes: list[_Stage2Input], plans: list[nn.MaskPlan], student: nn.ModelParams
 ) -> dict:
-    """Loss components plus pooled-feature cosines, averaged over scenes.
-
-    The student forward runs on chunks of at most ``EVAL_CHUNK`` scenes.
-    """
-    losses, sizes, raw_cos, ins_cos = [], [], [], []
+    """Loss components plus pooled-feature cosines, averaged over scenes."""
     with T.no_grad():
-        for chunk in _batches(list(zip(scenes, plans)), nn.EVAL_CHUNK):
-            chunk_scenes, chunk_plans = map(list, zip(*chunk))
-            f_ins, pred_ins, parts = _stage2_batch(chunk_scenes, chunk_plans, student)
-            losses.append([part.item() for part in parts])
-            sizes.append(len(chunk))
-            f_ins_teacher = np.stack([s.f_ins_teacher for s in chunk_scenes])
-            raw_cos.append(stage1.region_cosines(f_ins.data, f_ins_teacher))
-            ins_cos.append(stage1.region_cosines(pred_ins.data, f_ins_teacher))
-    l_ins, l_token, l_final = zip(*losses)
+        f_ins, pred_ins, (l_ins, l_token, l_final) = _stage2_batch(scenes, plans, student)
+    f_ins_teacher = np.stack([s.f_ins_teacher for s in scenes])
     return {
-        "l_ins": _scene_mean(l_ins, sizes),
-        "l_token": _scene_mean(l_token, sizes),
-        "l_final": _scene_mean(l_final, sizes),
-        "pooled_cosine": float(np.concatenate(raw_cos).mean()),
-        "instance_cosine": float(np.concatenate(ins_cos).mean()),
+        "l_ins": l_ins.item(),
+        "l_token": l_token.item(),
+        "l_final": l_final.item(),
+        "pooled_cosine": float(stage1.region_cosines(f_ins.data, f_ins_teacher).mean()),
+        "instance_cosine": float(stage1.region_cosines(pred_ins.data, f_ins_teacher).mean()),
     }
 
 
@@ -615,35 +600,33 @@ def run_stage2(
 ) -> RunResult:
     """Masked token prediction against a frozen stage-1 teacher.
 
-    The teacher runs once per chunk of at most ``EVAL_CHUNK`` train or
-    held-out scenes, before training, and each step selects its targets
-    from those outputs. Each step's loss is the mean over its batch's
-    scenes of each scene's loss, from one packed graph. Resuming against a
-    teacher with other bytes, or with another train or stage config or
-    dataset, raises InconsistencyError.
+    The teacher runs once, before training, in one packed forward over
+    the train and held-out scenes, and each step selects its targets from
+    those outputs. Each step's loss is the mean over its batch's scenes of
+    each scene's loss, from one packed graph. Resuming against a teacher
+    with other bytes, or with another train or stage config or dataset,
+    raises InconsistencyError and leaves the run directory as it was. An
+    empty train split raises BadSplitError before the teacher is loaded.
     """
+    if not train_bundles:
+        raise BadSplitError("the stage-2 train split has no scenes")
     out_dir = Path(out_dir)
     teacher = nn.load_checkpoint(teacher_ckpt).params
     teacher_hash_before = teacher.byte_hash()
 
-    def prepare(bundles: list[SceneBundle]) -> list[_Stage2Input]:
-        batches = [
-            nn.TokenBatch.of_scene(b, sam_tokenize(b), teacher.arch.max_points_per_token)
-            for b in bundles
-        ]
-        scenes = []
-        for chunk in _batches(batches, nn.EVAL_CHUNK):
-            stacked = nn.TokenBatch.stack(chunk)
-            f_ins, dec_out = stage2.teacher_forward(stacked, teacher)
-            rows = np.split(dec_out, stacked.scenes.bounds[1:-1])
-            scenes += [_Stage2Input(*inputs) for inputs in zip(chunk, f_ins, rows)]
-        return scenes
+    batches = [
+        nn.TokenBatch.of_scene(b, sam_tokenize(b), teacher.arch.max_points_per_token)
+        for b in (*train_bundles, *eval_bundles)
+    ]
+    stacked = nn.TokenBatch.stack(batches)
+    f_ins, dec_out = stage2.teacher_forward(stacked, teacher)
+    rows = np.split(dec_out, stacked.scenes.bounds[1:-1])
+    scenes = [_Stage2Input(*inputs) for inputs in zip(batches, f_ins, rows)]
+    train_scenes, eval_scenes = scenes[: len(train_bundles)], scenes[len(train_bundles) :]
 
     def plan(scene: _Stage2Input, scene_id: int, epoch: int) -> nn.MaskPlan:
         return nn.make_mask_plan(len(scene.batch), cfg.mask_ratio, train_cfg.seed, scene_id, epoch)
 
-    train_scenes = prepare(train_bundles)
-    eval_scenes = prepare(eval_bundles)
     # Dataset metrics use fixed epoch-0 plans; held-out scene ids follow the training ones.
     train_plans = [plan(s, i, 0) for i, s in enumerate(train_scenes)]
     eval_plans = [plan(s, len(train_scenes) + i, 0) for i, s in enumerate(eval_scenes)]

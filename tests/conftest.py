@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,15 @@ def small_bundle() -> scene.SceneBundle:
 @pytest.fixture(scope="session")
 def tiny_arch() -> nn.Arch:
     return TINY_ARCH
+
+
+@pytest.fixture(scope="session")
+def many_scenes() -> list[scene.SceneBundle]:
+    """24 tiny-arch scenes of 2, 3 and 4 tokens, for splits of more than 16 scenes."""
+    spec = scene.SceneSpec(
+        n_objects=3, feature_dim=TINY_ARCH.proj_dim, points_per_object_range=(20, 30)
+    )
+    return [scene.generate_scene(replace(spec, n_objects=2 + i % 3, seed=i)) for i in range(24)]
 
 
 @pytest.fixture()

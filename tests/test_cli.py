@@ -162,6 +162,14 @@ def test_error_exit_code_on_bad_config(tmp_path, capsys):
         {"scene": "ab"},
         {"train": [1]},
         {"scene": {"depth_range": 5}},
+        {"train": {"epochs": "3"}},  # every value must have its field's type
+        {"stage1": {"k_groups": 2.5}},
+        {"arch": {"embed_dim": 8.0}},
+        {"seed": "1"},
+        {"train": {"epochs": True}},  # an int field takes no bool
+        {"stage1": {"reweight": 1}},
+        {"scene": {"points_per_object_range": [20, 30.5]}},
+        {"scene": {"depth_range": [2.5]}},
     ],
 )
 def test_config_keys_nothing_reads_and_malformed_sections_are_refused(tmp_path, config, capsys):
@@ -169,6 +177,12 @@ def test_config_keys_nothing_reads_and_malformed_sections_are_refused(tmp_path, 
     bad.write_text(json.dumps(config))
     assert cli.main(["--config", str(bad), "--out-dir", str(tmp_path), "scene"]) == 2
     assert "bad config" in capsys.readouterr().err
+
+
+def test_a_float_field_takes_an_int():
+    obj = {"train": {"base_lr": 1}, "scene": {"depth_range": [2, 5]}}
+    cfg = report.PipelineConfig.from_dict(obj)
+    assert cfg.train.base_lr == 1 and cfg.scene.depth_range == (2, 5)
 
 
 @pytest.mark.parametrize("obj", [{}, QUICK_CONFIG])

@@ -79,10 +79,8 @@ def test_student_forward_with_unequal_visible_counts(mixed_batches):
     assert preds.data.tobytes() == np.concatenate([p.data for _, p in single]).tobytes()
 
 
-@pytest.mark.parametrize("chunk", [nn.EVAL_CHUNK, 3])
-def test_probe_features(bundles, mixed_bundles, chunk, monkeypatch):
+def test_probe_features(bundles, mixed_bundles):
     params = nn.init_params(nn.Arch(), seed=2)
-    monkeypatch.setattr(nn, "EVAL_CHUNK", chunk)
     for group in (bundles, mixed_bundles):
         feats, labels = probe.extract_features(group, params)
         single = [probe.extract_features([b], params) for b in group]

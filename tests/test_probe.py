@@ -215,6 +215,26 @@ def test_out_of_range_training_label_raises(rng, bad_label):
         probe.fit_linear_probe(train_x, train_y, test_x, test_y, 3, epochs=5, seed=0)
 
 
+def test_features_of_more_than_16_scenes_come_from_one_packed_forward(
+    many_scenes, tiny_arch, monkeypatch
+):
+    params = nn.init_params(tiny_arch, seed=0)
+    single = [probe.extract_features([b], params) for b in many_scenes]
+    calls = []
+    forward_tokens = nn.forward_tokens
+
+    def counting(batch, *args):
+        calls.append(len(batch.scenes))
+        return forward_tokens(batch, *args)
+
+    monkeypatch.setattr(nn, "forward_tokens", counting)
+    feats, labels = probe.extract_features(many_scenes, params)
+    assert calls == [24]
+    # Scenes of 2, 3 and 4 tokens, each with the bits of its own forward.
+    assert feats.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
+    assert labels.tobytes() == np.concatenate([y for _, y in single]).tobytes()
+
+
 def test_token_labels_are_region_types(probe_data):
     bundles, _ = probe_data
     bundle = bundles[0]

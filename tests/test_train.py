@@ -12,6 +12,7 @@ import pytest
 from samdistill import blobio, nn, scene, stage1, stage2, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import (
+    BadSplitError,
     DivergedRunError,
     InconsistencyError,
     InvalidInputError,
@@ -361,6 +362,25 @@ def _quick_cfg(**kw) -> train.TrainConfig:
     return train.TrainConfig(**base)
 
 
+def _dir_bytes(out: Path) -> dict:
+    """Every file under ``out``, by its relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_an_empty_train_split_is_refused_before_any_work(tiny_dataset, tiny_arch, tmp_path):
+    _, eb = tiny_dataset
+    with pytest.raises(BadSplitError):
+        train.run_stage1(
+            [], eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), tmp_path / "s1"
+        )
+    # No teacher file: the run must refuse before it loads one.
+    with pytest.raises(BadSplitError):
+        train.run_stage2(
+            [], eb, tmp_path / "no_teacher", _quick_cfg(), train.Stage2Config(), tmp_path / "s2"
+        )
+    assert not list(tmp_path.iterdir())
+
+
 class TestRunStage1:
     def test_same_seed_bit_identical_checkpoints(self, tiny_dataset, tiny_arch, tmp_path):
         tb, eb = tiny_dataset
@@ -428,6 +448,48 @@ class TestRunStage1:
         train.run_stage1(tb, eb, tiny_arch, _quick_cfg(), cfg, run, stop_after_epochs=1)
         with pytest.raises(InconsistencyError):
             train.run_stage1(*other_dataset, tiny_arch, _quick_cfg(), cfg, run, resume=True)
+
+    @pytest.mark.parametrize("other", ["dataset", "k_groups"])
+    def test_refused_resume_leaves_every_file_as_it_was(
+        self, tiny_dataset, other_dataset, tiny_arch, tmp_path, other
+    ):
+        run = tmp_path / "run"
+        train.run_stage1(
+            *tiny_dataset, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), run,
+            stop_after_epochs=1,
+        )
+        before = _dir_bytes(run)
+        # Either change gives the resume another weight table.
+        dataset, k_groups = (other_dataset, 3) if other == "dataset" else (tiny_dataset, 2)
+        with pytest.raises(InconsistencyError):
+            train.run_stage1(
+                *dataset, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=k_groups), run,
+                resume=True,
+            )
+        assert _dir_bytes(run) == before
+
+    def test_dataset_metrics_are_one_loss_over_every_scene(
+        self, many_scenes, tiny_arch, tmp_path, monkeypatch
+    ):
+        tb, eb = many_scenes[:20], many_scenes[20:]
+        calls = []
+        stage1_loss = stage1.stage1_loss
+
+        def recording(*args):
+            loss = stage1_loss(*args)
+            calls.append((len(args[4]), loss.item()))
+            return loss
+
+        monkeypatch.setattr(stage1, "stage1_loss", recording)
+        result = train.run_stage1(
+            tb, eb, tiny_arch, _quick_cfg(epochs=1, batch_size=4),
+            train.Stage1Config(k_groups=3), tmp_path / "run",
+        )
+        # The initial metrics, five steps of 4 scenes, then the final metrics.
+        assert [n for n, _ in calls] == [20] + [4] * 5 + [20]
+        initial = blobio.load_manifest(tmp_path / "run" / "initial_metrics.json")
+        assert initial["loss"] == calls[0][1]
+        assert result.metrics["final_loss"] == calls[-1][1]
 
     def test_non_finite_value_in_a_step_keeps_last_good_checkpoint(
         self, tiny_dataset, tiny_arch, tmp_path
@@ -655,11 +717,44 @@ class TestRunStage2:
         train.run_stage2(
             tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), tmp_path / "r"
         )
-        # One chunk of at most EVAL_CHUNK scenes each, whatever the batch_size:
-        # the 4 train scenes, then the 2 held out.
-        assert len(calls) == 2
+        # One packed forward, whatever the batch_size: the 4 train scenes,
+        # then the 2 held out.
+        assert len(calls) == 1
         expected = [tokenizer.sam_tokenize(b).centroids for b in tb + eb]
         np.testing.assert_array_equal(np.concatenate(calls), np.concatenate(expected))
+
+    def test_teacher_runs_once_over_more_than_16_scenes(
+        self, many_scenes, teacher_ckpt, tmp_path, monkeypatch
+    ):
+        tb, eb = many_scenes[:20], many_scenes[20:]
+        calls = []
+        teacher_forward = stage2.teacher_forward
+
+        def counting(batch, *args):
+            calls.append(len(batch.scenes))
+            return teacher_forward(batch, *args)
+
+        monkeypatch.setattr(stage2, "teacher_forward", counting)
+        result = train.run_stage2(
+            tb, eb, teacher_ckpt, _quick_cfg(epochs=1, batch_size=8),
+            train.Stage2Config(mask_ratio=0.5), tmp_path / "r",
+        )
+        assert calls == [24]
+        assert math.isfinite(result.metrics["heldout_l_final"])
+
+    def test_refused_resume_leaves_every_file_as_it_was(self, tiny_dataset, tiny_arch, tmp_path):
+        for seed in (1, 2):
+            nn.save_checkpoint(tmp_path / f"teacher{seed}", nn.init_params(tiny_arch, seed), 0)
+        cfg, run = train.Stage2Config(mask_ratio=0.5), tmp_path / "run"
+        train.run_stage2(
+            *tiny_dataset, tmp_path / "teacher1", _quick_cfg(), cfg, run, stop_after_epochs=1
+        )
+        before = _dir_bytes(run)
+        with pytest.raises(InconsistencyError):
+            train.run_stage2(
+                *tiny_dataset, tmp_path / "teacher2", _quick_cfg(), cfg, run, resume=True
+            )
+        assert _dir_bytes(run) == before
 
     def test_stage2_metrics_columns(self, tiny_dataset, teacher_ckpt, tmp_path):
         import csv

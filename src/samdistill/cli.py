@@ -49,7 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-scenes", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="run directory (default OUT_DIR/stage1)")
     p.add_argument("--k-groups", type=int, default=None)
-    p.add_argument("--no-reweight", action="store_true", help="ablation: uniform loss")
+    p.add_argument(
+        "--no-reweight", dest="reweight", action="store_const", const=False,
+        help="ablation: uniform loss",
+    )
     p.add_argument("--tokenizer", choices=(MODE_SAM, MODE_KNN), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -86,25 +89,22 @@ def _load_config(args) -> report.PipelineConfig:
         else report.PipelineConfig()
     )
     if args.seed is not None:
-        cfg = replace(
-            cfg,
-            seed=args.seed,
-            train=replace(cfg.train, seed=args.seed),
-        )
+        cfg = replace(cfg, seed=args.seed, train=replace(cfg.train, seed=args.seed))
     return cfg
+
+
+def _given(**flags) -> dict:
+    """The flags that were given, to apply in one ``replace``, which checks them together."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _cmd_scene(args, cfg: report.PipelineConfig) -> int:
     out = args.out if args.out is not None else args.out_dir / "scenes"
-    spec = cfg.scene
-    if args.n_objects is not None:
-        spec = replace(spec, n_objects=args.n_objects)
-    if args.imbalance is not None:
-        spec = replace(spec, imbalance_exponent=args.imbalance)
-    if args.noise_sigma is not None:
-        spec = replace(spec, noise_sigma=args.noise_sigma)
-    n_scenes = args.n_scenes if args.n_scenes is not None else cfg.n_train_scenes
-    bundles = generate_dataset(spec, n_scenes, cfg.seed)
+    flags = _given(
+        n_objects=args.n_objects, imbalance_exponent=args.imbalance, noise_sigma=args.noise_sigma
+    )
+    cfg = replace(cfg, scene=replace(cfg.scene, **flags), **_given(n_train_scenes=args.n_scenes))
+    bundles = generate_dataset(cfg.scene, cfg.n_train_scenes, cfg.seed)
     paths = write_scene_dir(bundles, out)
     print(f"wrote {len(paths)} bundles under {out}")
     return 0
@@ -140,33 +140,28 @@ def _cmd_tokenize(args, cfg: report.PipelineConfig) -> int:
     return 0
 
 
-def _train_cfg(args, cfg: report.PipelineConfig) -> train.TrainConfig:
-    tc = cfg.train
-    if args.epochs is not None:
-        tc = replace(tc, epochs=args.epochs)
-    if getattr(args, "lr", None) is not None:
-        tc = replace(tc, base_lr=args.lr)
-    if getattr(args, "wd", None) is not None:
-        tc = replace(tc, weight_decay=args.wd)
-    if getattr(args, "batch", None) is not None:
-        tc = replace(tc, batch_size=args.batch)
-    return tc
+def _train_cfg(args, tc: train.TrainConfig) -> train.TrainConfig:
+    """``tc`` with the command's flags; ``--epochs E`` caps the warmup at max(E, 1) epochs."""
+    warmup = None if args.epochs is None else min(tc.warmup_epochs, max(args.epochs, 1))
+    return replace(
+        tc,
+        **_given(
+            epochs=args.epochs,
+            warmup_epochs=warmup,
+            base_lr=getattr(args, "lr", None),
+            weight_decay=getattr(args, "wd", None),
+            batch_size=getattr(args, "batch", None),
+        ),
+    )
 
 
 def _cmd_stage1(args, cfg: report.PipelineConfig) -> int:
+    flags = _given(k_groups=args.k_groups, reweight=args.reweight, tokenizer_mode=args.tokenizer)
+    s1, tc = replace(cfg.stage1, **flags), _train_cfg(args, cfg.train)
     bundles = read_scene_dir(args.scenes)
     eval_bundles = read_scene_dir(args.eval_scenes) if args.eval_scenes else []
-    s1 = cfg.stage1
-    if args.k_groups is not None:
-        s1 = replace(s1, k_groups=args.k_groups)
-    if args.no_reweight:
-        s1 = replace(s1, reweight=False)
-    if args.tokenizer is not None:
-        s1 = replace(s1, tokenizer_mode=args.tokenizer)
     out = args.out if args.out is not None else args.out_dir / "stage1"
-    result = train.run_stage1(
-        bundles, eval_bundles, cfg.arch, _train_cfg(args, cfg), s1, out, resume=args.resume
-    )
+    result = train.run_stage1(bundles, eval_bundles, cfg.arch, tc, s1, out, resume=args.resume)
     print(
         f"stage1 done: loss {result.metrics['initial_loss']:.5f} -> "
         f"{result.metrics['final_loss']:.5f}, checkpoint at {result.checkpoint_dir}"
@@ -175,16 +170,11 @@ def _cmd_stage1(args, cfg: report.PipelineConfig) -> int:
 
 
 def _cmd_stage2(args, cfg: report.PipelineConfig) -> int:
+    teacher_init = {"on": True, "off": False}.get(args.init_from_teacher)
+    s2 = replace(cfg.stage2, **_given(init_from_teacher=teacher_init, mask_ratio=args.mask_ratio))
+    tc = _train_cfg(args, replace(cfg.train, epochs=cfg.stage2_epochs))
     bundles = read_scene_dir(args.scenes)
     eval_bundles = read_scene_dir(args.eval_scenes) if args.eval_scenes else []
-    s2 = cfg.stage2
-    if args.init_from_teacher is not None:
-        s2 = replace(s2, init_from_teacher=args.init_from_teacher == "on")
-    if args.mask_ratio is not None:
-        s2 = replace(s2, mask_ratio=args.mask_ratio)
-    tc = _train_cfg(args, cfg)
-    if args.epochs is None:
-        tc = replace(tc, epochs=cfg.stage2_epochs)
     out = args.out if args.out is not None else args.out_dir / "stage2"
     result = train.run_stage2(
         bundles, eval_bundles, args.teacher_ckpt, tc, s2, out, resume=args.resume
@@ -197,9 +187,9 @@ def _cmd_stage2(args, cfg: report.PipelineConfig) -> int:
 
 
 def _cmd_probe(args, cfg: report.PipelineConfig) -> int:
+    cfg = replace(cfg, **_given(probe_epochs=args.epochs))
     train_bundles = read_scene_dir(args.train_scenes)
     test_bundles = read_scene_dir(args.test_scenes)
-    epochs = args.epochs if args.epochs is not None else cfg.probe_epochs
     if args.encoder_ckpt == "scratch":
         encoder = nn.init_params(cfg.arch, cfg.train.seed)
         tag = probe.ENCODER_SCRATCH
@@ -210,7 +200,8 @@ def _cmd_probe(args, cfg: report.PipelineConfig) -> int:
         from_stage2 = "teacher_hash" in (ckpt.fingerprint or {})
         tag = probe.ENCODER_STAGE2 if from_stage2 else probe.ENCODER_STAGE1
     result = probe.linear_probe(
-        encoder, train_bundles, test_bundles, epochs=epochs, seed=cfg.seed, encoder_tag=tag
+        encoder, train_bundles, test_bundles, epochs=cfg.probe_epochs, seed=cfg.seed,
+        encoder_tag=tag,
     )
     out = args.out if args.out is not None else args.out_dir / "probe.json"
     out.parent.mkdir(parents=True, exist_ok=True)

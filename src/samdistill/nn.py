@@ -44,22 +44,17 @@ class Arch:
     proj_dim: int = 32
     ln_eps: float = 1e-5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Checked once, here, so no model is built from a bad architecture."""
+        dims = (self.embed_dim, self.n_heads, self.pointnet_hidden, self.proj_dim, self.mlp_ratio)
+        if min(dims) < 1:
+            raise InvalidInputError("arch dimensions must be positive")
+        if not self.ln_eps > 0:
+            raise InvalidInputError("ln_eps must be > 0")
         if self.embed_dim % self.n_heads != 0:
             raise InvalidInputError("embed_dim must divide evenly into heads")
-        if min(self.embed_dim, self.n_heads, self.pointnet_hidden, self.proj_dim) < 1:
-            raise InvalidInputError("arch dimensions must be positive")
         if self.n_enc_layers < 0 or self.n_dec_layers < 0 or self.max_points_per_token < 1:
             raise InvalidInputError("bad arch layer/point counts")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(obj: dict) -> "Arch":
-        arch = Arch(**obj)
-        arch.validate()
-        return arch
 
 
 def no_decay(name: str) -> bool:
@@ -176,7 +171,6 @@ class ModelParams:
 
 def init_params(arch: Arch, seed: int) -> ModelParams:
     """Seeded initialization; the positional MLP's final layer starts at zero."""
-    arch.validate()
     rng = np.random.default_rng(np.random.SeedSequence([0x1417, seed]))
     arrays: dict[str, np.ndarray] = {}
 
@@ -430,7 +424,7 @@ def save_checkpoint(
     if opt_state is not None:
         arrays |= {"m": opt_state["m"], "v": opt_state["v"]}
     meta = {
-        "arch": params.arch.to_json(),
+        "arch": asdict(params.arch),
         "step": int(step),
         "params": [{"name": name, "shape": list(t.shape)} for name, t in params.tensors.items()],
         "optimizer": None if opt_state is None else {"t": int(opt_state["t"])},
@@ -441,11 +435,7 @@ def save_checkpoint(
 
 
 def _param_records(manifest: dict) -> dict[str, list[int]]:
-    """``{name: shape}`` from the manifest's ``params`` list, in order.
-
-    A ``frozen`` key, which checkpoints held until trainability stopped
-    being saved, is ignored.
-    """
+    """``{name: shape}`` from the manifest's ``params`` list, in order."""
     records = manifest["params"]
     if not isinstance(records, list) or not all(
         isinstance(rec, dict)
@@ -478,7 +468,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
     records = _param_records(manifest)
     with blobio.manifest_fields(path):
-        arch = Arch.from_json(manifest["arch"])
+        arch = Arch(**manifest["arch"])
         step = int(manifest["step"])
         t = None if manifest["optimizer"] is None else int(manifest["optimizer"]["t"])
     params = ModelParams(records, arch, data=arrays["params"])

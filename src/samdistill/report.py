@@ -34,6 +34,23 @@ class PipelineConfig:
     stage2_epochs: int = 60
     probe_epochs: int = 300
 
+    def __post_init__(self) -> None:
+        """Checked once, here, after each section checked itself when it was built.
+
+        ``dataclasses.replace`` runs this again, so a config file or a flag
+        out of range is refused before a command does any work.
+        """
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
+        if self.n_train_scenes < 1 or self.n_eval_scenes < 0:
+            raise InvalidInputError("need n_train_scenes >= 1 and n_eval_scenes >= 0")
+        if self.probe_epochs < 1:
+            raise InvalidInputError("probe_epochs must be >= 1")
+        try:  # the stage-2 schedule that run_matrix and `samdistill stage2` build
+            replace(self.train, epochs=self.stage2_epochs)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"stage2_epochs {self.stage2_epochs}: {exc}") from None
+
     @staticmethod
     def from_dict(obj: dict) -> "PipelineConfig":
         """Config from its JSON shape; a key that nothing would read is refused.
@@ -43,7 +60,8 @@ class PipelineConfig:
         fields only their own type. A range takes a two-item list, each item
         checked against the default's. ``scene.seed`` is refused too:
         ``generate_dataset`` derives every scene's seed from the dataset
-        seed (``seed``).
+        seed (``seed``). A value out of range is refused when ``replace``
+        builds its section.
         """
         if isinstance(obj.get("scene"), dict) and "seed" in obj["scene"]:
             raise InvalidInputError("bad config: scene.seed is unused; set the top-level seed")

@@ -168,6 +168,29 @@ class SceneSpec:
     depth_levels: int = 0
     min_points_per_object: int = 12
 
+    def __post_init__(self) -> None:
+        """Checked once, here; ``generate_scene`` checks only what its draws decide."""
+        if self.n_objects < 1:
+            raise InvalidSpecError("n_objects must be >= 1")
+        if self.feature_dim < 2:
+            raise InvalidSpecError("feature_dim must be >= 2")
+        lo, hi = self.points_per_object_range
+        if not (1 <= lo <= hi):
+            raise InvalidSpecError(f"bad points_per_object_range {self.points_per_object_range}")
+        if self.n_types < 1 or self.depth_levels < 0:
+            raise InvalidSpecError("need n_types >= 1 and depth_levels >= 0")
+        zlo, zhi = self.depth_range
+        if not (0.5 < zlo <= zhi):
+            raise InvalidSpecError(f"bad depth_range {self.depth_range}")
+        if self.noise_sigma < 0:
+            raise InvalidSpecError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be a non-negative integer")
+        camera = default_camera()
+        cell = min(camera.width, camera.height) / math.ceil(math.sqrt(self.n_objects))
+        if cell - 2 * _CELL_MARGIN < 4:
+            raise InvalidSpecError(f"{self.n_objects} objects cannot fit the default camera")
+
 
 @dataclass
 class SceneBundle:
@@ -269,25 +292,6 @@ def _pattern_unit_points(rng: np.random.Generator, count: int, pattern: int) -> 
     return pts
 
 
-def _validate_spec(spec: SceneSpec) -> None:
-    if spec.n_objects < 1:
-        raise InvalidSpecError("n_objects must be >= 1")
-    if spec.feature_dim < 2:
-        raise InvalidSpecError("feature_dim must be >= 2")
-    lo, hi = spec.points_per_object_range
-    if not (1 <= lo <= hi):
-        raise InvalidSpecError(f"bad points_per_object_range {spec.points_per_object_range}")
-    if spec.n_types < 1:
-        raise InvalidSpecError("n_types must be >= 1")
-    zlo, zhi = spec.depth_range
-    if not (0.5 < zlo <= zhi):
-        raise InvalidSpecError(f"bad depth_range {spec.depth_range}")
-    if spec.noise_sigma < 0:
-        raise InvalidSpecError("noise_sigma must be >= 0")
-    if spec.seed < 0:
-        raise InvalidSpecError("seed must be a non-negative integer")
-
-
 def _footprint_fits(
     camera: Camera,
     center: np.ndarray,
@@ -357,17 +361,12 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     (types, counts, then per-object geometry and colors, then feature
     noise) so identical specs are bit-identical.
     """
-    _validate_spec(spec)
     camera = default_camera()
     rng = np.random.default_rng(np.random.SeedSequence([_SCENE_STREAM, spec.seed]))
 
     grid = math.ceil(math.sqrt(spec.n_objects))
     cell_w = camera.width / grid
     cell_h = camera.height / grid
-    if cell_w - 2 * _CELL_MARGIN < 4 or cell_h - 2 * _CELL_MARGIN < 4:
-        raise InvalidSpecError(
-            f"{spec.n_objects} objects cannot fit a {camera.width}x{camera.height} frustum"
-        )
 
     types = _sample_types(rng, spec)
     counts = _sample_counts(rng, spec)

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .scene import SceneBundle
 from .tokenizer import (
+    MODE_KNN,
     MODE_SAM,
     TokenSet,
     purity,
@@ -58,7 +59,8 @@ class TrainConfig:
     min_lr_ratio: float = 0.01
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Checked once, here, so a run never starts from a bad schedule."""
         if self.base_lr <= 0:
             raise InvalidInputError("base_lr must be > 0")
         if self.epochs < 0 or not (0 <= self.warmup_epochs <= max(self.epochs, 1)):
@@ -69,6 +71,8 @@ class TrainConfig:
             raise InvalidInputError("weight_decay must be >= 0")
         if not (0 <= self.min_lr_ratio <= 1):
             raise InvalidInputError("min_lr_ratio must be in [0, 1]")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,7 @@ def _run_fingerprint(
     return {
         "train": asdict(train_cfg),
         "stage": asdict(stage_cfg),
-        "arch": arch.to_json(),
+        "arch": asdict(arch),
         "n_train": len(train_bundles),
         "n_heldout": len(eval_bundles),
         "scenes_sha256": digest.hexdigest(),
@@ -273,7 +277,6 @@ def _fit(
     batch_loss: Callable[[nn.ModelParams, np.ndarray, int], tuple[T.Tensor, dict]],
     dataset_metrics: Callable[[nn.ModelParams], dict],
     resume: bool,
-    stop_after_epochs: int | None,
     fingerprint: dict,
 ) -> tuple[Path, nn.ModelParams, int, dict, dict]:
     """The run loop both stages share.
@@ -302,7 +305,6 @@ def _fit(
     after the last step and raises DivergedRunError at that step; a
     resume fails the same way.
     """
-    train_cfg.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint"
     steps_per_epoch = math.ceil(n_scenes / train_cfg.batch_size)
@@ -324,13 +326,9 @@ def _fit(
         blobio.dump_manifest(out_dir / _INITIAL_METRICS, initial)
     params.set_trainable(True, [name for name in params.names() if trains(name)])
 
-    start_epoch = step // steps_per_epoch
-    end_epoch = train_cfg.epochs
-    if stop_after_epochs is not None:
-        end_epoch = min(end_epoch, start_epoch + stop_after_epochs)
     writer = _MetricsWriter(out_dir / "metrics.csv", step if resume else None)
     try:
-        for epoch in range(start_epoch, end_epoch):
+        for epoch in range(step // steps_per_epoch, train_cfg.epochs):
             order = _epoch_order(n_scenes, train_cfg.seed, epoch)
             taken = step - epoch * steps_per_epoch  # > 0 only in a resumed epoch
             for batch in _batches(order, train_cfg.batch_size)[taken:]:
@@ -365,7 +363,7 @@ def _fit(
         if not isinstance(exc, NonFiniteError):
             raise
         # A non-finite final eval is charged to the last step taken.
-        raise DivergedRunError(min(step + 1, end_epoch * steps_per_epoch), exc.op) from exc
+        raise DivergedRunError(min(step + 1, total_steps), exc.op) from exc
     finally:
         writer.close()
 
@@ -382,6 +380,13 @@ class Stage1Config:
     k_groups: int = 16
     reweight: bool = True
     tokenizer_mode: str = MODE_SAM
+
+    def __post_init__(self) -> None:
+        """Checked once, here; K against the number of regions is checked on the data."""
+        if self.k_groups < 1:
+            raise InvalidInputError("k_groups must be >= 1")
+        if self.tokenizer_mode not in (MODE_SAM, MODE_KNN):
+            raise InvalidInputError(f"unknown tokenizer_mode {self.tokenizer_mode!r}")
 
 
 @dataclass
@@ -464,18 +469,13 @@ def run_stage1(
     cfg: Stage1Config,
     out_dir: str | Path,
     resume: bool = False,
-    stop_after_epochs: int | None = None,
 ) -> RunResult:
     """Dense distillation run: offline weight table, then weighted smooth-L1 training.
 
     Each step's loss is the mean over its batch's scenes of each scene's
-    loss, from one packed graph. ``stop_after_epochs`` bounds how many
-    epochs this invocation processes, the first of which is partial when it
-    resumes mid-epoch (the schedule still spans the configured total);
-    rerun with ``resume=True`` to continue bit-exactly.
-    Resuming with another train or stage config, arch or dataset raises
-    InconsistencyError, and leaves the run directory as it was. An empty
-    train split raises BadSplitError.
+    loss, from one packed graph. Resuming with another train or stage
+    config, arch or dataset raises InconsistencyError, and leaves the run
+    directory as it was. An empty train split raises BadSplitError.
     """
     if not train_bundles:
         raise BadSplitError("the stage-1 train split has no scenes")
@@ -517,7 +517,6 @@ def run_stage1(
         batch_loss,
         dataset_metrics,
         resume,
-        stop_after_epochs,
         _run_fingerprint(train_cfg, cfg, arch, train_bundles, eval_bundles),
     )
     train_purity = float(
@@ -548,6 +547,11 @@ def run_stage1(
 class Stage2Config:
     mask_ratio: float = 0.6
     init_from_teacher: bool = True
+
+    def __post_init__(self) -> None:
+        """Checked once, here, before a run loads its teacher."""
+        if not (0.0 <= self.mask_ratio < 1.0):
+            raise InvalidInputError(f"mask_ratio {self.mask_ratio} outside [0, 1)")
 
 
 class _Stage2Input(NamedTuple):
@@ -596,7 +600,6 @@ def run_stage2(
     cfg: Stage2Config,
     out_dir: str | Path,
     resume: bool = False,
-    stop_after_epochs: int | None = None,
 ) -> RunResult:
     """Masked token prediction against a frozen stage-1 teacher.
 
@@ -658,7 +661,6 @@ def run_stage2(
         batch_loss,
         lambda student: _stage2_dataset_eval(train_scenes, train_plans, student),
         resume,
-        stop_after_epochs,
         {
             **_run_fingerprint(train_cfg, cfg, teacher.arch, train_bundles, eval_bundles),
             "teacher_hash": teacher_hash_before,

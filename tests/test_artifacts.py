@@ -3,6 +3,7 @@
 import os
 import shutil
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_per_parameter_checkpoint_is_refused(tmp_path, with_shapes):
     if with_shapes:
         for rec in records:
             rec["shape"] = list(params.tensors[rec["name"]].shape)
-    meta = {"arch": SMALL_ARCH.to_json(), "step": 0, "params": records, "optimizer": None}
+    meta = {"arch": asdict(SMALL_ARCH), "step": 0, "params": records, "optimizer": None}
     arrays = {name: t.data for name, t in params.tensors.items()}
     blobio.save_arrays(tmp_path / "ckpt", "model-checkpoint", meta, arrays)
     with pytest.raises(MalformedManifestError):

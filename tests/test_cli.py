@@ -2,10 +2,11 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from samdistill import cli, report
+from samdistill import cli, nn, report
 from samdistill.scene import read_scene_dir
 
 QUICK_CONFIG = {
@@ -260,3 +261,173 @@ def test_report_matrix_and_recompute(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "Ablation report" in stdout
+
+
+def _with(overrides: dict) -> dict:
+    """QUICK_CONFIG with ``overrides`` merged in, section by section."""
+    cfg = json.loads(json.dumps(QUICK_CONFIG))
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            cfg.setdefault(key, {}).update(value)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+def _tree(*roots: Path) -> dict:
+    """Every path under ``roots``, with a file's bytes and None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for root in roots for p in root.rglob("*")}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory, config_file):
+    """Train and held-out scenes and a stage-1 checkpoint, made with QUICK_CONFIG."""
+    ws = tmp_path_factory.mktemp("ws")
+    base = ["--config", str(config_file), "--out-dir", str(ws)]
+    assert cli.main(base + ["scene", "--out", str(ws / "train")]) == 0
+    assert cli.main(base + ["--seed", "5", "scene", "--out", str(ws / "eval")]) == 0
+    assert cli.main(base + ["stage1", "--scenes", str(ws / "train"), "--out", str(ws / "s1")]) == 0
+    return ws
+
+
+def _command(ws: Path, out: Path, name: str) -> list[str]:
+    """The arguments of command ``name`` on ``workspace``, writing under ``out``."""
+    scenes = ["--scenes", str(ws / "train"), "--eval-scenes", str(ws / "eval")]
+    ckpt = str(ws / "s1" / "checkpoint")
+    return {
+        "scene": ["scene", "--out", str(out / "scenes")],
+        "stage1": ["stage1", *scenes, "--out", str(out / "s1")],
+        "stage2": ["stage2", *scenes, "--teacher-ckpt", ckpt, "--out", str(out / "s2")],
+        "probe": [
+            "probe", "--encoder-ckpt", ckpt, "--train-scenes", str(ws / "train"),
+            "--test-scenes", str(ws / "eval"), "--out", str(out / "probe.json"),
+        ],
+        "report": ["report", "--run"],
+    }[name]
+
+
+def _assert_refused(argv: list[str], out: Path, roots: tuple, capsys) -> None:
+    """The command exits 2 with an error line, and changes no file or directory."""
+    before = _tree(*roots)
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert "error:" in err and "Traceback" not in err, err
+    assert _tree(*roots) == before, argv
+    assert not out.exists(), argv
+
+
+COMMANDS = ("scene", "stage1", "stage2", "probe", "report")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seed": -1},
+        {"n_train_scenes": -3},
+        {"n_train_scenes": 0},
+        {"n_eval_scenes": -1},
+        {"probe_epochs": 0},
+        {"stage2_epochs": -1},
+        {"train": {"epochs": 10, "warmup_epochs": 5}, "stage2_epochs": 3},
+        {"scene": {"n_objects": 0}},
+        {"scene": {"n_objects": 2000}},
+        {"scene": {"feature_dim": 1}},
+        {"scene": {"points_per_object_range": [30, 20]}},
+        {"scene": {"n_types": 0}},
+        {"scene": {"depth_levels": -2}},
+        {"scene": {"depth_range": [0.5, 3.0]}},
+        {"scene": {"noise_sigma": -0.1}},
+        {"arch": {"embed_dim": 0}},
+        {"arch": {"n_heads": 0}},
+        {"arch": {"n_heads": 5}},
+        {"arch": {"pointnet_hidden": 0}},
+        {"arch": {"proj_dim": 0}},
+        {"arch": {"n_enc_layers": -1}},
+        {"arch": {"n_dec_layers": -1}},
+        {"arch": {"max_points_per_token": 0}},
+        {"arch": {"mlp_ratio": 0}},
+        {"arch": {"ln_eps": 0.0}},
+        {"train": {"base_lr": -1.0}},
+        {"train": {"epochs": -1}},
+        {"train": {"warmup_epochs": -1}},
+        {"train": {"warmup_epochs": 3}},
+        {"train": {"batch_size": 0}},
+        {"train": {"weight_decay": -0.05}},
+        {"train": {"min_lr_ratio": 1.5}},
+        {"train": {"seed": -1}},
+        {"stage1": {"k_groups": 0}},
+        {"stage1": {"tokenizer_mode": "voxel"}},
+        {"stage2": {"mask_ratio": 1.5}},
+        {"stage2": {"mask_ratio": -0.1}},
+    ],
+)
+def test_a_config_file_out_of_range_is_refused_before_any_write(
+    workspace, tmp_path, overrides, capsys
+):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(_with(overrides)))
+    for name in COMMANDS:
+        argv = ["--config", str(config), "--out-dir", str(out), *_command(workspace, out, name)]
+        _assert_refused(argv, out, (workspace, tmp_path), capsys)
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        *[(name, ["--seed", "-1"]) for name in COMMANDS],
+        ("scene", ["--n-scenes", "-3"]),
+        ("scene", ["--n-scenes", "0"]),
+        ("scene", ["--n-objects", "0"]),
+        ("scene", ["--noise-sigma", "-1"]),
+        ("stage1", ["--lr", "-1"]),
+        ("stage1", ["--wd", "-1"]),
+        ("stage1", ["--batch", "0"]),
+        ("stage1", ["--epochs", "-1"]),
+        ("stage1", ["--k-groups", "0"]),
+        ("stage2", ["--mask-ratio", "1.5"]),
+        ("stage2", ["--epochs", "-1"]),
+        ("probe", ["--epochs", "0"]),
+    ],
+)
+def test_a_flag_out_of_range_is_refused_before_any_write(
+    workspace, config_file, tmp_path, name, flags, capsys
+):
+    out = tmp_path / "out"
+    argv = ["--config", str(config_file), "--out-dir", str(out)]
+    command = _command(workspace, out, name)
+    if flags[0] == "--seed":  # a global flag goes before the command
+        argv += flags + command
+    else:
+        argv += command + flags
+    _assert_refused(argv, out, (workspace, tmp_path), capsys)
+
+
+@pytest.mark.parametrize(
+    "config", [None, {"seed": -1}, {"train": {"seed": -1}}], ids=["flag", "top", "train"]
+)
+def test_a_negative_seed_exits_2_without_a_traceback(tmp_path, config, capsys):
+    argv = ["--out-dir", str(tmp_path / "out")]
+    if config is None:
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert cli.main(argv + ["scene"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epochs, warmup", [(5, 5), (12, 10)])
+def test_epochs_caps_the_default_warmup(tmp_path, epochs, warmup, capsys):
+    """With no config file the warmup is 10 epochs; ``--epochs`` below it lowers it."""
+    scenes, run = tmp_path / "scenes", tmp_path / "run"
+    make = ["scene", "--out", str(scenes), "--n-scenes", "2"]
+    assert cli.main(["--out-dir", str(tmp_path), *make]) == 0
+    argv = ["stage1", "--scenes", str(scenes), "--out", str(run), "--k-groups", "2"]
+    assert cli.main(["--out-dir", str(tmp_path), *argv, "--epochs", str(epochs)]) == 0
+    ckpt = nn.load_checkpoint(run / "checkpoint")
+    assert ckpt.fingerprint["train"]["epochs"] == epochs
+    assert ckpt.fingerprint["train"]["warmup_epochs"] == warmup
+    capsys.readouterr()

@@ -1,9 +1,11 @@
 """Package layering: no module reaches into another module's private names or file formats."""
 
 import ast
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import samdistill
+from samdistill import nn, report
 
 PACKAGE_DIR = Path(samdistill.__file__).resolve().parent
 
@@ -223,3 +225,50 @@ def test_requires_grad_checker_catches_every_assignment_form(tmp_path):
         "line 3: x.requires_grad",
         "line 4: self.requires_grad",
     ]
+
+
+def _config_classes() -> set[type]:
+    """``Arch`` and every dataclass reachable from ``PipelineConfig``'s fields."""
+    found, todo = {nn.Arch}, [report.PipelineConfig()]
+    while todo:
+        config = todo.pop()
+        found.add(type(config))
+        todo += [v for f in fields(config) if is_dataclass(v := getattr(config, f.name))]
+    return found
+
+
+def test_every_config_checks_itself_when_it_is_built():
+    """``dataclasses.replace`` re-runs ``__post_init__``, so no config needs a ``validate()``."""
+    classes = _config_classes()
+    assert {c.__name__ for c in classes} == {
+        "PipelineConfig", "SceneSpec", "Arch", "TrainConfig", "Stage1Config", "Stage2Config",
+    }
+    for cls in classes:
+        assert "__post_init__" in vars(cls), cls.__name__
+        assert not hasattr(cls, "validate"), cls.__name__
+
+
+def _validate_calls(path: Path) -> list[str]:
+    """Calls of a ``validate`` attribute, each as its source text."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"line {node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    ]
+
+
+def test_only_scene_bundles_have_a_validate_call():
+    """``SceneBundle.validate`` checks a bundle, not a config; nothing else is called so."""
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    calls = {p.name: found for p in modules if (found := _validate_calls(p))}
+    assert set(calls) == {"scene.py"}
+    assert all(call.endswith(": bundle.validate") for call in calls["scene.py"])
+
+
+def test_validate_checker_catches_every_receiver(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("cfg.validate()\nx = validate\nself.arch.validate()\nvalidate()\n")
+    assert _validate_calls(module) == ["line 1: cfg.validate", "line 3: self.arch.validate"]

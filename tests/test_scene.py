@@ -171,17 +171,21 @@ class TestGenerateScene:
 
     def test_rejects_unfit_spec(self):
         with pytest.raises(InvalidSpecError):
-            scene.generate_scene(scene.SceneSpec(n_objects=2000, seed=0))
+            scene.SceneSpec(n_objects=2000, seed=0)
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(InvalidSpecError):
-            scene.generate_scene(scene.SceneSpec(n_objects=0, seed=0))
-        with pytest.raises(InvalidSpecError):
-            scene.generate_scene(scene.SceneSpec(n_objects=1, feature_dim=1, seed=0))
-        with pytest.raises(InvalidSpecError):
-            scene.generate_scene(
-                scene.SceneSpec(n_objects=1, points_per_object_range=(5, 2), seed=0)
-            )
+        for bad in (
+            {"n_objects": 0},
+            {"feature_dim": 1},
+            {"points_per_object_range": (5, 2)},
+            {"n_types": 0},
+            {"depth_levels": -2},
+            {"depth_range": (0.5, 3.0)},
+            {"noise_sigma": -0.1},
+            {"seed": -1},
+        ):
+            with pytest.raises(InvalidSpecError):
+                scene.SceneSpec(**{"n_objects": 1, "seed": 0, **bad})
 
     @given(st.integers(0, 50), st.integers(1, 9))
     def test_mask_ids_in_range_property(self, seed, n_objects):

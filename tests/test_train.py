@@ -331,12 +331,31 @@ class TestLrSchedule:
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
-            train.TrainConfig(base_lr=0.0).validate()
+            train.TrainConfig(base_lr=0.0)
         with pytest.raises(InvalidInputError):
-            train.TrainConfig(epochs=5, warmup_epochs=6).validate()
-        for bad in ({"weight_decay": -0.05}, {"min_lr_ratio": -0.1}, {"min_lr_ratio": 1.5}):
+            train.TrainConfig(epochs=5, warmup_epochs=6)
+        for bad in (
+            {"weight_decay": -0.05}, {"min_lr_ratio": -0.1}, {"min_lr_ratio": 1.5}, {"seed": -1}
+        ):
             with pytest.raises(InvalidInputError):
-                train.TrainConfig(**bad).validate()
+                train.TrainConfig(**bad)
+        # replace builds a new config, so it checks it too.
+        with pytest.raises(InvalidInputError):
+            replace(self.CFG, epochs=self.CFG.warmup_epochs - 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: train.Stage1Config(k_groups=0),
+        lambda: train.Stage1Config(tokenizer_mode="voxel"),
+        lambda: train.Stage2Config(mask_ratio=1.0),
+        lambda: train.Stage2Config(mask_ratio=-0.1),
+    ],
+)
+def test_stage_configs_refuse_bad_values(make):
+    with pytest.raises(InvalidInputError):
+        make()
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +379,24 @@ def _quick_cfg(**kw) -> train.TrainConfig:
     base = dict(epochs=3, warmup_epochs=1, batch_size=2, seed=0)
     base.update(kw)
     return train.TrainConfig(**base)
+
+
+def _interrupt_before_step(monkeypatch, step: int, run) -> None:
+    """Call ``run()`` and interrupt it as AdamW is about to take ``step``, counted from 0.
+
+    The run saves the state before that step, so ``resume=True`` continues it.
+    """
+    adamw_step, calls = train.adamw_step, []
+
+    def interrupting(*args):
+        calls.append(args)
+        if len(calls) > step:
+            raise KeyboardInterrupt
+        return adamw_step(*args)
+
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(train, "adamw_step", interrupting)
+        run()
 
 
 def _dir_bytes(out: Path) -> dict:
@@ -402,13 +439,19 @@ class TestRunStage1:
         assert loaded.params.byte_hash() == nn.init_params(tiny_arch, 0).byte_hash()
         assert loaded.step == 0
 
-    def test_resume_reproduces_uninterrupted_run(self, tiny_dataset, tiny_arch, tmp_path):
+    def test_resume_reproduces_uninterrupted_run(
+        self, tiny_dataset, tiny_arch, tmp_path, monkeypatch
+    ):
         tb, eb = tiny_dataset
         cfg = train.Stage1Config(k_groups=3)
         full = train.run_stage1(tb, eb, tiny_arch, _quick_cfg(epochs=6), cfg, tmp_path / "full")
-        train.run_stage1(
-            tb, eb, tiny_arch, _quick_cfg(epochs=6), cfg, tmp_path / "part",
-            stop_after_epochs=3,
+        # 2 steps per epoch: stop after 3 epochs.
+        _interrupt_before_step(
+            monkeypatch,
+            6,
+            lambda: train.run_stage1(
+                tb, eb, tiny_arch, _quick_cfg(epochs=6), cfg, tmp_path / "part"
+            ),
         )
         resumed = train.run_stage1(
             tb, eb, tiny_arch, _quick_cfg(epochs=6), cfg, tmp_path / "part", resume=True
@@ -429,7 +472,6 @@ class TestRunStage1:
         run = tmp_path / "run"
         train.run_stage1(
             tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), run,
-            stop_after_epochs=1,
         )
         with pytest.raises(InconsistencyError):
             train.run_stage1(
@@ -445,7 +487,7 @@ class TestRunStage1:
     ):
         tb, eb = tiny_dataset
         cfg, run = train.Stage1Config(k_groups=3), tmp_path / "run"
-        train.run_stage1(tb, eb, tiny_arch, _quick_cfg(), cfg, run, stop_after_epochs=1)
+        train.run_stage1(tb, eb, tiny_arch, _quick_cfg(), cfg, run)
         with pytest.raises(InconsistencyError):
             train.run_stage1(*other_dataset, tiny_arch, _quick_cfg(), cfg, run, resume=True)
 
@@ -456,7 +498,6 @@ class TestRunStage1:
         run = tmp_path / "run"
         train.run_stage1(
             *tiny_dataset, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), run,
-            stop_after_epochs=1,
         )
         before = _dir_bytes(run)
         # Either change gives the resume another weight table.
@@ -647,13 +688,17 @@ class TestRunStage2:
         )
         assert nn.load_checkpoint(b.checkpoint_dir).params.byte_hash() != teacher_hash
 
-    def test_resume_matches_uninterrupted(self, tiny_dataset, teacher_ckpt, tmp_path):
+    def test_resume_matches_uninterrupted(self, tiny_dataset, teacher_ckpt, tmp_path, monkeypatch):
         tb, eb = tiny_dataset
         cfg = train.Stage2Config(mask_ratio=0.5)
         full = train.run_stage2(tb, eb, teacher_ckpt, _quick_cfg(epochs=4), cfg, tmp_path / "f")
-        train.run_stage2(
-            tb, eb, teacher_ckpt, _quick_cfg(epochs=4), cfg, tmp_path / "p",
-            stop_after_epochs=2,
+        # 2 steps per epoch: stop after 2 epochs.
+        _interrupt_before_step(
+            monkeypatch,
+            4,
+            lambda: train.run_stage2(
+                tb, eb, teacher_ckpt, _quick_cfg(epochs=4), cfg, tmp_path / "p"
+            ),
         )
         resumed = train.run_stage2(
             tb, eb, teacher_ckpt, _quick_cfg(epochs=4), cfg, tmp_path / "p", resume=True
@@ -673,9 +718,7 @@ class TestRunStage2:
             nn.save_checkpoint(tmp_path / f"teacher{seed}", teacher, 0)
         cfg = train.Stage2Config(mask_ratio=0.5)
         run = tmp_path / "run"
-        train.run_stage2(
-            tb, eb, tmp_path / "teacher1", _quick_cfg(), cfg, run, stop_after_epochs=1
-        )
+        train.run_stage2(tb, eb, tmp_path / "teacher1", _quick_cfg(), cfg, run)
         with pytest.raises(InconsistencyError):
             train.run_stage2(tb, eb, tmp_path / "teacher2", _quick_cfg(), cfg, run, resume=True)
         train.run_stage2(tb, eb, tmp_path / "teacher1", _quick_cfg(), cfg, run, resume=True)
@@ -687,7 +730,6 @@ class TestRunStage2:
         run = tmp_path / "run"
         train.run_stage2(
             tb, eb, teacher_ckpt, _quick_cfg(), train.Stage2Config(mask_ratio=0.5), run,
-            stop_after_epochs=1,
         )
         with pytest.raises(InconsistencyError):
             train.run_stage2(
@@ -700,7 +742,7 @@ class TestRunStage2:
     ):
         tb, eb = tiny_dataset
         cfg, run = train.Stage2Config(mask_ratio=0.5), tmp_path / "run"
-        train.run_stage2(tb, eb, teacher_ckpt, _quick_cfg(), cfg, run, stop_after_epochs=1)
+        train.run_stage2(tb, eb, teacher_ckpt, _quick_cfg(), cfg, run)
         with pytest.raises(InconsistencyError):
             train.run_stage2(*other_dataset, teacher_ckpt, _quick_cfg(), cfg, run, resume=True)
 
@@ -746,9 +788,7 @@ class TestRunStage2:
         for seed in (1, 2):
             nn.save_checkpoint(tmp_path / f"teacher{seed}", nn.init_params(tiny_arch, seed), 0)
         cfg, run = train.Stage2Config(mask_ratio=0.5), tmp_path / "run"
-        train.run_stage2(
-            *tiny_dataset, tmp_path / "teacher1", _quick_cfg(), cfg, run, stop_after_epochs=1
-        )
+        train.run_stage2(*tiny_dataset, tmp_path / "teacher1", _quick_cfg(), cfg, run)
         before = _dir_bytes(run)
         with pytest.raises(InconsistencyError):
             train.run_stage2(

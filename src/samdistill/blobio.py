@@ -76,15 +76,19 @@ def read_blob(path: str | Path, fh: BinaryIO, records: dict, offset: int) -> dic
     return arrays
 
 
-def dump_manifest(path: str | Path, manifest: dict) -> None:
-    """Write ``manifest`` as JSON, replacing ``path`` atomically."""
+def dump_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, line ends as given, replacing ``path`` atomically."""
 
     def write(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
     _replace_with(Path(path), write)
+
+
+def dump_manifest(path: str | Path, manifest: dict) -> None:
+    """Write ``manifest`` as JSON, replacing ``path`` atomically."""
+    dump_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str | Path, required_keys: tuple[str, ...] = ()) -> dict:

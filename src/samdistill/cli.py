@@ -8,7 +8,6 @@ error exits with status 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -130,12 +129,8 @@ def _cmd_tokenize(args, cfg: report.PipelineConfig) -> int:
         )
     if args.audit is not None:
         args.audit.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.audit, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["scene_id", "mode", "n_tokens", "purity", "dropped"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+        columns = ["scene_id", "mode", "n_tokens", "purity", "dropped"]
+        blobio.dump_text(args.audit, report.csv_text(columns, rows))
         print(f"audit written to {args.audit}")
     return 0
 

@@ -9,12 +9,13 @@ persisted artifacts alone.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import blobio, nn, probe
 from . import train as train_mod
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MalformedManifestError
 from .scene import SceneSpec, generate_dataset
 from .tokenizer import MODE_KNN, MODE_SAM
 
@@ -46,6 +47,10 @@ class PipelineConfig:
             raise InvalidInputError("need n_train_scenes >= 1 and n_eval_scenes >= 0")
         if self.probe_epochs < 1:
             raise InvalidInputError("probe_epochs must be >= 1")
+        if self.arch.proj_dim != self.scene.feature_dim:  # stage 1 regresses the 2D features
+            raise InvalidInputError(
+                f"arch.proj_dim {self.arch.proj_dim} != scene.feature_dim {self.scene.feature_dim}"
+            )
         try:  # the stage-2 schedule that run_matrix and `samdistill stage2` build
             replace(self.train, epochs=self.stage2_epochs)
         except InvalidInputError as exc:
@@ -123,10 +128,17 @@ def matrix_cells() -> list[tuple[str, bool, bool]]:
     ]
 
 
+def _onoff(flag: bool) -> str:
+    return "on" if flag else "off"
+
+
+def stage1_name(tokenizer: str, reweight: bool) -> str:
+    """The directory of the stage-1 run that every cell of this pair starts from."""
+    return f"stage1_tok-{tokenizer}_rw-{_onoff(reweight)}"
+
+
 def cell_name(tokenizer: str, reweight: bool, stage2_on: bool) -> str:
-    return (
-        f"tok-{tokenizer}_rw-{'on' if reweight else 'off'}_s2-{'on' if stage2_on else 'off'}"
-    )
+    return f"tok-{tokenizer}_rw-{_onoff(reweight)}_s2-{_onoff(stage2_on)}"
 
 
 REPORT_COLUMNS = [
@@ -143,13 +155,28 @@ REPORT_COLUMNS = [
     "status",
 ]
 
+# Each metric column of a report row: the run it is read from, and its key there.
+_METRIC_SOURCES = {
+    "probe_accuracy": ("probe", "accuracy"),
+    "token_purity": ("stage1", "train_token_purity"),
+    "tail_cosine": ("stage1", "heldout_tail_cosine"),
+    "heldout_cosine": ("stage1", "heldout_cosine_mean"),
+    "final_stage1_loss": ("stage1", "final_loss"),
+    "final_stage2_loss": ("stage2", "final_l_final"),
+}
+
 
 def run_matrix(
     config: PipelineConfig,
     out_dir: str | Path,
     cells: list[tuple[str, bool, bool]] | None = None,
 ) -> None:
-    """Execute the requested matrix cells, sharing datasets and stage-1 runs."""
+    """Execute the requested matrix cells, sharing datasets and stage-1 runs.
+
+    Under ``out_dir/runs``: ``scratch/probe.json``, one ``stage1_tok-*_rw-*``
+    run per (tokenizer, reweight) pair that a cell needs, and per cell a
+    directory with its ``probe.json`` and, if stage 2 is on, its ``stage2`` run.
+    """
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -160,130 +187,95 @@ def run_matrix(
         config.scene, config.n_eval_scenes, config.seed + 1_000_003
     )
 
-    scratch_dir = runs_dir / "scratch"
-    scratch_dir.mkdir(exist_ok=True)
-    encoder = nn.init_params(config.arch, config.train.seed)
-    result = probe.linear_probe(
-        encoder,
-        train_bundles,
-        eval_bundles,
-        epochs=config.probe_epochs,
-        seed=config.seed,
-        encoder_tag=probe.ENCODER_SCRATCH,
-    )
-    blobio.dump_manifest(scratch_dir / "probe.json", result.to_json())
-
-    stage1_cache: dict[tuple[str, bool], train_mod.RunResult] = {}
-    for tokenizer, reweight, stage2_on in cells or matrix_cells():
-        cell = cell_name(tokenizer, reweight, stage2_on)
-        cell_dir = runs_dir / cell
+    def run_probe(encoder, tag: str, cell_dir: Path) -> None:
+        result = probe.linear_probe(
+            encoder, train_bundles, eval_bundles, epochs=config.probe_epochs,
+            seed=config.seed, encoder_tag=tag,
+        )
         cell_dir.mkdir(exist_ok=True)
+        blobio.dump_manifest(cell_dir / "probe.json", result.to_json())
 
-        s1_key = (tokenizer, reweight)
-        if s1_key not in stage1_cache:
-            s1_cfg = replace(config.stage1, tokenizer_mode=tokenizer, reweight=reweight)
-            stage1_cache[s1_key] = train_mod.run_stage1(
+    scratch = nn.init_params(config.arch, config.train.seed)
+    run_probe(scratch, probe.ENCODER_SCRATCH, runs_dir / "scratch")
+
+    stage1_runs: dict[tuple[str, bool], train_mod.RunResult] = {}
+    for tokenizer, reweight, stage2_on in cells or matrix_cells():
+        cell_dir = runs_dir / cell_name(tokenizer, reweight, stage2_on)
+        pair = (tokenizer, reweight)
+        if pair not in stage1_runs:
+            stage1_runs[pair] = train_mod.run_stage1(
                 train_bundles,
                 eval_bundles,
                 config.arch,
                 config.train,
-                s1_cfg,
-                cell_dir / "stage1",
+                replace(config.stage1, tokenizer_mode=tokenizer, reweight=reweight),
+                runs_dir / stage1_name(*pair),
             )
-        else:
-            _link_run(stage1_cache[s1_key], cell_dir / "stage1")
-        s1_result = stage1_cache[s1_key]
-
-        encoder_path = s1_result.checkpoint_dir
-        tag = probe.ENCODER_STAGE1
+        encoder_path, tag = stage1_runs[pair].checkpoint_dir, probe.ENCODER_STAGE1
         if stage2_on:
             s2_result = train_mod.run_stage2(
                 train_bundles,
                 eval_bundles,
-                s1_result.checkpoint_dir,
+                encoder_path,
                 replace(config.train, epochs=config.stage2_epochs),
                 config.stage2,
                 cell_dir / "stage2",
             )
-            encoder_path = s2_result.checkpoint_dir
-            tag = probe.ENCODER_STAGE2
-
-        result = probe.linear_probe(
-            encoder_path,
-            train_bundles,
-            eval_bundles,
-            epochs=config.probe_epochs,
-            seed=config.seed,
-            encoder_tag=tag,
-        )
-        blobio.dump_manifest(cell_dir / "probe.json", result.to_json())
-
-
-def _link_run(result: train_mod.RunResult, dest: Path) -> None:
-    """Record where a shared stage-1 run lives instead of re-running it."""
-    dest.mkdir(parents=True, exist_ok=True)
-    blobio.dump_manifest(
-        dest / "metrics.json",
-        {**result.metrics, "shared_from": str(result.checkpoint_dir.parent)},
-    )
+            encoder_path, tag = s2_result.checkpoint_dir, probe.ENCODER_STAGE2
+        run_probe(encoder_path, tag, cell_dir)
 
 
 def _read_json(path: Path) -> dict | None:
     return blobio.load_manifest(path) if path.exists() else None
 
 
+def _row(cell: str, runs: dict[str, dict | None], **labels: str) -> dict:
+    """One report row; a run that is None is missing, and leaves its columns blank."""
+    row = dict.fromkeys(REPORT_COLUMNS, "")
+    row.update(labels, cell=cell, status="missing" if None in runs.values() else "ok")
+    for column, (run, key) in _METRIC_SOURCES.items():
+        row[column] = (runs.get(run) or {}).get(key, "")
+    return row
+
+
 def report_ablation(out_dir: str | Path) -> list[dict]:
-    """Assemble the report from persisted metrics; missing cells are reported, not faked."""
+    """Assemble the report from persisted metrics; missing cells are reported, not faked.
+
+    A cell's stage-1 columns come from its pair's stage-1 run, whether or
+    not the cell itself ran. With no ``runs`` directory under ``out_dir``
+    this raises MalformedManifestError and writes nothing.
+    """
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
+    if not runs_dir.is_dir():
+        raise MalformedManifestError(f"{runs_dir}: no ablation runs; run `report --run` first")
     rows: list[dict] = []
-
     scratch = _read_json(runs_dir / "scratch" / "probe.json")
     if scratch is not None:
-        rows.append(
-            {
-                "cell": "scratch",
-                "tokenizer": "",
-                "reweight": "",
-                "stage2": "",
-                "probe_accuracy": scratch["accuracy"],
-                "token_purity": "",
-                "tail_cosine": "",
-                "heldout_cosine": "",
-                "final_stage1_loss": "",
-                "final_stage2_loss": "",
-                "status": "ok",
-            }
-        )
-
+        rows.append(_row("scratch", {"probe": scratch}))
     for tokenizer, reweight, stage2_on in matrix_cells():
         cell = cell_name(tokenizer, reweight, stage2_on)
-        cell_dir = runs_dir / cell
-        s1 = _read_json(cell_dir / "stage1" / "metrics.json")
-        s2 = _read_json(cell_dir / "stage2" / "metrics.json") if stage2_on else None
-        pr = _read_json(cell_dir / "probe.json")
-        missing = s1 is None or pr is None or (stage2_on and s2 is None)
-        row = {
-            "cell": cell,
-            "tokenizer": tokenizer,
-            "reweight": "on" if reweight else "off",
-            "stage2": "on" if stage2_on else "off",
-            "probe_accuracy": "" if pr is None else pr["accuracy"],
-            "token_purity": "" if s1 is None else s1.get("train_token_purity", ""),
-            "tail_cosine": "" if s1 is None else s1.get("heldout_tail_cosine", ""),
-            "heldout_cosine": "" if s1 is None else s1.get("heldout_cosine_mean", ""),
-            "final_stage1_loss": "" if s1 is None else s1.get("final_loss", ""),
-            "final_stage2_loss": "" if s2 is None else s2.get("final_l_final", ""),
-            "status": "missing" if missing else "ok",
+        runs = {
+            "stage1": _read_json(runs_dir / stage1_name(tokenizer, reweight) / "metrics.json"),
+            "probe": _read_json(runs_dir / cell / "probe.json"),
         }
-        rows.append(row)
+        if stage2_on:
+            runs["stage2"] = _read_json(runs_dir / cell / "stage2" / "metrics.json")
+        labels = {"reweight": _onoff(reweight), "stage2": _onoff(stage2_on)}
+        rows.append(_row(cell, runs, tokenizer=tokenizer, **labels))
 
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_summary(out_dir / "report.txt", rows)
+    blobio.dump_text(out_dir / "report.csv", csv_text(REPORT_COLUMNS, rows))
+    blobio.dump_text(out_dir / "report.txt", _summary(rows))
     return rows
+
+
+def csv_text(columns: list[str], rows: list[dict]) -> str:
+    """``rows`` as CSV text with a ``columns`` header, in the ``csv`` module's dialect."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _fmt(value) -> str:
@@ -294,7 +286,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_summary(path: Path, rows: list[dict]) -> None:
+def _summary(rows: list[dict]) -> str:
     lines = ["Ablation report", "=" * 78]
     header = f"{'cell':28s} {'probe_acc':>9s} {'purity':>7s} {'tail_cos':>8s} {'held_cos':>8s} {'status':>8s}"
     lines.append(header)
@@ -330,4 +322,4 @@ def _write_summary(path: Path, rows: list[dict]) -> None:
             lines.append(f"{label}: (incomplete)")
         else:
             lines.append(f"{label}: {_fmt(a)} vs {_fmt(b)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"

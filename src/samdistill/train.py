@@ -30,6 +30,7 @@ from . import blobio, nn, stage1, stage2
 from . import tensor as T
 from .errors import (
     BadSplitError,
+    DimensionMismatchError,
     DivergedRunError,
     InconsistencyError,
     InvalidInputError,
@@ -475,10 +476,17 @@ def run_stage1(
     Each step's loss is the mean over its batch's scenes of each scene's
     loss, from one packed graph. Resuming with another train or stage
     config, arch or dataset raises InconsistencyError, and leaves the run
-    directory as it was. An empty train split raises BadSplitError.
+    directory as it was. An empty train split raises BadSplitError, and a
+    scene whose feature width is not ``arch.proj_dim`` DimensionMismatchError.
     """
     if not train_bundles:
         raise BadSplitError("the stage-1 train split has no scenes")
+    for split, bundles in (("train", train_bundles), ("held-out", eval_bundles)):
+        widths = sorted({b.feature_dim for b in bundles} - {arch.proj_dim})
+        if widths:
+            raise DimensionMismatchError(
+                f"{split} scenes have {widths}-dim features, arch.proj_dim is {arch.proj_dim}"
+            )
     out_dir = Path(out_dir)
     tokens = [tokenize(b, cfg.tokenizer_mode) for b in train_bundles]
     pooled = [stage1.pool_features_by_region(b.feat2d, b.mask) for b in train_bundles]

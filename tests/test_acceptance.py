@@ -8,7 +8,7 @@ fixtures; every run is seeded and bit-reproducible.
 import numpy as np
 import pytest
 
-from samdistill import nn, probe, scene, stage1, stage2, tokenizer, train
+from samdistill import nn, report, scene, stage1, stage2, tokenizer, train
 from samdistill import tensor as T
 
 # Dataset families used by the relative-improvement criteria.
@@ -286,23 +286,30 @@ def test_c6_stage2_convergence_and_freeze(c6_run):
 # Criterion 7: balanced re-weighting helps the tail group
 
 
+def _ablation(out, cfg: report.PipelineConfig, cells: list) -> dict[str, dict]:
+    """The report rows of ``cells`` run by ``report.run_matrix``, by cell name."""
+    report.run_matrix(cfg, out, cells=cells)
+    rows = {row["cell"]: row for row in report.report_ablation(out)}
+    assert (out / "report.csv").is_file()
+    return rows
+
+
 def test_c7_reweighting_tail_effect(tmp_path_factory):
     out = tmp_path_factory.mktemp("c7")
     margins = []
     for seed in (0, 1, 2):
-        train_b = scene.generate_dataset(SPEC_IMBALANCED, 10, seed)
-        eval_b = scene.generate_dataset(SPEC_IMBALANCED, 5, seed + 1_000_003)
-        cfg = train.TrainConfig(epochs=120, seed=seed, batch_size=2)
-        on = train.run_stage1(
-            train_b, eval_b, nn.Arch(), cfg,
-            train.Stage1Config(k_groups=6), out / f"{seed}_on",
+        cfg = report.PipelineConfig(
+            seed=seed,
+            n_train_scenes=10,
+            n_eval_scenes=5,
+            scene=SPEC_IMBALANCED,
+            train=train.TrainConfig(epochs=120, batch_size=2, seed=seed),
+            stage1=train.Stage1Config(k_groups=6),
         )
-        off = train.run_stage1(
-            train_b, eval_b, nn.Arch(), cfg,
-            train.Stage1Config(k_groups=6, reweight=False), out / f"{seed}_off",
-        )
+        rows = _ablation(out / str(seed), cfg, [("sam", True, False), ("sam", False, False)])
         margins.append(
-            on.metrics["heldout_tail_cosine"] - off.metrics["heldout_tail_cosine"]
+            rows["tok-sam_rw-on_s2-off"]["tail_cosine"]
+            - rows["tok-sam_rw-off_s2-off"]["tail_cosine"]
         )
     mean_margin = float(np.mean(margins))
     assert mean_margin > 0.0
@@ -315,36 +322,32 @@ def test_c7_reweighting_tail_effect(tmp_path_factory):
 # ---------------------------------------------------------------------------
 # Criterion 8: component ablation ordering
 
+C8_CELLS = {
+    "scratch": "scratch",
+    "stage1_knn": "tok-knn_rw-on_s2-off",
+    "stage1_sam": "tok-sam_rw-on_s2-off",
+    "stage2": "tok-sam_rw-on_s2-on",
+}
+
 
 def test_c8_component_ablation_ordering(tmp_path_factory):
     out = tmp_path_factory.mktemp("c8")
-    arch = nn.Arch()
-    accs = {"scratch": [], "stage1_knn": [], "stage1_sam": [], "stage2": []}
+    accs = {key: [] for key in C8_CELLS}
     for seed in (0, 1, 2):
-        train_b = scene.generate_dataset(SPEC_BALANCED, 8, seed)
-        eval_b = scene.generate_dataset(SPEC_BALANCED, 5, seed + 1_000_003)
-        cfg = train.TrainConfig(epochs=150, seed=seed, batch_size=2)
-        sam = train.run_stage1(
-            train_b, eval_b, arch, cfg, train.Stage1Config(k_groups=6), out / f"{seed}_sam"
+        cfg = report.PipelineConfig(
+            seed=seed,
+            n_train_scenes=8,
+            n_eval_scenes=5,
+            scene=SPEC_BALANCED,
+            train=train.TrainConfig(epochs=150, batch_size=2, seed=seed),
+            stage1=train.Stage1Config(k_groups=6),
+            stage2_epochs=150,
+            probe_epochs=300,
         )
-        knn = train.run_stage1(
-            train_b, eval_b, arch, cfg,
-            train.Stage1Config(k_groups=6, tokenizer_mode=tokenizer.MODE_KNN),
-            out / f"{seed}_knn",
-        )
-        s2 = train.run_stage2(
-            train_b, eval_b, sam.checkpoint_dir, cfg, train.Stage2Config(), out / f"{seed}_s2"
-        )
-
-        def acc(encoder, tag):
-            return probe.linear_probe(
-                encoder, train_b, eval_b, epochs=300, seed=seed, encoder_tag=tag
-            ).accuracy
-
-        accs["scratch"].append(acc(nn.init_params(arch, seed), probe.ENCODER_SCRATCH))
-        accs["stage1_knn"].append(acc(knn.checkpoint_dir, probe.ENCODER_STAGE1))
-        accs["stage1_sam"].append(acc(sam.checkpoint_dir, probe.ENCODER_STAGE1))
-        accs["stage2"].append(acc(s2.checkpoint_dir, probe.ENCODER_STAGE2))
+        cells = [("sam", True, True), ("sam", True, False), ("knn", True, False)]
+        rows = _ablation(out / str(seed), cfg, cells)
+        for key, cell in C8_CELLS.items():
+            accs[key].append(rows[cell]["probe_accuracy"])
 
     means = {k: float(np.mean(v)) for k, v in accs.items()}
     assert means["scratch"] <= means["stage1_knn"]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from samdistill import cli, nn, report
+from samdistill import blobio, cli, nn, report
 from samdistill.scene import read_scene_dir
 
 QUICK_CONFIG = {
@@ -262,6 +262,73 @@ def test_report_matrix_and_recompute(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "Ablation report" in stdout
 
+    # Each stage-1 run is stored once, by its pair; a cell holds its stage 2 and its probe.
+    runs = out / "runs"
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "scratch", "stage1_tok-sam_rw-on", "tok-sam_rw-on_s2-off", "tok-sam_rw-on_s2-on",
+    ]
+    assert sorted(p.name for p in (runs / "tok-sam_rw-on_s2-on").iterdir()) == [
+        "probe.json", "stage2",
+    ]
+
+    # A tree from before the pair-named stage-1 runs kept a copy in each cell: it reads as missing.
+    (runs / "stage1_tok-sam_rw-on").rename(runs / "tok-sam_rw-on_s2-off" / "stage1")
+    old = {r["cell"]: r for r in report.report_ablation(out)}
+    assert old["tok-sam_rw-on_s2-off"]["status"] == "missing"
+    assert old["tok-sam_rw-on_s2-off"]["token_purity"] == ""
+
+
+def test_a_cell_that_did_not_run_shows_its_pairs_stage1_run(tmp_path):
+    for tokenizer, purity in (("sam", 1.0), ("knn", 0.75)):
+        run = tmp_path / "runs" / report.stage1_name(tokenizer, True)
+        run.mkdir(parents=True)
+        blobio.dump_manifest(run / "metrics.json", {"train_token_purity": purity})
+    rows = {r["cell"]: r for r in report.report_ablation(tmp_path)}
+    for cell in ("tok-knn_rw-on_s2-on", "tok-knn_rw-on_s2-off"):
+        assert rows[cell]["token_purity"] == 0.75 and rows[cell]["status"] == "missing"
+    assert "purity sam vs knn: 1.0000 vs 0.7500" in (tmp_path / "report.txt").read_text()
+
+
+def test_report_without_runs_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert cli.main(["--out-dir", str(tmp_path), "report"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(tmp_path / "runs") in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def _cut_open(path, *args, **kwargs):
+    """``open``, whose file raises after writing the first half of a ``write``."""
+    fh = open(path, *args, **kwargs)
+    write = fh.write
+
+    def half(text):
+        write(text[: len(text) // 2])
+        raise OSError("injected: disk full")
+
+    fh.write = half
+    return fh
+
+
+def _refuse_replace(*args):
+    raise OSError("injected: replace failed")
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_a_failed_report_write_keeps_the_last_report(tmp_path, monkeypatch, fault):
+    scratch = tmp_path / "runs" / "scratch"
+    scratch.mkdir(parents=True)
+    blobio.dump_manifest(scratch / "probe.json", {"accuracy": 0.5})
+    report.report_ablation(tmp_path)
+    blobio.dump_manifest(scratch / "probe.json", {"accuracy": 0.75})
+    before = _tree(tmp_path)
+    if fault == "write":
+        monkeypatch.setattr(blobio, "open", _cut_open, raising=False)
+    else:
+        monkeypatch.setattr(blobio.os, "replace", _refuse_replace)
+    with pytest.raises(OSError, match="injected"):
+        report.report_ablation(tmp_path)
+    assert _tree(tmp_path) == before
+
 
 def _with(overrides: dict) -> dict:
     """QUICK_CONFIG with ``overrides`` merged in, section by section."""
@@ -343,6 +410,7 @@ COMMANDS = ("scene", "stage1", "stage2", "probe", "report")
         {"arch": {"n_heads": 5}},
         {"arch": {"pointnet_hidden": 0}},
         {"arch": {"proj_dim": 0}},
+        {"arch": {"proj_dim": 4}},  # QUICK_CONFIG's scenes have 5-dim features
         {"arch": {"n_enc_layers": -1}},
         {"arch": {"n_dec_layers": -1}},
         {"arch": {"max_points_per_token": 0}},

@@ -89,6 +89,70 @@ def test_only_blobio_touches_raw_blobs():
     assert _blob_io_uses(PACKAGE_DIR / "blobio.py")
 
 
+def _file_writes(path: Path) -> list[str]:
+    """Calls that open a file to write it or call ``write_text``/``write_bytes``, in source order.
+
+    Each is named with the class it is in. An ``open`` mode that is not a
+    string literal counts as a write.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    calls = sorted(
+        (node for node in ast.walk(tree) if isinstance(node, ast.Call)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    found = []
+    for call in calls:
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "open":  # ``open(path, mode)`` or ``path.open(mode)``
+            position = 0 if isinstance(func, ast.Attribute) else 1
+            modes = [*call.args[position : position + 1]]
+            modes += [k.value for k in call.keywords if k.arg == "mode"]
+            writes = any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
+            )
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            owners = [c.name for c in classes if c.lineno <= call.lineno <= c.end_lineno]
+            found.append(f"{ast.unparse(func)} in {owners[-1] if owners else 'the module'}")
+    return found
+
+
+def test_only_blobio_writes_files():
+    """Every file is put in place by blobio's one ``os.replace``, but the streamed metrics CSV."""
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "blobio.py")
+    writes = {p.name: found for p in modules if (found := _file_writes(p))}
+    assert writes == {"train.py": ["open in _MetricsWriter"]}
+    assert _file_writes(PACKAGE_DIR / "blobio.py")
+
+
+def test_file_write_checker_catches_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "open(p, 'wb')\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        p.open(mode='a')\n"
+        "        p.open('r+')\n"
+        "open(p, mode)\n"
+        "p.read_text()\n"
+        "p.write_text(s)\n"
+        "q.write_bytes(b)\n"
+    )
+    assert _file_writes(module) == [
+        "open in the module",
+        "p.open in C",
+        "p.open in C",
+        "open in the module",
+        "p.write_text in the module",
+        "q.write_bytes in the module",
+    ]
+
+
 def _offsets_names(path: Path) -> list[str]:
     """Function parameters and class fields named ``offsets`` or ``*_offsets``.
 

@@ -13,6 +13,7 @@ from samdistill import blobio, nn, scene, stage1, stage2, tokenizer, train
 from samdistill import tensor as T
 from samdistill.errors import (
     BadSplitError,
+    DimensionMismatchError,
     DivergedRunError,
     InconsistencyError,
     InvalidInputError,
@@ -416,6 +417,24 @@ def test_an_empty_train_split_is_refused_before_any_work(tiny_dataset, tiny_arch
             [], eb, tmp_path / "no_teacher", _quick_cfg(), train.Stage2Config(), tmp_path / "s2"
         )
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("split", ["train", "held-out"])
+def test_scenes_of_another_feature_width_are_refused_before_any_work(
+    tiny_dataset, tiny_arch, tmp_path, split
+):
+    """One scene whose width is not ``proj_dim``, in either split, stops the run before it writes."""
+    tb, eb = tiny_dataset
+    spec = scene.SceneSpec(
+        n_objects=3, seed=0, feature_dim=tiny_arch.proj_dim + 1, points_per_object_range=(20, 30)
+    )
+    wide = scene.generate_dataset(spec, 1, 3)
+    splits = (tb + wide, eb) if split == "train" else (tb, eb + wide)
+    with pytest.raises(DimensionMismatchError, match=split):
+        train.run_stage1(
+            *splits, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), tmp_path / "s1"
+        )
+    assert not (tmp_path / "s1").exists()
 
 
 class TestRunStage1:

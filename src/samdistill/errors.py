@@ -34,7 +34,7 @@ class DimensionMismatchError(SamDistillError):
 
 
 class InvalidCountError(SamDistillError):
-    """A sampling count exceeds what the input provides (e.g. more picks than points)."""
+    """A sampling count is negative or more than the input holds (e.g. more picks than points)."""
 
 
 class EmptyTokenizationError(SamDistillError):

@@ -186,6 +186,8 @@ class SceneSpec:
             raise InvalidSpecError("noise_sigma must be >= 0")
         if self.seed < 0:
             raise InvalidSpecError("seed must be a non-negative integer")
+        if self.min_points_per_object < 1:
+            raise InvalidSpecError("min_points_per_object must be >= 1")
         camera = default_camera()
         cell = min(camera.width, camera.height) / math.ceil(math.sqrt(self.n_objects))
         if cell - 2 * _CELL_MARGIN < 4:
@@ -228,10 +230,8 @@ class SceneBundle:
             )
         if (self.mask.shape[1], self.mask.shape[0]) != (self.camera.width, self.camera.height):
             raise DimensionMismatchError("mask dims do not match the camera raster")
-        ids = np.unique(self.mask)
-        ids = ids[ids >= 0]
-        if ids.size and (ids.min() < 0 or ids.max() >= self.region_count):
-            raise InconsistencyError("mask contains region ids outside [0, region_count)")
+        if self.mask.min() < -1 or self.mask.max() >= self.region_count:
+            raise InconsistencyError("mask holds a value outside -1 and [0, region_count)")
         if len(self.region_types) != self.region_count:
             raise DimensionMismatchError("region_types length != region_count")
         if not np.all(np.isfinite(self.feat2d)):
@@ -292,49 +292,38 @@ def _pattern_unit_points(rng: np.random.Generator, count: int, pattern: int) -> 
     return pts
 
 
-def _footprint_fits(
-    camera: Camera,
-    center: np.ndarray,
-    half_extents: np.ndarray,
-    bounds: tuple[float, float, float, float],
-) -> bool:
-    """True when every corner of the box projects inside pixel ``bounds``."""
-    u0, u1, v0, v1 = bounds
-    xs = (center[0] - half_extents[0], center[0] + half_extents[0])
-    ys = (center[1] - half_extents[1], center[1] + half_extents[1])
-    zs = (center[2] - half_extents[2], center[2] + half_extents[2])
-    if zs[0] <= 0.5:
-        return False
-    for x in xs:
-        for z in zs:
-            u = camera.fx * x / z + camera.cx
-            if not (u0 <= u <= u1):
-                return False
-    for y in ys:
-        for z in zs:
-            v = camera.fy * y / z + camera.cy
-            if not (v0 <= v <= v1):
-                return False
-    return True
-
-
 def _fit_scale(
     camera: Camera,
     center: np.ndarray,
     half_extents: np.ndarray,
     bounds: tuple[float, float, float, float],
 ) -> float:
-    """Largest scale in (0, 1] keeping the box footprint inside ``bounds``; 0 if none fits."""
-    if _footprint_fits(camera, center, half_extents, bounds):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _footprint_fits(camera, center, half_extents * mid, bounds):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest scale in [0, 1] keeping the box inside pixel ``bounds`` and past the 0.5 m plane.
+
+    ``center`` lies in camera coordinates and projects inside ``bounds``.
+    While a corner (X + s·a·hx, Z + t·a·hz) has positive depth, it
+    projects to u <= u1 exactly when a·(fx·s·hx − (u1 − cx)·t·hz) <=
+    (u1 − cx)·Z − fx·X; u >= u0 is the same with both sides negated, and
+    v likewise. The near-plane cap (Z − 0.5)/hz keeps every depth positive,
+    so the scale is the least of 1, that cap and each rhs/coef with coef > 0.
+    """
+    z, hz = center[2], half_extents[2]
+    # One row per cell edge u0, u1, v0, v1; -1 for a lower edge, +1 for an upper one.
+    side = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+    f = np.repeat([camera.fx, camera.fy], 2)[:, None]
+    k = np.subtract(bounds, np.repeat([camera.cx, camera.cy], 2))[:, None]
+    lateral = np.repeat(center[:2], 2)[:, None]
+    h = np.repeat(half_extents[:2], 2)[:, None]
+    # One column per corner: its lateral sign s and its depth sign t.
+    s = np.array([1.0, 1.0, -1.0, -1.0])
+    t = np.array([1.0, -1.0, 1.0, -1.0])
+    coef = side * (f * s * h - k * t * hz)
+    rhs = side * (k * z - f * lateral)
+    caps = np.divide(rhs, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
+    alpha = float(min(1.0, (z - 0.5) / hz, caps.min()))
+    while z - hz * alpha <= 0.5:  # the near plane itself is out, so stay strictly past it
+        alpha = float(np.nextafter(alpha, 0.0))
+    return alpha
 
 
 def _sample_counts(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
@@ -357,7 +346,8 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
 
     Objects occupy disjoint pixel-grid cells, so masks partition the
     raster and the oracle invariant holds exactly: a point with region r
-    always lands on a pixel whose mask value is r. Draw order is fixed
+    always lands on a pixel whose mask value is r. Each box shrinks to fit
+    its cell by the closed-form scale of ``_fit_scale``. Draw order is fixed
     (types, counts, then per-object geometry and colors, then feature
     noise) so identical specs are bit-identical.
     """

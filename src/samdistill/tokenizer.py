@@ -224,6 +224,11 @@ def tokenize(
     For the baseline, ``knn_tokens`` 0 means one token per mask region
     and ``knn_k`` 0 means ceil(n_points / n_tokens) neighbors.
     """
+    if min(min_points, knn_tokens, knn_k) < 0:
+        raise InvalidCountError(
+            f"counts must be >= 0, got min_points={min_points}, "
+            f"knn_tokens={knn_tokens}, knn_k={knn_k}"
+        )
     if mode == MODE_SAM:
         return sam_tokenize(bundle, min_points=min_points)
     if mode == MODE_KNN:

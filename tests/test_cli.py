@@ -370,6 +370,7 @@ def _command(ws: Path, out: Path, name: str) -> list[str]:
             "--test-scenes", str(ws / "eval"), "--out", str(out / "probe.json"),
         ],
         "report": ["report", "--run"],
+        "tokenize": ["tokenize", "--scenes", str(ws / "train"), "--audit", str(out / "audit.csv")],
     }[name]
 
 
@@ -428,6 +429,8 @@ COMMANDS = ("scene", "stage1", "stage2", "probe", "report")
         {"stage1": {"tokenizer_mode": "voxel"}},
         {"stage2": {"mask_ratio": 1.5}},
         {"stage2": {"mask_ratio": -0.1}},
+        {"scene": {"min_points_per_object": -5}},
+        {"scene": {"min_points_per_object": 0}},
     ],
 )
 def test_a_config_file_out_of_range_is_refused_before_any_write(
@@ -456,6 +459,9 @@ def test_a_config_file_out_of_range_is_refused_before_any_write(
         ("stage2", ["--mask-ratio", "1.5"]),
         ("stage2", ["--epochs", "-1"]),
         ("probe", ["--epochs", "0"]),
+        ("tokenize", ["--min-points", "-3"]),
+        ("tokenize", ["--mode", "knn", "--n", "-2"]),
+        ("tokenize", ["--mode", "knn", "--k", "-9"]),
     ],
 )
 def test_a_flag_out_of_range_is_refused_before_any_write(

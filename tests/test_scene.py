@@ -1,8 +1,10 @@
 """Scene generation and projection: oracles, invariants, determinism."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samdistill import scene
@@ -84,6 +86,73 @@ def _region_prototypes(bundle):
     return np.stack(
         [scene.type_prototype(int(t), bundle.feature_dim) for t in bundle.region_types]
     )
+
+
+def _bisected_scale(camera, center, half_extents, bounds):
+    """The largest scale that 60 halvings of a corner-by-corner footprint check accept."""
+
+    def fits(he):
+        u0, u1, v0, v1 = bounds
+        xs = (center[0] - he[0], center[0] + he[0])
+        ys = (center[1] - he[1], center[1] + he[1])
+        zs = (center[2] - he[2], center[2] + he[2])
+        if zs[0] <= 0.5:
+            return False
+        for z in zs:
+            if not all(u0 <= camera.fx * x / z + camera.cx <= u1 for x in xs):
+                return False
+            if not all(v0 <= camera.fy * y / z + camera.cy <= v1 for y in ys):
+                return False
+        return True
+
+    if fits(half_extents):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if fits(half_extents * mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestFitScale:
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 144),
+        st.integers(0, 143),
+        st.floats(0.6, 8.0, exclude_min=True, exclude_max=True),
+        st.lists(st.floats(0.05, 0.6, exclude_min=True, exclude_max=True), min_size=3, max_size=3),
+    )
+    def test_closed_form_fits_the_cell_and_matches_bisection(self, n_objects, cell, depth, half):
+        camera = scene.default_camera()
+        grid = math.ceil(math.sqrt(n_objects))
+        row, col = divmod(cell % (grid * grid), grid)
+        cell_w, cell_h = camera.width / grid, camera.height / grid
+        margin = scene._CELL_MARGIN
+        bounds = (
+            col * cell_w + margin,
+            (col + 1) * cell_w - margin,
+            row * cell_h + margin,
+            (row + 1) * cell_h - margin,
+        )
+        uc, vc = 0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3])
+        center = np.array([(uc - camera.cx) / camera.fx, (vc - camera.cy) / camera.fy, 1.0]) * depth
+        half_extents = np.array(half)
+
+        alpha = scene._fit_scale(camera, center, half_extents, bounds)
+        assert 0.0 <= alpha <= 1.0
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+        corners = center + signs * (half_extents * alpha)
+        assert np.all(corners[:, 2] > 0.5)
+        u = camera.fx * corners[:, 0] / corners[:, 2] + camera.cx
+        v = camera.fy * corners[:, 1] / corners[:, 2] + camera.cy
+        tol = 1e-9
+        assert np.all((u >= bounds[0] - tol) & (u <= bounds[1] + tol)), u
+        assert np.all((v >= bounds[2] - tol) & (v <= bounds[3] + tol)), v
+        oracle = _bisected_scale(camera, center, half_extents, bounds)
+        assert abs(alpha - oracle) <= 1e-12 * oracle
 
 
 class TestGenerateScene:
@@ -183,6 +252,7 @@ class TestGenerateScene:
             {"depth_range": (0.5, 3.0)},
             {"noise_sigma": -0.1},
             {"seed": -1},
+            {"min_points_per_object": 0},
         ):
             with pytest.raises(InvalidSpecError):
                 scene.SceneSpec(**{"n_objects": 1, "seed": 0, **bad})

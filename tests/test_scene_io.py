@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from conftest import blob_spans, edit_header, read_artifact, write_artifact
 
-from samdistill import blobio, scene, stage1
+from samdistill import blobio, cli, scene, stage1
 from samdistill.errors import (
     DimensionMismatchError,
+    InconsistencyError,
     MagicMismatchError,
     MalformedManifestError,
     TruncatedBlobError,
@@ -97,6 +98,22 @@ def test_bundle_with_a_prototypes_blob_is_refused(tmp_path, small_bundle):
     write_artifact(stored, header, payload + prototypes.astype("<f8").tobytes())
     with pytest.raises(MalformedManifestError, match="unknown blob 'prototypes'"):
         scene.read_scene_dir(tmp_path / "scenes")
+
+
+def test_mask_values_below_minus_one_are_refused(tmp_path, small_bundle, capsys):
+    (stored,) = scene.write_scene_dir([small_bundle], tmp_path / "scenes")
+    start, stop = blob_spans(stored)["mask"]
+    raw = bytearray(stored.read_bytes())
+    mask = np.frombuffer(raw[start:stop], dtype="<i4").copy()
+    mask[mask == small_bundle.mask.max()] = -7
+    raw[start:stop] = mask.tobytes()
+    stored.write_bytes(bytes(raw))
+    with pytest.raises(InconsistencyError, match="mask"):
+        scene.read_bundle(stored)
+    argv = ["--out-dir", str(tmp_path / "out"), "tokenize", "--scenes", str(tmp_path / "scenes")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_other_format_rejected(tmp_path):

@@ -49,8 +49,8 @@ def token_type_labels(bundle: SceneBundle, tokens: TokenSet) -> np.ndarray:
 
 def extract_features(
     bundles: list[SceneBundle], params: nn.ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen encoder features and type labels for every token across scenes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frozen encoder features, type labels and each scene's token count, over every token.
 
     The scenes run in one packed forward. Attention stays within each
     scene, and each scene of two or more tokens gets the bits of one
@@ -63,7 +63,8 @@ def extract_features(
     )
     with T.no_grad():
         feats = nn.forward_tokens(batch, params).data
-    return feats, np.concatenate([token_type_labels(b, t) for b, t in zip(bundles, tokens)])
+    labels = np.concatenate([token_type_labels(b, t) for b, t in zip(bundles, tokens)])
+    return feats, labels, batch.scenes.counts
 
 
 def fit_linear_probe(
@@ -162,9 +163,10 @@ def linear_probe(
 ) -> ProbeResult:
     """Probe a frozen encoder (a ModelParams or a checkpoint path).
 
-    The features come from forwards without gradients, so a ModelParams
-    passed in keeps its trainability and gradient buffer. An empty split
-    raises BadSplitError before any scene is tokenized.
+    The features of both splits come from one packed forward without
+    gradients, so a ModelParams passed in keeps its trainability and
+    gradient buffer. An empty split raises BadSplitError before any scene
+    is tokenized.
     """
     for split, bundles in (("train", train_bundles), ("test", test_bundles)):
         if not bundles:
@@ -172,8 +174,9 @@ def linear_probe(
     if not isinstance(encoder, nn.ModelParams):
         encoder = nn.load_checkpoint(encoder).params
 
-    train_x, train_y = extract_features(train_bundles, encoder)
-    test_x, test_y = extract_features(test_bundles, encoder)
+    x, y, counts = extract_features(train_bundles + test_bundles, encoder)
+    n_train = int(counts[: len(train_bundles)].sum())
+    train_x, test_x, train_y, test_y = x[:n_train], x[n_train:], y[:n_train], y[n_train:]
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     accuracy, per_class = fit_linear_probe(
         train_x, train_y, test_x, test_y, n_classes, epochs, seed

@@ -11,6 +11,7 @@ scenes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +34,8 @@ _DATASET_STREAM = 0xDA7A
 
 # Pixel margin kept between an object's footprint and its cell border.
 _CELL_MARGIN = 3.0
+# A box whose fitted scale is at most this cannot fit its cell.
+_MIN_SCALE = 1e-6
 _DEPTH_EPS = 1e-6
 
 PROJ_OK = 0
@@ -92,6 +95,17 @@ class Camera:
 
 
 def default_camera(width: int = 128, height: int = 128) -> Camera:
+    """The generator's camera for a ``width`` x ``height`` raster, one shared Camera per size.
+
+    Focal length max(width, height) px, principal point at the raster
+    centre, identity pose. Its rotation and translation are read-only, so
+    every scene of that size can hold the same object.
+    """
+    return _default_camera(int(width), int(height))
+
+
+@functools.cache
+def _default_camera(width: int, height: int) -> Camera:
     f = float(max(width, height))
     return Camera(fx=f, fy=f, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
@@ -180,10 +194,12 @@ class SceneSpec:
         if self.n_types < 1 or self.depth_levels < 0:
             raise InvalidSpecError("need n_types >= 1 and depth_levels >= 0")
         zlo, zhi = self.depth_range
-        if not (0.5 < zlo <= zhi):
+        if not (0.5 < zlo <= zhi < math.inf):
             raise InvalidSpecError(f"bad depth_range {self.depth_range}")
-        if self.noise_sigma < 0:
-            raise InvalidSpecError("noise_sigma must be >= 0")
+        if not math.isfinite(self.imbalance_exponent):
+            raise InvalidSpecError("imbalance_exponent must be finite")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise InvalidSpecError("noise_sigma must be finite and >= 0")
         if self.seed < 0:
             raise InvalidSpecError("seed must be a non-negative integer")
         if self.min_points_per_object < 1:
@@ -261,16 +277,24 @@ class SceneBundle:
         )
 
 
+@functools.cache
 def type_prototype(type_id: int, dim: int) -> np.ndarray:
-    """Deterministic unit feature vector for a global object type."""
+    """Deterministic unit feature vector for a global object type.
+
+    Computed once per (type_id, dim) and cached; the array is read-only,
+    so every caller shares it.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([_PROTO_STREAM, type_id, dim]))
     v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
-def type_extents(type_id: int) -> np.ndarray:
+def type_extents(type_ids: np.ndarray) -> np.ndarray:
+    """Box half extents before jitter, one row per type id."""
     boxes = len(BOX_ARCHETYPES)
-    return BOX_ARCHETYPES[(type_id + type_id // boxes) % boxes].copy()
+    return BOX_ARCHETYPES[(type_ids + type_ids // boxes) % boxes]
 
 
 def type_pattern(type_id: int) -> int:
@@ -293,36 +317,40 @@ def _pattern_unit_points(rng: np.random.Generator, count: int, pattern: int) -> 
 
 
 def _fit_scale(
-    camera: Camera,
-    center: np.ndarray,
-    half_extents: np.ndarray,
-    bounds: tuple[float, float, float, float],
-) -> float:
-    """Largest scale in [0, 1] keeping the box inside pixel ``bounds`` and past the 0.5 m plane.
+    camera: Camera, centers: np.ndarray, half_extents: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """Per row, the largest scale in [0, 1] keeping the box inside its pixel bounds and past 0.5 m.
 
-    ``center`` lies in camera coordinates and projects inside ``bounds``.
-    While a corner (X + s·a·hx, Z + t·a·hz) has positive depth, it
-    projects to u <= u1 exactly when a·(fx·s·hx − (u1 − cx)·t·hz) <=
-    (u1 − cx)·Z − fx·X; u >= u0 is the same with both sides negated, and
-    v likewise. The near-plane cap (Z − 0.5)/hz keeps every depth positive,
-    so the scale is the least of 1, that cap and each rhs/coef with coef > 0.
+    Row i is a box with center ``centers[i]`` in camera coordinates, which
+    projects inside its ``bounds[i]`` = (u0, u1, v0, v1), and half extents
+    ``half_extents[i]``. While a corner (X + s·a·hx, Z + t·a·hz) has
+    positive depth, it projects to u <= u1 exactly when
+    a·(fx·s·hx − (u1 − cx)·t·hz) <= (u1 − cx)·Z − fx·X; u >= u0 is the same
+    with both sides negated, and v likewise. The near-plane cap
+    (Z − 0.5)/hz keeps every depth positive, so the scale is the least of
+    1, that cap and each rhs/coef with coef > 0. Each row's scale has the
+    bits a one-row call gives it.
     """
-    z, hz = center[2], half_extents[2]
-    # One row per cell edge u0, u1, v0, v1; -1 for a lower edge, +1 for an upper one.
+    z, hz = centers[:, 2], half_extents[:, 2]
+    # Axis 1 holds one row per cell edge u0, u1, v0, v1; -1 for a lower edge, +1 for an upper one.
     side = np.array([[-1.0], [1.0], [-1.0], [1.0]])
     f = np.repeat([camera.fx, camera.fy], 2)[:, None]
-    k = np.subtract(bounds, np.repeat([camera.cx, camera.cy], 2))[:, None]
-    lateral = np.repeat(center[:2], 2)[:, None]
-    h = np.repeat(half_extents[:2], 2)[:, None]
-    # One column per corner: its lateral sign s and its depth sign t.
+    k = np.subtract(bounds, np.repeat([camera.cx, camera.cy], 2))[:, :, None]
+    lateral = np.repeat(centers[:, :2], 2, axis=1)[:, :, None]
+    h = np.repeat(half_extents[:, :2], 2, axis=1)[:, :, None]
+    # Axis 2 holds one column per corner: its lateral sign s and its depth sign t.
     s = np.array([1.0, 1.0, -1.0, -1.0])
     t = np.array([1.0, -1.0, 1.0, -1.0])
-    coef = side * (f * s * h - k * t * hz)
-    rhs = side * (k * z - f * lateral)
+    coef = side * (f * s * h - k * t * hz[:, None, None])
+    rhs = side * (k * z[:, None, None] - f * lateral)
     caps = np.divide(rhs, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
-    alpha = float(min(1.0, (z - 0.5) / hz, caps.min()))
-    while z - hz * alpha <= 0.5:  # the near plane itself is out, so stay strictly past it
-        alpha = float(np.nextafter(alpha, 0.0))
+    alpha = np.minimum(np.minimum(1.0, (z - 0.5) / hz), caps.min(axis=(1, 2)))
+    # The near plane itself is out, so stay strictly past it. A scale of at
+    # most _MIN_SCALE is refused whatever its last bits, so it is not stepped.
+    near = np.flatnonzero((z - hz * alpha <= 0.5) & (alpha > _MIN_SCALE))
+    while near.size:
+        alpha[near] = np.nextafter(alpha[near], 0.0)
+        near = near[z[near] - hz[near] * alpha[near] <= 0.5]
     return alpha
 
 
@@ -346,59 +374,58 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
 
     Objects occupy disjoint pixel-grid cells, so masks partition the
     raster and the oracle invariant holds exactly: a point with region r
-    always lands on a pixel whose mask value is r. Each box shrinks to fit
-    its cell by the closed-form scale of ``_fit_scale``. Draw order is fixed
-    (types, counts, then per-object geometry and colors, then feature
-    noise) so identical specs are bit-identical.
+    always lands on a pixel whose mask value is r. Draw order is fixed
+    (types, counts, cells, then per object its depth, box jitter, fill
+    points and colors, then feature noise) so identical specs are
+    bit-identical. Once every object is drawn, all boxes shrink to fit
+    their cells in one closed-form pass (``_fit_scale``), which draws
+    nothing. The camera (``default_camera``) and the type prototypes
+    (``type_prototype``) are shared, cached values.
     """
     camera = default_camera()
     rng = np.random.default_rng(np.random.SeedSequence([_SCENE_STREAM, spec.seed]))
+    n = spec.n_objects
 
-    grid = math.ceil(math.sqrt(spec.n_objects))
+    grid = math.ceil(math.sqrt(n))
     cell_w = camera.width / grid
     cell_h = camera.height / grid
 
     types = _sample_types(rng, spec)
     counts = _sample_counts(rng, spec)
-    cells = rng.permutation(grid * grid)[: spec.n_objects]
+    cells = rng.permutation(grid * grid)[:n]
 
-    all_points: list[np.ndarray] = []
+    depth = np.empty(n)
+    jitter = np.empty(n)
+    units: list[np.ndarray] = []
     all_colors: list[np.ndarray] = []
-    gt_region = np.concatenate(
-        [np.full(int(c), r, dtype=np.int32) for r, c in enumerate(counts)]
-    )
-
     zlo, zhi = spec.depth_range
-    for i in range(spec.n_objects):
-        row, col = divmod(int(cells[i]), grid)
-        u0 = col * cell_w + _CELL_MARGIN
-        u1 = (col + 1) * cell_w - _CELL_MARGIN
-        v0 = row * cell_h + _CELL_MARGIN
-        v1 = (row + 1) * cell_h - _CELL_MARGIN
-        uc, vc = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
-
+    for i in range(n):
         if spec.depth_levels > 0:
             level = int(rng.integers(spec.depth_levels))
-            z0 = zlo + (level + 0.5) * (zhi - zlo) / spec.depth_levels
+            depth[i] = zlo + (level + 0.5) * (zhi - zlo) / spec.depth_levels
         else:
-            z0 = rng.uniform(zlo, zhi)
-        he = type_extents(int(types[i])) * rng.uniform(0.92, 1.08)
-        ray = np.array([(uc - camera.cx) / camera.fx, (vc - camera.cy) / camera.fy, 1.0])
-        center = ray * z0
-
-        alpha = _fit_scale(camera, center, he, (u0, u1, v0, v1))
-        if alpha <= 1e-6:
-            raise InvalidSpecError(f"object {i} cannot fit its frustum cell")
-        he = he * alpha
-
-        unit = _pattern_unit_points(rng, int(counts[i]), type_pattern(int(types[i])))
-        pts = center + unit * he
+            depth[i] = rng.uniform(zlo, zhi)
+        jitter[i] = rng.uniform(0.92, 1.08)
+        units.append(_pattern_unit_points(rng, int(counts[i]), type_pattern(int(types[i]))))
         base = rng.uniform(0.1, 0.9, 3)
-        cols = np.clip(base + rng.normal(0.0, 0.03, (int(counts[i]), 3)), 0.0, 1.0)
-        all_points.append(pts)
-        all_colors.append(cols)
+        all_colors.append(np.clip(base + rng.normal(0.0, 0.03, (int(counts[i]), 3)), 0.0, 1.0))
 
-    points = np.concatenate(all_points).astype(np.float32)
+    row, col = np.divmod(cells, grid)
+    u0, u1 = col * cell_w + _CELL_MARGIN, (col + 1) * cell_w - _CELL_MARGIN
+    v0, v1 = row * cell_h + _CELL_MARGIN, (row + 1) * cell_h - _CELL_MARGIN
+    uc, vc = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
+    ray = np.stack([(uc - camera.cx) / camera.fx, (vc - camera.cy) / camera.fy, np.ones(n)], axis=1)
+    centers = ray * depth[:, None]
+    half = type_extents(types) * jitter[:, None]
+
+    alpha = _fit_scale(camera, centers, half, np.stack([u0, u1, v0, v1], axis=1))
+    unfit = np.flatnonzero(alpha <= _MIN_SCALE)
+    if unfit.size:
+        raise InvalidSpecError(f"object {unfit[0]} cannot fit its frustum cell")
+    half = half * alpha[:, None]
+
+    gt_region = np.repeat(np.arange(n, dtype=np.int32), counts)
+    points = (centers[gt_region] + np.concatenate(units) * half[gt_region]).astype(np.float32)
     colors = np.concatenate(all_colors).astype(np.float32)
 
     # Rasterize the oracle mask from the stored float32 coordinates so that
@@ -426,7 +453,7 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
         gt_region=gt_region,
         mask=mask,
         feat2d=feat2d,
-        region_count=spec.n_objects,
+        region_count=n,
         region_types=types,
     )
     bundle.validate()

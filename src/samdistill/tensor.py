@@ -411,6 +411,12 @@ class Segments:
         return _read_only(np.arange(self.bounds[-1]) - self.bounds[self.ids])
 
     @cached_property
+    def one_length(self) -> int:
+        """n when every segment has the same n >= 1 rows, else 0."""
+        n = int(self.counts[0]) if len(self) else 0
+        return n if n and (self.counts == n).all() else 0
+
+    @cached_property
     def by_length(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(ids, rows)`` per distinct non-zero segment length n, ascending: the
         segments of length n, in order, and their (S_n, n) row indices."""
@@ -421,14 +427,17 @@ class Segments:
         return tuple(groups)
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The rows of ``x`` as an (S_n, n, ...) block per length; one reshape if all are n."""
-        if len(self.by_length) == 1 and not self.any_empty:
-            return [x.reshape(self.by_length[0][1].shape + x.shape[1:])]
+        """The rows of ``x`` as an (S_n, n, ...) block per length; one reshape if all are n.
+
+        The one-length case builds no :attr:`by_length` indexes.
+        """
+        if self.one_length:
+            return [x.reshape((len(self), self.one_length) + x.shape[1:])]
         return [x[rows] for _, rows in self.by_length]
 
     def from_blocks(self, blocks: list[np.ndarray], width: int) -> np.ndarray:
         """The (rows, ``width``) array whose :meth:`blocks` are ``blocks``, each row flattened."""
-        if len(self.by_length) == 1 and not self.any_empty:
+        if self.one_length:
             return blocks[0].reshape(-1, width)
         out = np.empty((self.bounds[-1], width))
         for (_, rows), block in zip(self.by_length, blocks):
@@ -456,7 +465,8 @@ class Segments:
     def per_segment(self, x: np.ndarray, reduce: Callable, shape: tuple = ()) -> np.ndarray:
         """``reduce`` of each of :meth:`blocks` of ``x``: an (S,) + ``shape`` array, 0 if empty."""
         out = np.zeros((len(self),) + shape)
-        for (ids, _), block in zip(self.by_length, self.blocks(x)):
+        at = [slice(None)] if self.one_length else [ids for ids, _ in self.by_length]
+        for ids, block in zip(at, self.blocks(x)):
             out[ids] = reduce(block)
         return out
 

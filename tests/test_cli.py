@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,11 @@ COMMANDS = ("scene", "stage1", "stage2", "probe", "report")
         {"stage2": {"mask_ratio": -0.1}},
         {"scene": {"min_points_per_object": -5}},
         {"scene": {"min_points_per_object": 0}},
+        {"scene": {"noise_sigma": math.nan}},
+        {"scene": {"noise_sigma": math.inf}},
+        {"scene": {"imbalance_exponent": math.nan}},
+        {"scene": {"imbalance_exponent": -math.inf}},
+        {"scene": {"depth_range": [2.5, math.inf]}},
     ],
 )
 def test_a_config_file_out_of_range_is_refused_before_any_write(
@@ -462,6 +468,10 @@ def test_a_config_file_out_of_range_is_refused_before_any_write(
         ("tokenize", ["--min-points", "-3"]),
         ("tokenize", ["--mode", "knn", "--n", "-2"]),
         ("tokenize", ["--mode", "knn", "--k", "-9"]),
+        ("scene", ["--noise-sigma", "nan"]),
+        ("scene", ["--noise-sigma", "inf"]),
+        ("scene", ["--imbalance", "nan"]),
+        ("scene", ["--imbalance", "inf"]),
     ],
 )
 def test_a_flag_out_of_range_is_refused_before_any_write(

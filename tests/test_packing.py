@@ -82,10 +82,11 @@ def test_student_forward_with_unequal_visible_counts(mixed_batches):
 def test_probe_features(bundles, mixed_bundles):
     params = nn.init_params(nn.Arch(), seed=2)
     for group in (bundles, mixed_bundles):
-        feats, labels = probe.extract_features(group, params)
+        feats, labels, counts = probe.extract_features(group, params)
         single = [probe.extract_features([b], params) for b in group]
-        assert feats.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
-        assert labels.tobytes() == np.concatenate([y for _, y in single]).tobytes()
+        assert feats.tobytes() == np.concatenate([f for f, _, _ in single]).tobytes()
+        assert labels.tobytes() == np.concatenate([y for _, y, _ in single]).tobytes()
+        assert counts.tolist() == [len(y) for _, y, _ in single]
 
 
 @pytest.fixture(scope="module")

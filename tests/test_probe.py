@@ -228,11 +228,12 @@ def test_features_of_more_than_16_scenes_come_from_one_packed_forward(
         return forward_tokens(batch, *args)
 
     monkeypatch.setattr(nn, "forward_tokens", counting)
-    feats, labels = probe.extract_features(many_scenes, params)
+    feats, labels, counts = probe.extract_features(many_scenes, params)
     assert calls == [24]
     # Scenes of 2, 3 and 4 tokens, each with the bits of its own forward.
-    assert feats.tobytes() == np.concatenate([f for f, _ in single]).tobytes()
-    assert labels.tobytes() == np.concatenate([y for _, y in single]).tobytes()
+    assert feats.tobytes() == np.concatenate([f for f, _, _ in single]).tobytes()
+    assert labels.tobytes() == np.concatenate([y for _, y, _ in single]).tobytes()
+    assert counts.tolist() == [len(y) for _, y, _ in single]
 
 
 def test_token_labels_are_region_types(probe_data):
@@ -270,6 +271,29 @@ def test_linear_probe_end_to_end_deterministic(probe_data, tiny_arch):
     assert a.encoder_tag == probe.ENCODER_SCRATCH
     assert a.n_tokens == sum(len(tokenizer.sam_tokenize(x)) for x in test_b)
     assert 0.0 <= a.accuracy <= 1.0
+
+
+def test_both_splits_come_from_one_packed_forward(probe_data, tiny_arch, monkeypatch):
+    train_b, test_b = probe_data
+    encoder = nn.init_params(tiny_arch, seed=5)
+    train_x, train_y, _ = probe.extract_features(train_b, encoder)
+    test_x, test_y, _ = probe.extract_features(test_b, encoder)
+    accuracy, per_class = probe.fit_linear_probe(
+        train_x, train_y, test_x, test_y, int(max(train_y.max(), test_y.max())) + 1, 50, 1
+    )
+    calls = []
+    forward_tokens = nn.forward_tokens
+
+    def counting(batch, *args):
+        calls.append(len(batch.scenes))
+        return forward_tokens(batch, *args)
+
+    monkeypatch.setattr(nn, "forward_tokens", counting)
+    result = probe.linear_probe(encoder, train_b, test_b, epochs=50, seed=1)
+    assert calls == [len(train_b) + len(test_b)]
+    # The split is at the train token count, and the fit sees the bits of one forward per split.
+    assert (result.accuracy, result.n_tokens) == (accuracy, len(test_y))
+    np.testing.assert_array_equal(result.per_class, per_class)
 
 
 def test_probe_leaves_a_trainable_encoder_as_it_was(probe_data, tiny_arch):

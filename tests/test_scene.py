@@ -1,6 +1,8 @@
 """Scene generation and projection: oracles, invariants, determinism."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,31 +119,59 @@ def _bisected_scale(camera, center, half_extents, bounds):
     return lo
 
 
+def _scalar_fit_scale(camera, center, half_extents, bounds):
+    """One box's closed-form scale, computed on its own: the oracle of the batched fit."""
+    z, hz = center[2], half_extents[2]
+    side = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+    f = np.repeat([camera.fx, camera.fy], 2)[:, None]
+    k = np.subtract(bounds, np.repeat([camera.cx, camera.cy], 2))[:, None]
+    lateral = np.repeat(center[:2], 2)[:, None]
+    h = np.repeat(half_extents[:2], 2)[:, None]
+    s = np.array([1.0, 1.0, -1.0, -1.0])
+    t = np.array([1.0, -1.0, 1.0, -1.0])
+    coef = side * (f * s * h - k * t * hz)
+    rhs = side * (k * z - f * lateral)
+    caps = np.divide(rhs, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
+    alpha = float(min(1.0, (z - 0.5) / hz, caps.min()))
+    while z - hz * alpha <= 0.5:
+        alpha = float(np.nextafter(alpha, 0.0))
+    return alpha
+
+
+def _cell_box(camera, n_objects, cell, depth):
+    """The pixel bounds of grid cell ``cell`` and the center at ``depth`` on its central ray."""
+    grid = math.ceil(math.sqrt(n_objects))
+    row, col = divmod(cell % (grid * grid), grid)
+    cell_w, cell_h = camera.width / grid, camera.height / grid
+    margin = scene._CELL_MARGIN
+    bounds = (
+        col * cell_w + margin,
+        (col + 1) * cell_w - margin,
+        row * cell_h + margin,
+        (row + 1) * cell_h - margin,
+    )
+    uc, vc = 0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3])
+    center = np.array([(uc - camera.cx) / camera.fx, (vc - camera.cy) / camera.fy, 1.0]) * depth
+    return bounds, center
+
+
+_HALF = st.lists(st.floats(0.05, 0.6, exclude_min=True, exclude_max=True), min_size=3, max_size=3)
+
+
 class TestFitScale:
     @settings(max_examples=300)
     @given(
         st.integers(1, 144),
         st.integers(0, 143),
         st.floats(0.6, 8.0, exclude_min=True, exclude_max=True),
-        st.lists(st.floats(0.05, 0.6, exclude_min=True, exclude_max=True), min_size=3, max_size=3),
+        _HALF,
     )
     def test_closed_form_fits_the_cell_and_matches_bisection(self, n_objects, cell, depth, half):
         camera = scene.default_camera()
-        grid = math.ceil(math.sqrt(n_objects))
-        row, col = divmod(cell % (grid * grid), grid)
-        cell_w, cell_h = camera.width / grid, camera.height / grid
-        margin = scene._CELL_MARGIN
-        bounds = (
-            col * cell_w + margin,
-            (col + 1) * cell_w - margin,
-            row * cell_h + margin,
-            (row + 1) * cell_h - margin,
-        )
-        uc, vc = 0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3])
-        center = np.array([(uc - camera.cx) / camera.fx, (vc - camera.cy) / camera.fy, 1.0]) * depth
+        bounds, center = _cell_box(camera, n_objects, cell, depth)
         half_extents = np.array(half)
 
-        alpha = scene._fit_scale(camera, center, half_extents, bounds)
+        (alpha,) = scene._fit_scale(camera, center[None], half_extents[None], np.array([bounds]))
         assert 0.0 <= alpha <= 1.0
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
         corners = center + signs * (half_extents * alpha)
@@ -153,6 +183,33 @@ class TestFitScale:
         assert np.all((v >= bounds[2] - tol) & (v <= bounds[3] + tol)), v
         oracle = _bisected_scale(camera, center, half_extents, bounds)
         assert abs(alpha - oracle) <= 1e-12 * oracle
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 144),
+        st.lists(
+            st.tuples(
+                st.integers(0, 143),
+                # Depths just past the near plane, where its cap binds and is stepped, and beyond.
+                st.one_of(st.floats(0.5005, 0.56), st.floats(0.56, 8.0)),
+                _HALF,
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    def test_batched_scales_equal_each_box_fitted_alone(self, n_objects, boxes):
+        camera = scene.default_camera()
+        rows = [_cell_box(camera, n_objects, cell, depth) for cell, depth, _ in boxes]
+        bounds = np.array([b for b, _ in rows])
+        centers = np.array([c for _, c in rows])
+        halves = np.array([half for _, _, half in boxes])
+        alphas = scene._fit_scale(camera, centers, halves, bounds)
+        expected = [_scalar_fit_scale(camera, *row) for row in zip(centers, halves, bounds)]
+        assert alphas.tobytes() == np.array(expected).tobytes()
+        for i in range(len(boxes)):
+            one = scene._fit_scale(camera, centers[i : i + 1], halves[i : i + 1], bounds[i : i + 1])
+            assert one.tobytes() == alphas[i : i + 1].tobytes()
 
 
 class TestGenerateScene:
@@ -251,6 +308,14 @@ class TestGenerateScene:
             {"depth_levels": -2},
             {"depth_range": (0.5, 3.0)},
             {"noise_sigma": -0.1},
+            {"noise_sigma": math.nan},
+            {"noise_sigma": math.inf},
+            {"imbalance_exponent": math.nan},
+            {"imbalance_exponent": math.inf},
+            {"imbalance_exponent": -math.inf},
+            {"depth_range": (2.5, math.inf)},
+            {"depth_range": (math.inf, math.inf)},
+            {"depth_range": (math.nan, 3.0)},
             {"seed": -1},
             {"min_points_per_object": 0},
         ):
@@ -270,6 +335,23 @@ class TestGenerateScene:
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-9)
         assert not np.allclose(a, scene.type_prototype(4, 32))
+        # Cached once per (type, dim) and shared, so no caller may write to it.
+        assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+    def test_default_camera_is_one_shared_frozen_value_per_size(self):
+        camera = scene.default_camera()
+        assert camera is scene.default_camera(128, 128) is scene.default_camera(width=128)
+        assert scene.generate_scene(scene.SceneSpec(n_objects=2, seed=3)).camera is camera
+        other = scene.default_camera(64, 32)
+        assert other is scene.default_camera(64, 32) and other is not camera
+        assert (other.fx, other.cx, other.cy) == (64.0, 32.0, 16.0)
+        for pose in (camera.rotation, camera.translation):
+            with pytest.raises(ValueError):
+                pose[0] = 5.0
+        with pytest.raises(AttributeError):
+            camera.fx = 1.0
 
     def test_depth_levels_quantize(self):
         spec = scene.SceneSpec(n_objects=4, seed=9, depth_levels=2, depth_range=(2.0, 6.0))
@@ -281,3 +363,47 @@ class TestGenerateScene:
         nearest = np.minimum(np.abs(depths - 3.0), np.abs(depths - 5.0))
         assert np.all(nearest < 0.3)
 
+
+# The scenes the three benchmark workloads build at --seed 0: data seeds 0-15
+# with 16 train and 6 held-out scenes (s1-b1; s2-b8 uses the first 8 train
+# scenes) and 16-47 with 8 and 5 (probe-c8), held-out at seed + 1_000_003.
+_BENCHMARK_DATASETS = [(j, 16, 6) for j in range(16)] + [(j, 8, 5) for j in range(16, 48)]
+SPEC_BALANCED = scene.SceneSpec(
+    n_objects=12,
+    seed=0,
+    imbalance_exponent=0.7,
+    n_types=4,
+    points_per_object_range=(110, 160),
+    depth_levels=2,
+)
+
+
+def _bundle_digest(datasets) -> str:
+    """sha256 over each bundle's arrays (dtype, shape and bytes) and its region count."""
+    h = hashlib.sha256()
+    for spec, n_scenes, dataset_seed in datasets:
+        for b in scene.generate_dataset(spec, n_scenes, dataset_seed):
+            for a in (b.points, b.colors, b.gt_region, b.mask, b.feat2d, b.region_types):
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+            h.update(str(b.region_count).encode())
+    return h.hexdigest()
+
+
+class TestGoldenBundles:
+    """Generated bundles stay byte-equal to those the benchmark and its history were measured on."""
+
+    def test_benchmark_datasets(self):
+        datasets = [
+            (SPEC_BALANCED, n, seed)
+            for j, n_train, n_heldout in _BENCHMARK_DATASETS
+            for n, seed in ((n_train, j), (n_heldout, j + 1_000_003))
+        ]
+        expected = "ae1221e15677117f8893dfc383560ef6684d84ecf3e2b66f829206360fd4a69c"
+        assert _bundle_digest(datasets) == expected
+
+    def test_depths_just_past_the_near_plane(self):
+        # Depth levels 0.53 and 0.58 m: the near-plane cap binds, and is stepped, on 14 of 96 boxes.
+        spec = replace(SPEC_BALANCED, depth_range=(0.505, 0.605))
+        expected = "c685506cc0f9b6f08ee36c5c43eb8664bc1a59b4f9eba8d1961d2ba3e544c565"
+        assert _bundle_digest([(spec, 8, 0)]) == expected

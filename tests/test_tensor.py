@@ -484,6 +484,12 @@ class TestSegments:
         assert blocks.shape == (3, 2, 2) and np.shares_memory(blocks, x)
         np.testing.assert_array_equal(blocks[1], x[2:4])
         assert segments.from_blocks([blocks], 2).tobytes() == x.tobytes()
+        sums = segments.per_segment(x, lambda block: block.sum(axis=1), (2,))
+        np.testing.assert_array_equal(sums, [[2.0, 4.0], [10.0, 12.0], [18.0, 20.0]])
+        # The one length is read off the counts; no length-group indexes are built.
+        assert segments.one_length == 2 and "by_length" not in vars(segments)
+        for counts in ([], [0, 0], [2, 0, 2], [2, 3]):
+            assert T.Segments.of_counts(counts).one_length == 0
 
     def test_layout_is_read_only_and_owns_its_arrays(self):
         counts = np.array([2, 3])

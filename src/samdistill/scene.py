@@ -3,8 +3,8 @@
 A scene bundle stands in for one RGB-D frame plus the outputs of a 2D
 segmenter and a 2D feature extractor. Objects are axis-aligned boxes
 placed so that their pixel footprints never overlap, which makes the
-mask raster an exact oracle: every point's rounded pixel carries its own
-region id. Region feature prototypes come from a global object-type
+mask raster an exact oracle: every point's pixel (``pixels``) carries its
+own region id. Region feature prototypes come from a global object-type
 catalog so that the mapping from shape to feature is learnable across
 scenes.
 """
@@ -37,10 +37,6 @@ _CELL_MARGIN = 3.0
 # A box whose fitted scale is at most this cannot fit its cell.
 _MIN_SCALE = 1e-6
 _DEPTH_EPS = 1e-6
-
-PROJ_OK = 0
-PROJ_OUTSIDE = 1
-PROJ_BEHIND = 2
 
 # Each object type combines an interior fill pattern (a structural cue that
 # random features barely see, since every pattern includes the box corners)
@@ -90,9 +86,6 @@ class Camera:
         if not math.isclose(float(np.linalg.det(rot)), 1.0, abs_tol=1e-9):
             raise InvalidInputError("camera rotation must have determinant +1")
 
-    def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
-
 
 def default_camera(width: int = 128, height: int = 128) -> Camera:
     """The generator's camera for a ``width`` x ``height`` raster, one shared Camera per size.
@@ -110,24 +103,14 @@ def _default_camera(width: int, height: int) -> Camera:
     return Camera(fx=f, fy=f, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
 
-@dataclass
-class Projection:
-    """Result of projecting N points: continuous pixel coords plus a status per point."""
+def pixels(points: np.ndarray, camera: Camera) -> np.ndarray:
+    """Each point's raster pixel as a flat index ``row * width + col``; -1 where it has none.
 
-    uv: np.ndarray  # N x 2 float64; valid only where status == PROJ_OK
-    status: np.ndarray  # N int32
-
-    @property
-    def inside(self) -> np.ndarray:
-        return self.status == PROJ_OK
-
-
-def project(points: np.ndarray, camera: Camera) -> Projection:
-    """Project world points through ``camera``.
-
-    A point is ``behind`` when its camera-frame depth is <= 1e-6 m, and
-    ``outside`` when its continuous pixel coordinates leave
-    [0, width) x [0, height).
+    The one pixel rule of the mask oracle: ``generate_scene`` writes the
+    mask at these indices and ``tokenizer.point_regions`` reads it there. A
+    point has a pixel when its camera-frame depth is above 1e-6 m, its
+    continuous u and v are >= 0, and they round half up (``floor(x + 0.5)``)
+    onto the raster. So a projection in [-0.5, 0) has none.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -135,30 +118,17 @@ def project(points: np.ndarray, camera: Camera) -> Projection:
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("points contain non-finite coordinates")
 
-    cam_pts = camera.world_to_camera(pts)
+    cam_pts = pts @ camera.rotation.T + camera.translation
     z = cam_pts[:, 2]
-    status = np.full(len(pts), PROJ_OK, dtype=np.int32)
-    uv = np.zeros((len(pts), 2), dtype=np.float64)
-
-    behind = z <= _DEPTH_EPS
-    status[behind] = PROJ_BEHIND
-    safe_z = np.where(behind, 1.0, z)
-    uv[:, 0] = camera.fx * cam_pts[:, 0] / safe_z + camera.cx
-    uv[:, 1] = camera.fy * cam_pts[:, 1] / safe_z + camera.cy
-
-    outside = (
-        (uv[:, 0] < 0)
-        | (uv[:, 0] >= camera.width)
-        | (uv[:, 1] < 0)
-        | (uv[:, 1] >= camera.height)
-    )
-    status[outside & ~behind] = PROJ_OUTSIDE
-    return Projection(uv=uv, status=status)
-
-
-def pixel_round(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer pixel, ties round half-up."""
-    return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
+    ahead = z > _DEPTH_EPS
+    safe_z = np.where(ahead, z, 1.0)
+    u = camera.fx * cam_pts[:, 0] / safe_z + camera.cx
+    v = camera.fy * cam_pts[:, 1] / safe_z + camera.cy
+    col, row = np.floor(u + 0.5), np.floor(v + 0.5)
+    has = ahead & (u >= 0) & (v >= 0) & (col < camera.width) & (row < camera.height)
+    pix = np.full(len(pts), -1, dtype=np.int64)
+    pix[has] = (row[has] * camera.width + col[has]).astype(np.int64)
+    return pix
 
 
 @dataclass(frozen=True)
@@ -345,12 +315,18 @@ def _fit_scale(
     rhs = side * (k * z[:, None, None] - f * lateral)
     caps = np.divide(rhs, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
     alpha = np.minimum(np.minimum(1.0, (z - 0.5) / hz), caps.min(axis=(1, 2)))
-    # The near plane itself is out, so stay strictly past it. A scale of at
-    # most _MIN_SCALE is refused whatever its last bits, so it is not stepped.
+    # The near plane itself is out, so take the largest float in (0, alpha]
+    # strictly past it. z − hz·a never increases with a, and positive floats
+    # order as their bit patterns do, so bisecting those (at most 63 rounds)
+    # finds it. A scale of at most _MIN_SCALE is refused anyway, so is skipped.
     near = np.flatnonzero((z - hz * alpha <= 0.5) & (alpha > _MIN_SCALE))
-    while near.size:
-        alpha[near] = np.nextafter(alpha[near], 0.0)
-        near = near[z[near] - hz[near] * alpha[near] <= 0.5]
+    zn, hzn = z[near], hz[near]
+    lo, hi = np.zeros(near.size, dtype=np.int64), alpha[near].view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        past = zn - hzn * mid.view(np.float64) > 0.5
+        lo, hi = np.where(past, mid, lo), np.where(past, hi, mid)
+    alpha[near] = lo.view(np.float64)
     return alpha
 
 
@@ -380,7 +356,8 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     bit-identical. Once every object is drawn, all boxes shrink to fit
     their cells in one closed-form pass (``_fit_scale``), which draws
     nothing. The camera (``default_camera``) and the type prototypes
-    (``type_prototype``) are shared, cached values.
+    (``type_prototype``) are shared, cached values. What ``validate()``
+    checks holds by construction, so only bundle reads and writes call it.
     """
     camera = default_camera()
     rng = np.random.default_rng(np.random.SeedSequence([_SCENE_STREAM, spec.seed]))
@@ -429,15 +406,14 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     colors = np.concatenate(all_colors).astype(np.float32)
 
     # Rasterize the oracle mask from the stored float32 coordinates so that
-    # readers recomputing projections see exactly the same pixels.
-    proj = project(points.astype(np.float64), camera)
-    if not np.all(proj.inside):
-        raise InconsistencyError("generated points must project inside the raster")
-    pu = pixel_round(proj.uv[:, 0])
-    pv = pixel_round(proj.uv[:, 1])
+    # readers recomputing pixels see exactly the same ones.
+    pix = pixels(points, camera)
+    if np.any(pix < 0):
+        raise InconsistencyError("every generated point must have a pixel")
     mask = np.full((camera.height, camera.width), -1, dtype=np.int32)
-    mask[pv, pu] = gt_region
-    if not np.array_equal(mask[pv, pu], gt_region):
+    flat = mask.reshape(-1)
+    flat[pix] = gt_region
+    if not np.array_equal(flat[pix], gt_region):
         raise InconsistencyError("object footprints overlap in pixel space")
 
     prototypes = np.stack([type_prototype(int(t), spec.feature_dim) for t in types])
@@ -446,7 +422,7 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     noise = rng.normal(0.0, spec.noise_sigma, (len(ys), spec.feature_dim))
     feat2d[ys, xs] = (prototypes[mask[ys, xs]] + noise).astype(np.float32)
 
-    bundle = SceneBundle(
+    return SceneBundle(
         points=points,
         colors=colors,
         camera=camera,
@@ -456,8 +432,6 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
         region_count=n,
         region_types=types,
     )
-    bundle.validate()
-    return bundle
 
 
 def scene_seed(dataset_seed: int, index: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyTokenizationError, InvalidCountError, InvalidInputError
-from .scene import SceneBundle, pixel_round, project
+from .scene import SceneBundle, pixels
 from .tensor import Segments
 
 # Tokenizer modes, as stored in TokenSet.mode, configs and run metrics.
@@ -163,33 +163,21 @@ def knn_tokenize(
 
 
 def point_regions(bundle: SceneBundle) -> np.ndarray:
-    """Mask region id under each point's rounded projection; -1 where unmapped.
+    """Mask region id on each point's pixel (``scene.pixels``); -1 where unmapped.
 
-    A point maps to -1 when it is behind the camera, projects outside
-    the raster (including rounding past the last pixel), or lands on an
-    unmasked pixel.
+    A point maps to -1 when it has no pixel (behind the camera or off the
+    raster) or lands on an unmasked pixel.
     """
-    pts = np.asarray(bundle.points, dtype=np.float64)
-    proj = project(pts, bundle.camera)
-    region_of_point = np.full(len(pts), -1, dtype=np.int64)
-
-    inside = proj.inside
-    pu = pixel_round(proj.uv[inside, 0])
-    pv = pixel_round(proj.uv[inside, 1])
-    h, w = bundle.mask.shape
-    on_raster = (pu >= 0) & (pu < w) & (pv >= 0) & (pv < h)
-    idx_inside = np.nonzero(inside)[0]
-    valid = idx_inside[on_raster]
-    region_of_point[valid] = bundle.mask[pv[on_raster], pu[on_raster]]
-    return region_of_point
+    pix = pixels(bundle.points, bundle.camera)
+    return np.where(pix >= 0, bundle.mask.reshape(-1)[pix], np.int64(-1))
 
 
 def sam_tokenize(bundle: SceneBundle, min_points: int = 8) -> TokenSet:
     """Mask-guided tokenizer: one token per mask region with enough points.
 
-    A point joins the token of the region its rounded projection lands
-    on. Points that fall behind the camera, outside the raster, on
-    unmasked pixels, or in regions below ``min_points`` are dropped.
+    A point joins the token of the region its pixel lies in. Points with
+    no pixel, on unmasked pixels, or in regions below ``min_points`` are
+    dropped.
 
     One stable sort groups the labelled points by region: tokens follow
     region id, each token's members ascend, and ``dropped_points``

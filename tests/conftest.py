@@ -50,6 +50,30 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def pinhole_pixels(points, camera: scene.Camera) -> np.ndarray:
+    """Each point's flat pixel index, or -1, by the pinhole formula written out point by point.
+
+    The oracle of ``scene.pixels`` for a camera at the identity pose, as
+    every generated scene's is: a point at depth z > 1e-6 m lands at
+    u = fx * x / z + cx and v = fy * y / z + cy, and has the pixel
+    (floor(v + 0.5), floor(u + 0.5)) when u and v are >= 0 and that pixel
+    lies on the raster.
+    """
+    assert np.array_equal(camera.rotation, np.eye(3))
+    assert np.array_equal(camera.translation, np.zeros(3))
+    out = []
+    for x, y, z in np.asarray(points, dtype=np.float64).tolist():
+        if z <= 1e-6:
+            out.append(-1)
+            continue
+        u = camera.fx * x / z + camera.cx
+        v = camera.fy * y / z + camera.cy
+        col, row = math.floor(u + 0.5), math.floor(v + 0.5)
+        on_raster = u >= 0 and v >= 0 and col < camera.width and row < camera.height
+        out.append(row * camera.width + col if on_raster else -1)
+    return np.array(out, dtype=np.int64)
+
+
 # Artifact files, taken apart and put together again by hand so a test can
 # damage one part: 8 magic bytes, a uint32 version, a uint64 header length,
 # the JSON header, then the arrays, each padded to 8 bytes.

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pinhole_pixels
 from samdistill import scene
 from samdistill.errors import InvalidInputError, InvalidSpecError
 
@@ -17,43 +19,65 @@ def _identity_camera(f=100.0, c=50.0, size=100):
     return scene.Camera(fx=f, fy=f, cx=c, cy=c, width=size, height=size)
 
 
+def _unit_camera(width=10, height=10):
+    """fx = fy = 1 and the principal point at 0: a point at depth 1 projects to (x, y) exactly."""
+    return scene.Camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+
+
+def _at_depth_one(us, v=0.0):
+    return np.array([[u, v, 1.0] for u in us])
+
+
 class TestProject:
+    """``scene.pixels``: each point's flat pixel index ``row * width + col``, or -1."""
+
     def test_principal_axis_point(self):
-        proj = scene.project(np.array([[0.0, 0.0, 2.0]]), _identity_camera())
-        assert proj.status[0] == scene.PROJ_OK
-        np.testing.assert_allclose(proj.uv[0], [50.0, 50.0])
+        pix = scene.pixels(np.array([[0.0, 0.0, 2.0]]), _identity_camera())
+        assert pix.dtype == np.int64
+        np.testing.assert_array_equal(pix, [50 * 100 + 50])
 
     def test_hand_evaluated_pinhole(self):
-        # u = fx * x / z + cx = 100 * 1 / 2 + 50 = 100, just inside the raster
+        # u = fx * x / z + cx = 100 * 1 / 2 + 50 = 100, the last column of a 101-wide raster;
+        # v = 100 * -0.4 / 2 + 50 = 30.
         cam = scene.Camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=101, height=101)
-        proj = scene.project(np.array([[1.0, 0.0, 2.0]]), cam)
-        np.testing.assert_allclose(proj.uv[0], [100.0, 50.0])
+        pix = scene.pixels(np.array([[1.0, -0.4, 2.0]]), cam)
+        np.testing.assert_array_equal(pix, [30 * 101 + 100])
+        np.testing.assert_array_equal(pix, pinhole_pixels([[1.0, -0.4, 2.0]], cam))
 
     def test_negative_depth_is_behind(self):
-        proj = scene.project(np.array([[0.0, 0.0, -1.0]]), _identity_camera())
-        assert proj.status[0] == scene.PROJ_BEHIND
+        points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(scene.pixels(points, _identity_camera()), [-1, -1])
 
     def test_outside_raster(self):
-        proj = scene.project(np.array([[5.0, 0.0, 2.0]]), _identity_camera())
-        assert proj.status[0] == scene.PROJ_OUTSIDE
+        points = np.array([[5.0, 0.0, 2.0], [0.0, -5.0, 2.0], [-5.0, 0.0, 2.0], [0.0, 5.0, 2.0]])
+        np.testing.assert_array_equal(scene.pixels(points, _identity_camera()), [-1] * 4)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            scene.project(np.array([[np.nan, 0.0, 1.0]]), _identity_camera())
+            scene.pixels(np.array([[np.nan, 0.0, 1.0]]), _identity_camera())
+        with pytest.raises(InvalidInputError):
+            scene.pixels(np.array([[0.0, np.inf, 1.0]]), _identity_camera())
+        with pytest.raises(InvalidInputError):
+            scene.pixels(np.zeros((2, 2)), _identity_camera())
 
     @given(
         st.floats(0.1, 50.0),
-        st.floats(-0.45, 0.45),
-        st.floats(-0.45, 0.45),
+        st.integers(1, 99),
+        st.integers(1, 99),
+        st.floats(-0.4, 0.4),
+        st.floats(-0.4, 0.4),
         st.floats(0.5, 10.0),
     )
-    def test_scale_consistency(self, lam, x_ratio, y_ratio, z):
+    def test_scale_consistency(self, lam, col, row, du, dv, z):
+        # A point that projects within 0.4 px of pixel (row, col) keeps that pixel
+        # when it slides along its ray.
         cam = _identity_camera()
-        base = np.array([[x_ratio * z, y_ratio * z, z]])
-        a = scene.project(base, cam)
-        b = scene.project(lam * base, cam)
-        assert a.status[0] == b.status[0] == scene.PROJ_OK
-        np.testing.assert_allclose(a.uv, b.uv, atol=1e-9)
+        x = (col + du - cam.cx) / cam.fx * z
+        y = (row + dv - cam.cy) / cam.fy * z
+        base = np.array([[x, y, z]])
+        want = [row * cam.width + col]
+        np.testing.assert_array_equal(scene.pixels(base, cam), want)
+        np.testing.assert_array_equal(scene.pixels(lam * base, cam), want)
 
     def test_camera_validation(self):
         # A camera is checked once, when it is built.
@@ -77,10 +101,36 @@ class TestProject:
 
 
 class TestPixelRound:
+    """The edges of the pixel rule, on a camera where a depth-1 point projects to (x, y)."""
+
     def test_ties_round_half_up(self):
-        np.testing.assert_array_equal(
-            scene.pixel_round(np.array([0.5, 1.49, 1.5, -0.5])), [1, 1, 2, 0]
-        )
+        pix = scene.pixels(_at_depth_one([0.5, 1.49, 1.5, 2.5]), _unit_camera())
+        np.testing.assert_array_equal(pix, [1, 1, 2, 3])
+
+    def test_just_below_zero_has_no_pixel(self):
+        # [-0.5, 0) would round to column or row 0, but the rule needs u, v >= 0.
+        cam = _unit_camera()
+        below = [-0.5, -0.25, -1e-12]
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one(below), cam), [-1] * 3)
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one(below, v=1.0), cam), [-1] * 3)
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one([1.0], v=-0.25), cam), [-1])
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one([0.0, 0.49]), cam), [0, 0])
+
+    def test_rounding_to_the_width_has_no_pixel(self):
+        cam = _unit_camera(width=10, height=6)
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one([9.5, 9.99]), cam), [-1, -1])
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one([0.0], v=5.5), cam), [-1])
+
+    def test_just_below_the_last_half_gets_the_last_pixel(self):
+        cam = _unit_camera(width=10, height=6)
+        u, v = np.nextafter(9.5, 0.0), np.nextafter(5.5, 0.0)
+        np.testing.assert_array_equal(scene.pixels(_at_depth_one([u], v=v), cam), [5 * 10 + 9])
+
+    def test_depth_of_exactly_the_epsilon_has_no_pixel(self):
+        cam = _unit_camera()
+        points = np.array([[0.0, 0.0, 1e-6], [0.0, 0.0, np.nextafter(1e-6, 1.0)]])
+        np.testing.assert_array_equal(scene.pixels(points, cam), [-1, 0])
+        np.testing.assert_array_equal(pinhole_pixels(points, cam), [-1, 0])
 
 
 def _region_prototypes(bundle):
@@ -133,8 +183,9 @@ def _scalar_fit_scale(camera, center, half_extents, bounds):
     rhs = side * (k * z - f * lateral)
     caps = np.divide(rhs, coef, out=np.full(coef.shape, np.inf), where=coef > 0)
     alpha = float(min(1.0, (z - 0.5) / hz, caps.min()))
+    z, hz = float(z), float(hz)
     while z - hz * alpha <= 0.5:
-        alpha = float(np.nextafter(alpha, 0.0))
+        alpha = math.nextafter(alpha, 0.0)
     return alpha
 
 
@@ -211,6 +262,21 @@ class TestFitScale:
             one = scene._fit_scale(camera, centers[i : i + 1], halves[i : i + 1], bounds[i : i + 1])
             assert one.tobytes() == alphas[i : i + 1].tobytes()
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_near_plane_scales_equal_the_stepped_ones(self, eps):
+        # The near-plane cap binds on every box, and the scale that clears the
+        # plane is some 3e5 ulps below it at eps = 1e-6.
+        camera = scene.default_camera()
+        rows = [_cell_box(camera, 4, cell, 0.5 + eps) for cell in range(4)]
+        bounds = np.array([b for b, _ in rows])
+        centers = np.array([c for _, c in rows])
+        halves = scene.BOX_ARCHETYPES
+        alphas = scene._fit_scale(camera, centers, halves, bounds)
+        expected = [_scalar_fit_scale(camera, *row) for row in zip(centers, halves, bounds)]
+        assert alphas.tobytes() == np.array(expected).tobytes()
+        assert np.all(alphas > scene._MIN_SCALE)
+        assert np.all(centers[:, 2] - halves[:, 2] * alphas > 0.5)
+
 
 class TestGenerateScene:
     def test_single_object_single_region(self):
@@ -247,13 +313,10 @@ class TestGenerateScene:
         assert ordered[0] / ordered[4] >= 4
 
     def test_mask_oracle_consistency(self, small_bundle):
-        proj = scene.project(small_bundle.points.astype(np.float64), small_bundle.camera)
-        assert np.all(proj.inside)
-        pu = scene.pixel_round(proj.uv[:, 0])
-        pv = scene.pixel_round(proj.uv[:, 1])
-        np.testing.assert_array_equal(
-            small_bundle.mask[pv, pu], small_bundle.gt_region
-        )
+        pix = scene.pixels(small_bundle.points, small_bundle.camera)
+        assert pix.tobytes() == pinhole_pixels(small_bundle.points, small_bundle.camera).tobytes()
+        assert np.all(pix >= 0)
+        np.testing.assert_array_equal(small_bundle.mask.reshape(-1)[pix], small_bundle.gt_region)
 
     def test_feature_raster_matches_prototypes(self):
         bundle = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=5, noise_sigma=0.0))
@@ -294,6 +357,14 @@ class TestGenerateScene:
         a = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=1))
         b = scene.generate_scene(scene.SceneSpec(n_objects=2, seed=2))
         assert not a.equals(b)
+
+    def test_a_box_next_to_the_near_plane_fits_in_bounded_time(self):
+        # Each box's scale lies hundreds of thousands of ulps below its near-plane cap here.
+        spec = scene.SceneSpec(n_objects=3, seed=1, depth_range=(0.500001, 0.500001))
+        start = time.perf_counter()
+        bundle = scene.generate_scene(spec)
+        assert time.perf_counter() - start < 0.5
+        assert bundle.region_count == 3
 
     def test_rejects_unfit_spec(self):
         with pytest.raises(InvalidSpecError):
@@ -379,10 +450,15 @@ SPEC_BALANCED = scene.SceneSpec(
 
 
 def _bundle_digest(datasets) -> str:
-    """sha256 over each bundle's arrays (dtype, shape and bytes) and its region count."""
+    """sha256 over each bundle's arrays (dtype, shape and bytes) and its region count.
+
+    Every bundle must also pass ``validate()``, which ``generate_scene`` does
+    not call: what it checks holds by construction.
+    """
     h = hashlib.sha256()
     for spec, n_scenes, dataset_seed in datasets:
         for b in scene.generate_dataset(spec, n_scenes, dataset_seed):
+            b.validate()
             for a in (b.points, b.colors, b.gt_region, b.mask, b.feat2d, b.region_types):
                 h.update(f"{a.dtype.str}{a.shape}".encode())
                 h.update(a.tobytes())

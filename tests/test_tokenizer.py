@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pinhole_pixels
 from samdistill import scene, tokenizer
 from samdistill.errors import (
     EmptyTokenizationError,
@@ -267,12 +268,15 @@ class TestSamTokenizeOracle:
     def test_rough_scenes_reach_every_case(self):
         # The sweep above checks something only if its scenes drop points
         # off the raster and in small regions, and sometimes drop every region.
+        # Each scene's pixels are also the pinhole oracle's, byte for byte.
         off_raster = small_dropped = empty = 0
         for seed in range(30):
             bundle = _rough_scene(seed)
             regions = tokenizer.point_regions(bundle)
-            status = scene.project(bundle.points, bundle.camera).status
-            off_raster += bool((status == scene.PROJ_OUTSIDE).any())
+            pix = scene.pixels(bundle.points, bundle.camera)
+            assert pix.tobytes() == pinhole_pixels(bundle.points, bundle.camera).tobytes()
+            ahead = bundle.points[:, 2] > 1e-6
+            off_raster += bool((ahead & (pix < 0)).any())
             for min_points in MIN_POINTS:
                 try:
                     ts = tokenizer.sam_tokenize(bundle, min_points)

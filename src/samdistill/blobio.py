@@ -126,7 +126,7 @@ def manifest_fields(path: str | Path):
     """Report a missing or mistyped manifest field read in the block as MalformedManifestError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise MalformedManifestError(f"{path}: bad manifest field: {exc!r}") from exc
 
 

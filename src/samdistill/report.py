@@ -43,8 +43,8 @@ class PipelineConfig:
         """
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
-        if self.n_train_scenes < 1 or self.n_eval_scenes < 0:
-            raise InvalidInputError("need n_train_scenes >= 1 and n_eval_scenes >= 0")
+        if self.n_train_scenes < 1 or self.n_eval_scenes < 1:  # the probe needs a test split
+            raise InvalidInputError("need n_train_scenes >= 1 and n_eval_scenes >= 1")
         if self.probe_epochs < 1:
             raise InvalidInputError("probe_epochs must be >= 1")
         if self.arch.proj_dim != self.scene.feature_dim:  # stage 1 regresses the 2D features

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,8 @@ class Camera:
             raise InvalidInputError("camera rotation must be orthonormal")
         if not math.isclose(float(np.linalg.det(rot)), 1.0, abs_tol=1e-9):
             raise InvalidInputError("camera rotation must have determinant +1")
+        if self.translation.shape != (3,):
+            raise InvalidInputError("camera translation must be a 3-vector")
 
 
 def default_camera(width: int = 128, height: int = 128) -> Camera:
@@ -196,8 +198,7 @@ class SceneBundle:
     gt_region: np.ndarray  # N int32, -1 = background
     mask: np.ndarray  # H x W int32 region ids, -1 = no mask
     feat2d: np.ndarray  # H x W x L float32
-    region_count: int
-    region_types: np.ndarray  # region_count int32, global object-type ids
+    region_types: np.ndarray  # R int32, global object-type ids of regions 0 .. R-1
 
     @property
     def n_points(self) -> int:
@@ -207,19 +208,29 @@ class SceneBundle:
     def feature_dim(self) -> int:
         return int(self.feat2d.shape[2])
 
+    @property
+    def region_count(self) -> int:
+        return len(self.region_types)
+
     def validate(self) -> None:
-        if self.n_points < 1:
+        """The one shape check of a bundle's arrays and camera; reads and writes run it."""
+        if self.points.shape[1:] != (3,):
+            raise DimensionMismatchError(f"points shape {self.points.shape} is not N x 3")
+        n = self.n_points
+        if n < 1:
             raise InconsistencyError("bundle must contain at least one point")
-        if self.mask.shape != self.feat2d.shape[:2]:
-            raise DimensionMismatchError(
-                f"mask dims {self.mask.shape} != feat2d dims {self.feat2d.shape[:2]}"
-            )
-        if (self.mask.shape[1], self.mask.shape[0]) != (self.camera.width, self.camera.height):
+        if self.gt_region.shape != (n,):
+            raise DimensionMismatchError(f"gt_region shape {self.gt_region.shape} != ({n},)")
+        if self.colors is not None and self.colors.shape != (n, 3):
+            raise DimensionMismatchError(f"colors shape {self.colors.shape} != ({n}, 3)")
+        if self.feat2d.ndim != 3 or self.feat2d.shape[:2] != self.mask.shape:
+            raise DimensionMismatchError(f"feat2d {self.feat2d.shape} is not the mask's H x W x L")
+        if self.mask.shape != (self.camera.height, self.camera.width):
             raise DimensionMismatchError("mask dims do not match the camera raster")
+        if self.region_types.ndim != 1:
+            raise DimensionMismatchError(f"region_types shape {self.region_types.shape} is not 1-D")
         if self.mask.min() < -1 or self.mask.max() >= self.region_count:
             raise InconsistencyError("mask holds a value outside -1 and [0, region_count)")
-        if len(self.region_types) != self.region_count:
-            raise DimensionMismatchError("region_types length != region_count")
         if not np.all(np.isfinite(self.feat2d)):
             raise InconsistencyError("feat2d contains non-finite values")
 
@@ -228,21 +239,13 @@ class SceneBundle:
         same_colors = (self.colors is None) == (other.colors is None) and (
             self.colors is None or np.array_equal(self.colors, other.colors)
         )
-        cam_a, cam_b = self.camera, other.camera
-        same_camera = (
-            (cam_a.fx, cam_a.fy, cam_a.cx, cam_a.cy, cam_a.width, cam_a.height)
-            == (cam_b.fx, cam_b.fy, cam_b.cx, cam_b.cy, cam_b.width, cam_b.height)
-            and np.array_equal(cam_a.rotation, cam_b.rotation)
-            and np.array_equal(cam_a.translation, cam_b.translation)
-        )
         return (
-            same_camera
+            _camera_to_json(self.camera) == _camera_to_json(other.camera)
             and same_colors
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.gt_region, other.gt_region)
             and np.array_equal(self.mask, other.mask)
             and np.array_equal(self.feat2d, other.feat2d)
-            and self.region_count == other.region_count
             and np.array_equal(self.region_types, other.region_types)
         )
 
@@ -429,7 +432,6 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
         gt_region=gt_region,
         mask=mask,
         feat2d=feat2d,
-        region_count=n,
         region_types=types,
     )
 
@@ -453,32 +455,12 @@ def generate_dataset(template: SceneSpec, n_scenes: int, dataset_seed: int) -> l
 
 
 def _camera_to_json(camera: Camera) -> dict:
+    """The camera's one record, as a bundle header stores it: ``Camera(**record)`` rebuilds it."""
     return {
-        "fx": camera.fx,
-        "fy": camera.fy,
-        "cx": camera.cx,
-        "cy": camera.cy,
-        "width": camera.width,
-        "height": camera.height,
-        "rotation": np.asarray(camera.rotation, dtype=np.float64).tolist(),
-        "translation": np.asarray(camera.translation, dtype=np.float64).tolist(),
+        **asdict(camera),
+        "rotation": camera.rotation.tolist(),
+        "translation": camera.translation.tolist(),
     }
-
-
-def _camera_from_json(obj: dict) -> Camera:
-    try:
-        return Camera(
-            fx=float(obj["fx"]),
-            fy=float(obj["fy"]),
-            cx=float(obj["cx"]),
-            cy=float(obj["cy"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            rotation=np.array(obj["rotation"], dtype=np.float64),
-            translation=np.array(obj["translation"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifestError(f"bad camera record: {exc}") from exc
 
 
 def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
@@ -493,50 +475,27 @@ def write_bundle(bundle: SceneBundle, path: str | Path) -> None:
     if bundle.colors is not None:
         arrays["colors"] = np.asarray(bundle.colors, np.float32)
     meta = {
-        "n_points": bundle.n_points,
-        "width": bundle.camera.width,
-        "height": bundle.camera.height,
-        "feature_dim": bundle.feature_dim,
-        "region_count": bundle.region_count,
         "region_types": [int(t) for t in bundle.region_types],
         "camera": _camera_to_json(bundle.camera),
     }
     blobio.save_arrays(path, "scene-bundle", meta, arrays)
 
 
-_BUNDLE_KEYS = (
-    "n_points", "width", "height", "feature_dim",
-    "region_count", "region_types", "camera",
-)
-
-
-def _bundle_blob_shapes(manifest: dict) -> dict[str, list[int]]:
-    n = int(manifest["n_points"])
-    width, height = int(manifest["width"]), int(manifest["height"])
-    dim = int(manifest["feature_dim"])
-    shapes = {
-        "points": [n, 3],
-        "gt_region": [n],
-        "mask": [height, width],
-        "feat2d": [height, width, dim],
-    }
-    if "colors" in manifest["blobs"]:
-        shapes["colors"] = [n, 3]
-    return shapes
-
-
 def read_bundle(path: str | Path) -> SceneBundle:
-    """Load a bundle file, validating its header and blob consistency."""
-    manifest, arrays = blobio.load_arrays(path, "scene-bundle", _BUNDLE_KEYS, _bundle_blob_shapes)
+    """Load a bundle file; ``SceneBundle.validate`` checks its blobs' shapes."""
+    blobs = ("points", "gt_region", "mask", "feat2d")
+    manifest, arrays = blobio.load_arrays(
+        path, "scene-bundle", ("region_types", "camera"),
+        lambda header: dict.fromkeys([*blobs, "colors"] if "colors" in header["blobs"] else blobs),
+    )
     with blobio.manifest_fields(path):
         bundle = SceneBundle(
             points=arrays["points"],
             colors=arrays.get("colors"),
-            camera=_camera_from_json(manifest["camera"]),
+            camera=Camera(**manifest["camera"]),
             gt_region=arrays["gt_region"],
             mask=arrays["mask"],
             feat2d=arrays["feat2d"],
-            region_count=int(manifest["region_count"]),
             region_types=np.array(manifest["region_types"], dtype=np.int32),
         )
         bundle.validate()
@@ -544,13 +503,18 @@ def read_bundle(path: str | Path) -> SceneBundle:
 
 
 def write_scene_dir(bundles: list[SceneBundle], path: str | Path) -> list[Path]:
-    """Write a list of bundles as scene_0000, scene_0001, ... under ``path``."""
+    """Write bundles as scene_0000, scene_0001, ... under ``path``, and only those.
+
+    Other ``scene_*`` files there are removed once the new ones are in place,
+    so ``read_scene_dir`` reads back exactly these bundles.
+    """
     path = Path(path)
-    out = []
-    for i, bundle in enumerate(bundles):
-        scene_path = path / f"scene_{i:04d}"
+    out = [path / f"scene_{i:04d}" for i in range(len(bundles))]
+    for bundle, scene_path in zip(bundles, out):
         write_bundle(bundle, scene_path)
-        out.append(scene_path)
+    for stale in set(path.glob("scene_*")) - set(out):
+        if stale.is_file():  # a directory predates the format, and reading it says so
+            stale.unlink()
     return out
 
 

@@ -2,13 +2,15 @@
 
 Region targets are pooled from the 2D feature raster per mask region.
 An offline pass clusters max-pooled region features into K groups with
-k-means; per-group weights shrink for over-represented groups via
-k_i = (n_i - n_min) / n_max, tau_i = 1 - k_i, w_i = tau_i / sum(tau).
+k-means. The weight table keeps the centroids, which give each region its
+group, and each group's training count n_i, from which over-represented
+groups weigh less: k_i = (n_i - n_min) / n_max, tau_i = 1 - k_i, w_i = tau_i / sum(tau).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import blobio
 from . import tensor as T
-from .errors import InconsistencyError, InvalidCountError, InvalidInputError
+from .errors import DimensionMismatchError, InconsistencyError, InvalidCountError, InvalidInputError
 from .nn import ModelParams
 
 
@@ -170,17 +172,31 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> KMeansResult:
 # Weight table
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Per-group distillation weights derived from cluster population counts."""
+    """Per-group distillation weights: the k-means centroids and each group's count.
 
-    group_of_region: np.ndarray  # dataset regions -> group index
+    The centroids give each region its group (:func:`assign_groups`), and
+    the counts give each group its weight (:func:`weights_from_counts`).
+    """
+
+    centroids: np.ndarray  # K x L float64
     counts: np.ndarray  # K int64
-    k: np.ndarray  # K float64
-    tau: np.ndarray  # K float64
-    w: np.ndarray  # K float64, sums to 1
-    n_groups: int
-    seed: int
+
+    def __post_init__(self) -> None:
+        """Computes ``w`` once, which refuses a non-positive count, then checks the shapes."""
+        if np.ndim(self.centroids) != 2 or len(self.centroids) != len(self.w):
+            shape = np.shape(self.centroids)
+            raise DimensionMismatchError(f"{len(self.w)} group counts, centroids {shape}")
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.counts)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """K float64 normalized group weights, summing to 1."""
+        return weights_from_counts(self.counts)[2]
 
 
 def weights_from_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,13 +209,11 @@ def weights_from_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return k, tau, tau / tau.sum()
 
 
-def build_weight_table(
-    region_features: np.ndarray, n_groups: int, seed: int
-) -> tuple[WeightTable, np.ndarray]:
-    """Cluster max-pooled region features and derive group weights.
+def build_weight_table(region_features: np.ndarray, n_groups: int, seed: int) -> WeightTable:
+    """Cluster max-pooled region features into ``n_groups`` groups and count each group.
 
-    Computed once per dataset before stage-1 training; region-to-group
-    lookup during training uses the returned centroids.
+    Computed once per dataset before stage-1 training; each region's group
+    is then its nearest centroid (:func:`assign_groups`).
     """
     feats = np.asarray(region_features, dtype=np.float64)
     if len(feats) < n_groups:
@@ -208,50 +222,30 @@ def build_weight_table(
         )
     result = kmeans(feats, n_groups, seed)
     counts = np.bincount(result.assignment, minlength=n_groups).astype(np.int64)
-    k, tau, w = weights_from_counts(counts)
-    table = WeightTable(
-        group_of_region=result.assignment,
-        counts=counts,
-        k=k,
-        tau=tau,
-        w=w,
-        n_groups=n_groups,
-        seed=seed,
-    )
-    return table, result.centroids
+    return WeightTable(result.centroids, counts)
 
 
-def assign_groups(region_features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest stored centroid per region feature (ties to the lowest group)."""
+def assign_groups(region_features: np.ndarray, table: WeightTable) -> np.ndarray:
+    """Nearest centroid of ``table`` per region feature (ties to the lowest group)."""
     return _assign(
         np.asarray(region_features, dtype=np.float64),
-        np.asarray(centroids, dtype=np.float64),
+        np.asarray(table.centroids, dtype=np.float64),
     ).astype(np.int64)
 
 
-def save_weight_table(path: str | Path, table: WeightTable, centroids: np.ndarray) -> None:
-    meta = {name: np.asarray(value).tolist() for name, value in vars(table).items()}
-    blobio.save_arrays(path, "weight-table", meta, {"centroids": np.asarray(centroids, np.float64)})
+def save_weight_table(path: str | Path, table: WeightTable) -> None:
+    meta = {"counts": np.asarray(table.counts).tolist()}
+    centroids = np.asarray(table.centroids, np.float64)
+    blobio.save_arrays(path, "weight-table", meta, {"centroids": centroids})
 
 
-def load_weight_table(path: str | Path) -> tuple[WeightTable, np.ndarray]:
+def load_weight_table(path: str | Path) -> WeightTable:
+    """Read a weight table; the header keys that older files also hold are not read."""
     manifest, arrays = blobio.load_arrays(
-        path,
-        "weight-table",
-        ("n_groups", "seed", "counts", "k", "tau", "w", "group_of_region"),
-        lambda _: {"centroids": None},
+        path, "weight-table", ("counts",), lambda _: {"centroids": None}
     )
     with blobio.manifest_fields(path):
-        table = WeightTable(
-            group_of_region=np.array(manifest["group_of_region"], dtype=np.int64),
-            counts=np.array(manifest["counts"], dtype=np.int64),
-            k=np.array(manifest["k"], dtype=np.float64),
-            tau=np.array(manifest["tau"], dtype=np.float64),
-            w=np.array(manifest["w"], dtype=np.float64),
-            n_groups=int(manifest["n_groups"]),
-            seed=int(manifest["seed"]),
-        )
-    return table, arrays["centroids"]
+        return WeightTable(arrays["centroids"], np.array(manifest["counts"], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

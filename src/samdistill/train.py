@@ -402,7 +402,7 @@ def _prepare_scene(
     bundle: SceneBundle,
     tokens: TokenSet,
     pooled: stage1.RegionFeatures,
-    centroids: np.ndarray,
+    table: stage1.WeightTable,
     arch: nn.Arch,
 ) -> _PreparedScene:
     means, maxes = pooled.select(token_regions(tokens, bundle))
@@ -410,7 +410,7 @@ def _prepare_scene(
         tokens=tokens,
         batch=nn.TokenBatch.of_scene(bundle, tokens, arch.max_points_per_token),
         targets=means,
-        groups=stage1.assign_groups(maxes, centroids),
+        groups=stage1.assign_groups(maxes, table),
     )
 
 
@@ -490,23 +490,23 @@ def run_stage1(
     out_dir = Path(out_dir)
     tokens = [tokenize(b, cfg.tokenizer_mode) for b in train_bundles]
     pooled = [stage1.pool_features_by_region(b.feat2d, b.mask) for b in train_bundles]
-    table, centroids = stage1.build_weight_table(
+    table = stage1.build_weight_table(
         np.concatenate([p.max for p in pooled]), cfg.k_groups, train_cfg.seed
     )
     prepared = [
-        _prepare_scene(b, t, p, centroids, arch)
+        _prepare_scene(b, t, p, table, arch)
         for b, t, p in zip(train_bundles, tokens, pooled)
     ]
     # Held-out scenes always use mask-guided tokens, whatever the training
     # tokenizer, so every run is scored on the same regions.
     heldout = [
         _prepare_scene(
-            b, sam_tokenize(b), stage1.pool_features_by_region(b.feat2d, b.mask), centroids, arch
+            b, sam_tokenize(b), stage1.pool_features_by_region(b.feat2d, b.mask), table, arch
         )
         for b in eval_bundles
     ]
     if not resume:  # a resume keeps the table that its checkpoint's fingerprint vouches for
-        stage1.save_weight_table(out_dir / "weight_table", table, centroids)
+        stage1.save_weight_table(out_dir / "weight_table", table)
 
     def batch_loss(params: nn.ModelParams, batch: np.ndarray, epoch: int):
         loss = _stage1_batch_loss([prepared[i] for i in batch], params, table, cfg)

@@ -203,12 +203,7 @@ def test_c4_gradient_checks_stage1():
         targets, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
         )
-        counts = np.array([5, 2])
-        k, tau, w = stage1.weights_from_counts(counts)
-        table = stage1.WeightTable(
-            group_of_region=np.zeros(3, np.int64), counts=counts, k=k, tau=tau, w=w,
-            n_groups=2, seed=seed,
-        )
+        table = stage1.WeightTable(np.zeros((2, 1)), np.array([5, 2]))
         rng = np.random.default_rng(seed)
         groups = rng.integers(0, 2, len(tokens))
         inputs = [params.tensors[n] for n in params.trainable_names()]

@@ -35,12 +35,9 @@ BAD_DTYPES = ["zz", "O", "", "<U3", "V8", "f8,i4", "<f4", "<i8", "|u1", 5, None]
 def artifacts(tmp_path_factory, small_bundle):
     root = tmp_path_factory.mktemp("artifacts")
     scene.write_bundle(small_bundle, root / "scene-bundle")
-    k, tau, w = stage1.weights_from_counts(np.array([4, 2]))
-    table = stage1.WeightTable(
-        group_of_region=np.array([0, 1, 0]), counts=np.array([4, 2]), k=k, tau=tau, w=w,
-        n_groups=2, seed=0,
+    stage1.save_weight_table(
+        root / "weight-table", stage1.WeightTable(np.ones((2, 3)), np.array([4, 2]))
     )
-    stage1.save_weight_table(root / "weight-table", table, np.ones((2, 3)))
     params = nn.init_params(SMALL_ARCH, seed=0)
     nn.save_checkpoint(root / "model-checkpoint", params, 5, train.init_opt_state(params))
     for fmt, load in LOADERS.items():

@@ -396,6 +396,7 @@ COMMANDS = ("scene", "stage1", "stage2", "probe", "report")
         {"n_train_scenes": -3},
         {"n_train_scenes": 0},
         {"n_eval_scenes": -1},
+        {"n_eval_scenes": 0},  # the probe refuses an empty test split
         {"probe_epochs": 0},
         {"stage2_epochs": -1},
         {"train": {"epochs": 10, "warmup_epochs": 5}, "stage2_epochs": 3},

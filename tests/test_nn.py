@@ -613,7 +613,7 @@ class TestFlatStore:
             tokens.region_ids
         )
         batch = _batch(bundle, tokens, params)
-        table, _ = stage1.build_weight_table(f2d, 1, 0)
+        table = stage1.build_weight_table(f2d, 1, 0)
         groups = np.zeros(len(f2d), int)
 
         def f():

@@ -1,6 +1,7 @@
 """Bundle storage: lossless round trips and distinct failure modes."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,12 +66,54 @@ def test_missing_blob_file(stored):
 
 
 def test_mask_feat2d_dimension_inconsistency(stored):
-    def grow_feat2d(header):
-        header["blobs"]["feat2d"]["shape"][0] += 1
-
-    edit_header(stored, grow_feat2d)
-    with pytest.raises(DimensionMismatchError):
+    # A self-consistent file whose feat2d has one raster row more than its mask.
+    header, payload = read_artifact(stored)
+    record = header["blobs"]["feat2d"]
+    row = np.zeros(record["shape"][1:], "<f4").tobytes()
+    cut = blob_spans(stored)["feat2d"][1] - (stored.stat().st_size - len(payload))
+    record["shape"][0] += 1
+    write_artifact(stored, header, payload[:cut] + row + payload[cut:])
+    with pytest.raises(DimensionMismatchError, match="feat2d"):
         scene.read_bundle(stored)
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("points", lambda b: np.zeros((b.n_points, 4), np.float32)),
+        ("gt_region", lambda b: np.zeros(b.n_points + 1, np.int32)),
+        ("colors", lambda b: np.zeros((b.n_points, 2), np.float32)),
+        ("feat2d", lambda b: b.feat2d[..., None]),
+        ("feat2d", lambda b: b.feat2d[:-1]),  # a mask whose H x W is not feat2d's
+    ],
+)
+def test_validate_is_the_one_shape_check(small_bundle, tmp_path, field, change):
+    bundle = replace(small_bundle, **{field: change(small_bundle)})
+    with pytest.raises(DimensionMismatchError, match=field):
+        bundle.validate()
+    with pytest.raises(DimensionMismatchError, match=field):
+        scene.write_bundle(bundle, tmp_path / "bundle")
+    assert not any(tmp_path.iterdir())
+
+
+def test_headers_with_the_older_keys_load_the_same(stored, small_bundle, tmp_path):
+    # Earlier files also held the sizes their blobs and camera give, and the
+    # weight table its derived weights, seed and per-region groups.
+    edit_header(stored, lambda header: header.update(
+        n_points=small_bundle.n_points, width=128, height=128,
+        feature_dim=small_bundle.feature_dim, region_count=small_bundle.region_count,
+    ))
+    assert scene.read_bundle(stored).equals(small_bundle)
+
+    table = stage1.WeightTable(np.arange(6.0).reshape(3, 2), np.array([5, 2, 1]))
+    stage1.save_weight_table(tmp_path / "table", table)
+    k, tau, w = (v.tolist() for v in stage1.weights_from_counts(table.counts))
+    edit_header(tmp_path / "table", lambda header: header.update(
+        n_groups=3, seed=0, k=k, tau=tau, w=w, group_of_region=[0, 1, 2, 0]
+    ))
+    loaded = stage1.load_weight_table(tmp_path / "table")
+    for name in ("centroids", "counts", "w"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(table, name))
 
 
 @pytest.mark.parametrize("edit", ["unknown", "missing"])
@@ -117,12 +160,8 @@ def test_mask_values_below_minus_one_are_refused(tmp_path, small_bundle, capsys)
 
 
 def test_other_format_rejected(tmp_path):
-    counts = np.array([3, 1])
-    k, tau, w = stage1.weights_from_counts(counts)
-    table = stage1.WeightTable(
-        group_of_region=np.array([0, 1]), counts=counts, k=k, tau=tau, w=w, n_groups=2, seed=0
-    )
-    stage1.save_weight_table(tmp_path / "table", table, np.zeros((2, 3)))
+    table = stage1.WeightTable(np.zeros((2, 3)), np.array([3, 1]))
+    stage1.save_weight_table(tmp_path / "table", table)
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(tmp_path / "table")
 
@@ -156,9 +195,20 @@ def test_malformed_manifest_json(stored):
 
 
 def test_missing_manifest_key(stored):
-    edit_header(stored, lambda h: h.pop("region_count"))
+    edit_header(stored, lambda h: h.pop("region_types"))
     with pytest.raises(MalformedManifestError):
         scene.read_bundle(stored)
+
+
+def test_header_ints_past_their_dtype_are_malformed(stored, tmp_path):
+    edit_header(stored, lambda h: h.update(region_types=[2**40, 0, 1]))
+    with pytest.raises(MalformedManifestError):
+        scene.read_bundle(stored)
+    table = stage1.WeightTable(np.zeros((2, 1)), np.array([1, 1]))
+    stage1.save_weight_table(tmp_path / "table", table)
+    edit_header(tmp_path / "table", lambda h: h.update(counts=[2**70, 1]))
+    with pytest.raises(MalformedManifestError):
+        stage1.load_weight_table(tmp_path / "table")
 
 
 def test_unsupported_blob_version(stored):
@@ -184,6 +234,17 @@ def test_scene_dir_round_trip(tmp_path):
     loaded = scene.read_scene_dir(tmp_path / "scenes")
     assert len(loaded) == 3
     assert all(a.equals(b) for a, b in zip(loaded, bundles))
+
+
+def test_scene_dir_rewrite_leaves_no_stale_bundles(tmp_path):
+    spec = scene.SceneSpec(n_objects=2)
+    scene.write_scene_dir(scene.generate_dataset(spec, 4, 0), tmp_path / "scenes")
+    fewer = scene.generate_dataset(spec, 2, 1)
+    scene.write_scene_dir(fewer, tmp_path / "scenes")
+    loaded = scene.read_scene_dir(tmp_path / "scenes")
+    assert len(loaded) == 2
+    assert all(a.equals(b) for a, b in zip(loaded, fewer))
+    assert sorted(p.name for p in (tmp_path / "scenes").iterdir()) == ["scene_0000", "scene_0001"]
 
 
 def test_empty_scene_dir(tmp_path):

@@ -6,12 +6,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import edit_header
 from hypothesis import given
 from hypothesis import strategies as st
 
 from samdistill import nn, scene, stage1, tokenizer
 from samdistill import tensor as T
-from samdistill.errors import InconsistencyError, InvalidCountError, InvalidInputError
+from samdistill.errors import (
+    DimensionMismatchError,
+    InconsistencyError,
+    InvalidCountError,
+    InvalidInputError,
+)
 
 count_vectors = st.lists(st.integers(1, 1000), min_size=1, max_size=24)
 
@@ -225,36 +231,55 @@ class TestWeightTable:
         feats = np.concatenate(
             [rng.normal(c, 0.05, (10 + 5 * c, 4)) for c in range(3)]
         )
-        table, centroids = stage1.build_weight_table(feats, 3, seed=0)
+        table = stage1.build_weight_table(feats, 3, seed=0)
         assert sorted(table.counts.tolist()) == [10, 15, 20]
         assert abs(table.w.sum() - 1.0) <= 1e-12
-        groups = stage1.assign_groups(feats, centroids)
-        np.testing.assert_array_equal(groups, table.group_of_region)
+        groups = stage1.assign_groups(feats, table)
+        np.testing.assert_array_equal(np.bincount(groups, minlength=3), table.counts)
 
-        stage1.save_weight_table(tmp_path / "wt", table, centroids)
-        loaded, loaded_centroids = stage1.load_weight_table(tmp_path / "wt")
+        stage1.save_weight_table(tmp_path / "wt", table)
+        loaded = stage1.load_weight_table(tmp_path / "wt")
         np.testing.assert_array_equal(loaded.counts, table.counts)
         np.testing.assert_array_equal(loaded.w, table.w)
-        np.testing.assert_array_equal(loaded_centroids, centroids)
+        np.testing.assert_array_equal(loaded.centroids, table.centroids)
 
     def test_determinism(self, rng):
         feats = rng.normal(0, 1, (30, 5))
-        a, ca = stage1.build_weight_table(feats, 4, seed=2)
-        b, cb = stage1.build_weight_table(feats, 4, seed=2)
-        np.testing.assert_array_equal(a.group_of_region, b.group_of_region)
-        np.testing.assert_array_equal(ca, cb)
+        a = stage1.build_weight_table(feats, 4, seed=2)
+        b = stage1.build_weight_table(feats, 4, seed=2)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.centroids, b.centroids)
 
     def test_requires_enough_regions(self, rng):
         with pytest.raises(InvalidCountError):
             stage1.build_weight_table(rng.normal(0, 1, (3, 2)), 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "counts, error",
+        [
+            ([4, 0, 2], InvalidInputError),
+            ([4, -1, 2], InvalidInputError),
+            ([4, 2], DimensionMismatchError),
+            ([4, 2, 1, 1], DimensionMismatchError),
+        ],
+    )
+    def test_load_refuses_counts_the_weights_cannot_use(self, tmp_path, counts, error):
+        # Three centroid rows: a zero or negative count has no weight, and
+        # every row needs one count.
+        path = tmp_path / "wt"
+        stage1.save_weight_table(path, stage1.WeightTable(np.zeros((3, 2)), np.array([4, 3, 2])))
+        edit_header(path, lambda header: header.update(counts=counts))
+        with pytest.raises(error):
+            stage1.load_weight_table(path)
+
+
+def _table(counts) -> stage1.WeightTable:
+    """A table with these group counts; the loss reads only their weights."""
+    return stage1.WeightTable(np.zeros((len(counts), 1)), np.array(counts))
+
 
 def _uniform_table(k: int) -> stage1.WeightTable:
-    counts = np.full(k, 10)
-    kk, tau, w = stage1.weights_from_counts(counts)
-    return stage1.WeightTable(
-        group_of_region=np.arange(k), counts=counts, k=kk, tau=tau, w=w, n_groups=k, seed=0
-    )
+    return _table([10] * k)
 
 
 class TestStage1Loss:
@@ -276,12 +301,7 @@ class TestStage1Loss:
     def test_permutation_invariance(self, rng):
         f2d = rng.normal(0, 1, (5, 3))
         f3d = rng.normal(0, 1, (5, 3))
-        counts = np.array([12, 3])
-        kk, tau, w = stage1.weights_from_counts(counts)
-        table = stage1.WeightTable(
-            group_of_region=np.zeros(5, int), counts=counts, k=kk, tau=tau, w=w,
-            n_groups=2, seed=0,
-        )
+        table = _table([12, 3])
         groups = np.array([0, 1, 0, 1, 0])
         base = stage1.stage1_loss(f2d, T.constant(f3d), table, groups)
         perm = rng.permutation(5)
@@ -293,12 +313,7 @@ class TestStage1Loss:
     def test_tail_group_upweighted(self, rng):
         f2d = np.zeros((2, 3))
         f3d = np.ones((2, 3))
-        counts = np.array([100, 1])
-        kk, tau, w = stage1.weights_from_counts(counts)
-        table = stage1.WeightTable(
-            group_of_region=np.zeros(2, int), counts=counts, k=kk, tau=tau, w=w,
-            n_groups=2, seed=0,
-        )
+        table = _table([100, 1])
         head_only = stage1.stage1_loss(f2d[:1], T.constant(f3d[:1]), table, np.array([0]))
         tail_only = stage1.stage1_loss(f2d[1:], T.constant(f3d[1:]), table, np.array([1]))
         assert tail_only.item() > head_only.item()
@@ -327,12 +342,7 @@ class TestStage1Loss:
         f2d, _ = stage1.pool_features_by_region(bundle.feat2d, bundle.mask).select(
             tokens.region_ids
         )
-        counts = np.array([4, 2])
-        kk, tau, w = stage1.weights_from_counts(counts)
-        table = stage1.WeightTable(
-            group_of_region=np.zeros(3, int), counts=counts, k=kk, tau=tau, w=w,
-            n_groups=2, seed=0,
-        )
+        table = _table([4, 2])
         groups = np.array([0, 1, 0])
         inputs = [params.tensors[n] for n in params.trainable_names()]
 
@@ -359,12 +369,7 @@ def _per_region_stage1_loss(f2d, f3d, table, groups):
 class TestStage1LossOracle:
     @pytest.mark.parametrize("m", [1, 7, 22])
     def test_matches_per_region_loop_bit_for_bit(self, rng, m):
-        counts = np.array([9, 4, 1])
-        kk, tau, w = stage1.weights_from_counts(counts)
-        table = stage1.WeightTable(
-            group_of_region=np.zeros(m, int), counts=counts, k=kk, tau=tau, w=w,
-            n_groups=3, seed=0,
-        )
+        table = _table([9, 4, 1])
         groups = rng.integers(0, 3, m)
         f2d = rng.normal(0, 1, (m, 32))
         data = rng.normal(0, 1, (m, 32))

@@ -639,7 +639,7 @@ class TestRunStage1:
         train.run_stage1(
             tb, eb, tiny_arch, _quick_cfg(), train.Stage1Config(k_groups=3), tmp_path / "wt"
         )
-        table, centroids = stage1.load_weight_table(tmp_path / "wt" / "weight_table")
+        table = stage1.load_weight_table(tmp_path / "wt" / "weight_table")
         assert table.n_groups == 3
         assert abs(table.w.sum() - 1.0) <= 1e-12
 
@@ -1105,7 +1105,7 @@ class TestStage1NodesPerSceneStep:
         h = T.add(embedded, pos)
         encoded = nn.encode(h, params, batch.scenes)
         f3d = stage1.project_3d(encoded, params)
-        table, _ = stage1.build_weight_table(np.zeros((1, f3d.shape[1])), 1, 0)
+        table = stage1.build_weight_table(np.zeros((1, f3d.shape[1])), 1, 0)
         loss = stage1.stage1_loss(
             np.zeros(f3d.shape), f3d, table, np.zeros(len(batch), int), reweight=False
         )
